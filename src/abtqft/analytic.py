@@ -19,7 +19,10 @@ DEFAULT_EPSILON = 1e-9
 
 def wrap_unit(t):
     """Reduce a turn count to the half-open interval [0, 1)."""
-    r = math.fmod(float(t), 1.0)
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"turn count {t} is not finite")
+    r = math.fmod(t, 1.0)
     if r < 0.0:
         r += 1.0
     if r >= 1.0:  # fmod rounding can land exactly on 1.0

@@ -16,7 +16,8 @@ import json
 import sys
 
 from . import __version__, fgab, intmat, moncat
-from .discrete import (CellComplex, Cochain, LatticeConnection,
+from .discrete import (CellComplex, Cochain, ComplexError,
+                       DegenerateTriangle, LatticeConnection, NotClosed,
                        check_stokes, chern_number, holonomy_of_vector,
                        tangent_connection)
 from .invariants import (BnrScene, SuScene, cs_su2_quadrature, psi,
@@ -365,7 +366,10 @@ def cmd_geo_stokes(args, ws):
 def _geo_connection(args):
     mesh = _load_mesh(args.mesh)
     if args.connection == "tangent":
-        bundle = tangent_connection(mesh)
+        try:
+            bundle = tangent_connection(mesh)
+        except (NotClosed, DegenerateTriangle, ComplexError) as exc:
+            raise InputError(f"{args.mesh}: {exc}")
         return bundle.dual, bundle.connection
     cw = Workspace()
     cw.load_file(args.connection)

@@ -6,7 +6,8 @@ from .connections import (LatticeConnection, holonomy, holonomy_of_vector,
                           total_curvature, boundary_holonomy, chern_number,
                           holonomy_curvature_gap, NonCycleError)
 from .surfaces import (MetricSurface, TangentBundle, PuncturedSurface,
-                       tangent_connection, DegenerateTriangle, icosahedron,
+                       tangent_connection, DegenerateTriangle, NotClosed,
+                       icosahedron,
                        flat_torus, equilateral_torus, flipped_torus,
                        hex_sphere, pent_sphere, genus2_surface)
 from .nerve import NerveCocycle, validate_nerve_cocycle, transition_winding

@@ -14,8 +14,11 @@ class CellComplex:
 
     `boundary[k]` holds, for each k-cell, a list of (face_index, sign)
     pairs over the (k-1)-cells.  The chain-complex identity boundary of
-    boundary = 0 is verified at construction.  Optional vertex coordinates
-    and edge lengths support quadrature and metric constructions.
+    boundary = 0 is verified at construction, cell by cell over the
+    incidence lists, in time linear in the number of incidences.  Dense
+    boundary matrices are built only when `boundary_matrix` is asked for.
+    Optional vertex coordinates and finite edge lengths support quadrature
+    and metric constructions.
     """
 
     def __init__(self, cell_counts, boundary, coords=None, edge_lengths=None,
@@ -38,21 +41,31 @@ class CellComplex:
                             f"missing {k-1}-cell {idx}")
                     if sign not in (1, -1):
                         raise ComplexError(f"boundary sign {sign} is not +-1")
-        self._bnd_matrix = {}
-        for k in range(1, self.dim + 1):
-            B = self.boundary_matrix(k)
-            if k >= 2:
-                if np.any(self.boundary_matrix(k - 1) @ B):
+        for k in range(2, self.dim + 1):
+            lower = self.boundary[k - 1]
+            for c, faces in enumerate(self.boundary[k]):
+                total = {}
+                for idx, sign in faces:
+                    for idx2, sign2 in lower[idx]:
+                        total[idx2] = total.get(idx2, 0) + sign * sign2
+                if any(total.values()):
                     raise ComplexError(
-                        f"boundary of boundary nonzero in dimension {k}")
+                        f"boundary of boundary nonzero in dimension {k} "
+                        f"at cell {c}")
+        self._bnd_matrix = {}
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
         if self.coords is not None and len(self.coords) != self.n_cells[0]:
             raise ComplexError("one coordinate row per vertex required")
         self.edge_lengths = (None if edge_lengths is None
                              else np.asarray(edge_lengths, dtype=float))
-        if (self.edge_lengths is not None
-                and len(self.edge_lengths) != self.n_cells[1]):
-            raise ComplexError("one length per edge required")
+        if self.edge_lengths is not None:
+            if len(self.edge_lengths) != self.n_cells[1]:
+                raise ComplexError("one length per edge required")
+            bad = np.flatnonzero(~np.isfinite(self.edge_lengths))
+            if bad.size:
+                e = int(bad[0])
+                raise ComplexError(
+                    f"edge {e} has non-finite length {self.edge_lengths[e]}")
 
     def boundary_matrix(self, k):
         """Integer matrix of the boundary operator on k-chains."""
@@ -79,9 +92,23 @@ class CellComplex:
         return np.ones(self.n_cells[k], dtype=np.int64)
 
     def boundary_of(self, k, chain_vec):
+        """Boundary of an integer k-chain vector, summed over the incidence
+        lists; equal to `boundary_matrix(k) @ chain_vec`, exactly."""
         if k < 1:
             raise ComplexError("0-chains have no boundary")
-        return self.boundary_matrix(k) @ chain_vec
+        chain_vec = np.asarray(chain_vec)
+        if chain_vec.shape != (self.n_cells[k],):
+            raise ComplexError(
+                f"chain vector of shape {chain_vec.shape} for "
+                f"{self.n_cells[k]} cells of dimension {k}")
+        if chain_vec.dtype.kind not in "biu":
+            raise ComplexError("chain coefficients must be integers")
+        out = [0] * self.n_cells[k - 1]
+        for faces, coeff in zip(self.boundary[k], chain_vec.tolist()):
+            if coeff:
+                for idx, sign in faces:
+                    out[idx] += sign * coeff
+        return np.array(out, dtype=np.int64)
 
     def is_cycle(self, k, chain_vec):
         return not np.any(self.boundary_of(k, chain_vec))

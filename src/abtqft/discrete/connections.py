@@ -28,6 +28,11 @@ class LatticeConnection:
         if edge_turns.shape != (complex.n_cells[1],):
             raise ConnectionDataError(
                 f"{len(edge_turns)} edge phases for {complex.n_cells[1]} edges")
+        bad = np.flatnonzero(~np.isfinite(edge_turns))
+        if bad.size:
+            e = int(bad[0])
+            raise ConnectionDataError(
+                f"edge {e} has non-finite turn {edge_turns[e]}")
         if face_lifts is None:
             face_lifts = np.zeros(complex.n_cells[2], dtype=np.int64)
         face_lifts = np.asarray(face_lifts)

@@ -40,7 +40,8 @@ class MetricSurface:
 
     Precomputes, per face, the corner angles and the direction angle of
     each directed side in the face's intrinsic chart (side 0 at angle 0,
-    turning left by the exterior angle at each junction).
+    turning left by the exterior angle at each junction), and per vertex
+    its corners `corners_at[v]` as (face, slot) pairs in ascending order.
     """
 
     def __init__(self, complex):
@@ -54,19 +55,19 @@ class MetricSurface:
         self.corner_angles = []
         self.side_dirs = []
         self.corner_vertex = []
+        self.corners_at = [[] for _ in range(complex.n_cells[0])]
         for f in range(nf):
             sides = complex.boundary[2][f]
             if len(sides) != 3:
                 raise ComplexError(f"face {f} is not a triangle")
             # sides must chain head-to-tail
+            ends = [_side_tail_head(complex, e, sign) for e, sign in sides]
             verts = []
             for j in range(3):
-                t0, h0 = _side_tail_head(complex, *sides[j - 1])
-                t1, h1 = _side_tail_head(complex, *sides[j])
-                if h0 != t1:
+                if ends[j - 1][1] != ends[j][0]:
                     raise ComplexError(
                         f"face {f}: sides {j-1} and {j} do not chain")
-                verts.append(t1)
+                verts.append(ends[j][0])
             L = [float(self.lengths[e]) for e, _ in sides]
             angles = []
             for j in range(3):
@@ -82,10 +83,13 @@ class MetricSurface:
             for j in (1, 2):
                 dirs[j] = dirs[j - 1] + (math.pi - angles[j])
             closure = dirs[2] + (math.pi - angles[0])
-            assert abs(closure - TWO_PI) < 1e-9, "chart failed to close"
+            if not abs(closure - TWO_PI) < 1e-9:
+                raise ComplexError(f"face {f}: chart failed to close")
             self.corner_angles.append(angles)
             self.side_dirs.append(dirs)
             self.corner_vertex.append(verts)
+            for j, v in enumerate(verts):
+                self.corners_at[v].append((f, j))
 
     def edge_direction_in_chart(self, f, slot):
         """Chart angle of the global orientation of the edge at `slot`."""
@@ -94,11 +98,11 @@ class MetricSurface:
         return d if sign == 1 else d + math.pi
 
     def angle_defect(self, v):
+        if not 0 <= v < len(self.corners_at):
+            raise ComplexError(f"no vertex {v}")
         total = 0.0
-        for f in range(self.complex.n_cells[2]):
-            for j in range(3):
-                if self.corner_vertex[f][j] == v:
-                    total += self.corner_angles[f][j]
+        for f, j in self.corners_at[v]:
+            total += self.corner_angles[f][j]
         return TWO_PI - total
 
 
@@ -169,8 +173,7 @@ class TangentBundle:
         vertices (one-vertex tori, identified polygons) work unchanged.
         """
         cx = self.surface.complex
-        corners = [(f, j) for f in range(cx.n_cells[2]) for j in range(3)
-                   if self.surface.corner_vertex[f][j] == v]
+        corners = self.surface.corners_at[v]
         if not corners:
             raise ComplexError(f"vertex {v} has no incident triangle")
         start = corners[0]
@@ -320,25 +323,20 @@ def icosahedron():
             coords.append((b, 0.0, a))
     coords = np.array(coords)
     # faces as outward-oriented triples over the 12 vertices
-    tris = []
     edge_len = 2.0
     n = len(coords)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                dij = np.linalg.norm(coords[i] - coords[j])
-                djk = np.linalg.norm(coords[j] - coords[k])
-                dik = np.linalg.norm(coords[i] - coords[k])
-                if max(abs(dij - edge_len), abs(djk - edge_len),
-                       abs(dik - edge_len)) < 1e-9:
-                    normal = np.cross(coords[j] - coords[i],
-                                      coords[k] - coords[i])
-                    center = (coords[i] + coords[j] + coords[k]) / 3.0
-                    if np.dot(normal, center) > 0:
-                        tris.append((i, j, k))
-                    else:
-                        tris.append((i, k, j))
-    assert len(tris) == 20
+    # face order, hence every edge and face index, follows the
+    # lexicographic order of the vertex triples
+    dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(-1))
+    near = (np.abs(dist - edge_len) < 1e-9).tolist()
+    tris = [(i, j, k) for i in range(n) for j in range(i + 1, n) if near[i][j]
+            for k in range(j + 1, n) if near[i][k] and near[j][k]]
+    if len(tris) != 20:
+        raise ComplexError(f"icosahedron has {len(tris)} faces, not 20")
+    a, b, c = (coords[list(col)] for col in zip(*tris))
+    outward = (np.cross(b - a, c - a) * (a + b + c)).sum(-1) > 0
+    tris = [(i, j, k) if out else (i, k, j)
+            for (i, j, k), out in zip(tris, outward)]
     return build_triangle_surface(
         12, tris, default_length=edge_len, coords=coords, name="icosahedron")
 
@@ -490,11 +488,14 @@ def jittered_lengths(surface, rng, scale=0.05, frozen_edges=()):
 
 
 def ring_triangle_edges(surface, vertex):
-    """Edges of all triangles having a corner at `vertex` (for freezing)."""
-    ms = MetricSurface(surface) if not isinstance(surface, MetricSurface) else surface
+    """Edges of all triangles having a corner at `vertex` (for freezing).
+
+    The corners of a triangle are the endpoints of its sides, so this
+    needs the combinatorics only, not a metric surface.
+    """
+    cx = surface.complex if isinstance(surface, MetricSurface) else surface
     edges = set()
-    cx = ms.complex
-    for f in range(cx.n_cells[2]):
-        if vertex in ms.corner_vertex[f]:
-            edges.update(e for e, _ in cx.boundary[2][f])
+    for sides in cx.boundary[2]:
+        if any(idx == vertex for e, _ in sides for idx, _ in cx.boundary[1][e]):
+            edges.update(e for e, _ in sides)
     return edges

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,13 @@ def test_wrap_half_range(x):
     r = wrap_half(x)
     assert -0.5 < r <= 0.5
     assert abs((x - r) - round(x - r)) < 1e-9
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_wrap_rejects_non_finite(x):
+    for wrap in (wrap_unit, wrap_half):
+        with pytest.raises(ValueError, match="not finite"):
+            wrap(x)
 
 
 def test_wrap_half_branch_at_minus_one_half():

@@ -178,7 +178,7 @@ def test_dangling_reference_named(tmp_path, capsys):
     assert "morphisms.f.target" in err and "'H'" in err
 
 
-def test_computation_error_exit_1(tmp_path, capsys):
+def test_open_mesh_exit_2(tmp_path, capsys):
     # a grid is not closed, so the tangent transport cannot be built
     mesh = tmp_path / "open.json"
     from abtqft.discrete import triangulated_grid
@@ -186,9 +186,44 @@ def test_computation_error_exit_1(tmp_path, capsys):
     rec = grid.to_json()
     rec["edge_lengths"] = [1.0] * grid.n_cells[1]
     mesh.write_text(json.dumps(rec))
+    for verb in ("chern", "holonomy"):
+        code, _, err = run(capsys, "geo", verb, str(mesh), "tangent")
+        assert code == 2
+        assert "open.json" in err and "boundary edge" in err
+
+
+def test_degenerate_mesh_exit_2(tmp_path, capsys):
+    from abtqft.discrete import icosahedron
+    rec = icosahedron().to_json()
+    rec["edge_lengths"][0] = 10.0
+    mesh = tmp_path / "flat.json"
+    mesh.write_text(json.dumps(rec))
     code, _, err = run(capsys, "geo", "chern", str(mesh), "tangent")
-    assert code == 1
-    assert "boundary edge" in err
+    assert code == 2
+    assert "flat.json" in err and "triangle inequality" in err
+
+
+def test_nan_edge_length_exit_2(tmp_path, capsys):
+    from abtqft.discrete import icosahedron
+    rec = icosahedron().to_json()
+    rec["edge_lengths"][3] = float("nan")
+    mesh = tmp_path / "nan.json"
+    mesh.write_text(json.dumps(rec))
+    code, _, err = run(capsys, "geo", "chern", str(mesh), "tangent")
+    assert code == 2
+    assert "nan.json" in err and "edge 3" in err and "non-finite" in err
+
+
+def test_nan_edge_turn_exit_2(tmp_path, capsys):
+    with open(sample("conn_square.json")) as fh:
+        rec = json.load(fh)
+    rec["edge_phases"][1] = float("inf")
+    conn = tmp_path / "conn.json"
+    conn.write_text(json.dumps(rec))
+    code, _, err = run(capsys, "geo", "holonomy", sample("mesh_square.json"),
+                       str(conn))
+    assert code == 2
+    assert "conn.json" in err and "edge 1" in err and "non-finite" in err
 
 
 def test_ill_defined_morphism_in_file_exit_2(tmp_path, capsys):

@@ -35,6 +35,17 @@ def test_complex_validation():
                        2: [[(0, 1)]]})
 
 
+def test_non_finite_edge_length_rejected():
+    W = D.triangulated_grid(1, 1)
+    for bad in (float("nan"), float("inf")):
+        lengths = [1.0] * W.n_cells[1]
+        lengths[2] = bad
+        with pytest.raises(D.ComplexError, match="edge 2"):
+            D.CellComplex({k: W.n_cells[k] for k in range(3)},
+                          {k: W.boundary[k] for k in (1, 2)},
+                          edge_lengths=lengths)
+
+
 def test_mesh_json_roundtrip():
     W = D.triangulated_grid(2, 3)
     rec = W.to_json()
@@ -181,6 +192,14 @@ def test_gauge_invariance():
     for f in range(W.n_cells[2]):
         assert conn.curvature(f) == pytest.approx(gauged.curvature(f),
                                                   abs=1e-12)
+
+
+def test_non_finite_edge_turn_rejected():
+    W = D.triangulated_grid(2, 2)
+    turns = [0.25] * W.n_cells[1]
+    turns[4] = float("nan")
+    with pytest.raises(D.connections.ConnectionDataError, match="edge 4"):
+        D.LatticeConnection(W, turns)
 
 
 def test_chern_number_examples():

@@ -65,7 +65,7 @@ def criterion_3_hofiber_lemma():
     rng = random.Random(303)
     for trial in range(50):
         square, _ = testing.random_square(rng, max_order=60)
-        fiber = moncat.hofiber(square)
+        fiber = moncat.HofibCat(square)
         enumerated = testing.brute_fiber_objects(square)
         from_pullback = set()
         for p in fiber.object_group.elements():
@@ -107,8 +107,7 @@ def criterion_4_xi_criterion():
 def criterion_5_mirror_factorization():
     """The integral mirror square: Xi is (g, h) -> g - h onto 24Z."""
     square, fill = moncat.mirror_exp_square(24)
-    fiber = moncat.hofiber(square)
-    xi = moncat.xi_lambda(fiber, fill)
+    xi = moncat.XiFunctor(moncat.HofibCat(square), fill)
     if xi.kernel_incl.matrix.tolist() != [[24]]:
         return False, f"kernel not 24Z: {xi.kernel_incl.matrix.tolist()}"
     if (xi.kernel_group.invariant_factors, xi.kernel_group.free_rank) != ((), 1):

@@ -18,10 +18,10 @@ import sys
 from . import __version__, fgab, intmat, moncat
 from .discrete import (CellComplex, Cochain, ComplexError,
                        DegenerateTriangle, LatticeConnection, NotClosed,
-                       check_stokes, chern_number, holonomy_of_vector,
+                       check_stokes, chern_number, holonomy,
                        tangent_connection)
 from .invariants import (BnrScene, SuScene, cs_su2_quadrature, psi,
-                         hofiber_bordism_semantics, shipped_table,
+                         shipped_table,
                          sphere_volume_quadrature, su_psi, validate_table,
                          SIGN_CONVENTION, build_mesh)
 from . import acceptance
@@ -191,12 +191,18 @@ class Workspace:
         return next(iter(table.values()))
 
 
-def _parse_coords(text):
+def _parse_element(group, text, where):
+    """The element of `group` with the comma-separated coordinates `text`;
+    `where` names the file and argument in error messages."""
     try:
-        return [int(t) for t in str(text).split(",")]
+        coords = [int(t) for t in str(text).split(",")]
     except ValueError:
-        raise InputError(f"coordinates {text!r} must be comma-separated "
-                         "integers")
+        raise InputError(f"{where}: coordinates {text!r} must be "
+                         "comma-separated integers")
+    if len(coords) != group.n_generators:
+        raise InputError(f"{where}: {len(coords)} coordinates {text!r} for "
+                         f"a group with {group.n_generators} generators")
+    return group.element(coords)
 
 
 def _load_mesh(ref):
@@ -263,7 +269,8 @@ def cmd_group_pullback(args, ws):
 
 def cmd_group_solve(args, ws):
     f = ws.sole(ws.morphisms, "morphism", args.name)
-    y = f.target.element(_parse_coords(args.rhs))
+    y = _parse_element(f.target, args.rhs,
+                       f"{', '.join(ws.files)}: argument rhs")
     x = fgab.solve(f, y)
     if x is None:
         return ["absent"], {"solution": None}
@@ -276,8 +283,8 @@ def cmd_group_solve(args, ws):
 def cmd_cat_hom(args, ws):
     phi = ws.sole(ws.morphisms, "morphism", args.name)
     cat = moncat.MorTensorCat(phi)
-    a = cat.obj_group.element(_parse_coords(args.a))
-    b = cat.obj_group.element(_parse_coords(args.b))
+    a = _parse_element(cat.obj_group, args.a, f"{args.files[0]}: argument a")
+    b = _parse_element(cat.obj_group, args.b, f"{args.files[0]}: argument b")
     hs = cat.hom(a, b)
     if hs.is_empty:
         return ["empty"], {"status": "empty"}
@@ -304,7 +311,7 @@ def cmd_cat_hom(args, ws):
 
 def cmd_cat_hofiber(args, ws):
     square = ws.sole(ws.squares, "square", args.square)
-    fiber = moncat.hofiber(square)
+    fiber = moncat.HofibCat(square)
     gens = [[int(v) for v in fiber.pullback.incl.matrix[:, j]]
             for j in range(fiber.object_group.n_generators)]
     return ([f"object group = {fiber.object_group.describe()}",
@@ -317,8 +324,7 @@ def cmd_cat_xi(args, ws):
     square = ws.sole(ws.squares, "square", args.square)
     lam = ws.sole(ws.fills, "fill", args.fill)
     fill = moncat.DiagonalFill(square, lam)
-    fiber = moncat.hofiber(square)
-    xi = moncat.xi_lambda(fiber, fill)
+    xi = moncat.XiFunctor(moncat.HofibCat(square), fill)
     equiv = moncat.xi_is_equivalence(square, fill)
     gens = [[int(v) for v in xi.kernel_incl.matrix[:, j]]
             for j in range(xi.kernel_group.n_generators)]
@@ -383,14 +389,20 @@ def _geo_connection(args):
 def cmd_geo_holonomy(args, ws):
     complex_, conn = _geo_connection(args)
     if args.loop:
-        chain = complex_.chain_vector(1, _parse_loop(args.loop))
+        where = f"{args.mesh}: --loop {args.loop}"
+        try:
+            chain = complex_.chain_vector(1, _parse_loop(args.loop, where))
+        except ComplexError as exc:
+            raise InputError(f"{where}: {exc}")
+        if not complex_.is_cycle(1, chain):
+            raise InputError(f"{where}: the loop is not closed")
     else:
         chain = complex_.fundamental_chain(1)
-    value = holonomy_of_vector(conn, chain)
+    value = holonomy(conn, chain)
     return ([f"holonomy = exp(2*pi*i * {fmt(value)})"], {"turns": value})
 
 
-def _parse_loop(text):
+def _parse_loop(text, where):
     chain = []
     for token in text.split(","):
         token = token.strip()
@@ -402,7 +414,7 @@ def _parse_loop(text):
         try:
             chain.append((int(token), sign))
         except ValueError:
-            raise InputError(f"bad loop token {token!r}")
+            raise InputError(f"{where}: bad loop token {token!r}")
     return chain
 
 
@@ -431,8 +443,6 @@ def cmd_bnr_psi(args, ws):
     obj = _bnr_scene(args, ws)
     scene = obj if isinstance(obj, BnrScene) else BnrScene.from_json(obj)
     result = psi(scene, certify=args.certify)
-    _, factored = hofiber_bordism_semantics(scene)
-    assert factored.raw == result.raw
     lines = [result.render()]
     for entry in result.certificate:
         lines.append(
@@ -488,6 +498,13 @@ def cmd_suite(args, ws):
 
 
 # -- main --------------------------------------------------------------------
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
 
 def build_parser():
     p = argparse.ArgumentParser(
@@ -572,7 +589,7 @@ def build_parser():
     sp.add_argument("--builtin")
     sp.set_defaults(handler=cmd_bnr_su)
     sp = bsub.add_parser("cs", parents=[common])
-    sp.add_argument("--refine", type=int, default=2)
+    sp.add_argument("--refine", type=positive_int, default=2)
     sp.set_defaults(handler=cmd_bnr_cs, files=[])
     sp = bsub.add_parser("table", parents=[common])
     sp.add_argument("action", choices=("validate",))

@@ -1,9 +1,9 @@
 from .complexes import (CellComplex, ComplexError, circle_complex,
                         path_complex, polygon_disk, triangulated_grid)
 from .cochains import (Cochain, DegreeError, coboundary, integrate,
-                       integrate_vector, check_stokes, is_closed)
-from .connections import (LatticeConnection, holonomy, holonomy_of_vector,
-                          total_curvature, boundary_holonomy, chern_number,
+                       check_stokes, is_closed)
+from .connections import (LatticeConnection, holonomy, total_curvature,
+                          boundary_holonomy, chern_number,
                           holonomy_curvature_gap, NonCycleError)
 from .surfaces import (MetricSurface, TangentBundle, PuncturedSurface,
                        tangent_connection, DegenerateTriangle, NotClosed,

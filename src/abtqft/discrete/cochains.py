@@ -51,28 +51,11 @@ def coboundary(omega):
     return Cochain(omega.complex, k + 1, B.T @ omega.values)
 
 
-def integrate(omega, chain):
-    """Signed sum of a k-cochain over a k-chain of (cell, coeff) pairs.
-
-    Summation order follows the chain listing so results are bit-stable.
-    """
-    total = 0.0
-    for idx, coeff in chain:
-        if not (0 <= idx < omega.complex.n_cells[omega.degree]):
-            raise DegreeError(f"no {omega.degree}-cell with index {idx}")
-        total += coeff * omega.values[idx]
-    return total
-
-
-def integrate_vector(omega, chain_vec):
-    """Integrate against a dense coefficient vector (fixed cell order)."""
+def integrate(omega, chain_vec):
+    """Signed sum of a k-cochain over a dense integer k-chain vector."""
     if len(chain_vec) != omega.complex.n_cells[omega.degree]:
         raise DegreeError("chain vector length mismatch")
     return float(np.dot(np.asarray(chain_vec, dtype=float), omega.values))
-
-
-def chain_from_vector(vec):
-    return [(i, int(c)) for i, c in enumerate(vec) if c != 0]
 
 
 def is_closed(omega, tol=1e-12):
@@ -97,6 +80,6 @@ def check_stokes(W, omega, chain=None):
         chain = W.fundamental_chain(k + 1)
     chain = np.asarray(chain, dtype=np.int64)
     boundary_chain = W.boundary_of(k + 1, chain)
-    lhs = integrate_vector(omega, boundary_chain)
-    rhs = integrate_vector(coboundary(omega), chain)
+    lhs = integrate(omega, boundary_chain)
+    rhs = integrate(coboundary(omega), chain)
     return lhs, rhs

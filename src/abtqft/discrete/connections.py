@@ -96,56 +96,42 @@ class LatticeConnection:
         return cls(complex, phases, obj.get("face_lifts"))
 
 
-def holonomy(conn, loop):
+def holonomy(conn, chain_vec):
     """Circle value (in turns) of the transport around a closed 1-chain.
 
-    `loop` is a list of (edge, sign) pairs; it must be a cycle.  The value
-    does not depend on the starting point since the turns simply add.
+    `chain_vec` is a dense integer 1-chain vector; it must be a cycle.
+    The value does not depend on the starting point since the turns
+    simply add.
     """
-    cx = conn.complex
-    vec = cx.chain_vector(1, loop)
-    if np.any(cx.boundary_of(1, vec)):
-        raise NonCycleError("holonomy of a non-closed 1-chain")
-    total = 0.0
-    for e, sign in loop:
-        total += sign * conn.edge_turns[e]
-    return wrap_unit(total)
-
-
-def holonomy_of_vector(conn, chain_vec):
-    """Holonomy against a dense integer 1-chain vector (must be a cycle)."""
-    cx = conn.complex
     chain_vec = np.asarray(chain_vec, dtype=np.int64)
-    if np.any(cx.boundary_of(1, chain_vec)):
+    if np.any(conn.complex.boundary_of(1, chain_vec)):
         raise NonCycleError("holonomy of a non-closed 1-chain")
     return wrap_unit(float(np.dot(chain_vec.astype(float), conn.edge_turns)))
 
 
-def total_curvature(conn, surface_chain):
-    """Sum of lifted face curvatures over a 2-chain of (face, coeff) pairs.
+def total_curvature(conn, chain_vec):
+    """Sum of lifted face curvatures over a dense integer 2-chain vector,
+    in ascending face order.
 
     Satisfies exp(2 pi i total) = holonomy of the chain boundary for
     every lift choice.
     """
+    chain_vec = np.asarray(chain_vec, dtype=np.int64)
+    if chain_vec.shape != (conn.complex.n_cells[2],):
+        raise ConnectionDataError(
+            f"chain vector of shape {chain_vec.shape} for "
+            f"{conn.complex.n_cells[2]} faces")
     total = 0.0
-    for f, coeff in surface_chain:
-        if not (0 <= f < conn.complex.n_cells[2]):
-            raise ConnectionDataError(f"no 2-cell with index {f}")
-        total += coeff * conn.curvature(f)
-    return total
-
-
-def total_curvature_vector(conn, chain_vec):
-    total = 0.0
-    for f, coeff in enumerate(np.asarray(chain_vec, dtype=np.int64)):
+    for f, coeff in enumerate(chain_vec.tolist()):
         if coeff:
-            total += int(coeff) * conn.curvature(f)
+            total += coeff * conn.curvature(f)
     return total
 
 
 def boundary_holonomy(conn, surface_chain):
+    """Holonomy around the boundary of a 2-chain of (face, coeff) pairs."""
     vec = conn.complex.chain_vector(2, surface_chain)
-    return holonomy_of_vector(conn, conn.complex.boundary_of(2, vec))
+    return holonomy(conn, conn.complex.boundary_of(2, vec))
 
 
 def chern_number(conn, closed_surface, tol=1e-9):
@@ -158,7 +144,7 @@ def chern_number(conn, closed_surface, tol=1e-9):
     vec = cx.chain_vector(2, closed_surface)
     if np.any(cx.boundary_of(2, vec)):
         raise NonCycleError("chern number needs a closed surface (a 2-cycle)")
-    total = total_curvature(conn, closed_surface)
+    total = total_curvature(conn, vec)
     nearest = round(total)
     if abs(total - nearest) > tol:
         raise ConnectionDataError(
@@ -170,6 +156,7 @@ def chern_number(conn, closed_surface, tol=1e-9):
 def holonomy_curvature_gap(conn, surface_chain):
     """Circular distance between exp(total curvature) and the boundary
     holonomy; zero up to float re-association."""
-    total = total_curvature(conn, surface_chain)
-    hol = boundary_holonomy(conn, surface_chain)
+    vec = conn.complex.chain_vector(2, surface_chain)
+    total = total_curvature(conn, vec)
+    hol = holonomy(conn, conn.complex.boundary_of(2, vec))
     return circle_distance(total, hol)

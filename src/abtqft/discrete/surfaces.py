@@ -225,7 +225,8 @@ class PuncturedSurface:
 
     def total_curvature(self):
         from .connections import total_curvature
-        return total_curvature(self.bundle.connection, self.chain)
+        return total_curvature(self.bundle.connection,
+                               self.bundle.dual.chain_vector(2, self.chain))
 
     def boundary_cycle(self):
         """(edge, sign) pairs of the boundary circle, induced orientation."""
@@ -341,8 +342,11 @@ def icosahedron():
         12, tris, default_length=edge_len, coords=coords, name="icosahedron")
 
 
-def flat_torus(n=4, m=4):
-    """Flat square torus: n x m grid of squares, each split by a diagonal."""
+def _torus_grid(n, m, name, diagonal=1.0, flip=False):
+    """n x m grid of squares on the torus, each split along its diagonal
+    from (i, j) to (i + 1, j + 1); `flip` uses the other diagonal in
+    square (0, 0).  Diagonals have length `diagonal`, all other edges 1.
+    """
     if n < 3 or m < 3:
         raise ComplexError("torus grid needs n, m >= 3 to stay simplicial")
 
@@ -354,35 +358,31 @@ def flat_torus(n=4, m=4):
         for i in range(n):
             v00, v10 = vid(i, j), vid(i + 1, j)
             v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
+            if flip and i == 0 and j == 0:
+                tris.append((v00, v10, v01))
+                tris.append((v10, v11, v01))
+            else:
+                tris.append((v00, v10, v11))
+                tris.append((v00, v11, v01))
 
     def lengths(a, b):
         ai, aj = a % n, a // n
         bi, bj = b % n, b // n
         di = min((ai - bi) % n, (bi - ai) % n)
         dj = min((aj - bj) % m, (bj - aj) % m)
-        return math.sqrt(2.0) if (di and dj) else 1.0
+        return diagonal if (di and dj) else 1.0
 
-    return build_triangle_surface(n * m, tris, lengths=lengths,
-                                  name=f"torus{n}x{m}")
+    return build_triangle_surface(n * m, tris, lengths=lengths, name=name)
+
+
+def flat_torus(n=4, m=4):
+    """Flat square torus: n x m grid of squares, each split by a diagonal."""
+    return _torus_grid(n, m, f"torus{n}x{m}", diagonal=math.sqrt(2.0))
 
 
 def equilateral_torus(n=4, m=4):
     """Flat rhombic torus: the same combinatorics with every length 1."""
-    if n < 3 or m < 3:
-        raise ComplexError("torus grid needs n, m >= 3 to stay simplicial")
-
-    def vid(i, j):
-        return (j % m) * n + (i % n)
-
-    tris = []
-    for j in range(m):
-        for i in range(n):
-            tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    return build_triangle_surface(n * m, tris, default_length=1.0,
-                                  name=f"eqtorus{n}x{m}")
+    return _torus_grid(n, m, f"eqtorus{n}x{m}")
 
 
 def flipped_torus(n=4, m=4):
@@ -392,23 +392,7 @@ def flipped_torus(n=4, m=4):
     length stays 1, so vertex (0,0) acquires the same equilateral 5-ring
     as an icosahedron vertex but the surface keeps genus 1.
     """
-    if n < 3 or m < 3:
-        raise ComplexError("torus grid needs n, m >= 3 to stay simplicial")
-
-    def vid(i, j):
-        return (j % m) * n + (i % n)
-
-    tris = []
-    for j in range(m):
-        for i in range(n):
-            if i == 0 and j == 0:
-                tris.append((vid(0, 0), vid(1, 0), vid(0, 1)))
-                tris.append((vid(1, 0), vid(1, 1), vid(0, 1)))
-            else:
-                tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-                tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    return build_triangle_surface(n * m, tris, default_length=1.0,
-                                  name=f"fliptorus{n}x{m}")
+    return _torus_grid(n, m, f"fliptorus{n}x{m}", flip=True)
 
 
 def _bipyramid_sphere(k, name, rim_length=1.0):

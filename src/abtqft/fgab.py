@@ -54,7 +54,6 @@ class FgAbGroup:
         self._mods = [diag[i] if i < len(diag) else 0 for i in range(n)]
         self.invariant_factors = tuple(d for d in self._mods if d >= 2)
         self.free_rank = sum(1 for d in self._mods if d == 0)
-        assert self.free_rank + len(self.invariant_factors) <= max(n, 0)
 
     # -- elements ---------------------------------------------------------
 

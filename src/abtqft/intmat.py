@@ -176,10 +176,13 @@ def smith(M):
             row_addmul(s, offender, 1)
 
     D = A
-    assert all(D[i, j] == 0 for i in range(m) for j in range(n) if i != j)
     dg = [D[i, i] for i in range(min(m, n))]
-    assert all(d >= 0 for d in dg)
-    assert all(dg[i + 1] % dg[i] == 0 for i in range(len(dg) - 1) if dg[i] != 0)
+    if not (all(D[i, j] == 0 for i in range(m) for j in range(n) if i != j)
+            and all(d >= 0 for d in dg)
+            and all(dg[i + 1] % dg[i] == 0
+                    for i in range(len(dg) - 1) if dg[i] != 0)):
+        raise ArithmeticError(f"smith: result is not in Smith normal form "
+                              f"(diagonal {dg})")
     return SmithDecomposition(M, U, D, V, U_inv, V_inv)
 
 

@@ -2,8 +2,7 @@ from .chern_simons import cs_su2_quadrature, sphere_volume_quadrature
 from .table import (Closed4Entry, validate_table, load_entries,
                     shipped_table, spin_entries)
 from .tqfts import (z_stokes_closed, z_stokes, z_stokes_rel, z_hol,
-                    z_hol_rel, z_spin_object, z_spin_morphism,
-                    NotClosedCochain)
+                    z_hol_rel, NotClosedCochain)
 from .scenes import (BnrScene, SuScene, SuBounding, SpinGeometryProvider,
                      tangent_bounding, random_su_scene, build_mesh,
                      ProviderError, IncompatibleScene, SIGN_CONVENTION)

@@ -77,9 +77,15 @@ class SpinGeometryProvider:
         if m3_key == "empty":
             return 0.0
         # quadrature path: the canonical 3-form of the Lie framing
-        # integrates to a signed unit; the declared sign convention picks
-        # the orientation that sends the generator scene to +1
-        return -abs(_cs_value(self.refinement))
+        # integrates to a signed unit whose sign must be the table's; the
+        # declared sign convention sends the generator scene to +1
+        value = _cs_value(self.refinement)
+        expected = _ETA_TABLE[(m3_key, eta_key)]
+        if (value < 0) != (expected < 0):
+            raise ProviderError(
+                f"quadrature of ({m3_key!r}, {eta_key!r}) has sign of "
+                f"{value}, the table value is {expected}")
+        return value
 
     def half_p1_integral(self, w4_key, nabla_key, glue=()):
         if self.kind == self.QUADRATURE:

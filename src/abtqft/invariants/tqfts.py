@@ -7,10 +7,8 @@ holonomy vs curvature) are exact properties of the discrete substrate.
 
 from __future__ import annotations
 
-from ..analytic import wrap_unit
-from ..discrete.cochains import coboundary, integrate_vector, is_closed
-from ..discrete.connections import (holonomy_of_vector,
-                                    total_curvature_vector)
+from ..discrete.cochains import coboundary, integrate, is_closed
+from ..discrete.connections import holonomy, total_curvature
 
 
 class NotClosedCochain(ValueError):
@@ -28,14 +26,14 @@ def z_stokes_closed(M, omega, chain=None):
             "the closed-background evaluator needs d(omega) = 0")
     if chain is None:
         chain = M.fundamental_chain(omega.degree)
-    return integrate_vector(omega, chain)
+    return integrate(omega, chain)
 
 
 def z_stokes(M, omega, chain=None):
     """Object-level value of the non-closed variant: the plain integral."""
     if chain is None:
         chain = M.fundamental_chain(omega.degree)
-    return integrate_vector(omega, chain)
+    return integrate(omega, chain)
 
 
 def z_stokes_rel(W, omega, chain=None):
@@ -43,7 +41,7 @@ def z_stokes_rel(W, omega, chain=None):
     d = coboundary(omega)
     if chain is None:
         chain = W.fundamental_chain(d.degree)
-    return integrate_vector(d, chain)
+    return integrate(d, chain)
 
 
 def z_hol(conn, chain=None):
@@ -54,7 +52,8 @@ def z_hol(conn, chain=None):
     cx = conn.complex
     if chain is None:
         chain = cx.fundamental_chain(1)
-    return holonomy_of_vector(conn, chain)
+    return holonomy(conn, chain)
+
 
 def z_hol_rel(conn, chain=None):
     """Morphism-level value of a bounding 2-dimensional scene: the total
@@ -62,16 +61,4 @@ def z_hol_rel(conn, chain=None):
     cx = conn.complex
     if chain is None:
         chain = cx.fundamental_chain(2)
-    return total_curvature_vector(conn, chain)
-
-
-def z_spin_object(eta_integral):
-    """Circle-level value of a 3-dimensional scene: exp of the canonical
-    3-form integral supplied by the geometry provider."""
-    return wrap_unit(eta_integral)
-
-
-def z_spin_morphism(half_p1_integral):
-    """Real-level value of a bounding 4-dimensional scene: half the first
-    Pontryagin Chern-Weil integral supplied by the geometry provider."""
-    return float(half_p1_integral)
+    return total_curvature(conn, chain)

@@ -12,7 +12,7 @@ equivalence exactly when the source's vertical morphism is invertible.
 from __future__ import annotations
 
 from . import fgab
-from .analytic import AnalyticMorphism
+from .analytic import circle_distance
 from .fgab import (FgAbGroup, GroupMorphism, element_eq,
                    morphism_eq, kernel, pullback, solve, is_isomorphism)
 from . import intmat
@@ -105,16 +105,10 @@ class MorTensorCat:
     composition and tensor are sums, the unit is zero and the dual of an
     object is its negative.  Every object is invertible, so the category
     is a groupoid.
-
-    phi may also be an AnalyticMorphism (exp, inclusions, scalings); the
-    category then works with floats under tolerance equality, and only
-    the coset operations are available (the exact fiber machinery needs
-    integer presentations).
     """
 
     def __init__(self, phi):
         self.phi = phi
-        self.analytic = isinstance(phi, AnalyticMorphism)
         self.obj_group = phi.target
         self.mor_group = phi.source
         self._kernel = None
@@ -133,16 +127,8 @@ class MorTensorCat:
     def unit(self):
         return self.obj_group.zero()
 
-    def _ob_eq(self, a, b):
-        if self.analytic:
-            return self.obj_group.eq(a, b)
-        return element_eq(self.obj_group, a, b)
-
     def hom(self, a, b):
         """Hom(a, b) as a coset; empty iff b - a misses the image of phi."""
-        if self.analytic:
-            particular = self.phi.lift(self.obj_group.add(b, -a))
-            return AnalyticHomSet(self, a, b, particular)
         if a.parent is not self.obj_group or b.parent is not self.obj_group:
             raise fgab.ParentMismatch("objects must live in the object group")
         particular = solve(self.phi, b - a)
@@ -151,13 +137,9 @@ class MorTensorCat:
         def member(x):
             return element_eq(self.obj_group, a + self.phi(x), b)
 
-        if particular is None:
-            return HomSet(None, K, incl, member)
         return HomSet(particular, K, incl, member)
 
     def hom_contains(self, a, b, x):
-        if self.analytic:
-            return self.obj_group.eq(self.obj_group.add(a, self.phi(x)), b)
         if x.parent is not self.mor_group:
             raise fgab.ParentMismatch("morphism carrier must live in A_mor")
         return element_eq(self.obj_group, a + self.phi(x), b)
@@ -172,72 +154,22 @@ class MorTensorCat:
         """m1 followed by m2; carried by the sum of the carriers."""
         if m1.cat is not self or m2.cat is not self:
             raise NonComposable("morphisms from different categories")
-        if not self._ob_eq(m1.tgt, m2.src):
+        if not element_eq(self.obj_group, m1.tgt, m2.src):
             raise NonComposable(f"target {m1.tgt!r} != source {m2.src!r}")
         return CatMorphism(self, m1.src, m2.tgt, m1.x + m2.x)
 
     def tensor_objects(self, a, b):
-        if self.analytic:
-            return self.obj_group.add(a, b)
         return a + b
 
     def tensor_morphisms(self, m1, m2):
-        if self.analytic:
-            return CatMorphism(self, self.obj_group.add(m1.src, m2.src),
-                               self.obj_group.add(m1.tgt, m2.tgt),
-                               self.mor_group.add(m1.x, m2.x))
         return CatMorphism(self, m1.src + m2.src, m1.tgt + m2.tgt,
                            m1.x + m2.x)
 
     def dual(self, a):
-        if self.analytic:
-            return self.obj_group.neg(a)
         return -a
 
     def __repr__(self):
         return f"MorTensorCat({self.phi!r})"
-
-
-class AnalyticHomSet:
-    """Hom-set of an analytic category: a float particular plus the
-    kernel of phi (a list of generators, or None for a continuous one)."""
-
-    def __init__(self, cat, a, b, particular):
-        self.cat = cat
-        self.a = a
-        self.b = b
-        self.particular = particular
-
-    @property
-    def status(self):
-        return HomSet.EMPTY if self.particular is None else HomSet.NONEMPTY
-
-    @property
-    def is_empty(self):
-        return self.particular is None
-
-    @property
-    def kernel_generators(self):
-        return self.cat.phi.kernel_generators()
-
-    def contains(self, x):
-        return self.cat.hom_contains(self.a, self.b, x)
-
-
-def hom(cat, a, b):
-    return cat.hom(a, b)
-
-
-def compose(cat, m1, m2):
-    return cat.compose(m1, m2)
-
-
-def tensor(cat, m1, m2):
-    return cat.tensor_morphisms(m1, m2)
-
-
-def dual(cat, a):
-    return cat.dual(a)
 
 
 class CommSquare:
@@ -382,14 +314,6 @@ class HofibCat:
         return element_eq(self._pair_group, self.stacked(x), rhs)
 
 
-def hofiber(square):
-    return HofibCat(square)
-
-
-def hofiber_hom(fiber, p, q):
-    return fiber.hom(p, q)
-
-
 class DiagonalFill:
     """A diagonal lambda: H_ob -> G_mor splitting the square into two
     commuting triangles: f_mor = lambda . phi_H and f_ob = phi_G . lambda."""
@@ -433,7 +357,8 @@ class XiFunctor:
         if not element_eq(phi_G.target, phi_G(value), phi_G.target.zero()):
             raise AssertionError("Xi value escaped the kernel of phi_G")
         coords = solve(self.kernel_incl, value)
-        assert coords is not None, "kernel presentation failed to absorb value"
+        if coords is None:
+            raise ArithmeticError("kernel presentation failed to absorb value")
         return value, coords
 
     def apply_morphism(self, p, q, x):
@@ -448,10 +373,6 @@ class XiFunctor:
             raise AssertionError(
                 "constancy violated: Xi images of connected objects differ")
         return self.target.identity(cp)
-
-
-def xi_lambda(fiber, fill):
-    return XiFunctor(fiber, fill)
 
 
 def xi_is_equivalence(square, fill):
@@ -535,7 +456,6 @@ class AnalyticExpSquare:
         self.tolerance = float(tolerance)
 
     def is_object(self, g, h):
-        from .analytic import circle_distance
         return circle_distance(g, h) <= self.tolerance
 
     def xi(self, g, h):

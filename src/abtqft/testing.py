@@ -83,7 +83,8 @@ def random_morphism(rng, G, H):
 def random_automorphism(rng, G, H):
     """Random isomorphism between two presentations of one canonical
     group (unit scalars on each cyclic factor)."""
-    assert G._mods == H._mods
+    if G._mods != H._mods:
+        raise ValueError("G and H present different groups")
     import math
     n = G.n_generators
     C = intmat.zeros(n, n)
@@ -98,7 +99,8 @@ def random_automorphism(rng, G, H):
             C[i, i] = rng.choice(units)
     M = H._snf.U_inv @ C @ G._snf.U
     f = GroupMorphism(G, H, M)
-    assert fgab.is_isomorphism(f)
+    if not fgab.is_isomorphism(f):
+        raise ArithmeticError("random automorphism is not an isomorphism")
     return f
 
 

@@ -3,10 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from abtqft import analytic
-from abtqft.analytic import (AnalyticGroup, AnalyticMorphism, CIRCLE,
-                             INTEGERS, REALS, circle_distance, wrap_half,
-                             wrap_unit, exp_morphism)
+from abtqft.analytic import circle_distance, wrap_half, wrap_unit
+from abtqft.moncat import AnalyticExpSquare
 
 
 @given(st.floats(-100, 100))
@@ -42,55 +40,17 @@ def test_no_negative_zero():
 
 
 def test_circle_equality():
-    U1 = AnalyticGroup(CIRCLE, epsilon=1e-9)
-    assert U1.eq(0.999999999999, 0.0)
-    assert not U1.eq(0.4, 0.6)
-    assert U1.eq(U1.add(0.7, 0.6), 0.3)
+    assert circle_distance(0.999999999999, 0.0) <= 1e-9
+    assert not circle_distance(0.4, 0.6) <= 1e-9
+    assert circle_distance(wrap_unit(0.7 + 0.6), 0.3) <= 1e-9
 
 
 def test_integers_exact():
-    Zg = AnalyticGroup(INTEGERS)
-    assert Zg.epsilon == 0.0
-    assert Zg.eq(3, 3)
-    assert not Zg.eq(3, 4)
+    # Z enters the analytic layer only as ker(exp), through the square
+    # (id_R, exp): its values are exact ints, and a pair whose gap is
+    # not an integer is not an object
+    square = AnalyticExpSquare(tolerance=1e-9)
+    value = square.xi_integer(5.0, 2.0)
+    assert value == 3 and isinstance(value, int)
     with pytest.raises(ValueError):
-        Zg.element(2.5)
-
-
-def test_exp_lift_roundtrip():
-    exp = exp_morphism()
-    for x in (-2.3, -1.0, 0.0, 0.25, 0.5, 7.9):
-        lifted = exp.lift(exp(x))
-        # returns the input up to an integer
-        gap = x - lifted
-        assert abs(gap - round(gap)) <= 1e-9
-    assert exp.kernel_generators() == [1.0]
-
-
-def test_inclusion_and_scale():
-    include = AnalyticMorphism("include", AnalyticGroup(INTEGERS),
-                               AnalyticGroup(REALS))
-    assert include(3) == 3.0
-    assert include.lift(3.0) == 3
-    assert include.lift(3.5) is None
-
-    scale = AnalyticMorphism("scale", AnalyticGroup(REALS),
-                             AnalyticGroup(REALS), factor=0.5)
-    assert scale(4.0) == 2.0
-    assert scale.lift(2.0) == 4.0
-
-
-def test_zero_morphism():
-    zero = AnalyticMorphism("zero", AnalyticGroup(REALS),
-                            AnalyticGroup(REALS))
-    assert zero(17.0) == 0.0
-    assert zero.lift(0.0) == 0.0
-    assert zero.lift(1.0) is None
-    assert zero.kernel_generators() is None
-
-
-def test_bad_kind_combinations():
-    with pytest.raises(ValueError):
-        AnalyticMorphism("exp", AnalyticGroup(CIRCLE), AnalyticGroup(REALS))
-    with pytest.raises(ValueError):
-        AnalyticGroup("Quaternions")
+        square.xi_integer(2.5, 0.0)

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from abtqft.cli import main
 
 
@@ -90,6 +92,36 @@ def test_geo_holonomy(capsys):
                        sample("conn_square.json"), "--loop", "0,1,2,3")
     assert code == 0
     assert out.strip() == "holonomy = exp(2*pi*i * 0.5)"
+
+
+def test_geo_holonomy_open_loop_exit_2(capsys):
+    code, _, err = run(capsys, "geo", "holonomy", sample("mesh_square.json"),
+                       sample("conn_square.json"), "--loop", "0")
+    assert code == 2
+    assert "mesh_square.json" in err and "--loop" in err
+    assert "not closed" in err
+
+
+def test_geo_holonomy_missing_edge_exit_2(capsys):
+    code, _, err = run(capsys, "geo", "holonomy", sample("mesh_square.json"),
+                       sample("conn_square.json"), "--loop", "99")
+    assert code == 2
+    assert "mesh_square.json" in err and "--loop" in err
+    assert "index 99" in err
+
+
+def test_bnr_cs_refine_0_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bnr", "cs", "--refine", "0"])
+    assert exc.value.code == 2
+    assert "--refine" in capsys.readouterr().err
+
+
+def test_cat_hom_wrong_arity_exit_2(capsys):
+    code, _, err = run(capsys, "cat", "hom", sample("times2.json"), "0,1", "4")
+    assert code == 2
+    assert "times2.json" in err and "argument a" in err
+    assert "2 coordinates" in err
 
 
 def test_bnr_psi_scene(capsys):

@@ -85,11 +85,13 @@ def test_dd_zero_random():
 def test_integrate_examples():
     C3 = D.circle_complex(3)
     unit = D.Cochain(C3, 1, [1.0, 1.0, 1.0])
-    chain = [(i, 1) for i in range(3)]
+    chain = C3.chain_vector(1, [(i, 1) for i in range(3)])
     assert D.integrate(unit, chain) == 3.0
-    assert D.integrate(unit, []) == 0.0
-    reverse = [(i, -1) for i in range(3)]
+    assert D.integrate(unit, C3.chain_vector(1, [])) == 0.0
+    reverse = C3.chain_vector(1, [(i, -1) for i in range(3)])
     assert D.integrate(unit, reverse) == -3.0
+    with pytest.raises(D.DegreeError):
+        D.integrate(unit, [1, 1])
 
 
 def test_stokes_closed_and_exact():
@@ -126,15 +128,15 @@ def test_stokes_degree_errors():
 def test_holonomy_examples():
     C3 = D.circle_complex(3)
     trivial = D.LatticeConnection.trivial(C3)
-    loop = [(i, 1) for i in range(3)]
+    loop = C3.chain_vector(1, [(i, 1) for i in range(3)])
     assert D.holonomy(trivial, loop) == 0.0
     conn = D.LatticeConnection(C3, [0.1, 0.2, 0.3])
     assert abs(D.holonomy(conn, loop) - 0.6) < 1e-12
     # starting point does not matter
-    rotated = [(1, 1), (2, 1), (0, 1)]
+    rotated = C3.chain_vector(1, [(1, 1), (2, 1), (0, 1)])
     assert D.holonomy(conn, rotated) == pytest.approx(
         D.holonomy(conn, loop), abs=1e-15)
-    back = [(i, -1) for i in reversed(range(3))]
+    back = C3.chain_vector(1, [(i, -1) for i in reversed(range(3))])
     assert circle_distance(D.holonomy(conn, back), -0.6) < 1e-12
 
 
@@ -142,21 +144,22 @@ def test_holonomy_rejects_open_chains():
     C3 = D.circle_complex(3)
     conn = D.LatticeConnection.trivial(C3)
     with pytest.raises(D.NonCycleError):
-        D.holonomy(conn, [(0, 1), (1, 1)])
+        D.holonomy(conn, C3.chain_vector(1, [(0, 1), (1, 1)]))
 
 
 def test_curvature_lift_examples():
     disk = D.polygon_disk(4)
     conn = D.LatticeConnection(disk, [0.05, 0.1, 0.03, 0.07])
-    assert D.total_curvature(conn, [(0, 1)]) == pytest.approx(0.25, abs=1e-12)
+    assert D.total_curvature(conn, [1]) == pytest.approx(0.25, abs=1e-12)
     lifted = conn.with_lifts([1])
-    assert D.total_curvature(lifted, [(0, 1)]) == pytest.approx(1.25,
-                                                               abs=1e-12)
+    assert D.total_curvature(lifted, [1]) == pytest.approx(1.25, abs=1e-12)
+    with pytest.raises(D.connections.ConnectionDataError):
+        D.total_curvature(conn, [1, 0])
     # boundary holonomy does not see the lift
     assert circle_distance(D.boundary_holonomy(conn, [(0, 1)]),
                            D.boundary_holonomy(lifted, [(0, 1)])) == 0.0
     trivial = D.LatticeConnection.trivial(D.polygon_disk(5))
-    assert D.total_curvature(trivial, [(0, 1)]) == 0.0
+    assert D.total_curvature(trivial, [1]) == 0.0
     assert D.boundary_holonomy(trivial, [(0, 1)]) == 0.0
 
 
@@ -185,8 +188,8 @@ def test_gauge_invariance():
     B2 = W.boundary_matrix(2)
     for f in range(W.n_cells[2]):
         loop_vec = B2[:, f]
-        h0 = D.holonomy_of_vector(conn, loop_vec)
-        h1 = D.holonomy_of_vector(gauged, loop_vec)
+        h0 = D.holonomy(conn, loop_vec)
+        h1 = D.holonomy(gauged, loop_vec)
         assert circle_distance(h0, h1) <= 1e-12
     # per-face curvature (hence any chern number) unchanged
     for f in range(W.n_cells[2]):

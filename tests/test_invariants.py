@@ -100,12 +100,11 @@ def test_z_hol_examples():
 
 
 def test_z_spin_values():
-    assert I.z_spin_object(-1.0) == 0.0  # exp(-2 pi i) = 1
-    assert I.z_spin_object(0.25) == 0.25
-    assert I.z_spin_morphism(-24) == -24.0
+    assert wrap_unit(-1.0) == 0.0  # exp(-2 pi i) = 1
+    assert wrap_unit(0.25) == 0.25
     # closed-manifold check through the table
     k3 = I.shipped_table()["K3"]
-    assert I.z_spin_morphism(float(k3.half_p1())) == -24.0
+    assert float(k3.half_p1()) == -24.0
 
 
 # -- providers -------------------------------------------------------------------
@@ -116,6 +115,17 @@ def test_provider_table_vs_quadrature():
     a = table.eta_integral("S3", "Lie-framing")
     b = quad.eta_integral("S3", "Lie-framing")
     assert abs(a - b) < 1e-3
+    # the quadrature's own signed value, not its absolute value
+    assert b == I.cs_su2_quadrature(1) < 0
+
+
+def test_provider_rejects_quadrature_of_wrong_sign(monkeypatch):
+    # an orientation bug in the quadrature flips its sign; the provider
+    # must report it instead of forcing the table's sign
+    monkeypatch.setitem(scn._cs_cache, 1, 1.0)
+    quad = I.SpinGeometryProvider("Quadrature", refinement=1)
+    with pytest.raises(I.ProviderError, match="sign"):
+        quad.eta_integral("S3", "Lie-framing")
 
 
 def test_provider_rejects_unknown_and_quadrature_4d():
@@ -251,7 +261,7 @@ def test_cs_integrand_is_constant_density():
 
 def test_z_spin_quadrature_object_is_unit():
     quad = I.SpinGeometryProvider("Quadrature", refinement=1)
-    value = I.z_spin_object(quad.eta_integral("S3", "Lie-framing"))
+    value = wrap_unit(quad.eta_integral("S3", "Lie-framing"))
     assert circle_distance(value, 0.0) < 1e-3
 
 

@@ -216,7 +216,7 @@ def test_square_commutation_enforced(Z):
 
 def test_mirror_hofiber_objects():
     square, _ = mirror_exp_square(24)
-    fiber = moncat.hofiber(square)
+    fiber = moncat.HofibCat(square)
     Gm, Ho = square.phi_G.source, square.phi_H.target
     # enumeration over residues: (g, h) is an object iff g = h mod 24
     for g in range(-24, 49, 7):
@@ -230,7 +230,7 @@ def test_identity_square_hofiber_is_diagonal(Z):
     phi = fgab.identity_morphism(Z)
     square = CommSquare(phi, phi, fgab.identity_morphism(Z),
                         fgab.identity_morphism(Z))
-    fiber = moncat.hofiber(square)
+    fiber = moncat.HofibCat(square)
     for g in range(-3, 4):
         for h in range(-3, 4):
             assert fiber.is_object(Z.element([g]), Z.element([h])) == (g == h)
@@ -243,7 +243,7 @@ def test_zero_square_objects():
     phi_G = fgab.identity_morphism(G)
     square = CommSquare(fgab.identity_morphism(Z), phi_G,
                         fgab.zero_morphism(Z, G), fgab.zero_morphism(Z, G))
-    fiber = moncat.hofiber(square)
+    fiber = moncat.HofibCat(square)
     for g in range(-2, 3):
         for h in range(-2, 3):
             assert fiber.is_object(G.element([g]), Z.element([h])) == (g == 0)
@@ -251,7 +251,7 @@ def test_zero_square_objects():
 
 def test_mirror_hofiber_hom_examples():
     square, _ = mirror_exp_square(24)
-    fiber = moncat.hofiber(square)
+    fiber = moncat.HofibCat(square)
     Gm, Ho, Hm = (square.phi_G.source, square.phi_H.target,
                   square.phi_H.source)
     # two inconsistent linear constraints
@@ -272,7 +272,7 @@ def test_hofiber_hom_composition_property():
     rng = random.Random(21)
     for _ in range(10):
         square, _ = testing.random_square(rng)
-        fiber = moncat.hofiber(square)
+        fiber = moncat.HofibCat(square)
         objs = []
         for p in fiber.object_group.elements():
             objs.append(fiber.pullback.pair(p))
@@ -291,7 +291,7 @@ def test_hofiber_hom_composition_property():
 
 def test_hofiber_rejects_non_objects():
     square, _ = mirror_exp_square(24)
-    fiber = moncat.hofiber(square)
+    fiber = moncat.HofibCat(square)
     Gm, Ho = square.phi_G.source, square.phi_H.target
     with pytest.raises(ValueError):
         fiber.hom((Gm.element([1]), Ho.element([0])),
@@ -302,8 +302,8 @@ def test_hofiber_rejects_non_objects():
 
 def test_xi_mirror_examples():
     square, fill = mirror_exp_square(24)
-    fiber = moncat.hofiber(square)
-    xi = moncat.xi_lambda(fiber, fill)
+    fiber = moncat.HofibCat(square)
+    xi = moncat.XiFunctor(fiber, fill)
     Gm, Ho = square.phi_G.source, square.phi_H.target
     value, coords = xi.apply_object((Gm.element([24]), Ho.element([0])))
     assert value.coords == (24,) and coords.coords == (1,)
@@ -322,8 +322,8 @@ def test_xi_constancy_on_random_squares():
     rng = random.Random(22)
     for _ in range(15):
         square, fill = testing.random_square(rng)
-        fiber = moncat.hofiber(square)
-        xi = moncat.xi_lambda(fiber, fill)
+        fiber = moncat.HofibCat(square)
+        xi = moncat.XiFunctor(fiber, fill)
         G_mor = square.phi_G.source
         unit = fiber.unit()
         checked = 0
@@ -356,8 +356,8 @@ def test_xi_equivalence_criterion_examples(Z):
     square2 = CommSquare(phi_H, phi_G, lam.then(phi_G), phi_H.then(lam))
     fill2 = DiagonalFill(square2, lam)
     assert not moncat.xi_is_equivalence(square2, fill2)
-    fiber2 = moncat.hofiber(square2)
-    xi2 = moncat.xi_lambda(fiber2, fill2)
+    fiber2 = moncat.HofibCat(square2)
+    xi2 = moncat.XiFunctor(fiber2, fill2)
     p = (G_mor.element([0]), H_ob.element([0]))
     q = (G_mor.element([1]), H_ob.element([1]))
     v_p, _ = xi2.apply_object(p)
@@ -410,7 +410,7 @@ def test_kernel_elements_are_endomorphisms():
     rng = random.Random(2025)
     for _ in range(10):
         square, _ = testing.random_square(rng)
-        fiber = moncat.hofiber(square)
+        fiber = moncat.HofibCat(square)
         K, incl = fgab.kernel(square.phi_H)
         pairs = []
         for p in fiber.object_group.elements():
@@ -430,22 +430,6 @@ def test_fill_triangle_checks():
     bad = fgab.GroupMorphism(square.phi_H.target, square.phi_G.source, [[2]])
     with pytest.raises(moncat.TriangleMismatch):
         DiagonalFill(square, bad)
-
-
-def test_analytic_category_over_exp():
-    from abtqft import analytic
-    cat = MorTensorCat(analytic.exp_morphism())
-    U1 = cat.obj_group
-    hs = cat.hom(U1.element(0.0), U1.element(0.25))
-    assert hs.particular == pytest.approx(0.25)
-    assert hs.kernel_generators == [1.0]
-    assert hs.contains(1.25) and not hs.contains(0.5)
-    m1 = cat.morphism(0.25, 0.0, 0.25)
-    m2 = cat.morphism(0.5, 0.25, 0.75)
-    assert cat.compose(m1, m2).x == pytest.approx(0.75)
-    assert cat.dual(0.25) == pytest.approx(0.75)
-    with pytest.raises(moncat.HomMembershipError):
-        cat.morphism(0.1, 0.0, 0.5)
 
 
 def test_analytic_exp_square():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -121,3 +123,28 @@ def test_ring_triangle_edges_cover_incident_faces():
         if 0 in ms.corner_vertex[f]:
             for e, _ in surface.boundary[2][f]:
                 assert e in edges
+
+
+# sha256 of (n_cells, boundary[1], boundary[2], edge_lengths, name) of each
+# torus, as built by the three separate grid loops the shared grid helper
+# replaced: the fold keeps triangle order, lengths and names
+TORUS_DIGESTS = {
+    ("flat_torus", 4, 4): "2bbc0968a6f27d72b88fb82311970b8749bc4aca783d732096202ffa8b9a86d8",
+    ("flat_torus", 5, 3): "8b04f558a39c1d5ff6e880cd9c4477f1e6eca0b1a0515128fcba9fc0e51dae92",
+    ("flat_torus", 3, 6): "204bd38918046dcfc639c564d4b18450a74e2452971a79329e7f32894229db44",
+    ("equilateral_torus", 4, 4): "1d467cf37d260ad38855d102ac4425193cd6ee39085e08d71acc7977fb96cc61",
+    ("equilateral_torus", 5, 3): "1ced1290592a91c27d7dd16d95ad2c3b39a035ffcccbafaf1542d19173e5b5b9",
+    ("equilateral_torus", 3, 6): "fc4e55cb4e2589b7195117eb9defc56359a0ef0483689cf472e0ded846c1fdae",
+    ("flipped_torus", 4, 4): "7e463b6f1269414c36de3a83d53b0c3c0a74626218f76ff46451e3aa6aecee87",
+    ("flipped_torus", 5, 3): "edf88809d66a68ecef447db6e13f865fe67e723cdbfdbb78d0e9f807a49401af",
+    ("flipped_torus", 3, 6): "221a42782074e910f629015a32b4ac5695c8a1309dc7e7251a1acaa93f7af504",
+}
+
+
+@pytest.mark.parametrize("kind,n,m", sorted(TORUS_DIGESTS))
+def test_torus_builders_pinned(kind, n, m):
+    cx = getattr(S, kind)(n, m)
+    rec = [sorted(cx.n_cells.items()), cx.boundary[1], cx.boundary[2],
+           cx.edge_lengths.tolist(), cx.name]
+    digest = hashlib.sha256(json.dumps(rec).encode()).hexdigest()
+    assert digest == TORUS_DIGESTS[(kind, n, m)]

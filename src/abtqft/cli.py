@@ -20,8 +20,8 @@ from .discrete import (CellComplex, Cochain, ComplexError,
                        DegenerateTriangle, LatticeConnection, NotClosed,
                        check_stokes, chern_number, holonomy,
                        tangent_connection)
-from .invariants import (BnrScene, SuScene, cs_su2_quadrature, psi,
-                         shipped_table,
+from .invariants import (BnrScene, IncompatibleScene, ProviderError, SuScene,
+                         cs_su2_quadrature, psi, shipped_table,
                          sphere_volume_quadrature, su_psi, validate_table,
                          SIGN_CONVENTION, build_mesh)
 from . import acceptance
@@ -95,7 +95,7 @@ class Workspace:
             self.cochains[stem] = (path, obj)
             return
         if "m3" in obj or "union" in obj or "su" in obj:
-            self.scenes[stem] = obj
+            self.scenes[stem] = (path, obj)
             return
         for name, rec in (obj.get("groups") or {}).items():
             self.groups[name] = self._group(path, f"groups.{name}", rec, name)
@@ -394,10 +394,13 @@ def cmd_geo_holonomy(args, ws):
             chain = complex_.chain_vector(1, _parse_loop(args.loop, where))
         except ComplexError as exc:
             raise InputError(f"{where}: {exc}")
-        if not complex_.is_cycle(1, chain):
-            raise InputError(f"{where}: the loop is not closed")
+        problem = "the loop is not closed"
     else:
-        chain = complex_.fundamental_chain(1)
+        where, chain = args.mesh, complex_.fundamental_chain(1)
+        problem = ("the default loop (every edge once) is not closed; "
+                   "pass --loop")
+    if not complex_.is_cycle(1, chain):
+        raise InputError(f"{where}: {problem}")
     value = holonomy(conn, chain)
     return ([f"holonomy = exp(2*pi*i * {fmt(value)})"], {"turns": value})
 
@@ -427,22 +430,19 @@ def cmd_geo_chern(args, ws):
 
 # -- bnr subcommands ---------------------------------------------------------
 
-def _bnr_scene(args, ws):
-    if args.builtin:
-        if args.builtin == "s3-lie":
-            return BnrScene.s3_lie()
-        if args.builtin == "empty":
-            return BnrScene.empty()
-        raise InputError(f"unknown builtin scene {args.builtin!r} "
-                         "(have: s3-lie, empty)")
-    obj = ws.sole(ws.scenes, "scene")
-    return obj
+BUILTIN_SCENES = {"s3-lie": BnrScene.s3_lie, "empty": BnrScene.empty}
 
 
 def cmd_bnr_psi(args, ws):
-    obj = _bnr_scene(args, ws)
-    scene = obj if isinstance(obj, BnrScene) else BnrScene.from_json(obj)
-    result = psi(scene, certify=args.certify)
+    if args.builtin:
+        path, obj = "--builtin", BUILTIN_SCENES[args.builtin]()
+    else:
+        path, obj = ws.sole(ws.scenes, "scene")
+    try:
+        scene = obj if isinstance(obj, BnrScene) else BnrScene.from_json(obj)
+        result = psi(scene, certify=args.certify)
+    except (IncompatibleScene, ProviderError) as exc:
+        raise InputError(f"{path}: {exc}")
     lines = [result.render()]
     for entry in result.certificate:
         lines.append(
@@ -455,11 +455,11 @@ def cmd_bnr_psi(args, ws):
 
 
 def cmd_bnr_su(args, ws):
-    obj = _bnr_scene(args, ws)
-    if isinstance(obj, BnrScene) or "su" not in obj:
-        raise InputError("su needs a scene file with an 'su' block")
-    scene = SuScene.from_json(obj)
-    result = su_psi(scene)
+    path, obj = ws.sole(ws.scenes, "scene")
+    try:
+        result = su_psi(SuScene.from_json(obj))
+    except (IncompatibleScene, ProviderError) as exc:
+        raise InputError(f"{path}: {exc}")
     lines = [result.render()]
     for entry in result.certificate:
         lines.append(
@@ -581,12 +581,11 @@ def build_parser():
     bsub = b.add_subparsers(dest="op", required=True)
     sp = bsub.add_parser("psi", parents=[common])
     sp.add_argument("files", nargs="*")
-    sp.add_argument("--builtin")
+    sp.add_argument("--builtin", choices=sorted(BUILTIN_SCENES))
     sp.add_argument("--certify", action="store_true")
     sp.set_defaults(handler=cmd_bnr_psi)
     sp = bsub.add_parser("su", parents=[common])
     sp.add_argument("files", nargs="*")
-    sp.add_argument("--builtin")
     sp.set_defaults(handler=cmd_bnr_su)
     sp = bsub.add_parser("cs", parents=[common])
     sp.add_argument("--refine", type=positive_int, default=2)

@@ -26,21 +26,6 @@ class Cochain:
         self.degree = degree
         self.values = values
 
-    @classmethod
-    def zero(cls, complex, degree):
-        return cls(complex, degree, np.zeros(complex.n_cells[degree]))
-
-    def __add__(self, other):
-        return Cochain(self.complex, self.degree, self.values + other.values)
-
-    def __sub__(self, other):
-        return Cochain(self.complex, self.degree, self.values - other.values)
-
-    def __mul__(self, k):
-        return Cochain(self.complex, self.degree, float(k) * self.values)
-
-    __rmul__ = __mul__
-
 
 def coboundary(omega):
     """(d omega)(c) = signed sum of omega over the boundary of c."""

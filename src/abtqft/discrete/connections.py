@@ -49,9 +49,6 @@ class LatticeConnection:
     def trivial(cls, complex):
         return cls(complex, np.zeros(complex.n_cells[1]))
 
-    def edge_value(self, e, sign=1):
-        return wrap_unit(sign * self.edge_turns[e])
-
     def face_fraction(self, f, start=0):
         """Principal branch in (-1/2, 1/2] of the boundary edge product.
 

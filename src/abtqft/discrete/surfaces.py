@@ -233,16 +233,6 @@ class PuncturedSurface:
         ring = self.bundle.rings[self.vertex]
         return [(e, -s) for e, s in reversed(ring)]
 
-    def boundary_turns(self):
-        """Effective transport turn of each boundary crossing, in order.
-
-        These depend on the per-face chart gauge; only their number and
-        their sum mod 1 (the boundary holonomy) are gauge invariants.
-        """
-        conn = self.bundle.connection
-        return [wrap_unit(s * conn.edge_turns[e])
-                for e, s in self.boundary_cycle()]
-
     def boundary_length(self):
         return len(self.bundle.rings[self.vertex])
 

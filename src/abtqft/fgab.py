@@ -74,12 +74,6 @@ class FgAbGroup:
         return tuple(int(y[i]) % m if (m := self._mods[i]) else int(y[i])
                      for i in range(self.n_generators))
 
-    def canonical_coords(self, coords):
-        """The canonical representative of the class of `coords`."""
-        key = self.canonical_key(coords)
-        x = self._snf.U_inv @ np.array(key, dtype=object)
-        return tuple(int(v) for v in x)
-
     def key_add(self, k1, k2):
         """Add two canonical keys (classes add coordinatewise mod factors)."""
         return tuple((a + b) % m if m else a + b
@@ -140,9 +134,6 @@ class GroupElement:
 
     def key(self):
         return self.parent.canonical_key(self.coords)
-
-    def canonical(self):
-        return GroupElement(self.parent, self.parent.canonical_coords(self.coords))
 
     def __add__(self, other):
         _require_same_parent(self, other)

@@ -65,44 +65,33 @@ class InvariantResult:
 
 def psi(scene, certify=False):
     """The mod-24 invariant of a scene (sums over disjoint components)."""
-    components = scene.resolve()
+    resolved = scene.resolve()
     raw = 0.0
-    for comp in components:
-        _require_compatible(comp)
-        raw += comp.nabla_value - comp.eta_value
-    certificate = _psi_certificate(scene, components) if certify else None
+    for _, eta_value, nabla_value in resolved:
+        raw += nabla_value - eta_value
+    certificate = _psi_certificate(resolved) if certify else None
     return InvariantResult(raw, 24, PSI_TOLERANCE, certificate)
 
 
-def _require_compatible(comp):
-    if not comp.compatible:
-        raise IncompatibleScene(
-            f"provider failed to certify compatibility of {comp.label}")
-
-
-def _psi_certificate(scene, components):
+def _psi_certificate(resolved):
     """Evaluate every alternative bounding datum and record differences.
 
-    All differences must land in 24Z; a violation is a data error.
+    Every difference is in the hypothesis of the mod-24 theorem, so
+    `InvariantResult` rejects any that is not in 24Z (corrupt table data).
     """
     certificate = []
-    for comp, alts in zip(components, scene.alternatives()):
-        base_raw = comp.nabla_value - comp.eta_value
-        base_int = round(base_raw)
-        for label, nabla_value in alts:
-            alt_raw = nabla_value - comp.eta_value
+    for comp, eta_value, nabla_value in resolved:
+        base_int = round(nabla_value - eta_value)
+        for label, alt_nabla in comp.alternatives():
+            alt_raw = alt_nabla - eta_value
             alt_int = round(alt_raw)
             if abs(alt_raw - alt_int) > PSI_TOLERANCE:
                 raise NonIntegralInvariant(
                     f"alternative bounding {label} of {comp.label} "
                     f"gives non-integral value {alt_raw}")
-            diff = alt_int - base_int
-            if diff % 24 != 0:
-                raise ParityCertificateError(
-                    f"bounding change {label} shifted the invariant by "
-                    f"{diff}, not a multiple of 24; table data corrupt")
             certificate.append({"component": comp.label, "bounding": label,
-                                "integer": alt_int, "difference": diff,
+                                "integer": alt_int,
+                                "difference": alt_int - base_int,
                                 "in_hypothesis": True})
     return certificate
 
@@ -119,14 +108,10 @@ def hofiber_bordism_semantics(scene):
     psi's, term by term, so the two raw values are bit-identical
     (acceptance criterion 10 checks it).
     """
-    components = scene.resolve()
     square = AnalyticExpSquare(tolerance=PSI_TOLERANCE)
     raw = 0.0
     lines = []
-    for comp in components:
-        _require_compatible(comp)
-        g = comp.nabla_value
-        h = comp.eta_value
+    for comp, h, g in scene.resolve():
         if not square.is_object(g, h):
             raise NonIntegralInvariant(
                 f"({g}, {h}) is not an object of the essential fiber: "
@@ -147,7 +132,8 @@ def su_psi(scene, certify=True):
     scene's structure lifts; integer by construction.  Certification
     evaluates every bounding; differences between tangent-type boundings
     must be even, and an odd difference involving a raw-connection
-    bounding is reported as out-of-hypothesis rather than fatal.
+    bounding is reported as out-of-hypothesis rather than fatal.  An odd
+    tangent pair is in the hypothesis, so `InvariantResult` rejects it.
     """
     total_lift = scene.sum_lifts()
     scene_hol = wrap_unit(total_lift)
@@ -175,20 +161,12 @@ def su_psi(scene, certify=True):
                     f"bounding {b.label} gives non-integral value {r}")
             diff = r_int - base_int
             tangent_pair = b.kind == "tangent" and primary.kind == "tangent"
-            if diff % 2 != 0:
-                if tangent_pair:
-                    raise ParityCertificateError(
-                        f"tangent bounding pair ({primary.label}, {b.label}) "
-                        f"differs by odd {diff}; this contradicts the "
-                        "evenness of closed surface Euler characteristics")
-                certificate.append({"bounding": b.label, "integer": r_int,
-                                    "difference": diff, "kind": b.kind,
-                                    "in_hypothesis": False,
-                                    "note": "odd difference: bounding is "
-                                            "outside the tangent hypothesis"})
-            else:
-                certificate.append({"bounding": b.label, "integer": r_int,
-                                    "difference": diff, "kind": b.kind,
-                                    "in_hypothesis": tangent_pair})
+            entry = {"bounding": b.label, "integer": r_int,
+                     "difference": diff, "kind": b.kind,
+                     "in_hypothesis": tangent_pair}
+            if diff % 2 != 0 and not tangent_pair:
+                entry["note"] = ("odd difference: bounding is outside the "
+                                 "tangent hypothesis")
+            certificate.append(entry)
     return InvariantResult(raws[0], 2, SU_TOLERANCE, certificate,
                            convention="su-lifts")

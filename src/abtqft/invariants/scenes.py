@@ -1,10 +1,11 @@
-"""Scene descriptors and geometry providers for the invariant pipelines.
+"""Scene descriptors and the integrals they resolve to.
 
 A 3d/4d scene is the quadruple (closed 3-manifold with structure form,
-bounding spin 4-manifold with connection); the two integrals it needs
-come either from the curated table or from quadrature.  The boundary
-compatibility flag is set by the provider during resolution, never by
-scene files.
+bounding spin 4-manifold with connection).  Each component is read once,
+when the scene is built; resolution then takes the structure-form
+integral from the table or from quadrature, and half the Pontryagin
+integral from the table.  Boundary compatibility is the table's bounds
+relation, checked during resolution; scene files may not set it.
 
 The 1d/2d scenes pair a circle carrying transport values and real lifts
 with bounding surfaces; tangent-type boundings come from punctured
@@ -46,110 +47,123 @@ _NABLA_TABLE = {
 _cs_cache = {}
 
 
-def _cs_value(refinement):
+def eta_integral(m3_key, eta_key, refinement=None):
+    """Integral of the canonical structure 3-form over (m3_key, eta_key).
+
+    The table value, or with a refinement level the signed quadrature,
+    whose sign must be the table's: the declared sign convention sends
+    the generator scene to +1.
+    """
+    expected = _ETA_TABLE.get((m3_key, eta_key))
+    if expected is None:
+        raise ProviderError(
+            f"no structure-form datum for ({m3_key!r}, {eta_key!r})")
+    if refinement is None or m3_key == "empty":
+        return expected
     if refinement not in _cs_cache:
         _cs_cache[refinement] = cs_su2_quadrature(refinement)
-    return _cs_cache[refinement]
+    value = _cs_cache[refinement]
+    if (value < 0) != (expected < 0):
+        raise ProviderError(
+            f"quadrature of ({m3_key!r}, {eta_key!r}) has sign of "
+            f"{value}, the table value is {expected}")
+    return value
 
 
-class SpinGeometryProvider:
-    """Source for the two scene integrals; kind is Table or Quadrature.
+def half_p1_integral(w4_key, nabla_key, glue=()):
+    """Half the Pontryagin Chern-Weil integral of a table bounding datum
+    (`BnrScene.resolve` checks that it bounds the scene) with the named
+    closed spin 4-manifolds glued in; table-only."""
+    value = _NABLA_TABLE[(w4_key, nabla_key)]["base"]
+    tbl = _table.shipped_table()
+    for name in glue:
+        if name not in tbl:
+            raise ProviderError(f"glue: unknown closed 4-manifold {name!r}")
+        entry = tbl[name]
+        if not entry.spin:
+            raise ProviderError(
+                f"glue: {name} is not spin; gluing it would break the "
+                "bounding spin structure")
+        value += float(entry.half_p1())
+    return value
 
-    Quadrature only ever applies to the 3-dimensional integral; the
-    4-dimensional one always comes from the validated table.
+
+def _block(desc, block, where):
+    """(key, provider, params) of one descriptor block, validated."""
+    spec = desc.get(block)
+    if spec is None:
+        raise IncompatibleScene(f"{where}scene missing block {block!r}")
+    if not isinstance(spec, dict) or not isinstance(spec.get("key"), str):
+        raise IncompatibleScene(
+            f"{where}{block}: expected an object with a string 'key'")
+    if "compatible" in desc or "compatible" in spec:
+        raise IncompatibleScene(
+            f"{where}the compatibility flag is provider-owned and may not "
+            "appear in scene files")
+    params = spec.get("params") or {}
+    if not isinstance(params, dict):
+        raise IncompatibleScene(f"{where}{block}.params: expected an object")
+    provider = spec.get("provider", "table")
+    if provider not in ("table", "quadrature"):
+        raise ProviderError(f"{where}{block}.provider: unknown provider "
+                            f"{provider!r} (have: table, quadrature)")
+    return spec["key"], provider, params
+
+
+class SceneComponent:
+    """One (M3, eta, W4, nabla) component, read once from its descriptor.
+
+    `refinement` is None when the structure-form integral comes from the
+    table, else the quadrature's refinement level; `glue` names the closed
+    spin 4-manifolds glued into the bounding datum.
     """
 
-    TABLE = "Table"
-    QUADRATURE = "Quadrature"
-
-    def __init__(self, kind, refinement=2):
-        if kind not in (self.TABLE, self.QUADRATURE):
-            raise ProviderError(f"unknown provider kind {kind!r}")
-        self.kind = kind
-        self.refinement = int(refinement)
-
-    def eta_integral(self, m3_key, eta_key):
-        if (m3_key, eta_key) not in _ETA_TABLE:
+    def __init__(self, desc, where):
+        if not isinstance(desc, dict):
+            raise IncompatibleScene(f"{where}a scene component must be an "
+                                    "object")
+        self.m3, _, _ = _block(desc, "m3", where)
+        self.eta, eta_provider, eta_params = _block(desc, "eta", where)
+        self.w4, _, _ = _block(desc, "w4", where)
+        self.nabla, nabla_provider, nabla_params = _block(desc, "nabla",
+                                                          where)
+        refinement = eta_params.get("refinement", 2)
+        if (isinstance(refinement, bool) or not isinstance(refinement, int)
+                or refinement < 1):
+            raise ProviderError(f"{where}eta.params.refinement: "
+                                f"{refinement!r} is not an integer >= 1")
+        self.refinement = refinement if eta_provider == "quadrature" else None
+        if nabla_provider != "table":
             raise ProviderError(
-                f"no structure-form datum for ({m3_key!r}, {eta_key!r})")
-        if self.kind == self.TABLE:
-            return _ETA_TABLE[(m3_key, eta_key)]
-        if m3_key == "empty":
-            return 0.0
-        # quadrature path: the canonical 3-form of the Lie framing
-        # integrates to a signed unit whose sign must be the table's; the
-        # declared sign convention sends the generator scene to +1
-        value = _cs_value(self.refinement)
-        expected = _ETA_TABLE[(m3_key, eta_key)]
-        if (value < 0) != (expected < 0):
-            raise ProviderError(
-                f"quadrature of ({m3_key!r}, {eta_key!r}) has sign of "
-                f"{value}, the table value is {expected}")
-        return value
+                f"{where}nabla.provider: 4-dimensional Chern-Weil integrals "
+                "are table-only; quadrature is not offered for bounding data")
+        glue = nabla_params.get("glue", [])
+        if (not isinstance(glue, list)
+                or not all(isinstance(name, str) for name in glue)):
+            raise ProviderError(f"{where}nabla.params.glue: {glue!r} is not "
+                                "a list of 4-manifold names")
+        self.glue = tuple(glue)
+        self.label = f"{self.m3}/{self.eta}|{self.w4}/{self.nabla}"
+        if self.glue:
+            self.label += "+" + "+".join(self.glue)
 
-    def half_p1_integral(self, w4_key, nabla_key, glue=()):
-        if self.kind == self.QUADRATURE:
-            raise ProviderError(
-                "4-dimensional Chern-Weil integrals are table-only; "
-                "quadrature is not offered for bounding data")
-        datum = _NABLA_TABLE.get((w4_key, nabla_key))
-        if datum is None:
-            raise ProviderError(
-                f"no connection datum for ({w4_key!r}, {nabla_key!r})")
-        value = datum["base"]
-        tbl = _table.shipped_table()
-        for name in glue:
-            if name not in tbl:
-                raise ProviderError(f"unknown closed 4-manifold {name!r}")
-            entry = tbl[name]
-            if not entry.spin:
-                raise ProviderError(
-                    f"{name} is not spin; gluing it would break the "
-                    "bounding spin structure")
-            value += float(entry.half_p1())
-        return value
-
-    def bounds(self, w4_key, nabla_key, m3_key, eta_key):
-        datum = _NABLA_TABLE.get((w4_key, nabla_key))
-        return datum is not None and datum["bounds"] == (m3_key, eta_key)
-
-
-class ResolvedComponent:
-    """One atomic scene after provider resolution.
-
-    `compatible` is set here, by the provider check, and nowhere else.
-    """
-
-    def __init__(self, eta_value, nabla_value, label):
-        self.eta_value = float(eta_value)
-        self.nabla_value = float(nabla_value)
-        self.label = label
-        self.compatible = True
-
-
-def _descriptor_provider(desc, default_kind=SpinGeometryProvider.TABLE):
-    kind = {"table": SpinGeometryProvider.TABLE,
-            "quadrature": SpinGeometryProvider.QUADRATURE}.get(
-                desc.get("provider", "table"))
-    if kind is None:
-        raise ProviderError(f"unknown provider {desc.get('provider')!r}")
-    params = desc.get("params", {}) or {}
-    return SpinGeometryProvider(kind, refinement=params.get("refinement", 2))
+    def alternatives(self):
+        """(label, half-p1 integral) of each alternative bounding datum,
+        for certification: as given, bare, and glued with one more spin
+        entry of the table."""
+        variants = [("as-given", self.glue), ("bare", ())]
+        for entry in _table.spin_entries():
+            variants.append((f"+{entry.name}", self.glue + (entry.name,)))
+        return [(label, half_p1_integral(self.w4, self.nabla, glue))
+                for label, glue in variants]
 
 
 class BnrScene:
     """Descriptor of one or more (M3, eta, W4, nabla) components."""
 
     def __init__(self, components):
-        self.components = list(components)
-        for comp in self.components:
-            for block in ("m3", "eta", "w4", "nabla"):
-                if block not in comp:
-                    raise IncompatibleScene(f"scene missing block {block!r}")
-                if "compatible" in comp[block] or "compatible" in comp:
-                    raise IncompatibleScene(
-                        "the compatibility flag is provider-owned and may "
-                        "not appear in scene files")
+        self.components = [SceneComponent(desc, f"component {i}: ")
+                           for i, desc in enumerate(components)]
 
     @classmethod
     def empty(cls):
@@ -169,59 +183,36 @@ class BnrScene:
 
     @classmethod
     def from_json(cls, obj):
-        if "union" in obj:
-            comps = []
-            for sub in obj["union"]:
-                comps.extend(cls.from_json(sub).components)
-            return cls(comps)
-        return cls([obj])
+        return cls(_union_members(obj))
 
     def union(self, other):
-        return BnrScene(self.components + other.components)
+        scene = BnrScene([])
+        scene.components = self.components + other.components
+        return scene
 
     def resolve(self):
+        """(component, structure-form integral, half-p1 integral) per
+        component.  The bounds check here is the scene's one
+        compatibility check."""
         resolved = []
-        for comp in self.components:
-            m3_key = comp["m3"].get("key")
-            eta_key = comp["eta"].get("key")
-            w4_key = comp["w4"].get("key")
-            nabla_key = comp["nabla"].get("key")
-            eta_provider = _descriptor_provider(comp["eta"])
-            nabla_provider = _descriptor_provider(comp["nabla"])
-            glue = tuple((comp["nabla"].get("params") or {}).get("glue", ()))
-            if not nabla_provider.bounds(w4_key, nabla_key, m3_key, eta_key):
+        for c in self.components:
+            datum = _NABLA_TABLE.get((c.w4, c.nabla))
+            if datum is None or datum["bounds"] != (c.m3, c.eta):
                 raise IncompatibleScene(
-                    f"({w4_key!r}, {nabla_key!r}) does not bound "
-                    f"({m3_key!r}, {eta_key!r}) with matching restriction")
-            eta_value = eta_provider.eta_integral(m3_key, eta_key)
-            nabla_value = nabla_provider.half_p1_integral(
-                w4_key, nabla_key, glue)
-            label = f"{m3_key}/{eta_key}|{w4_key}/{nabla_key}"
-            if glue:
-                label += "+" + "+".join(glue)
-            resolved.append(ResolvedComponent(eta_value, nabla_value, label))
+                    f"({c.w4!r}, {c.nabla!r}) does not bound "
+                    f"({c.m3!r}, {c.eta!r}) with matching restriction")
+            resolved.append((c, eta_integral(c.m3, c.eta, c.refinement),
+                             half_p1_integral(c.w4, c.nabla, c.glue)))
         return resolved
 
-    def alternatives(self):
-        """Alternative bounding data per component, for certification.
 
-        Every spin entry of the table gives a glued variant of the
-        component's bounding datum.
-        """
-        alts = []
-        for comp in self.components:
-            w4_key = comp["w4"].get("key")
-            nabla_key = comp["nabla"].get("key")
-            provider = _descriptor_provider(comp["nabla"])
-            glue = tuple((comp["nabla"].get("params") or {}).get("glue", ()))
-            variants = [("as-given", glue)]
-            variants.append(("bare", ()))
-            for entry in _table.spin_entries():
-                variants.append((f"+{entry.name}", glue + (entry.name,)))
-            alts.append([(label,
-                          provider.half_p1_integral(w4_key, nabla_key, g))
-                         for label, g in variants])
-        return alts
+def _union_members(obj):
+    """The component descriptors of a scene object, unions flattened."""
+    if not isinstance(obj, dict) or "union" not in obj:
+        return [obj]
+    if not isinstance(obj["union"], list):
+        raise IncompatibleScene("union: expected a list of scenes")
+    return [desc for sub in obj["union"] for desc in _union_members(sub)]
 
 
 # -- 1d scenes: circle with structure lifts and bounding surfaces ----------
@@ -238,9 +229,9 @@ MESH_BUILDERS = {
 }
 
 
-def build_mesh(name):
-    if name not in MESH_BUILDERS:
-        raise ProviderError(f"unknown mesh {name!r}; "
+def build_mesh(name, where=""):
+    if not isinstance(name, str) or name not in MESH_BUILDERS:
+        raise ProviderError(f"{where}unknown mesh {name!r}; "
                             f"available: {sorted(MESH_BUILDERS)}")
     return MESH_BUILDERS[name]()
 
@@ -255,12 +246,6 @@ class SuBounding:
         self.holonomy = wrap_unit(holonomy)
         self.curvature = float(curvature)
         self.label = label
-
-    @classmethod
-    def from_punctured(cls, punctured, label):
-        return cls("tangent", punctured.boundary_length(),
-                   punctured.boundary_holonomy(),
-                   punctured.total_curvature(), label)
 
 
 def disk_bounding(lifts, extra_lift=0, label="disk"):
@@ -290,7 +275,9 @@ def tangent_bounding(mesh, puncture, label=None, jitter_rng=None):
     bundle = _surf.tangent_connection(surface)
     punct = bundle.punctured(puncture)
     name = label or f"{getattr(surface, 'name', 'surface')}@{puncture}"
-    return SuBounding.from_punctured(punct, name)
+    return SuBounding("tangent", punct.boundary_length(),
+                      punct.boundary_holonomy(), punct.total_curvature(),
+                      name)
 
 
 class SuScene:
@@ -315,9 +302,6 @@ class SuScene:
         lifts = [c] * primary.k
         return cls(lifts, [primary, *extra], label or primary.label)
 
-    def u(self):
-        return [wrap_unit(a) for a in self.lifts]
-
     def sum_lifts(self):
         total = 0.0
         for a in self.lifts:
@@ -338,20 +322,50 @@ class SuScene:
     @classmethod
     def from_json(cls, obj):
         spec = obj.get("su")
-        if spec is None:
-            raise IncompatibleScene("not a 1d scene file (missing 'su')")
-        primary = tangent_bounding(spec["primary"]["mesh"],
-                                   spec["primary"].get("puncture", 0))
-        scene = cls.from_primary(primary)
-        for b in spec.get("boundings", []):
-            if b.get("kind") == "disk":
-                scene.boundings.append(scene.disk_bounding(b.get("lift", 0)))
+        if not isinstance(spec, dict):
+            raise IncompatibleScene("not a 1d scene file ('su' must be an "
+                                    "object)")
+        scene = cls.from_primary(_read_tangent(spec.get("primary"),
+                                               "su.primary"))
+        for i, b in enumerate(_list(spec, "boundings")):
+            where = f"su.boundings[{i}]"
+            if isinstance(b, dict) and b.get("kind") == "disk":
+                lift = _integer(b.get("lift", 0), f"{where}.lift")
+                scene.boundings.append(scene.disk_bounding(lift))
             else:
-                scene.boundings.append(
-                    tangent_bounding(b["mesh"], b.get("puncture", 0)))
-        for edge, shift in spec.get("lift_shifts", []):
-            scene = scene.shifted(edge, shift)
+                scene.boundings.append(_read_tangent(b, where))
+        for i, pair in enumerate(_list(spec, "lift_shifts")):
+            where = f"su.lift_shifts[{i}]"
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise IncompatibleScene(f"{where}: expected [edge, shift]")
+            edge = _integer(pair[0], f"{where}[0]", len(scene.lifts))
+            scene = scene.shifted(edge, _integer(pair[1], f"{where}[1]"))
         return scene
+
+
+def _list(spec, field):
+    value = spec.get(field, [])
+    if not isinstance(value, list):
+        raise IncompatibleScene(f"su.{field}: expected a list")
+    return value
+
+
+def _integer(value, where, stop=None):
+    """`value` if it is an integer, and in range(stop) when stop is given."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or stop is not None and not 0 <= value < stop):
+        bound = "" if stop is None else f" in 0..{stop - 1}"
+        raise IncompatibleScene(f"{where}: {value!r} is not an integer{bound}")
+    return value
+
+
+def _read_tangent(spec, where):
+    """The tangent bounding of a {"mesh", "puncture"} block."""
+    surface = build_mesh(spec.get("mesh") if isinstance(spec, dict) else None,
+                         f"{where}.mesh: ")
+    puncture = _integer(spec.get("puncture", 0), f"{where}.puncture",
+                        surface.n_cells[0])
+    return tangent_bounding(surface, puncture)
 
 
 # pools of (mesh, puncture) choices with matching boundary circles

@@ -282,10 +282,6 @@ class HofibCat:
             raise ValueError(f"({g!r}, {h!r}) is not an object: "
                              "phi_G(g) != f_ob(h)")
 
-    def object_from_pair(self, g, h):
-        self.require_object(g, h)
-        return self.pullback.from_pair(g, h)
-
     def tensor(self, p, q):
         return (p[0] + q[0], p[1] + q[1])
 

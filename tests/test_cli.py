@@ -1,12 +1,16 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from abtqft.cli import main
 
 
-SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SAMPLES = os.path.join(ROOT, "samples")
+with open(os.path.join(ROOT, "perfbench", "golden.json")) as _fh:
+    GOLDEN = json.load(_fh)
 
 
 def sample(name):
@@ -94,6 +98,25 @@ def test_geo_holonomy(capsys):
     assert out.strip() == "holonomy = exp(2*pi*i * 0.5)"
 
 
+def test_geo_holonomy_default_loop_not_closed_exit_2(capsys):
+    # the default loop is every edge once, which is not a cycle here
+    for argv in ([sample("mesh_square.json"), sample("conn_square.json")],
+                 ["builtin:icosahedron", "tangent"]):
+        code, _, err = run(capsys, "geo", "holonomy", *argv)
+        assert code == 2
+        assert argv[0] in err and "pass --loop" in err
+
+
+def test_geo_holonomy_default_loop_on_circle(tmp_path, capsys):
+    from abtqft.discrete import circle_complex
+    mesh, conn = tmp_path / "circle.json", tmp_path / "conn.json"
+    mesh.write_text(json.dumps(circle_complex(3).to_json()))
+    conn.write_text(json.dumps({"edge_phases": [0.125, 0.25, 0.5]}))
+    code, out, _ = run(capsys, "geo", "holonomy", str(mesh), str(conn))
+    assert code == 0
+    assert out.strip() == "holonomy = exp(2*pi*i * 0.875)"
+
+
 def test_geo_holonomy_open_loop_exit_2(capsys):
     code, _, err = run(capsys, "geo", "holonomy", sample("mesh_square.json"),
                        sample("conn_square.json"), "--loop", "0")
@@ -148,6 +171,47 @@ def test_bnr_su_scene(capsys):
     assert code == 0
     assert out.splitlines()[0] == "raw=1 int=1 mod2=1 convention=su-lifts"
     assert any("diff=-2" in line for line in out.splitlines())
+
+
+S3 = {"m3": {"key": "S3"}, "eta": {"key": "Lie-framing"},
+      "w4": {"key": "D4"}, "nabla": {"key": "flat-extension"}}
+
+
+def _s3(block, **fields):
+    return {**S3, block: {**S3[block], **fields}}
+
+
+SU = {"primary": {"mesh": "icosahedron", "puncture": 0},
+      "boundings": [{"mesh": "pent-sphere", "puncture": 0}]}
+
+
+@pytest.mark.parametrize("verb, scene, field", [
+    ("psi", {k: v for k, v in S3.items() if k != "nabla"}, "'nabla'"),
+    ("psi", _s3("eta", key="Spin-framing"), "'Spin-framing'"),
+    ("psi", _s3("eta", provider="oracle"), "eta.provider"),
+    ("psi", _s3("eta", provider="quadrature", params={"refinement": 0}),
+     "eta.params.refinement"),
+    ("psi", _s3("nabla", params={"glue": ["CP2"]}), "glue: CP2"),
+    ("psi", _s3("nabla", params={"glue": "K3"}), "nabla.params.glue"),
+    ("psi", {**S3, "m3": "S3"}, "m3"),
+    ("psi", _s3("eta", compatible=True), "compatibility flag"),
+    ("psi", {"union": [S3, {"union": "S3"}]}, "union"),
+    ("su", {"su": {}}, "su.primary"),
+    ("su", {"su": {**SU, "primary": {"mesh": "klein"}}}, "su.primary.mesh"),
+    ("su", {"su": {**SU, "primary": {"mesh": "icosahedron", "puncture": 99}}},
+     "su.primary.puncture"),
+    ("su", {"su": {**SU, "lift_shifts": [[0, 0.5]]}}, "su.lift_shifts[0][1]"),
+    ("su", {"su": {**SU, "lift_shifts": [[99, 1]]}}, "su.lift_shifts[0][0]"),
+    ("su", {"su": {**SU, "boundings": [{"mesh": "hex-sphere"}]}},
+     "boundary length"),
+])
+def test_bad_scene_exit_2(tmp_path, capsys, verb, scene, field):
+    path = tmp_path / "bad_scene.json"
+    path.write_text(json.dumps(scene))
+    code, _, err = run(capsys, "bnr", verb, str(path))
+    assert code == 2, err
+    assert err.startswith(f"input error: {path}: ") and field in err
+    assert "Traceback" not in err
 
 
 def test_bnr_table(capsys):
@@ -268,6 +332,30 @@ def test_ill_defined_morphism_in_file_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "group", "iso", str(f))
     assert code == 2
     assert "bad_mor.json" in err
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_stdout(command, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = command.split()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if argv[:2] != ["group", "smith"]:
+        assert out == GOLDEN[command]
+        return
+    # transforms may change with the algorithm: compare the diagonal and
+    # check U M V = D on what was printed
+    lines = out.splitlines()
+    assert lines[0] == GOLDEN[command].splitlines()[0]
+    with open(argv[2]) as fh:
+        M = np.array(json.load(fh), dtype=object)
+    U = np.array(json.loads(lines[1].split(" = ", 1)[1]), dtype=object)
+    V = np.array(json.loads(lines[2].split(" = ", 1)[1]), dtype=object)
+    diag = [int(d) for d in lines[0][len("D = diag("):-1].split(",")]
+    D = np.zeros(M.shape, dtype=object)
+    for i, d in enumerate(diag):
+        D[i, i] = d
+    assert ((U @ M @ V) == D).all()
 
 
 def test_suite_acceptance_listed():

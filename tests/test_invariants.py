@@ -110,10 +110,8 @@ def test_z_spin_values():
 # -- providers -------------------------------------------------------------------
 
 def test_provider_table_vs_quadrature():
-    table = I.SpinGeometryProvider("Table")
-    quad = I.SpinGeometryProvider("Quadrature", refinement=1)
-    a = table.eta_integral("S3", "Lie-framing")
-    b = quad.eta_integral("S3", "Lie-framing")
+    a = I.eta_integral("S3", "Lie-framing")
+    b = I.eta_integral("S3", "Lie-framing", refinement=1)
     assert abs(a - b) < 1e-3
     # the quadrature's own signed value, not its absolute value
     assert b == I.cs_su2_quadrature(1) < 0
@@ -123,22 +121,26 @@ def test_provider_rejects_quadrature_of_wrong_sign(monkeypatch):
     # an orientation bug in the quadrature flips its sign; the provider
     # must report it instead of forcing the table's sign
     monkeypatch.setitem(scn._cs_cache, 1, 1.0)
-    quad = I.SpinGeometryProvider("Quadrature", refinement=1)
     with pytest.raises(I.ProviderError, match="sign"):
-        quad.eta_integral("S3", "Lie-framing")
+        I.eta_integral("S3", "Lie-framing", refinement=1)
+
+
+def _s3_component(eta=None, nabla=None):
+    return {"m3": {"key": "S3"},
+            "eta": {"key": "Lie-framing", **(eta or {})},
+            "w4": {"key": "D4"},
+            "nabla": {"key": "flat-extension", **(nabla or {})}}
 
 
 def test_provider_rejects_unknown_and_quadrature_4d():
-    provider = I.SpinGeometryProvider("Table")
     with pytest.raises(I.ProviderError):
-        provider.eta_integral("S3", "unknown-structure")
-    quad = I.SpinGeometryProvider("Quadrature")
+        I.eta_integral("S3", "unknown-structure")
     with pytest.raises(I.ProviderError):
-        quad.half_p1_integral("D4", "flat-extension")
+        I.BnrScene([_s3_component(nabla={"provider": "quadrature"})])
     with pytest.raises(I.ProviderError):
-        provider.half_p1_integral("D4", "flat-extension", glue=("CP2",))
+        I.half_p1_integral("D4", "flat-extension", glue=("CP2",))
     with pytest.raises(I.ProviderError):
-        I.SpinGeometryProvider("Oracle")
+        I.BnrScene([_s3_component(eta={"provider": "oracle"})])
 
 
 def test_scene_rejects_user_compatibility_flag():
@@ -154,7 +156,7 @@ def test_scene_rejects_mismatched_bounding():
                          "w4": {"key": "D4"},
                          "nabla": {"key": "flat-extension"}}])
     with pytest.raises(I.IncompatibleScene):
-        scene.resolve()
+        I.psi(scene)
 
 
 # -- psi -------------------------------------------------------------------------
@@ -194,6 +196,16 @@ def test_psi_integrality_enforced(monkeypatch):
     monkeypatch.setitem(scn._ETA_TABLE, ("S3", "Lie-framing"), -1.4)
     with pytest.raises(I.NonIntegralInvariant):
         I.psi(I.BnrScene.s3_lie())
+
+
+def test_psi_certificate_rejects_corrupt_table(monkeypatch):
+    # a K3 entry whose half-p1 is -23 moves the invariant off 24Z; the
+    # certificate's 24Z check in InvariantResult must catch it
+    I.shipped_table()
+    monkeypatch.setitem(I.table._shipped, "K3",
+                        I.Closed4Entry("K3", -46, -16, "2", True))
+    with pytest.raises(I.ParityCertificateError):
+        I.psi(I.BnrScene.s3_lie(), certify=True)
 
 
 def test_psi_quadrature_provider():
@@ -260,8 +272,7 @@ def test_cs_integrand_is_constant_density():
 
 
 def test_z_spin_quadrature_object_is_unit():
-    quad = I.SpinGeometryProvider("Quadrature", refinement=1)
-    value = wrap_unit(quad.eta_integral("S3", "Lie-framing"))
+    value = wrap_unit(I.eta_integral("S3", "Lie-framing", refinement=1))
     assert circle_distance(value, 0.0) < 1e-3
 
 

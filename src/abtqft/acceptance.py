@@ -26,7 +26,8 @@ def criterion_1_smith_oracle():
     for trial in range(500):
         M = intmat.as_int_matrix(
             [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
-        U, D, V = intmat.smith_normal_form(M)
+        s = intmat.smith(M)
+        U, D, V = s.U, s.D, s.V
         if not (U @ M @ V == D).all():
             return False, f"trial {trial}: U M V != D"
         dg = [D[i, i] for i in range(3)]

@@ -22,8 +22,8 @@ from .discrete import (CellComplex, Cochain, ComplexError,
                        tangent_connection)
 from .invariants import (BnrScene, IncompatibleScene, ProviderError, SuScene,
                          cs_su2_quadrature, psi, shipped_table,
-                         sphere_volume_quadrature, su_psi, validate_table,
-                         SIGN_CONVENTION, build_mesh)
+                         sphere_volume_quadrature, su_psi, SIGN_CONVENTION,
+                         build_mesh)
 from . import acceptance
 
 
@@ -220,11 +220,10 @@ def _load_mesh(ref):
 
 def cmd_group_smith(args, ws):
     M = ws.sole(ws.matrices, "matrix", args.name)
-    U, D, V = intmat.smith_normal_form(M)
-    diag = [int(D[i, i]) for i in range(min(D.shape))]
-    lines = [f"D = diag({','.join(map(str, diag))})",
-             f"U = {U.tolist()}", f"V = {V.tolist()}"]
-    return lines, {"diag": diag, "U": U.tolist(), "V": V.tolist()}
+    s = intmat.smith(M)
+    U, V = s.U.tolist(), s.V.tolist()
+    lines = [f"D = diag({','.join(map(str, s.diag))})", f"U = {U}", f"V = {V}"]
+    return lines, {"diag": s.diag, "U": U, "V": V}
 
 
 def cmd_group_kernel(args, ws):
@@ -479,16 +478,13 @@ def cmd_bnr_cs(args, ws):
 
 
 def cmd_bnr_table(args, ws):
-    entries = shipped_table()
-    report = validate_table(entries.values())
+    # shipped_table() validates the table when it loads it
+    entries = shipped_table().values()
     lines = [f"{e.name}: p1={e.integral_p1} sig={e.signature} "
              f"a_hat={e.a_hat} {'spin' if e.spin else 'oriented'}"
-             for e in entries.values()]
-    lines.append("valid" if report.valid else f"INVALID: {report.violations}")
-    if not report.valid:
-        raise AssertionError("shipped table failed validation")
-    return lines, {"entries": [e.to_json() for e in entries.values()],
-                   "valid": report.valid}
+             for e in entries]
+    lines.append("valid")
+    return lines, {"entries": [e.to_json() for e in entries], "valid": True}
 
 
 def cmd_suite(args, ws):

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from . import intmat
-from .intmat import as_int_matrix, zeros
+from .intmat import as_int, as_int_matrix, zeros
 
 
 class ParentMismatch(ValueError):
@@ -35,21 +35,19 @@ class FgAbGroup:
     """
 
     def __init__(self, n_generators, relations=None, name=None):
-        if n_generators < 0:
+        n = self.n_generators = as_int(n_generators, "generators")
+        if n < 0:
             raise ValueError("negative generator count")
-        self.n_generators = int(n_generators)
-        if relations is None:
-            relations = zeros(0, self.n_generators)
-        self.relations = as_int_matrix(relations, (0, self.n_generators))
-        if self.relations.shape[1] != self.n_generators:
+        self.relations = as_int_matrix(
+            () if relations is None else relations, (0, n), "relations")
+        if self.relations.shape[1] != n:
             raise ValueError(
                 f"relation rows have length {self.relations.shape[1]}, "
-                f"expected {self.n_generators}")
+                f"expected {n}")
         self.name = name
         # Smith data of relations^T turns lattice membership into
         # per-coordinate divisibility checks.
         self._snf = intmat.smith(self.relations.T)
-        n = self.n_generators
         diag = self._snf.diag
         self._mods = [diag[i] if i < len(diag) else 0 for i in range(n)]
         self.invariant_factors = tuple(d for d in self._mods if d >= 2)
@@ -70,7 +68,7 @@ class FgAbGroup:
 
     def canonical_key(self, coords):
         """Tuple identifying the element class (residues in SNF basis)."""
-        y = self._snf.U @ np.array([int(c) for c in coords], dtype=object)
+        y = self._snf.U @ np.array(coords, dtype=object)
         return tuple(int(y[i]) % m if (m := self._mods[i]) else int(y[i])
                      for i in range(self.n_generators))
 
@@ -107,7 +105,7 @@ class FgAbGroup:
         ranges = [range(m) for m in self._mods]
         for y in itertools.product(*ranges):
             x = self._snf.U_inv @ np.array(y, dtype=object)
-            yield GroupElement(self, [int(v) for v in x])
+            yield GroupElement(self, x)
 
     def describe(self):
         parts = []
@@ -125,7 +123,7 @@ class FgAbGroup:
 
 class GroupElement:
     def __init__(self, parent, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = tuple([as_int(c, "coordinate") for c in coords])
         if len(coords) != parent.n_generators:
             raise ValueError(
                 f"coordinate length {len(coords)} != {parent.n_generators}")
@@ -149,7 +147,8 @@ class GroupElement:
         return GroupElement(self.parent, [-a for a in self.coords])
 
     def __mul__(self, k):
-        return GroupElement(self.parent, [int(k) * a for a in self.coords])
+        k = as_int(k, "scalar")
+        return GroupElement(self.parent, [k * a for a in self.coords])
 
     __rmul__ = __mul__
 
@@ -171,13 +170,6 @@ def _require_same_parent(a, b):
         raise ParentMismatch(f"elements of {a.parent!r} vs {b.parent!r}")
 
 
-def element_eq(group, a, b):
-    """True iff a - b lies in the relation lattice of `group`."""
-    if a.parent is not group or b.parent is not group:
-        raise ParentMismatch("element does not belong to the given group")
-    return a.key() == b.key()
-
-
 class GroupMorphism:
     """Morphism given by an integer matrix on generator coordinates.
 
@@ -185,24 +177,23 @@ class GroupMorphism:
     construction and can only fail for hand-built matrices.
     """
 
-    def __init__(self, source, target, matrix, name=None, _skip_check=False):
+    def __init__(self, source, target, matrix, name=None):
         self.source = source
         self.target = target
         self.matrix = as_int_matrix(
-            matrix, (target.n_generators, source.n_generators))
+            matrix, (target.n_generators, source.n_generators), "matrix")
         if self.matrix.shape != (target.n_generators, source.n_generators):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} != "
                 f"({target.n_generators}, {source.n_generators})")
         self.name = name
         self._solve_cache = None
-        if not _skip_check:
-            for row in self.source.relations:
-                image = self.matrix @ row
-                if not self.target.in_relation_lattice(image):
-                    raise IllDefinedMorphism(
-                        f"relation {list(row)} maps to {list(image)} "
-                        "outside the target relation lattice")
+        for row in self.source.relations:
+            image = self.matrix @ row
+            if not self.target.in_relation_lattice(image):
+                raise IllDefinedMorphism(
+                    f"relation {list(row)} maps to {list(image)} "
+                    "outside the target relation lattice")
 
     def __call__(self, x):
         if x.parent is not self.source:
@@ -224,8 +215,8 @@ class GroupMorphism:
         # Smith data of [matrix | target relation columns], cached: solving
         # f(x) = y means solving this system exactly once per morphism.
         if self._solve_cache is None:
-            C = intmat.hstack(self.matrix, self.target.relations.T)
-            self._solve_cache = (C, intmat.smith(C))
+            self._solve_cache = intmat.smith(
+                np.hstack([self.matrix, self.target.relations.T]))
         return self._solve_cache
 
 
@@ -238,7 +229,7 @@ def zero_morphism(G, H):
 
 
 def scalar_morphism(G, k):
-    return GroupMorphism(G, G, int(k) * intmat.identity(G.n_generators))
+    return GroupMorphism(G, G, k * intmat.identity(G.n_generators))
 
 
 def morphism_eq(f, g):
@@ -255,7 +246,7 @@ def free_group(rank, name=None):
 
 
 def cyclic_group(d, name=None):
-    return FgAbGroup(1, [[int(d)]], name=name)
+    return FgAbGroup(1, [[d]], name=name)
 
 
 def product_group(torsion, free_rank=0, name=None):
@@ -264,9 +255,9 @@ def product_group(torsion, free_rank=0, name=None):
     rows = []
     for i, d in enumerate(torsion):
         row = [0] * n
-        row[i] = int(d)
+        row[i] = d
         rows.append(row)
-    return FgAbGroup(n, as_int_matrix(rows, (0, n)), name=name)
+    return FgAbGroup(n, rows, name=name)
 
 
 def direct_sum(G, H):
@@ -276,16 +267,16 @@ def direct_sum(G, H):
     rel[:G.relations.shape[0], :n] = G.relations
     rel[G.relations.shape[0]:, n:] = H.relations
     S = FgAbGroup(n + m, rel)
-    i1 = GroupMorphism(G, S, intmat.vstack(intmat.identity(n), zeros(m, n)))
-    i2 = GroupMorphism(H, S, intmat.vstack(zeros(n, m), intmat.identity(m)))
-    p1 = GroupMorphism(S, G, intmat.hstack(intmat.identity(n), zeros(n, m)))
-    p2 = GroupMorphism(S, H, intmat.hstack(zeros(m, n), intmat.identity(m)))
+    i1 = GroupMorphism(G, S, np.vstack([intmat.identity(n), zeros(m, n)]))
+    i2 = GroupMorphism(H, S, np.vstack([zeros(n, m), intmat.identity(m)]))
+    p1 = GroupMorphism(S, G, np.hstack([intmat.identity(n), zeros(n, m)]))
+    p2 = GroupMorphism(S, H, np.hstack([zeros(m, n), intmat.identity(m)]))
     return S, i1, i2, p1, p2
 
 
 def _preimage_lattice(M, target_relation_cols):
     """Column generators of {x : M x lies in the given column lattice}."""
-    C = intmat.hstack(M, target_relation_cols)
+    C = np.hstack([M, target_relation_cols])
     kb = intmat.kernel_basis(C)
     return kb[:M.shape[1], :]
 
@@ -310,7 +301,7 @@ def image(f):
 
 def cokernel(f):
     """Target modulo the image: stack target relations with matrix columns."""
-    rel = intmat.vstack(f.target.relations, f.matrix.T)
+    rel = np.vstack([f.target.relations, f.matrix.T])
     return FgAbGroup(f.target.n_generators, rel)
 
 
@@ -327,8 +318,8 @@ def solve(f, y):
     """
     if y.parent is not f.target:
         raise ParentMismatch("rhs not in the target group")
-    C, snf = f._target_solver()
-    z = intmat.solve_linear(C, y.coords, decomposition=snf)
+    snf = f._target_solver()
+    z = intmat.solve_linear(snf.M, y.coords, decomposition=snf)
     if z is None:
         return None
     return GroupElement(f.source, z[:f.source.n_generators])
@@ -365,7 +356,7 @@ def pullback(f, g):
         raise TargetMismatch("pullback of morphisms with different targets")
     S, i1, i2, p1, p2 = direct_sum(f.source, g.source)
     diff = GroupMorphism(S, f.target,
-                         intmat.hstack(f.matrix, -g.matrix))
+                         np.hstack([f.matrix, -g.matrix]))
     K, incl = kernel(diff)
     pr1 = incl.then(p1)
     pr2 = incl.then(p2)
@@ -374,21 +365,11 @@ def pullback(f, g):
 
 # -- JSON interchange ------------------------------------------------------
 
-def _check_int(v, where):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"{where}: expected exact integer, got {v!r}")
-    return v
-
-
 def group_from_json(obj, name=None):
     if not isinstance(obj, dict):
         raise ValueError("group record must be an object")
-    n = _check_int(obj.get("generators"), "generators")
-    rel = obj.get("relations", [])
-    for i, row in enumerate(rel):
-        for j, v in enumerate(row):
-            _check_int(v, f"relations[{i}][{j}]")
-    return FgAbGroup(n, as_int_matrix(rel, (0, n)), name=name or obj.get("name"))
+    return FgAbGroup(obj.get("generators"), obj.get("relations", ()),
+                     name=name or obj.get("name"))
 
 
 def group_to_json(G):
@@ -400,10 +381,4 @@ def morphism_from_json(obj, source, target, name=None):
     mat = obj.get("matrix")
     if mat is None:
         raise ValueError("morphism record missing 'matrix'")
-    for i, row in enumerate(mat):
-        for j, v in enumerate(row):
-            _check_int(v, f"matrix[{i}][{j}]")
-    return GroupMorphism(
-        source, target,
-        as_int_matrix(mat, (target.n_generators, source.n_generators)),
-        name=name or obj.get("name"))
+    return GroupMorphism(source, target, mat, name=name or obj.get("name"))

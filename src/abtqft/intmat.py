@@ -10,11 +10,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_int_matrix(rows, shape=None):
+def as_int(x, where="value"):
+    """`x` as a Python int.  The one integer gate: a bool or a non-integer
+    (even an integral float) raises ValueError naming `where`."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{where}: expected exact integer, got {x!r}")
+    return int(x)
+
+
+def as_int_matrix(rows, shape=None, name="entry"):
     """Coerce nested lists (or an array) to an object-dtype integer matrix.
 
+    Every entry passes `as_int`; a bad one is named as name[i][j].
     `shape` is required to disambiguate empty inputs, e.g. a relation
-    matrix with zero rows over n generators.
+    matrix with zero rows over n generators; an empty input for a shape
+    with entries is refused rather than read as zeros.
     """
     A = np.array(rows, dtype=object)
     if A.size == 0:
@@ -22,13 +32,16 @@ def as_int_matrix(rows, shape=None):
             shape = A.shape
         if shape is None:
             raise ValueError("shape required for empty matrix")
+        if 0 not in shape:
+            raise ValueError(f"{name}: empty, expected a "
+                             f"{shape[0]}x{shape[1]} matrix")
         return np.zeros(shape, dtype=object)
     if A.ndim != 2:
         raise ValueError(f"expected a 2d matrix, got ndim={A.ndim}")
-    for x in A.flat:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise ValueError(f"non-integer entry {x!r}")
-    return np.vectorize(int, otypes=[object])(A)
+    out = np.empty(A.shape, dtype=object)
+    for (i, j), x in np.ndenumerate(A):
+        out[i, j] = as_int(x, f"{name}[{i}][{j}]")
+    return out
 
 
 def identity(n):
@@ -186,21 +199,14 @@ def smith(M):
     return SmithDecomposition(M, U, D, V, U_inv, V_inv)
 
 
-def smith_normal_form(M):
-    """Return (U, D, V) with U·M·V = D in Smith normal form."""
-    s = smith(M)
-    return s.U, s.D, s.V
-
-
 def kernel_basis(M):
     """Columns spanning the integer kernel {x : M x = 0}.
 
     Each column is sign-normalized (first nonzero entry positive) so the
     basis is deterministic.
     """
-    M = as_int_matrix(M)
-    m, n = M.shape
     s = smith(M)
+    n = s.M.shape[1]
     free = [i for i in range(n) if i >= len(s.diag) or s.diag[i] == 0]
     B = s.V[:, free] if free else zeros(n, 0)
     for j in range(B.shape[1]):
@@ -213,12 +219,16 @@ def kernel_basis(M):
 def solve_linear(M, b, decomposition=None):
     """One integer solution x of M x = b, or None if unsolvable.
 
-    Free coordinates are pinned to zero, so the answer is deterministic.
+    A given `decomposition` must be `smith(M)`; it is checked against the
+    shape of M only.  Free coordinates are pinned to zero, so the answer
+    is deterministic.
     """
-    M = as_int_matrix(M)
-    m, n = M.shape
     s = decomposition if decomposition is not None else smith(M)
-    b = np.array([int(v) for v in b], dtype=object)
+    m, n = s.M.shape
+    if np.shape(M) != (m, n):
+        raise ValueError(f"matrix of shape {np.shape(M)} for a "
+                         f"decomposition of shape {(m, n)}")
+    b = np.array([as_int(v, "rhs") for v in b], dtype=object)
     if b.shape != (m,):
         raise ValueError("rhs has wrong length")
     c = s.U @ b
@@ -235,11 +245,3 @@ def solve_linear(M, b, decomposition=None):
             if i < n:
                 w[i] = ci // d
     return s.V @ w
-
-
-def hstack(A, B):
-    return np.concatenate([A, B], axis=1)
-
-
-def vstack(A, B):
-    return np.concatenate([A, B], axis=0)

@@ -64,7 +64,8 @@ def eta_integral(m3_key, eta_key, refinement=None):
         _cs_cache[refinement] = cs_su2_quadrature(refinement)
     value = _cs_cache[refinement]
     if (value < 0) != (expected < 0):
-        raise ProviderError(
+        # a fault of the quadrature or the table, not of the scene file
+        raise ArithmeticError(
             f"quadrature of ({m3_key!r}, {eta_key!r}) has sign of "
             f"{value}, the table value is {expected}")
     return value
@@ -329,11 +330,16 @@ class SuScene:
                                                "su.primary"))
         for i, b in enumerate(_list(spec, "boundings")):
             where = f"su.boundings[{i}]"
-            if isinstance(b, dict) and b.get("kind") == "disk":
+            kind = b.get("kind", "tangent") if isinstance(b, dict) else None
+            if kind == "disk":
                 lift = _integer(b.get("lift", 0), f"{where}.lift")
                 scene.boundings.append(scene.disk_bounding(lift))
-            else:
+            elif kind in ("tangent", None):
                 scene.boundings.append(_read_tangent(b, where))
+            else:
+                raise IncompatibleScene(
+                    f"{where}.kind: unknown bounding kind {kind!r}; "
+                    "expected 'disk' or 'tangent'")
         for i, pair in enumerate(_list(spec, "lift_shifts")):
             where = f"su.lift_shifts[{i}]"
             if not isinstance(pair, list) or len(pair) != 2:

@@ -8,6 +8,8 @@ be checked against them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import fgab, intmat
@@ -48,7 +50,7 @@ def scrambled_presentation(G, rng):
         for r in rel:
             extra += rng.randint(-1, 1) * r
         rows.append(list(extra))
-    return FgAbGroup(n, intmat.as_int_matrix(rows, (0, n)))
+    return FgAbGroup(n, rows)
 
 
 def random_morphism(rng, G, H):
@@ -73,7 +75,6 @@ def random_morphism(rng, G, H):
             if d == 0:
                 C[j, i] = rng.randrange(mod)
             else:
-                import math
                 step = mod // math.gcd(d, mod)
                 C[j, i] = step * rng.randrange(mod // step)
     M = H._snf.U_inv @ C @ G._snf.U
@@ -85,7 +86,6 @@ def random_automorphism(rng, G, H):
     group (unit scalars on each cyclic factor)."""
     if G._mods != H._mods:
         raise ValueError("G and H present different groups")
-    import math
     n = G.n_generators
     C = intmat.zeros(n, n)
     for i in range(n):
@@ -116,17 +116,8 @@ def random_square(rng, max_order=60, force_iso=None):
     if force_iso is None:
         force_iso = rng.random() < 0.4
     if force_iso:
-        factors = []
-        while True:
-            k = rng.randint(1, 2)
-            factors = [rng.choice(_FACTORS) for _ in range(k)]
-            order = 1
-            for d in factors:
-                order *= d
-            if order <= max_order:
-                break
-        H_mor = fgab.product_group(factors)
-        H_ob = fgab.product_group(factors)
+        H_mor = random_finite_group(rng, max_order, obfuscate=False)
+        H_ob = FgAbGroup(H_mor.n_generators, H_mor.relations)
         phi_H = random_automorphism(rng, H_mor, H_ob)
     else:
         H_mor = random_finite_group(rng, max_order)

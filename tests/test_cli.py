@@ -204,11 +204,44 @@ SU = {"primary": {"mesh": "icosahedron", "puncture": 0},
     ("su", {"su": {**SU, "lift_shifts": [[99, 1]]}}, "su.lift_shifts[0][0]"),
     ("su", {"su": {**SU, "boundings": [{"mesh": "hex-sphere"}]}},
      "boundary length"),
+    ("su", {"su": {**SU, "boundings": [{"kind": "sphere",
+                                        "mesh": "pent-sphere"}]}},
+     "su.boundings[0].kind"),
 ])
 def test_bad_scene_exit_2(tmp_path, capsys, verb, scene, field):
     path = tmp_path / "bad_scene.json"
     path.write_text(json.dumps(scene))
     code, _, err = run(capsys, "bnr", verb, str(path))
+    assert code == 2, err
+    assert err.startswith(f"input error: {path}: ") and field in err
+    assert "Traceback" not in err
+
+
+def test_bnr_psi_quadrature_sign_fault_exit_1(tmp_path, capsys, monkeypatch):
+    # a quadrature of the wrong sign is a fault of the program or its
+    # data, not of the scene file
+    from abtqft.invariants import scenes
+    monkeypatch.setitem(scenes._cs_cache, 1, 1.0)
+    path = tmp_path / "scene_q1.json"
+    path.write_text(json.dumps(
+        _s3("eta", provider="quadrature", params={"refinement": 1})))
+    code, _, err = run(capsys, "bnr", "psi", str(path))
+    assert code == 1, err
+    assert err.startswith("computation error: ") and "sign" in err
+
+
+@pytest.mark.parametrize("record, field", [
+    ({"generators": 2, "relations": [[1, 1.5]]}, "relations[0][1]"),
+    ({"generators": True}, "generators"),
+    ({"matrix": [[0, 0.5]], "source": {"generators": 2},
+      "target": {"generators": 1}}, "matrix[0][1]"),
+    ({"matrix": [], "source": {"generators": 2},
+      "target": {"generators": 1}}, "matrix: empty"),
+])
+def test_bad_group_file_exit_2(tmp_path, capsys, record, field):
+    path = tmp_path / "bad_group.json"
+    path.write_text(json.dumps(record))
+    code, _, err = run(capsys, "group", "kernel", str(path))
     assert code == 2, err
     assert err.startswith(f"input error: {path}: ") and field in err
     assert "Traceback" not in err

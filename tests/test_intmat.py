@@ -22,7 +22,8 @@ def matrices(max_dim=4):
 
 def test_smith_worked_example():
     M = intmat.as_int_matrix([[2, 4], [6, 8]])
-    U, D, V = intmat.smith_normal_form(M)
+    s = intmat.smith(M)
+    U, D, V = s.U, s.D, s.V
     assert [int(D[i, i]) for i in range(2)] == [2, 4]
     assert (U @ M @ V == D).all()
     # d1 is the gcd of all entries, d1*d2 the absolute determinant
@@ -31,10 +32,8 @@ def test_smith_worked_example():
 
 
 def test_smith_identity_and_zero():
-    U, D, V = intmat.smith_normal_form([[1, 0], [0, 1]])
-    assert D.tolist() == [[1, 0], [0, 1]]
-    U, D, V = intmat.smith_normal_form([[0]])
-    assert D.tolist() == [[0]]
+    assert intmat.smith([[1, 0], [0, 1]]).D.tolist() == [[1, 0], [0, 1]]
+    assert intmat.smith([[0]]).D.tolist() == [[0]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -79,11 +78,24 @@ def test_solve_linear_roundtrip(M, x):
     sol = intmat.solve_linear(M, b)
     assert sol is not None
     assert ((M @ sol if M.shape[1] else b) == b).all()
+    # a cached decomposition gives the same solution as none
+    cached = intmat.solve_linear(M, b, decomposition=intmat.smith(M))
+    assert cached.tolist() == sol.tolist()
 
 
 def test_solve_linear_unsolvable():
     assert intmat.solve_linear(intmat.as_int_matrix([[2]]), [3]) is None
     assert intmat.solve_linear(intmat.as_int_matrix([[0]]), [1]) is None
+    # a decomposition of a matrix of another shape is refused
+    with pytest.raises(ValueError, match="shape"):
+        intmat.solve_linear([[1, 0]], [1], decomposition=intmat.smith([[1]]))
+    with pytest.raises(ValueError, match="shape"):
+        intmat.solve_linear([[1]], [1], decomposition=intmat.smith([[1], [0]]))
+
+
+def test_solve_linear_rejects_non_integer_rhs():
+    with pytest.raises(ValueError, match="rhs"):
+        intmat.solve_linear(intmat.as_int_matrix([[1]]), [1.5])
 
 
 def test_det_examples():
@@ -94,7 +106,10 @@ def test_det_examples():
 
 
 def test_as_int_matrix_rejects_floats_and_bools():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^entry\[0\]\[0\]: "):
         intmat.as_int_matrix([[1.5]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^entry\[0\]\[0\]: "):
         intmat.as_int_matrix([[True]])
+    # the message names the position of the bad entry
+    with pytest.raises(ValueError, match=r"^relations\[1\]\[0\]: .* 2\.0$"):
+        intmat.as_int_matrix([[1, 2], [2.0, 3]], name="relations")

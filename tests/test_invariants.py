@@ -119,9 +119,10 @@ def test_provider_table_vs_quadrature():
 
 def test_provider_rejects_quadrature_of_wrong_sign(monkeypatch):
     # an orientation bug in the quadrature flips its sign; the provider
-    # must report it instead of forcing the table's sign
+    # must report it as a computation fault instead of forcing the
+    # table's sign
     monkeypatch.setitem(scn._cs_cache, 1, 1.0)
-    with pytest.raises(I.ProviderError, match="sign"):
+    with pytest.raises(ArithmeticError, match="sign"):
         I.eta_integral("S3", "Lie-framing", refinement=1)
 
 

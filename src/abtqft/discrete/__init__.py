@@ -1,7 +1,7 @@
 from .complexes import (CellComplex, ComplexError, circle_complex,
                         path_complex, polygon_disk, triangulated_grid)
 from .cochains import (Cochain, DegreeError, coboundary, integrate,
-                       check_stokes, is_closed)
+                       check_stokes)
 from .connections import (LatticeConnection, holonomy, total_curvature,
                           boundary_holonomy, chern_number,
                           holonomy_curvature_gap, NonCycleError)
@@ -10,4 +10,3 @@ from .surfaces import (MetricSurface, TangentBundle, PuncturedSurface,
                        icosahedron,
                        flat_torus, equilateral_torus, flipped_torus,
                        hex_sphere, pent_sphere, genus2_surface)
-from .nerve import NerveCocycle, validate_nerve_cocycle, transition_winding

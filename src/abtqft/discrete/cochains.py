@@ -43,13 +43,6 @@ def integrate(omega, chain_vec):
     return float(np.dot(np.asarray(chain_vec, dtype=float), omega.values))
 
 
-def is_closed(omega, tol=1e-12):
-    if omega.degree >= omega.complex.dim:
-        return True
-    d = coboundary(omega)
-    return bool(np.all(np.abs(d.values) <= tol))
-
-
 def check_stokes(W, omega, chain=None):
     """(lhs, rhs) with lhs the boundary integral and rhs the bulk one.
 

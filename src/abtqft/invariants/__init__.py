@@ -1,12 +1,9 @@
 from .chern_simons import cs_su2_quadrature, sphere_volume_quadrature
 from .table import (Closed4Entry, validate_table, load_entries,
                     shipped_table, spin_entries)
-from .tqfts import (z_stokes_closed, z_stokes, z_stokes_rel, z_hol,
-                    z_hol_rel, NotClosedCochain)
 from .scenes import (BnrScene, SuScene, SuBounding, eta_integral,
                      half_p1_integral, tangent_bounding, random_su_scene,
                      build_mesh, ProviderError, IncompatibleScene,
                      SIGN_CONVENTION)
-from .psi import (psi, su_psi, hofiber_bordism_semantics, InvariantResult,
-                  NonIntegralInvariant, ParityCertificateError,
-                  PSI_TOLERANCE, SU_TOLERANCE)
+from .psi import (psi, su_psi, InvariantResult, NonIntegralInvariant,
+                  ParityCertificateError, PSI_TOLERANCE, SU_TOLERANCE)

@@ -1,13 +1,16 @@
 """The mod-24 and mod-2 bordism invariant pipelines.
 
-The 3d invariant of a scene is half the Pontryagin Chern-Weil integral of
-the bounding datum minus the integral of the canonical structure 3-form;
-it is an integer whenever the provider data are consistent, and well
-defined mod 24 because alternative bounding data differ by half the
-Pontryagin number of a closed spin 4-manifold.  The 1d analog subtracts
-the boundary structure lifts from the total curvature of a bounding
-surface and is well defined mod 2 by the evenness of the Euler
-characteristic of closed oriented surfaces.
+A 3d scene component resolves to a pair (g, h): g is half the Pontryagin
+Chern-Weil integral of the bounding datum, h the integral of the
+canonical structure 3-form.  The pair is an object of the homotopy fiber
+of the analytic square (id_R, exp) exactly when exp(g) = exp(h), and the
+invariant is the sum over components of Xi(g, h) = g - h; each component
+must be integral on its own.  The sum is well defined mod 24 because
+alternative bounding data differ by half the Pontryagin number of a
+closed spin 4-manifold.  The 1d analog subtracts the boundary structure
+lifts from the total curvature of a bounding surface and is well defined
+mod 2 by the evenness of the Euler characteristic of closed oriented
+surfaces.
 """
 
 from __future__ import annotations
@@ -64,65 +67,46 @@ class InvariantResult:
 
 
 def psi(scene, certify=False):
-    """The mod-24 invariant of a scene (sums over disjoint components)."""
+    """The mod-24 invariant of a scene: the sum of Xi(g, h) over its
+    disjoint components, each gated as an object of the fiber."""
+    square = AnalyticExpSquare(tolerance=PSI_TOLERANCE)
     resolved = scene.resolve()
     raw = 0.0
-    for _, eta_value, nabla_value in resolved:
-        raw += nabla_value - eta_value
-    certificate = _psi_certificate(resolved) if certify else None
-    return InvariantResult(raw, 24, PSI_TOLERANCE, certificate)
+    for comp, h, g in resolved:
+        if not square.is_object(g, h):
+            raise NonIntegralInvariant(
+                f"component {comp.label}: Xi(g, h) = {g - h!r} is "
+                f"{circle_distance(g, h):.3e} from the nearest integer "
+                f"(tolerance {PSI_TOLERANCE}); provider data inconsistent")
+        raw += square.xi(g, h)
+    certificate = _psi_certificate(resolved, square) if certify else None
+    return InvariantResult(raw, 24, len(resolved) * PSI_TOLERANCE,
+                           certificate)
 
 
-def _psi_certificate(resolved):
+def _psi_certificate(resolved, square):
     """Evaluate every alternative bounding datum and record differences.
 
-    Every difference is in the hypothesis of the mod-24 theorem, so
-    `InvariantResult` rejects any that is not in 24Z (corrupt table data).
+    Each alternative pair is gated as an object of the fiber like the
+    given one.  Every difference is in the hypothesis of the mod-24
+    theorem, so `InvariantResult` rejects any that is not in 24Z
+    (corrupt table data).
     """
     certificate = []
-    for comp, eta_value, nabla_value in resolved:
-        base_int = round(nabla_value - eta_value)
-        for label, alt_nabla in comp.alternatives():
-            alt_raw = alt_nabla - eta_value
-            alt_int = round(alt_raw)
-            if abs(alt_raw - alt_int) > PSI_TOLERANCE:
+    for comp, h, g in resolved:
+        base_int = round(square.xi(g, h))
+        for label, alt_g in comp.alternatives():
+            alt_raw = square.xi(alt_g, h)
+            if not square.is_object(alt_g, h):
                 raise NonIntegralInvariant(
                     f"alternative bounding {label} of {comp.label} "
                     f"gives non-integral value {alt_raw}")
+            alt_int = round(alt_raw)
             certificate.append({"component": comp.label, "bounding": label,
                                 "integer": alt_int,
                                 "difference": alt_int - base_int,
                                 "in_hypothesis": True})
     return certificate
-
-
-def hofiber_bordism_semantics(scene):
-    """Evaluate the scene through the homotopy-fiber factorization.
-
-    The scene is read as an object of the lax essential fiber over the
-    spin-side theory: the closed 3-scene is the underlying object, the
-    bounding 4-scene the connecting morphism from the empty scene.  The
-    two field theories produce the pair (half Pontryagin integral,
-    structure-form integral) in R x_{U(1)} R, and the comparison functor
-    onto ker(exp) = Z subtracts them.  The arithmetic is identical to
-    psi's, term by term, so the two raw values are bit-identical
-    (acceptance criterion 10 checks it).
-    """
-    square = AnalyticExpSquare(tolerance=PSI_TOLERANCE)
-    raw = 0.0
-    lines = []
-    for comp, h, g in scene.resolve():
-        if not square.is_object(g, h):
-            raise NonIntegralInvariant(
-                f"({g}, {h}) is not an object of the essential fiber: "
-                "the exponentials disagree beyond tolerance")
-        raw += square.xi(g, h)
-        lines.append(
-            f"{comp.label}: object value h={h:.12g}, connecting morphism "
-            f"value g={g:.12g}, fiber pair -> Xi(g,h)={g - h:.12g}")
-    result = InvariantResult(raw, 24, PSI_TOLERANCE)
-    description = "\n".join(lines)
-    return description, result
 
 
 def su_psi(scene, certify=True):

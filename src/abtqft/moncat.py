@@ -425,10 +425,3 @@ class AnalyticExpSquare:
     def xi(self, g, h):
         """g - h, which is an integer up to tolerance for genuine objects."""
         return g - h
-
-    def xi_integer(self, g, h):
-        if not self.is_object(g, h):
-            raise ValueError(
-                f"({g}, {h}) is not an object of the analytic homotopy "
-                f"fiber: exp images differ by more than {self.tolerance}")
-        return round(g - h)

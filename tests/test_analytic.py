@@ -47,10 +47,9 @@ def test_circle_equality():
 
 def test_integers_exact():
     # Z enters the analytic layer only as ker(exp), through the square
-    # (id_R, exp): its values are exact ints, and a pair whose gap is
-    # not an integer is not an object
+    # (id_R, exp): Xi of an object is an integer, and a pair whose gap
+    # is not an integer is not an object
     square = AnalyticExpSquare(tolerance=1e-9)
-    value = square.xi_integer(5.0, 2.0)
-    assert value == 3 and isinstance(value, int)
-    with pytest.raises(ValueError):
-        square.xi_integer(2.5, 0.0)
+    assert square.is_object(5.0, 2.0)
+    assert square.xi(5.0, 2.0) == 3.0
+    assert not square.is_object(2.5, 0.0)

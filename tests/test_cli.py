@@ -230,6 +230,17 @@ def test_bnr_psi_quadrature_sign_fault_exit_1(tmp_path, capsys, monkeypatch):
     assert err.startswith("computation error: ") and "sign" in err
 
 
+def test_bnr_psi_union_of_quadrature_components(tmp_path, capsys):
+    # each component is gated on its own, so two refine-1 quadratures
+    # (each 6.4e-7 from 1) give 2, not a non-integral error
+    q1 = _s3("eta", provider="quadrature", params={"refinement": 1})
+    path = tmp_path / "scene_union_q1.json"
+    path.write_text(json.dumps({"union": [q1, q1]}))
+    code, out, err = run(capsys, "bnr", "psi", str(path))
+    assert code == 0, err
+    assert " int=2 mod24=2 " in out.splitlines()[0]
+
+
 @pytest.mark.parametrize("record, field", [
     ({"generators": 2, "relations": [[1, 1.5]]}, "relations[0][1]"),
     ({"generators": True}, "generators"),
@@ -258,6 +269,15 @@ def test_json_format(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["integer"] == 1 and data["residue"] == 1
+    # the text output rounds to 12 digits; json keeps the full float
+    for argv, raw in (
+            (["bnr", "psi", sample("scene_s3.json")], 1.0),
+            (["bnr", "psi", sample("scene_s3_k3.json"), "--certify"],
+             -22.99999983936189),
+            (["bnr", "su", sample("scene_su.json")], 0.9999999999999991)):
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        assert code == 0
+        assert json.loads(out)["raw"] == raw
 
 
 def test_determinism(capsys):

@@ -1,10 +1,10 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-import abtqft.discrete as D
 import abtqft.invariants as I
 from abtqft.analytic import circle_distance, wrap_unit
 from abtqft.invariants import scenes as scn
@@ -44,60 +44,7 @@ def test_entry_json_roundtrip():
                                   "signature": 0, "a_hat": "0"})
 
 
-# -- field theory evaluators -----------------------------------------------------
-
-def test_z_stokes_closed_examples():
-    C3 = D.circle_complex(3)
-    unit = D.Cochain(C3, 1, [1.0, 1.0, 1.0])
-    assert I.z_stokes_closed(C3, unit) == 3.0
-
-    # an exact boundary scene gives zero: the circle bounds the disk and
-    # the cochain extends as a coboundary
-    W = D.triangulated_grid(3, 3)
-    f = D.Cochain(W, 0, [math.sin(i) for i in range(W.n_cells[0])])
-    omega = D.coboundary(f)
-    boundary = W.boundary_of(2, W.fundamental_chain(2))
-    value = I.z_stokes(W, omega, chain=boundary)
-    assert abs(value) <= 1e-12
-    assert abs(I.z_stokes_rel(W, omega)) <= 1e-12
-
-    # disjoint union: sum of parts (two circles in one complex)
-    C6 = D.circle_complex(6)
-    two = D.CellComplex(
-        {0: 6, 1: 6},
-        {1: [[(i, -1), ((i + 1) % 3, 1)] for i in range(3)]
-            + [[(3 + i, -1), (3 + (i + 1) % 3, 1)] for i in range(3)]})
-    omega2 = D.Cochain(two, 1, [1.0] * 3 + [0.5] * 3)
-    assert I.z_stokes_closed(two, omega2) == pytest.approx(4.5)
-
-
-def test_z_stokes_closed_rejects_nonclosed():
-    W = D.triangulated_grid(2, 2)
-    rng = random.Random(1)
-    omega = D.Cochain(W, 1, [rng.uniform(-1, 1) for _ in range(W.n_cells[1])])
-    with pytest.raises(I.NotClosedCochain):
-        I.z_stokes_closed(W, omega)
-
-
-def test_z_hol_examples():
-    C3 = D.circle_complex(3)
-    assert I.z_hol(D.LatticeConnection.trivial(C3)) == 0.0
-
-    # two disjoint circles multiply (turns add)
-    two = D.CellComplex(
-        {0: 6, 1: 6},
-        {1: [[(i, -1), ((i + 1) % 3, 1)] for i in range(3)]
-            + [[(3 + i, -1), (3 + (i + 1) % 3, 1)] for i in range(3)]})
-    conn = D.LatticeConnection(two, [0.1, 0.1, 0.1, 0.2, 0.1, 0.05])
-    assert I.z_hol(conn) == pytest.approx(wrap_unit(0.65))
-
-    # functoriality: a disk bounding a circle
-    disk = D.polygon_disk(4)
-    conn2 = D.LatticeConnection(disk, [0.3, 0.2, 0.4, 0.35], [2])
-    rel = I.z_hol_rel(conn2)
-    hol = D.boundary_holonomy(conn2, [(0, 1)])
-    assert circle_distance(rel, hol) <= 1e-12
-
+# -- circle values -------------------------------------------------------------
 
 def test_z_spin_values():
     assert wrap_unit(-1.0) == 0.0  # exp(-2 pi i) = 1
@@ -216,21 +163,47 @@ def test_psi_quadrature_provider():
     assert abs(result.raw - 1.0) < 1e-3
 
 
+def _integral_formula(scene):
+    """Sum over components of half_p1_integral - eta_integral, read from
+    the components directly rather than through `resolve`."""
+    total = 0.0
+    for c in scene.components:
+        total += (I.half_p1_integral(c.w4, c.nabla, c.glue)
+                  - I.eta_integral(c.m3, c.eta, c.refinement))
+    return total
+
+
 def test_hofiber_semantics_matches_psi():
+    # psi is Xi(g, h) = g - h summed over the analytic square; its raw
+    # value is the integral formula, bit for bit.  Each refine-1
+    # quadrature component is 6.4e-7 from 1, so the union of two is
+    # 1.3e-6 from 2: inside the bound the per-component gates imply
+    q1 = I.BnrScene.s3_lie(eta_provider="quadrature", refinement=1)
     for scene in (I.BnrScene.s3_lie(), I.BnrScene.empty(),
                   I.BnrScene.s3_lie(glue=["K3"]),
-                  I.BnrScene.s3_lie().union(I.BnrScene.empty())):
-        direct = I.psi(scene)
-        text, factored = I.hofiber_bordism_semantics(scene)
-        assert factored.raw == direct.raw
-        assert factored.integer_value == direct.integer_value
-        assert "Xi" in text
+                  I.BnrScene.s3_lie().union(I.BnrScene.empty()),
+                  q1, q1.union(q1)):
+        direct = _integral_formula(scene)
+        assert I.psi(scene).raw == direct
+        assert I.psi(scene).integer_value == round(direct)
 
 
 def test_hofiber_semantics_rejects_incoherent_pair(monkeypatch):
     monkeypatch.setitem(scn._ETA_TABLE, ("S3", "Lie-framing"), -1.4)
-    with pytest.raises(I.NonIntegralInvariant):
-        I.hofiber_bordism_semantics(I.BnrScene.s3_lie())
+    with pytest.raises(I.NonIntegralInvariant,
+                       match=re.escape("S3/Lie-framing|D4/flat-extension")):
+        I.psi(I.BnrScene.s3_lie())
+
+
+def test_psi_union_gates_each_component(monkeypatch):
+    # Xi values 1.4 and 0.6 sum to exactly 2, but neither component is
+    # an object of the fiber; the error names the first offender
+    monkeypatch.setitem(scn._ETA_TABLE, ("S3", "Lie-framing"), -1.4)
+    monkeypatch.setitem(scn._ETA_TABLE, ("empty", "empty"), -0.6)
+    scene = I.BnrScene.s3_lie().union(I.BnrScene.empty())
+    label = "component S3/Lie-framing|D4/flat-extension"
+    with pytest.raises(I.NonIntegralInvariant, match=re.escape(label)):
+        I.psi(scene)
 
 
 def test_result_rendering():

@@ -459,7 +459,5 @@ def test_analytic_exp_square():
     assert sq.is_object(3.0, 2.0)
     assert sq.is_object(0.5, -0.5)
     assert not sq.is_object(0.25, 0.0)
-    assert sq.xi_integer(3.0, 2.0) == 1
+    assert sq.xi(3.0, 2.0) == 1.0
     assert sq.xi(2.75, 0.75) == 2.0
-    with pytest.raises(ValueError):
-        sq.xi_integer(0.25, 0.0)

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import abtqft.discrete as D
 import abtqft.invariants as I
 from abtqft.analytic import circle_distance, wrap_unit
 from abtqft.invariants import scenes as scn
@@ -42,6 +43,57 @@ def test_entry_json_roundtrip():
     with pytest.raises(ValueError):
         I.Closed4Entry.from_json({"name": "Y", "integral_p1": 1.5,
                                   "signature": 0, "a_hat": "0"})
+
+
+# -- field theory values on discrete scenes -------------------------------------
+
+def _two_circles():
+    """Two disjoint 3-edge circles in one complex."""
+    return D.CellComplex(
+        {0: 6, 1: 6},
+        {1: [[(i, -1), ((i + 1) % 3, 1)] for i in range(3)]
+            + [[(3 + i, -1), (3 + (i + 1) % 3, 1)] for i in range(3)]})
+
+
+def test_z_stokes_closed_examples():
+    C3 = D.circle_complex(3)
+    unit = D.Cochain(C3, 1, [1.0, 1.0, 1.0])
+    assert D.integrate(unit, C3.fundamental_chain(1)) == 3.0
+
+    # an exact boundary scene gives zero: the circle bounds the disk and
+    # the cochain extends as a coboundary
+    W = D.triangulated_grid(3, 3)
+    f = D.Cochain(W, 0, [math.sin(i) for i in range(W.n_cells[0])])
+    omega = D.coboundary(f)
+    boundary = W.boundary_of(2, W.fundamental_chain(2))
+    assert abs(D.integrate(omega, boundary)) <= 1e-12
+    assert abs(D.integrate(D.coboundary(omega),
+                           W.fundamental_chain(2))) <= 1e-12
+
+    # disjoint union: sum of parts (two circles in one complex)
+    two = _two_circles()
+    omega2 = D.Cochain(two, 1, [1.0] * 3 + [0.5] * 3)
+    assert D.integrate(omega2, two.fundamental_chain(1)) == pytest.approx(4.5)
+
+
+def test_z_hol_examples():
+    C3 = D.circle_complex(3)
+    trivial = D.LatticeConnection.trivial(C3)
+    assert D.holonomy(trivial, C3.fundamental_chain(1)) == 0.0
+
+    # two disjoint circles multiply (turns add)
+    two = _two_circles()
+    conn = D.LatticeConnection(two, [0.1, 0.1, 0.1, 0.2, 0.1, 0.05])
+    assert D.holonomy(conn, two.fundamental_chain(1)) == pytest.approx(
+        wrap_unit(0.65))
+
+    # functoriality: the lifted curvature of a disk exponentiates to the
+    # holonomy of the circle it bounds
+    disk = D.polygon_disk(4)
+    conn2 = D.LatticeConnection(disk, [0.3, 0.2, 0.4, 0.35], [2])
+    rel = D.total_curvature(conn2, disk.fundamental_chain(2))
+    hol = D.boundary_holonomy(conn2, [(0, 1)])
+    assert circle_distance(rel, hol) <= 1e-12
 
 
 # -- circle values -------------------------------------------------------------

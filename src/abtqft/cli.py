@@ -24,6 +24,7 @@ from .invariants import (BnrScene, IncompatibleScene, ProviderError, SuScene,
                          cs_su2_quadrature, psi, shipped_table,
                          sphere_volume_quadrature, su_psi, SIGN_CONVENTION,
                          build_mesh)
+from .invariants.chern_simons import MAX_REFINEMENT
 from . import acceptance
 
 
@@ -495,10 +496,11 @@ def cmd_suite(args, ws):
 
 # -- main --------------------------------------------------------------------
 
-def positive_int(text):
+def refinement_level(text):
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    if not 1 <= value <= MAX_REFINEMENT:
+        raise argparse.ArgumentTypeError(
+            f"{value} is not in 1..{MAX_REFINEMENT}")
     return value
 
 
@@ -584,7 +586,7 @@ def build_parser():
     sp.add_argument("files", nargs="*")
     sp.set_defaults(handler=cmd_bnr_su)
     sp = bsub.add_parser("cs", parents=[common])
-    sp.add_argument("--refine", type=positive_int, default=2)
+    sp.add_argument("--refine", type=refinement_level, default=2)
     sp.set_defaults(handler=cmd_bnr_cs, files=[])
     sp = bsub.add_parser("table", parents=[common])
     sp.add_argument("action", choices=("validate",))

@@ -8,6 +8,8 @@ to Smith normal form, so everything here is exact and decidable.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -66,11 +68,19 @@ class FgAbGroup:
         coords[i] = 1
         return GroupElement(self, coords)
 
+    @cached_property
+    def _key_rows(self):
+        # the rows of U as int tuples, read once per group
+        return tuple(map(tuple, self._snf.U.tolist()))
+
     def canonical_key(self, coords):
         """Tuple identifying the element class (residues in SNF basis)."""
-        y = self._snf.U @ np.array(coords, dtype=object)
-        return tuple(int(y[i]) % m if (m := self._mods[i]) else int(y[i])
-                     for i in range(self.n_generators))
+        if len(coords) != self.n_generators:
+            raise ValueError(f"coordinate length {len(coords)} != "
+                             f"{self.n_generators}")
+        return tuple(y % m if m else y
+                     for row, m in zip(self._key_rows, self._mods)
+                     for y in (sum(map(mul, row, coords)),))
 
     def key_add(self, k1, k2):
         """Add two canonical keys (classes add coordinatewise mod factors)."""

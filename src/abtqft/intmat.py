@@ -7,12 +7,16 @@ everything built on finitely generated abelian groups.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 
 def as_int(x, where="value"):
     """`x` as a Python int.  The one integer gate: a bool or a non-integer
     (even an integral float) raises ValueError naming `where`."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ValueError(f"{where}: expected exact integer, got {x!r}")
     return int(x)
@@ -82,61 +86,93 @@ class SmithDecomposition:
     """Holds U·M·V = D together with the exact inverses of U and V.
 
     D is diagonal with nonnegative entries d1 | d2 | ... ; U and V are
-    unimodular.  `diag` lists the min(m, n) diagonal entries.
+    unimodular.  `diag` lists the min(m, n) diagonal entries.  `smith`
+    eliminates on a copy of M alone and logs its elementary row and
+    column operations; each transform is built on first access by
+    replaying its half of the log on an identity, so its entries are the
+    ones that updating it alongside the elimination would give.
     """
 
-    def __init__(self, M, U, D, V, U_inv, V_inv):
+    def __init__(self, M, D, row_ops, col_ops):
         self.M = M
-        self.U = U
         self.D = D
-        self.V = V
-        self.U_inv = U_inv
-        self.V_inv = V_inv
-        self.diag = [int(D[i, i]) for i in range(min(D.shape))]
+        self.diag = [D[i, i] for i in range(min(D.shape))]
+        self._row_ops = row_ops
+        self._col_ops = col_ops
+
+    @cached_property
+    def U(self):
+        return _replay(self.M.shape[0], self._row_ops, inverse=False)
+
+    @cached_property
+    def U_inv(self):
+        return _replay(self.M.shape[0], self._row_ops, inverse=True).T
+
+    @cached_property
+    def V(self):
+        return _replay(self.M.shape[1], self._col_ops, inverse=False).T
+
+    @cached_property
+    def V_inv(self):
+        return _replay(self.M.shape[1], self._col_ops, inverse=True)
 
     @property
     def rank(self):
         return sum(1 for d in self.diag if d != 0)
 
 
+def _replay(n, ops, inverse):
+    """The n x n identity after the logged operations, as row operations.
+
+    A log entry is ("swap", i, j), ("neg", i) or ("add", i, j, q) for
+    row_i += q * row_j.  Replayed forward this gives E_k ... E_1; with
+    `inverse` each add becomes row_j -= q * row_i, which gives the
+    transpose of E_1^-1 ... E_k^-1.  Column operations are the same
+    operations on the transpose.
+    """
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for op in ops:
+        if op[0] == "add":
+            _, i, j, q = op
+            if inverse:
+                i, j, q = j, i, -q
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+        elif op[0] == "swap":
+            _, i, j = op
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[op[1]] = [-a for a in rows[op[1]]]
+    return np.array(rows, dtype=object).reshape(n, n)
+
+
 def smith(M):
     """Smith decomposition of an integer matrix.
 
-    Row/column eliminations with full transform bookkeeping.  The inner
-    divisibility pass guarantees the divisor chain d1 | d2 | ...
+    Row/column eliminations on plain int rows, each logged for the
+    transforms.  The pivot is a minimal nonzero |entry| of the trailing
+    block, first in row-major order; the inner divisibility pass
+    guarantees the divisor chain d1 | d2 | ...
     """
     M = as_int_matrix(M)
     m, n = M.shape
-    A = M.copy()
-    U, U_inv = identity(m), identity(m)
-    V, V_inv = identity(n), identity(n)
+    A = M.tolist()
+    row_ops, col_ops = [], []
 
-    def row_swap(i, j):
-        A[[i, j]] = A[[j, i]]
-        U[[i, j]] = U[[j, i]]
-        U_inv[:, [i, j]] = U_inv[:, [j, i]]
-
-    def col_swap(i, j):
-        A[:, [i, j]] = A[:, [j, i]]
-        V[:, [i, j]] = V[:, [j, i]]
-        V_inv[[i, j]] = V_inv[[j, i]]
-
-    def row_negate(i):
-        A[i, :] = -A[i, :]
-        U[i, :] = -U[i, :]
-        U_inv[:, i] = -U_inv[:, i]
-
-    def row_addmul(i, j, q):
+    # the leading s x s block is diagonal and the rest of its rows and
+    # columns zero, so every operation at step s reads columns/rows >= s
+    def row_addmul(i, j, q, s):
         # row_i += q * row_j
-        A[i, :] += q * A[j, :]
-        U[i, :] += q * U[j, :]
-        U_inv[:, j] -= q * U_inv[:, i]
+        ri, rj = A[i], A[j]
+        for c in range(s, n):
+            ri[c] += q * rj[c]
+        row_ops.append(("add", i, j, q))
 
-    def col_addmul(i, j, q):
+    def col_addmul(i, j, q, s):
         # col_i += q * col_j
-        A[:, i] += q * A[:, j]
-        V[:, i] += q * V[:, j]
-        V_inv[j, :] -= q * V_inv[i, :]
+        for r in range(s, m):
+            row = A[r]
+            row[i] += q * row[j]
+        col_ops.append(("add", i, j, q))
 
     for s in range(min(m, n)):
         while True:
@@ -144,51 +180,53 @@ def smith(M):
             pivot = None
             best = None
             for i in range(s, m):
+                row = A[i]
                 for j in range(s, n):
-                    a = A[i, j]
-                    if a != 0 and (best is None or abs(a) < best):
+                    a = row[j]
+                    if a and (best is None or abs(a) < best):
                         best = abs(a)
                         pivot = (i, j)
+                if best == 1:
+                    break
             if pivot is None:
                 break
             i, j = pivot
             if i != s:
-                row_swap(s, i)
+                A[s], A[i] = A[i], A[s]
+                row_ops.append(("swap", s, i))
             if j != s:
-                col_swap(s, j)
-            if A[s, s] < 0:
-                row_negate(s)
+                for r in range(s, m):
+                    row = A[r]
+                    row[s], row[j] = row[j], row[s]
+                col_ops.append(("swap", s, j))
+            if A[s][s] < 0:
+                A[s] = [-a for a in A[s]]
+                row_ops.append(("neg", s))
 
+            p = A[s][s]
             dirty = False
             for i in range(s + 1, m):
-                if A[i, s] != 0:
-                    q = A[i, s] // A[s, s]
-                    row_addmul(i, s, -q)
-                    if A[i, s] != 0:
+                if A[i][s] != 0:
+                    row_addmul(i, s, -(A[i][s] // p), s)
+                    if A[i][s] != 0:
                         dirty = True
+            top = A[s]
             for j in range(s + 1, n):
-                if A[s, j] != 0:
-                    q = A[s, j] // A[s, s]
-                    col_addmul(j, s, -q)
-                    if A[s, j] != 0:
+                if top[j] != 0:
+                    col_addmul(j, s, -(top[j] // p), s)
+                    if top[j] != 0:
                         dirty = True
             if dirty:
                 continue
 
             # pivot clears its row and column; force it to divide the rest
-            offender = None
-            for i in range(s + 1, m):
-                for j in range(s + 1, n):
-                    if A[i, j] % A[s, s] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(s + 1, m)
+                             if any(a % p for a in A[i][s + 1:])), None)
             if offender is None:
                 break
-            row_addmul(s, offender, 1)
+            row_addmul(s, offender, 1, s)
 
-    D = A
+    D = np.array(A, dtype=object).reshape(m, n)
     dg = [D[i, i] for i in range(min(m, n))]
     if not (all(D[i, j] == 0 for i in range(m) for j in range(n) if i != j)
             and all(d >= 0 for d in dg)
@@ -196,7 +234,7 @@ def smith(M):
                     for i in range(len(dg) - 1) if dg[i] != 0)):
         raise ArithmeticError(f"smith: result is not in Smith normal form "
                               f"(diagonal {dg})")
-    return SmithDecomposition(M, U, D, V, U_inv, V_inv)
+    return SmithDecomposition(M, D, row_ops, col_ops)
 
 
 def kernel_basis(M):

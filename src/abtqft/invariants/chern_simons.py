@@ -19,11 +19,17 @@ import math
 import numpy as np
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
+# each of the 4r chi slices holds 3,200 r^2 points, so time grows as r^3
+# and memory as r^2: on a 2-vCPU host refinement 4 takes about 2.5 s, and
+# 8 about 20 s and +165 MB (extrapolated from r = 1..3); scenes and
+# `bnr cs --refine` are held to this bound
+MAX_REFINEMENT = 8
 
 
 def _grid_sizes(refinement):
-    if refinement < 1:
-        raise ValueError("refinement must be >= 1")
+    if not 1 <= refinement <= MAX_REFINEMENT:
+        raise ValueError(f"refinement {refinement!r} is not in "
+                         f"1..{MAX_REFINEMENT}")
     n = int(refinement)
     return 4 * n, 800 * n, 4 * n
 

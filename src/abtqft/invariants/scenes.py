@@ -18,7 +18,7 @@ from __future__ import annotations
 from ..analytic import wrap_unit, wrap_half
 from ..discrete import surfaces as _surf
 from . import table as _table
-from .chern_simons import cs_su2_quadrature
+from .chern_simons import MAX_REFINEMENT, cs_su2_quadrature
 
 SIGN_CONVENTION = "psi(S3-Lie,D4-flat)=+1"
 
@@ -130,9 +130,10 @@ class SceneComponent:
                                                           where)
         refinement = eta_params.get("refinement", 2)
         if (isinstance(refinement, bool) or not isinstance(refinement, int)
-                or refinement < 1):
+                or not 1 <= refinement <= MAX_REFINEMENT):
             raise ProviderError(f"{where}eta.params.refinement: "
-                                f"{refinement!r} is not an integer >= 1")
+                                f"{refinement!r} is not an integer in "
+                                f"1..{MAX_REFINEMENT}")
         self.refinement = refinement if eta_provider == "quadrature" else None
         if nabla_provider != "table":
             raise ProviderError(

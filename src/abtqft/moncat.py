@@ -266,17 +266,22 @@ class HofibCat:
     def tensor(self, p, q):
         return (p[0] + q[0], p[1] + q[1])
 
-    def _pair(self, p):
-        return self._i1(p[0]) + self._i2(p[1])
+    def _difference(self, p, q):
+        # q - p stacked; stacking is linear on coordinates, so this equals
+        # the difference of the stacked endpoints with one application
+        # per leg
+        return self._i1(q[0] - p[0]) + self._i2(q[1] - p[1])
 
     def hom(self, p, q):
         """Solutions of the two simultaneous constraints, as a coset."""
         self.require_object(*p)
         self.require_object(*q)
-        return self._stacked_cat.hom(self._pair(p), self._pair(q))
+        d = self._difference(p, q)
+        return self._stacked_cat.hom(d.parent.zero(), d)
 
     def hom_contains(self, p, q, x):
-        return self._stacked_cat.hom_contains(self._pair(p), self._pair(q), x)
+        d = self._difference(p, q)
+        return self._stacked_cat.hom_contains(d.parent.zero(), d, x)
 
 
 class DiagonalFill:

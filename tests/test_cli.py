@@ -140,6 +140,27 @@ def test_bnr_cs_refine_0_exit_2(capsys):
     assert "--refine" in capsys.readouterr().err
 
 
+def test_bnr_cs_refine_above_bound_exit_2(capsys):
+    from abtqft.cli import build_parser
+    from abtqft.invariants.chern_simons import MAX_REFINEMENT
+    assert build_parser().parse_args(["bnr", "cs", "--refine", "4"]).refine == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["bnr", "cs", "--refine", str(MAX_REFINEMENT + 1)])
+    assert exc.value.code == 2
+    assert f"--refine: {MAX_REFINEMENT + 1} is not in" in capsys.readouterr().err
+
+
+def test_scene_refinement_above_bound_exit_2(tmp_path, capsys):
+    from abtqft.invariants.chern_simons import MAX_REFINEMENT
+    path = tmp_path / "scene_refine.json"
+    path.write_text(json.dumps(_s3("eta", provider="quadrature",
+                                   params={"refinement": MAX_REFINEMENT + 1})))
+    code, _, err = run(capsys, "bnr", "psi", str(path))
+    assert code == 2, err
+    assert err.startswith(f"input error: {path}: ")
+    assert "eta.params.refinement" in err and "Traceback" not in err
+
+
 def test_cat_hom_wrong_arity_exit_2(capsys):
     code, _, err = run(capsys, "cat", "hom", sample("times2.json"), "0,1", "4")
     assert code == 2

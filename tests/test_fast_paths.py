@@ -1,16 +1,21 @@
-"""The linear-time discrete layer checked against the slow paths it replaced.
+"""Fast paths checked against the slow paths they replaced.
 
-Each oracle here is the old quadratic code, kept in the test: the dense
-boundary matrix product, the per-vertex scan over all faces for corners
-and angle defects, and the ring walk started from that scan.
+Each oracle here is the old code, kept in the test: the dense boundary
+matrix product, the per-vertex scan over all faces for corners and angle
+defects, the ring walk started from that scan, and the Smith form that
+updated all four transforms on every elementary operation.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
+from abtqft import intmat
 from abtqft.discrete import CellComplex, ComplexError, triangulated_grid
 from abtqft.discrete import surfaces as S
 from abtqft.invariants.scenes import MESH_BUILDERS
@@ -136,3 +141,160 @@ def test_large_flat_torus_chern_number():
     mesh = S.flat_torus(64, 64)
     assert mesh.n_cells[0] == 4096
     assert S.tangent_connection(mesh).chern_number() == 0
+
+
+# -- Smith form: the lazy transforms against the eager elimination ------------
+
+def eager_smith(M):
+    """The Smith form with all four transforms updated on every operation
+    (the old `intmat.smith`); returns (U, D, V, U_inv, V_inv)."""
+    M = intmat.as_int_matrix(M)
+    m, n = M.shape
+    A = M.copy()
+    U, U_inv = intmat.identity(m), intmat.identity(m)
+    V, V_inv = intmat.identity(n), intmat.identity(n)
+
+    def row_swap(i, j):
+        A[[i, j]] = A[[j, i]]
+        U[[i, j]] = U[[j, i]]
+        U_inv[:, [i, j]] = U_inv[:, [j, i]]
+
+    def col_swap(i, j):
+        A[:, [i, j]] = A[:, [j, i]]
+        V[:, [i, j]] = V[:, [j, i]]
+        V_inv[[i, j]] = V_inv[[j, i]]
+
+    def row_addmul(i, j, q):
+        A[i, :] += q * A[j, :]
+        U[i, :] += q * U[j, :]
+        U_inv[:, j] -= q * U_inv[:, i]
+
+    def col_addmul(i, j, q):
+        A[:, i] += q * A[:, j]
+        V[:, i] += q * V[:, j]
+        V_inv[j, :] -= q * V_inv[i, :]
+
+    for s in range(min(m, n)):
+        while True:
+            pivot, best = None, None
+            for i in range(s, m):
+                for j in range(s, n):
+                    a = A[i, j]
+                    if a != 0 and (best is None or abs(a) < best):
+                        best, pivot = abs(a), (i, j)
+            if pivot is None:
+                break
+            i, j = pivot
+            if i != s:
+                row_swap(s, i)
+            if j != s:
+                col_swap(s, j)
+            if A[s, s] < 0:
+                A[s, :] = -A[s, :]
+                U[s, :] = -U[s, :]
+                U_inv[:, s] = -U_inv[:, s]
+            dirty = False
+            for i in range(s + 1, m):
+                if A[i, s] != 0:
+                    row_addmul(i, s, -(A[i, s] // A[s, s]))
+                    dirty = dirty or A[i, s] != 0
+            for j in range(s + 1, n):
+                if A[s, j] != 0:
+                    col_addmul(j, s, -(A[s, j] // A[s, s]))
+                    dirty = dirty or A[s, j] != 0
+            if dirty:
+                continue
+            offender = next((i for i in range(s + 1, m)
+                             for j in range(s + 1, n)
+                             if A[i, j] % A[s, s] != 0), None)
+            if offender is None:
+                break
+            row_addmul(s, offender, 1)
+    return U, A, V, U_inv, V_inv
+
+
+def eager_kernel_basis(V, diag):
+    """The old `kernel_basis` body on an eager V."""
+    n = V.shape[0]
+    free = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
+    B = V[:, free] if free else intmat.zeros(n, 0)
+    for j in range(B.shape[1]):
+        lead = next((v for v in B[:, j] if v != 0), None)
+        if lead is not None and lead < 0:
+            B[:, j] = -B[:, j]
+    return B
+
+
+class EagerDecomposition:
+    def __init__(self, M):
+        self.M = intmat.as_int_matrix(M, np.shape(M))
+        self.U, self.D, self.V, self.U_inv, self.V_inv = eager_smith(self.M)
+        self.diag = [self.D[i, i] for i in range(min(self.D.shape))]
+
+
+def _smith_cases(family, count, seed):
+    rng = random.Random(f"smith/{family}/{seed}")
+    cases = []
+    for _ in range(count):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        if family == "empty":
+            m, n = rng.choice([(0, n), (m, 0), (0, 0)])
+        elif family == "tall":
+            m = n + rng.randint(1, 4)
+        elif family == "wide":
+            n = m + rng.randint(1, 4)
+        bound = rng.choice([1, 3, 9, 40])
+        M = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        if family == "zero":
+            M = [[0] * n for _ in range(m)]
+        elif family == "rank-deficient" and m >= 2:
+            for r in range(rng.randint(1, m - 1)):
+                a, b = rng.randrange(m), rng.randrange(m)
+                k = rng.randint(-3, 3)
+                M[r] = [x + k * y for x, y in zip(M[a], M[b])]
+        cases.append(np.array(M, dtype=object).reshape(m, n))
+    return cases
+
+
+SMITH_FAMILIES = {"empty": 30, "zero": 20, "rank-deficient": 70, "tall": 60,
+                  "wide": 60, "square": 80}
+
+
+def _same(lazy, eager):
+    return lazy.shape == eager.shape and lazy.tolist() == eager.tolist()
+
+
+@pytest.mark.parametrize("family", SMITH_FAMILIES)
+def test_lazy_smith_matches_eager_transforms(family):
+    for M in _smith_cases(family, SMITH_FAMILIES[family], 0):
+        lazy, eager = intmat.smith(M), EagerDecomposition(M)
+        for name in ("U", "V", "U_inv", "V_inv", "D"):
+            assert _same(getattr(lazy, name), getattr(eager, name)), (name, M)
+        assert lazy.diag == eager.diag
+        assert all(type(v) is int for v in lazy.U.flat)
+        assert _same(intmat.kernel_basis(M),
+                     eager_kernel_basis(eager.V, eager.diag))
+        m, n = M.shape
+        rng = random.Random(repr(M.tolist()))
+        x = np.array([rng.randint(-4, 4) for _ in range(n)], dtype=object)
+        for b in (list(M @ x), [rng.randint(-9, 9) for _ in range(m)]):
+            fast = intmat.solve_linear(M, b)
+            slow = intmat.solve_linear(M, b, decomposition=eager)
+            assert (fast is None) == (slow is None)
+            assert fast is None or fast.tolist() == slow.tolist()
+        assert fast is None or list(M @ fast) == b
+
+
+def test_lazy_smith_builds_each_transform_once():
+    s = intmat.smith([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    assert s.U is s.U and s.V_inv is s.V_inv
+    assert s.diag == [2, 6, 12]
+
+
+@pytest.mark.parametrize("family", ["square", "rank-deficient", "wide"])
+def test_lazy_smith_diagonal_matches_sympy(family):
+    for M in _smith_cases(family, 8, 1):
+        ref = [int(v) for v in invariant_factors(Matrix(M.tolist()),
+                                                 domain=ZZ)]
+        diag = intmat.smith(M).diag
+        assert diag == ref + [0] * (len(diag) - len(ref))

@@ -285,6 +285,23 @@ def test_cs_rejects_bad_refinement():
         I.cs_su2_quadrature(0)
 
 
+def test_refinement_bound():
+    from abtqft.invariants.chern_simons import MAX_REFINEMENT, _grid_sizes
+    top = MAX_REFINEMENT
+    assert _grid_sizes(top) == (4 * top, 800 * top, 4 * top)
+    with pytest.raises(ValueError, match=f"1..{top}"):
+        _grid_sizes(top + 1)
+    with pytest.raises(ValueError):
+        I.cs_su2_quadrature(top + 1)
+    for r in (4, top):
+        quad = {"provider": "quadrature", "params": {"refinement": r}}
+        scene = I.BnrScene([_s3_component(eta=quad)])
+        assert scene.components[0].refinement == r
+    quad = {"provider": "quadrature", "params": {"refinement": top + 1}}
+    with pytest.raises(I.ProviderError, match="eta.params.refinement"):
+        I.BnrScene([_s3_component(eta=quad)])
+
+
 def test_cs_integrand_is_constant_density():
     # the pulled-back 3-form is a constant multiple of the volume form
     from abtqft.invariants.chern_simons import _frame_density

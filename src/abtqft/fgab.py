@@ -108,14 +108,20 @@ class FgAbGroup:
             n *= d
         return n
 
+    @cached_property
+    def _element_rows(self):
+        # the rows of U_inv as int tuples: element y in the SNF basis is
+        # U_inv y in generator coordinates
+        return tuple(map(tuple, self._snf.U_inv.tolist()))
+
     def elements(self):
         """All elements of a finite group, as canonical representatives."""
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite group")
         ranges = [range(m) for m in self._mods]
+        rows = self._element_rows
         for y in itertools.product(*ranges):
-            x = self._snf.U_inv @ np.array(y, dtype=object)
-            yield GroupElement(self, x)
+            yield GroupElement(self, [sum(map(mul, row, y)) for row in rows])
 
     def describe(self):
         parts = []

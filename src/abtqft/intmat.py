@@ -42,10 +42,11 @@ def as_int_matrix(rows, shape=None, name="entry"):
         return np.zeros(shape, dtype=object)
     if A.ndim != 2:
         raise ValueError(f"expected a 2d matrix, got ndim={A.ndim}")
-    out = np.empty(A.shape, dtype=object)
-    for (i, j), x in np.ndenumerate(A):
-        out[i, j] = as_int(x, f"{name}[{i}][{j}]")
-    return out
+    for k, x in enumerate(A.flat):
+        if type(x) is not int:
+            i, j = divmod(k, A.shape[1])
+            A[i, j] = as_int(x, f"{name}[{i}][{j}]")
+    return A
 
 
 def identity(n):
@@ -90,7 +91,9 @@ class SmithDecomposition:
     eliminates on a copy of M alone and logs its elementary row and
     column operations; each transform is built on first access by
     replaying its half of the log on an identity, so its entries are the
-    ones that updating it alongside the elimination would give.
+    ones that updating it alongside the elimination would give.  Solving
+    and kernels need U and V only on vectors and apply the log to the
+    vector instead (`apply_log`).
     """
 
     def __init__(self, M, D, row_ops, col_ops):
@@ -143,6 +146,31 @@ def _replay(n, ops, inverse):
         else:
             rows[op[1]] = [-a for a in rows[op[1]]]
     return np.array(rows, dtype=object).reshape(n, n)
+
+
+def apply_log(ops, x, transpose=False):
+    """The logged operations applied to the integer vector `x`, as a list.
+
+    On the row log this is U x: the operations run in log order as row
+    operations on x.  On the column log with `transpose` it is V x: V is
+    the transpose of that log replayed as row operations (`_replay`), so
+    the operations run in reverse order and an add col_i += q * col_j
+    acts as x_j += q * x_i.  O(len(ops)) scalar steps, where building U
+    or V takes O(len(ops) * n).
+    """
+    x = list(x)
+    for op in reversed(ops) if transpose else ops:
+        if op[0] == "add":
+            _, i, j, q = op
+            if transpose:
+                i, j = j, i
+            x[i] += q * x[j]
+        elif op[0] == "swap":
+            _, i, j = op
+            x[i], x[j] = x[j], x[i]
+        else:
+            x[op[1]] = -x[op[1]]
+    return x
 
 
 def smith(M):
@@ -240,17 +268,19 @@ def smith(M):
 def kernel_basis(M):
     """Columns spanning the integer kernel {x : M x = 0}.
 
-    Each column is sign-normalized (first nonzero entry positive) so the
-    basis is deterministic.
+    The columns are V e_f over the free coordinates f, each
+    sign-normalized (first nonzero entry positive) so the basis is
+    deterministic.
     """
     s = smith(M)
     n = s.M.shape[1]
     free = [i for i in range(n) if i >= len(s.diag) or s.diag[i] == 0]
-    B = s.V[:, free] if free else zeros(n, 0)
-    for j in range(B.shape[1]):
-        lead = next((v for v in B[:, j] if v != 0), None)
-        if lead is not None and lead < 0:
-            B[:, j] = -B[:, j]
+    B = zeros(n, len(free))
+    for k, f in enumerate(free):
+        col = apply_log(s._col_ops, [int(i == f) for i in range(n)],
+                        transpose=True)
+        lead = next((v for v in col if v != 0), None)
+        B[:, k] = [-v for v in col] if lead is not None and lead < 0 else col
     return B
 
 
@@ -259,27 +289,25 @@ def solve_linear(M, b, decomposition=None):
 
     A given `decomposition` must be `smith(M)`; it is checked against the
     shape of M only.  Free coordinates are pinned to zero, so the answer
-    is deterministic.
+    is deterministic.  Solves D (V^-1 x) = U b with U b and V w taken
+    from the operation log.
     """
     s = decomposition if decomposition is not None else smith(M)
     m, n = s.M.shape
     if np.shape(M) != (m, n):
         raise ValueError(f"matrix of shape {np.shape(M)} for a "
                          f"decomposition of shape {(m, n)}")
-    b = np.array([as_int(v, "rhs") for v in b], dtype=object)
-    if b.shape != (m,):
+    b = [as_int(v, "rhs") for v in b]
+    if len(b) != m:
         raise ValueError("rhs has wrong length")
-    c = s.U @ b
-    w = np.zeros(n, dtype=object)
-    for i in range(m):
+    w = [0] * n
+    for i, ci in enumerate(apply_log(s._row_ops, b)):
         d = s.diag[i] if i < len(s.diag) else 0
-        ci = c[i]
         if d == 0:
             if ci != 0:
                 return None
         else:
             if ci % d != 0:
                 return None
-            if i < n:
-                w[i] = ci // d
-    return s.V @ w
+            w[i] = ci // d
+    return np.array(apply_log(s._col_ops, w, transpose=True), dtype=object)

@@ -2,10 +2,12 @@
 
 Each oracle here is the old code, kept in the test: the dense boundary
 matrix product, the per-vertex scan over all faces for corners and angle
-defects, the ring walk started from that scan, and the Smith form that
-updated all four transforms on every elementary operation.
+defects, the ring walk started from that scan, the Smith form that
+updated all four transforms on every elementary operation, the solve and
+kernel read off those transforms, and group elements as U_inv products.
 """
 
+import itertools
 import math
 import random
 
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
-from abtqft import intmat
+from abtqft import fgab, intmat
 from abtqft.discrete import CellComplex, ComplexError, triangulated_grid
 from abtqft.discrete import surfaces as S
 from abtqft.invariants.scenes import MESH_BUILDERS
@@ -225,6 +227,28 @@ def eager_kernel_basis(V, diag):
     return B
 
 
+def eager_solve_linear(U, V, diag, b):
+    """The old `solve_linear` body on an eager U and V."""
+    m, n = U.shape[0], V.shape[0]
+    b = np.array([intmat.as_int(v, "rhs") for v in b], dtype=object)
+    if b.shape != (m,):
+        raise ValueError("rhs has wrong length")
+    c = U @ b
+    w = np.zeros(n, dtype=object)
+    for i in range(m):
+        d = diag[i] if i < len(diag) else 0
+        ci = c[i]
+        if d == 0:
+            if ci != 0:
+                return None
+        else:
+            if ci % d != 0:
+                return None
+            if i < n:
+                w[i] = ci // d
+    return V @ w
+
+
 class EagerDecomposition:
     def __init__(self, M):
         self.M = intmat.as_int_matrix(M, np.shape(M))
@@ -279,10 +303,43 @@ def test_lazy_smith_matches_eager_transforms(family):
         x = np.array([rng.randint(-4, 4) for _ in range(n)], dtype=object)
         for b in (list(M @ x), [rng.randint(-9, 9) for _ in range(m)]):
             fast = intmat.solve_linear(M, b)
-            slow = intmat.solve_linear(M, b, decomposition=eager)
+            slow = eager_solve_linear(eager.U, eager.V, eager.diag, b)
             assert (fast is None) == (slow is None)
             assert fast is None or fast.tolist() == slow.tolist()
         assert fast is None or list(M @ fast) == b
+
+
+@pytest.mark.parametrize("family", SMITH_FAMILIES)
+def test_apply_log_matches_transforms(family):
+    for M in _smith_cases(family, SMITH_FAMILIES[family], 1):
+        s = intmat.smith(M)
+        m, n = M.shape
+        rng = random.Random(repr(M.tolist()))
+        for _ in range(3):
+            b = [rng.randint(-50, 50) for _ in range(m)]
+            x = [rng.randint(-50, 50) for _ in range(n)]
+            assert intmat.apply_log(s._row_ops, b) == list(s.U @ b)
+            assert intmat.apply_log(s._col_ops, x, transpose=True) == \
+                list(s.V @ x)
+
+
+def test_solve_and_kernel_build_no_transform(monkeypatch):
+    smith, made = intmat.smith, []
+
+    def recording_smith(M):
+        made.append(smith(M))
+        return made[-1]
+
+    monkeypatch.setattr(intmat, "smith", recording_smith)
+    M = [[2, 4, 4, 1], [-6, 6, 12, 0], [10, -4, -16, 2]]
+    s = intmat.smith(M)
+    assert intmat.kernel_basis(M).shape == (4, 1)
+    xs = [intmat.solve_linear(M, b, decomposition=s)
+          for b in ([1, 0, 0], [11, 12, -8], [0, 0, 0])]
+    assert xs[1] is not None and xs[2] is not None
+    assert len(made) == 2
+    for d in made:
+        assert "U" not in d.__dict__ and "V" not in d.__dict__
 
 
 def test_lazy_smith_builds_each_transform_once():
@@ -298,3 +355,19 @@ def test_lazy_smith_diagonal_matches_sympy(family):
                                                  domain=ZZ)]
         diag = intmat.smith(M).diag
         assert diag == ref + [0] * (len(diag) - len(ref))
+
+
+def test_elements_match_u_inv_products():
+    rng = random.Random("elements")
+    groups = [fgab.FgAbGroup(0)]
+    while len(groups) < 30:
+        n = rng.randint(1, 4)
+        G = fgab.FgAbGroup(n, [[rng.randint(-6, 6) for _ in range(n)]
+                               for _ in range(n + rng.randint(0, 2))])
+        if G.is_finite and 2 <= G.order() <= 400:
+            groups.append(G)
+    for G in groups:
+        U_inv = G._snf.U_inv
+        slow = [tuple(U_inv @ np.array(y, dtype=object)) for y in
+                itertools.product(*[range(m) for m in G._mods])]
+        assert [x.coords for x in G.elements()] == slow

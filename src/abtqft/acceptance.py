@@ -189,7 +189,7 @@ def criterion_8_table():
     return True, f"{len(entries)} entries valid; K3 half-p1 = -24 = 0 mod 24"
 
 
-def criterion_9_chern_simons(budget_seconds=60.0):
+def criterion_9_chern_simons():
     """Winding quadrature: signed unit, monotone, exact sphere volume."""
     import time
     t0 = time.time()
@@ -203,7 +203,7 @@ def criterion_9_chern_simons(budget_seconds=60.0):
     if vol_gap > 1e-6:
         return False, f"volume gap {vol_gap}"
     elapsed = time.time() - t0
-    if elapsed > budget_seconds:
+    if elapsed > 60.0:
         return False, f"budget exceeded: {elapsed:.1f}s"
     return True, (f"cs(4) = {values[-1]:.9f}, errors {errors[0]:.2e} -> "
                   f"{errors[-1]:.2e} monotone, vol gap {vol_gap:.2e}, "

@@ -74,7 +74,6 @@ class Workspace:
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON ({exc})")
         self._ingest(path, obj)
-        return obj
 
     def _ingest(self, path, obj):
         stem = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
@@ -206,6 +205,11 @@ def _parse_element(group, text, where):
     return group.element(coords)
 
 
+def _gen_text(gens):
+    """Generator columns as "(a,b); (c,d)"."""
+    return "; ".join("(" + ",".join(map(str, t)) + ")" for t in gens)
+
+
 def _load_mesh(ref):
     if ref.startswith("builtin:"):
         try:
@@ -259,12 +263,9 @@ def cmd_group_pullback(args, ws):
                          "workspace defining two)")
     f, g = ws.morphisms[names[0]], ws.morphisms[names[1]]
     pb = fgab.pullback(f, g)
-    gens = [tuple(int(v) for v in pb.incl.matrix[:, j])
-            for j in range(pb.group.n_generators)]
-    gen_text = "; ".join("(" + ",".join(map(str, t)) + ")" for t in gens)
-    return ([f"P = {pb.group.describe()}, gen {gen_text}"],
-            {"group": pb.group.describe(),
-             "generators": [list(t) for t in gens]})
+    gens = pb.incl.matrix.T.tolist()
+    return ([f"P = {pb.group.describe()}, gen {_gen_text(gens)}"],
+            {"group": pb.group.describe(), "generators": gens})
 
 
 def cmd_group_solve(args, ws):
@@ -312,8 +313,7 @@ def cmd_cat_hom(args, ws):
 def cmd_cat_hofiber(args, ws):
     square = ws.sole(ws.squares, "square", args.square)
     fiber = moncat.HofibCat(square)
-    gens = [[int(v) for v in fiber.pullback.incl.matrix[:, j]]
-            for j in range(fiber.object_group.n_generators)]
+    gens = fiber.pullback.incl.matrix.T.tolist()
     return ([f"object group = {fiber.object_group.describe()}",
              f"pair generators = {gens}"],
             {"object_group": fiber.object_group.describe(),
@@ -326,11 +326,10 @@ def cmd_cat_xi(args, ws):
     fill = moncat.DiagonalFill(square, lam)
     xi = moncat.XiFunctor(moncat.HofibCat(square), fill)
     equiv = moncat.xi_is_equivalence(square, fill)
-    gens = [[int(v) for v in xi.kernel_incl.matrix[:, j]]
-            for j in range(xi.kernel_group.n_generators)]
-    gen_text = "; ".join("(" + ",".join(map(str, t)) + ")" for t in gens)
+    gens = xi.kernel_incl.matrix.T.tolist()
     lines = [f"equivalence: {'true' if equiv else 'false'}; "
-             f"target: ker = {xi.kernel_group.describe()} (gen {gen_text})"]
+             f"target: ker = {xi.kernel_group.describe()} "
+             f"(gen {_gen_text(gens)})"]
     data = {"equivalence": equiv, "kernel": xi.kernel_group.describe(),
             "kernel_generators": gens}
     if args.oracle:
@@ -359,7 +358,8 @@ def cmd_geo_stokes(args, ws):
         raise InputError("stokes needs a cochain file "
                          '({"degree": k, "values": [...]})')
     try:
-        omega = Cochain(mesh, int(rec["degree"]), rec["values"])
+        omega = Cochain(mesh, intmat.as_int(rec["degree"], "degree"),
+                        rec["values"])
     except Exception as exc:
         raise InputError(f"{path}: bad cochain ({exc})")
     lhs, rhs = check_stokes(mesh, omega)

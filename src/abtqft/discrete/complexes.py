@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..intmat import as_int
+
 
 class ComplexError(ValueError):
     pass
@@ -147,10 +149,17 @@ class CellComplex:
 
     @classmethod
     def from_json(cls, obj, name=None):
+        """The complex of a mesh record; a cell count, incidence index or
+        sign that is not an exact integer is named by its field."""
         if "cells" not in obj:
             raise ComplexError("mesh record missing 'cells'")
-        counts = {int(k): int(v) for k, v in obj["cells"].items()}
-        boundary = {int(k): v for k, v in obj.get("boundary", {}).items()}
+        counts = {int(k): as_int(v, f"cells.{k}")
+                  for k, v in obj["cells"].items()}
+        boundary = {int(k): [[tuple(as_int(x, f"boundary.{k}[{c}][{n}]")
+                                    for x in pair)
+                              for n, pair in enumerate(faces)]
+                             for c, faces in enumerate(cells)]
+                    for k, cells in obj.get("boundary", {}).items()}
         return cls(counts, boundary, coords=obj.get("coords"),
                    edge_lengths=obj.get("edge_lengths"), name=name)
 

@@ -45,10 +45,6 @@ class LatticeConnection:
         self.edge_turns = np.array([wrap_unit(t) for t in edge_turns])
         self.face_lifts = face_lifts.astype(np.int64)
 
-    @classmethod
-    def trivial(cls, complex):
-        return cls(complex, np.zeros(complex.n_cells[1]))
-
     def face_fraction(self, f, start=0):
         """Principal branch in (-1/2, 1/2] of the boundary edge product.
 
@@ -66,9 +62,6 @@ class LatticeConnection:
     def curvature(self, f):
         """Lifted curvature of face f in turns: lift + principal fraction."""
         return float(self.face_lifts[f]) + self.face_fraction(f)
-
-    def with_lifts(self, face_lifts):
-        return LatticeConnection(self.complex, self.edge_turns, face_lifts)
 
     def gauge_transformed(self, vertex_turns):
         """Multiply edge values by the coboundary of a circle 0-cochain."""

@@ -195,9 +195,6 @@ class TangentBundle:
                 f"vertex {v} link splits into several cycles")
         return ring
 
-    def curvature_at_vertex(self, v):
-        return self.connection.curvature(v)
-
     def chern_number(self):
         from .connections import chern_number
         return chern_number(self.connection,
@@ -245,26 +242,22 @@ class PuncturedSurface:
         return wrap_unit(total)
 
 
-def tangent_connection(complex_or_surface):
+def tangent_connection(complex):
     """Discrete Levi-Civita transport of a closed triangulated surface.
 
-    Accepts a CellComplex with edge lengths (or a MetricSurface) and
-    returns the TangentBundle; `.connection` is the induced lattice
-    connection on the dual complex and `.chern_number()` recovers the
-    Euler characteristic.
+    Takes a CellComplex with edge lengths and returns the TangentBundle;
+    `.connection` is the induced lattice connection on the dual complex
+    and `.chern_number()` recovers the Euler characteristic.
     """
-    if isinstance(complex_or_surface, MetricSurface):
-        surface = complex_or_surface
-    else:
-        surface = MetricSurface(complex_or_surface)
-    return TangentBundle(surface)
+    return TangentBundle(MetricSurface(complex))
 
 
 # -- mesh library -----------------------------------------------------------
 
-def build_triangle_surface(n_vertices, triangles, lengths=None,
-                           default_length=1.0, coords=None, name=None):
-    """Simplicial surface from counterclockwise vertex triples.
+def build_triangle_surface(n_vertices, triangles, lengths, coords=None,
+                           name=None):
+    """Simplicial surface from counterclockwise vertex triples, with
+    `lengths(a, b)` the length of the edge between vertices a < b.
 
     Edges are keyed by unordered vertex pairs, so no repeated vertices or
     parallel edges are allowed here; meshes with identifications are
@@ -288,16 +281,9 @@ def build_triangle_surface(n_vertices, triangles, lengths=None,
 
     faces = [[side(a, b), side(b, c), side(c, a)] for a, b, c in triangles]
     ne = len(edge_bnd)
-    if lengths is None:
-        L = [default_length] * ne
-    elif callable(lengths):
-        L = [0.0] * ne
-        for (a, b), e in edge_index.items():
-            L[e] = lengths(a, b)
-    else:
-        L = [0.0] * ne
-        for (a, b), e in edge_index.items():
-            L[e] = lengths[(a, b)]
+    L = [0.0] * ne
+    for (a, b), e in edge_index.items():
+        L[e] = lengths(a, b)
     return CellComplex({0: n_vertices, 1: ne, 2: len(faces)},
                        {1: edge_bnd, 2: faces}, coords=coords,
                        edge_lengths=L, name=name)
@@ -328,8 +314,8 @@ def icosahedron():
     outward = (np.cross(b - a, c - a) * (a + b + c)).sum(-1) > 0
     tris = [(i, j, k) if out else (i, k, j)
             for (i, j, k), out in zip(tris, outward)]
-    return build_triangle_surface(
-        12, tris, default_length=edge_len, coords=coords, name="icosahedron")
+    return build_triangle_surface(12, tris, lambda a, b: edge_len,
+                                  coords=coords, name="icosahedron")
 
 
 def _torus_grid(n, m, name, diagonal=1.0, flip=False):
@@ -443,8 +429,8 @@ def genus2_surface():
                        edge_lengths=lengths, name="genus2")
 
 
-def jittered_lengths(surface, rng, scale=0.05, frozen_edges=()):
-    """Copy of a surface with lengths multiplied by 1 +- scale.
+def jittered_lengths(surface, rng, frozen_edges=()):
+    """Copy of a surface with lengths multiplied by 1 +- 0.05.
 
     Edges in `frozen_edges` keep their length, so boundary rings shared
     between paired surfaces stay metrically identical.
@@ -453,7 +439,7 @@ def jittered_lengths(surface, rng, scale=0.05, frozen_edges=()):
     L = list(surface.edge_lengths)
     for e in range(len(L)):
         if e not in frozen:
-            L[e] = L[e] * (1.0 + scale * (2.0 * rng.random() - 1.0))
+            L[e] = L[e] * (1.0 + 0.05 * (2.0 * rng.random() - 1.0))
     return CellComplex(
         {k: surface.n_cells[k] for k in range(surface.dim + 1)},
         {k: surface.boundary[k] for k in range(1, surface.dim + 1)},
@@ -465,11 +451,11 @@ def ring_triangle_edges(surface, vertex):
     """Edges of all triangles having a corner at `vertex` (for freezing).
 
     The corners of a triangle are the endpoints of its sides, so this
-    needs the combinatorics only, not a metric surface.
+    needs the combinatorics of the complex `surface` only.
     """
-    cx = surface.complex if isinstance(surface, MetricSurface) else surface
     edges = set()
-    for sides in cx.boundary[2]:
-        if any(idx == vertex for e, _ in sides for idx, _ in cx.boundary[1][e]):
+    for sides in surface.boundary[2]:
+        if any(idx == vertex for e, _ in sides
+               for idx, _ in surface.boundary[1][e]):
             edges.update(e for e, _ in sides)
     return edges

@@ -203,7 +203,6 @@ class GroupMorphism:
                 f"matrix shape {self.matrix.shape} != "
                 f"({target.n_generators}, {source.n_generators})")
         self.name = name
-        self._solve_cache = None
         for row in self.source.relations:
             image = self.matrix @ row
             if not self.target.in_relation_lattice(image):
@@ -227,13 +226,11 @@ class GroupMorphism:
         label = self.name or f"{self.source.describe()} -> {self.target.describe()}"
         return f"GroupMorphism({label})"
 
+    @cached_property
     def _target_solver(self):
-        # Smith data of [matrix | target relation columns], cached: solving
-        # f(x) = y means solving this system exactly once per morphism.
-        if self._solve_cache is None:
-            self._solve_cache = intmat.smith(
-                np.hstack([self.matrix, self.target.relations.T]))
-        return self._solve_cache
+        # Smith data of [matrix | target relation columns]: solving
+        # f(x) = y means solving this system, decomposed once per morphism
+        return intmat.smith(np.hstack([self.matrix, self.target.relations.T]))
 
 
 def identity_morphism(G):
@@ -277,17 +274,16 @@ def product_group(torsion, free_rank=0, name=None):
 
 
 def direct_sum(G, H):
-    """(G + H, inclusion and projection morphisms)."""
+    """(G + H, projections onto G and H); an element of G + H is the
+    concatenated coordinates of its two parts."""
     n, m = G.n_generators, H.n_generators
     rel = zeros(G.relations.shape[0] + H.relations.shape[0], n + m)
     rel[:G.relations.shape[0], :n] = G.relations
     rel[G.relations.shape[0]:, n:] = H.relations
     S = FgAbGroup(n + m, rel)
-    i1 = GroupMorphism(G, S, np.vstack([intmat.identity(n), zeros(m, n)]))
-    i2 = GroupMorphism(H, S, np.vstack([zeros(n, m), intmat.identity(m)]))
     p1 = GroupMorphism(S, G, np.hstack([intmat.identity(n), zeros(n, m)]))
     p2 = GroupMorphism(S, H, np.hstack([zeros(m, n), intmat.identity(m)]))
-    return S, i1, i2, p1, p2
+    return S, p1, p2
 
 
 def _preimage_lattice(M, target_relation_cols):
@@ -334,7 +330,7 @@ def solve(f, y):
     """
     if y.parent is not f.target:
         raise ParentMismatch("rhs not in the target group")
-    snf = f._target_solver()
+    snf = f._target_solver
     z = intmat.solve_linear(snf.M, y.coords, decomposition=snf)
     if z is None:
         return None
@@ -356,11 +352,15 @@ class PullbackResult:
     def pair(self, p):
         return self.pr1(p), self.pr2(p)
 
+    def stack(self, x, y):
+        """(x, y) as one element of the direct sum holding the pullback."""
+        if x.parent is not self.pr1.target or y.parent is not self.pr2.target:
+            raise ParentMismatch("pair not in the factors of the pullback")
+        return GroupElement(self.incl.target, x.coords + y.coords)
+
     def from_pair(self, x, y):
         """Element of the pullback group mapping to (x, y), or None."""
-        S = self.incl.target
-        target = GroupElement(S, list(x.coords) + list(y.coords))
-        return solve(self.incl, target)
+        return solve(self.incl, self.stack(x, y))
 
 
 def pullback(f, g):
@@ -370,7 +370,7 @@ def pullback(f, g):
     """
     if f.target is not g.target:
         raise TargetMismatch("pullback of morphisms with different targets")
-    S, i1, i2, p1, p2 = direct_sum(f.source, g.source)
+    S, p1, p2 = direct_sum(f.source, g.source)
     diff = GroupMorphism(S, f.target,
                          np.hstack([f.matrix, -g.matrix]))
     K, incl = kernel(diff)

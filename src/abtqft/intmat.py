@@ -89,11 +89,10 @@ class SmithDecomposition:
     D is diagonal with nonnegative entries d1 | d2 | ... ; U and V are
     unimodular.  `diag` lists the min(m, n) diagonal entries.  `smith`
     eliminates on a copy of M alone and logs its elementary row and
-    column operations; each transform is built on first access by
-    replaying its half of the log on an identity, so its entries are the
-    ones that updating it alongside the elimination would give.  Solving
-    and kernels need U and V only on vectors and apply the log to the
-    vector instead (`apply_log`).
+    column operations.  One log reader, `apply_log`, interprets the log:
+    solving and kernels apply U and V to single vectors with it, and
+    each transform is built on first access by applying it to the
+    columns of the identity.
     """
 
     def __init__(self, M, D, row_ops, col_ops):
@@ -105,65 +104,47 @@ class SmithDecomposition:
 
     @cached_property
     def U(self):
-        return _replay(self.M.shape[0], self._row_ops, inverse=False)
+        return _columns(self._row_ops, self.M.shape[0])
 
     @cached_property
     def U_inv(self):
-        return _replay(self.M.shape[0], self._row_ops, inverse=True).T
+        return _columns(self._row_ops, self.M.shape[0], inverse=True)
 
     @cached_property
     def V(self):
-        return _replay(self.M.shape[1], self._col_ops, inverse=False).T
+        return _columns(self._col_ops, self.M.shape[1], transpose=True)
 
     @cached_property
     def V_inv(self):
-        return _replay(self.M.shape[1], self._col_ops, inverse=True)
-
-    @property
-    def rank(self):
-        return sum(1 for d in self.diag if d != 0)
+        return _columns(self._col_ops, self.M.shape[1], transpose=True,
+                        inverse=True)
 
 
-def _replay(n, ops, inverse):
-    """The n x n identity after the logged operations, as row operations.
+def _columns(ops, n, **how):
+    """The n x n matrix whose column c is `apply_log(ops, e_c, **how)`."""
+    cols = [apply_log(ops, [0] * c + [1] + [0] * (n - 1 - c), **how)
+            for c in range(n)]
+    return np.array(cols, dtype=object).reshape(n, n).T
+
+
+def apply_log(ops, x, transpose=False, inverse=False):
+    """U x, or U^-1 x with `inverse`, for the row log `ops`; with
+    `transpose`, V x or V^-1 x for the column log.  Returns a list.
 
     A log entry is ("swap", i, j), ("neg", i) or ("add", i, j, q) for
-    row_i += q * row_j.  Replayed forward this gives E_k ... E_1; with
-    `inverse` each add becomes row_j -= q * row_i, which gives the
-    transpose of E_1^-1 ... E_k^-1.  Column operations are the same
-    operations on the transpose.
-    """
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for op in ops:
-        if op[0] == "add":
-            _, i, j, q = op
-            if inverse:
-                i, j, q = j, i, -q
-            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
-        elif op[0] == "swap":
-            _, i, j = op
-            rows[i], rows[j] = rows[j], rows[i]
-        else:
-            rows[op[1]] = [-a for a in rows[op[1]]]
-    return np.array(rows, dtype=object).reshape(n, n)
-
-
-def apply_log(ops, x, transpose=False):
-    """The logged operations applied to the integer vector `x`, as a list.
-
-    On the row log this is U x: the operations run in log order as row
-    operations on x.  On the column log with `transpose` it is V x: V is
-    the transpose of that log replayed as row operations (`_replay`), so
-    the operations run in reverse order and an add col_i += q * col_j
-    acts as x_j += q * x_i.  O(len(ops)) scalar steps, where building U
-    or V takes O(len(ops) * n).
+    row_i += q * row_j; the log E_1, ..., E_k stands for E_k ... E_1, and
+    a column log holds the same operations on the transpose.  Transposing
+    and inverting each reverse the order; transposing makes an add act
+    as x_j += q * x_i, inverting makes it subtract.  O(len(ops)) steps.
     """
     x = list(x)
-    for op in reversed(ops) if transpose else ops:
+    for op in reversed(ops) if transpose != inverse else ops:
         if op[0] == "add":
             _, i, j, q = op
             if transpose:
                 i, j = j, i
+            if inverse:
+                q = -q
             x[i] += q * x[j]
         elif op[0] == "swap":
             _, i, j = op

@@ -290,19 +290,17 @@ class SuScene:
     holonomy up to tolerance).
     """
 
-    def __init__(self, lifts, boundings, label="su-scene"):
+    def __init__(self, lifts, boundings):
         if not boundings:
             raise IncompatibleScene("scene needs at least one bounding")
         self.lifts = [float(a) for a in lifts]
         self.boundings = list(boundings)
-        self.label = label
 
     @classmethod
-    def from_primary(cls, primary, extra=(), label=None):
+    def from_primary(cls, primary, extra=()):
         """Canonical scene of a tangent bounding: constant lifts h/k."""
         c = primary.holonomy / primary.k
-        lifts = [c] * primary.k
-        return cls(lifts, [primary, *extra], label or primary.label)
+        return cls([c] * primary.k, [primary, *extra])
 
     def sum_lifts(self):
         total = 0.0
@@ -316,10 +314,7 @@ class SuScene:
             raise ValueError("lift shifts must be integers")
         lifts = list(self.lifts)
         lifts[edge] += int(k)
-        return SuScene(lifts, self.boundings, self.label + "+shift")
-
-    def disk_bounding(self, extra_lift=0, label="disk"):
-        return disk_bounding(self.lifts, extra_lift, label)
+        return SuScene(lifts, self.boundings)
 
     @classmethod
     def from_json(cls, obj):
@@ -334,7 +329,7 @@ class SuScene:
             kind = b.get("kind", "tangent") if isinstance(b, dict) else None
             if kind == "disk":
                 lift = _integer(b.get("lift", 0), f"{where}.lift")
-                scene.boundings.append(scene.disk_bounding(lift))
+                scene.boundings.append(disk_bounding(scene.lifts, lift))
             elif kind in ("tangent", None):
                 scene.boundings.append(_read_tangent(b, where))
             else:
@@ -389,12 +384,11 @@ SU_POOLS = [
 ]
 
 
-def random_su_scene(rng, jitter=True):
+def random_su_scene(rng):
     """A random tangent-type scene: two bounding surfaces from one pool,
     with non-boundary lengths jittered."""
     pool = SU_POOLS[rng.randrange(len(SU_POOLS))]
     (mesh1, v1), (mesh2, v2) = rng.sample(pool, 2)
-    j = rng if jitter else None
-    primary = tangent_bounding(mesh1, v1, jitter_rng=j)
-    second = tangent_bounding(mesh2, v2, jitter_rng=j)
+    primary = tangent_bounding(mesh1, v1, jitter_rng=rng)
+    second = tangent_bounding(mesh2, v2, jitter_rng=rng)
     return SuScene.from_primary(primary, extra=[second])

@@ -11,6 +11,10 @@ equivalence exactly when the source's vertical morphism is invertible.
 
 from __future__ import annotations
 
+from functools import cached_property
+
+import numpy as np
+
 from . import fgab
 from .analytic import circle_distance
 from .fgab import (FgAbGroup, GroupMorphism, morphism_eq, kernel, pullback,
@@ -38,11 +42,10 @@ class HomSet:
     never enumerated unless asked, so infinite hom-sets are first-class.
     """
 
-    def __init__(self, particular, kernel_group, kernel_incl, member_fn):
+    def __init__(self, particular, kernel_group, kernel_incl):
         self.particular = particular
         self.kernel_group = kernel_group
         self.kernel_incl = kernel_incl
-        self._member = member_fn
 
     @property
     def is_empty(self):
@@ -50,19 +53,14 @@ class HomSet:
 
     @property
     def kernel_generators(self):
-        if self.kernel_incl is None:
-            return []
         return [self.kernel_incl(self.kernel_group.generator(i))
                 for i in range(self.kernel_group.n_generators)]
-
-    def contains(self, x):
-        return self._member(x)
 
     def elements(self):
         """Enumerate the coset (kernel subgroup must be finite)."""
         if self.is_empty:
             return
-        if self.kernel_group is None or self.kernel_group.is_trivial:
+        if self.kernel_group.is_trivial:
             yield self.particular
             return
         for k in self.kernel_group.elements():
@@ -104,7 +102,6 @@ class MorTensorCat:
         self.phi = phi
         self.obj_group = phi.target
         self.mor_group = phi.source
-        self._kernel = None
 
     @classmethod
     def from_group(cls, A):
@@ -112,10 +109,9 @@ class MorTensorCat:
         zero = FgAbGroup(0, None, name="0")
         return cls(GroupMorphism(zero, A, intmat.zeros(A.n_generators, 0)))
 
+    @cached_property
     def kernel_pair(self):
-        if self._kernel is None:
-            self._kernel = kernel(self.phi)
-        return self._kernel
+        return kernel(self.phi)
 
     def unit(self):
         return self.obj_group.zero()
@@ -124,13 +120,7 @@ class MorTensorCat:
         """Hom(a, b) as a coset; empty iff b - a misses the image of phi."""
         if a.parent is not self.obj_group or b.parent is not self.obj_group:
             raise fgab.ParentMismatch("objects must live in the object group")
-        particular = solve(self.phi, b - a)
-        K, incl = self.kernel_pair()
-
-        def member(x):
-            return a + self.phi(x) == b
-
-        return HomSet(particular, K, incl, member)
+        return HomSet(solve(self.phi, b - a), *self.kernel_pair)
 
     def hom_contains(self, a, b, x):
         if x.parent is not self.mor_group:
@@ -238,14 +228,11 @@ class HofibCat:
         pb = pullback(square.phi_G, square.f_ob)
         self.object_group = pb.group
         self.pullback = pb
-        # the two constraints stacked into one morphism out of H_mor: the
-        # fiber's hom-sets are those of its category between stacked pairs
-        pair_group, self._i1, self._i2, _, _ = fgab.direct_sum(
-            square.phi_G.source, square.phi_H.target)
+        # the two constraints stacked into one morphism into the pullback's
+        # G_mor + H_ob: hom-sets are those of its category on stacked pairs
         self.stacked = GroupMorphism(
-            square.phi_H.source, pair_group,
-            self._i1.matrix @ square.f_mor.matrix
-            + self._i2.matrix @ square.phi_H.matrix)
+            square.phi_H.source, pb.incl.target,
+            np.vstack([square.f_mor.matrix, square.phi_H.matrix]))
         self._stacked_cat = MorTensorCat(self.stacked)
 
     def unit(self):
@@ -268,9 +255,8 @@ class HofibCat:
 
     def _difference(self, p, q):
         # q - p stacked; stacking is linear on coordinates, so this equals
-        # the difference of the stacked endpoints with one application
-        # per leg
-        return self._i1(q[0] - p[0]) + self._i2(q[1] - p[1])
+        # the difference of the stacked endpoints
+        return self.pullback.stack(q[0] - p[0], q[1] - p[1])
 
     def hom(self, p, q):
         """Solutions of the two simultaneous constraints, as a coset."""

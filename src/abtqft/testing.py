@@ -18,10 +18,11 @@ from .fgab import FgAbGroup, GroupMorphism
 _FACTORS = (2, 3, 4, 5, 6, 8, 9, 12)
 
 
-def random_finite_group(rng, max_order=100, max_factors=2, obfuscate=True):
-    """Random finite abelian group, sometimes in a scrambled presentation."""
+def random_finite_group(rng, max_order=100, obfuscate=True):
+    """Random finite abelian group of one or two cyclic factors, sometimes
+    in a scrambled presentation."""
     while True:
-        k = rng.randint(1, max_factors)
+        k = rng.randint(1, 2)
         factors = [rng.choice(_FACTORS) for _ in range(k)]
         order = 1
         for d in factors:

@@ -384,6 +384,46 @@ def test_nan_edge_length_exit_2(tmp_path, capsys):
     assert "nan.json" in err and "edge 3" in err and "non-finite" in err
 
 
+with open(sample("mesh_square.json")) as _fh:
+    SQUARE = json.load(_fh)
+
+
+def _icosahedron_with_float_index():
+    from abtqft.discrete import icosahedron
+    rec = icosahedron().to_json()
+    rec["boundary"]["1"][0][0][0] = float(rec["boundary"]["1"][0][0][0])
+    return rec
+
+
+@pytest.mark.parametrize("verb, mesh, second, bad, field", [
+    ("stokes", SQUARE, {"degree": 1.7, "values": [0.0] * 5}, "cochain",
+     "degree"),
+    ("stokes", SQUARE, {"degree": True, "values": [0.0] * 5}, "cochain",
+     "degree"),
+    ("stokes", {**SQUARE, "cells": {"0": 4, "1": 5, "2": 2.9}},
+     sample("cochain1.json"), "mesh", "cells.2"),
+    ("chern", _icosahedron_with_float_index(), "tangent", "mesh",
+     "boundary.1[0][0]"),
+    ("stokes", {**SQUARE, "boundary": {**SQUARE["boundary"], "2": [
+        [[0, True], [1, 1], [4, -1]], [[4, 1], [2, 1], [3, 1]]]}},
+     sample("cochain1.json"), "mesh", "boundary.2[0][0]"),
+], ids=["degree-float", "degree-bool", "cells-float", "index-float",
+        "sign-bool"])
+def test_geo_inexact_integer_exit_2(tmp_path, capsys, verb, mesh, second,
+                                    bad, field):
+    # floats and bools in integer fields are refused, never truncated
+    paths = {"mesh": tmp_path / "mesh.json",
+             "cochain": tmp_path / "cochain.json"}
+    paths["mesh"].write_text(json.dumps(mesh))
+    if isinstance(second, dict):
+        paths["cochain"].write_text(json.dumps(second))
+        second = str(paths["cochain"])
+    code, _, err = run(capsys, "geo", verb, str(paths["mesh"]), second)
+    assert code == 2, err
+    assert err.startswith(f"input error: {paths[bad]}: ") and field in err
+    assert "Traceback" not in err
+
+
 def test_nan_edge_turn_exit_2(tmp_path, capsys):
     with open(sample("conn_square.json")) as fh:
         rec = json.load(fh)

@@ -127,7 +127,7 @@ def test_stokes_degree_errors():
 
 def test_holonomy_examples():
     C3 = D.circle_complex(3)
-    trivial = D.LatticeConnection.trivial(C3)
+    trivial = D.LatticeConnection(C3, np.zeros(3))
     loop = C3.chain_vector(1, [(i, 1) for i in range(3)])
     assert D.holonomy(trivial, loop) == 0.0
     conn = D.LatticeConnection(C3, [0.1, 0.2, 0.3])
@@ -142,7 +142,7 @@ def test_holonomy_examples():
 
 def test_holonomy_rejects_open_chains():
     C3 = D.circle_complex(3)
-    conn = D.LatticeConnection.trivial(C3)
+    conn = D.LatticeConnection(C3, np.zeros(3))
     with pytest.raises(D.NonCycleError):
         D.holonomy(conn, C3.chain_vector(1, [(0, 1), (1, 1)]))
 
@@ -151,14 +151,14 @@ def test_curvature_lift_examples():
     disk = D.polygon_disk(4)
     conn = D.LatticeConnection(disk, [0.05, 0.1, 0.03, 0.07])
     assert D.total_curvature(conn, [1]) == pytest.approx(0.25, abs=1e-12)
-    lifted = conn.with_lifts([1])
+    lifted = D.LatticeConnection(disk, conn.edge_turns, [1])
     assert D.total_curvature(lifted, [1]) == pytest.approx(1.25, abs=1e-12)
     with pytest.raises(D.connections.ConnectionDataError):
         D.total_curvature(conn, [1, 0])
     # boundary holonomy does not see the lift
     assert circle_distance(D.boundary_holonomy(conn, [(0, 1)]),
                            D.boundary_holonomy(lifted, [(0, 1)])) == 0.0
-    trivial = D.LatticeConnection.trivial(D.polygon_disk(5))
+    trivial = D.LatticeConnection(D.polygon_disk(5), np.zeros(5))
     assert D.total_curvature(trivial, [1]) == 0.0
     assert D.boundary_holonomy(trivial, [(0, 1)]) == 0.0
 
@@ -218,7 +218,7 @@ def test_chern_number_examples():
 
 def test_chern_number_rejects_non_cycles():
     W = D.triangulated_grid(2, 2)
-    conn = D.LatticeConnection.trivial(W)
+    conn = D.LatticeConnection(W, np.zeros(W.n_cells[1]))
     with pytest.raises(D.NonCycleError):
         D.chern_number(conn, [(0, 1)])
 

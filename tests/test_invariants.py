@@ -78,7 +78,7 @@ def test_z_stokes_closed_examples():
 
 def test_z_hol_examples():
     C3 = D.circle_complex(3)
-    trivial = D.LatticeConnection.trivial(C3)
+    trivial = D.LatticeConnection(C3, np.zeros(3))
     assert D.holonomy(trivial, C3.fundamental_chain(1)) == 0.0
 
     # two disjoint circles multiply (turns add)
@@ -359,7 +359,8 @@ def test_su_lift_mismatch_rejected():
 def test_su_odd_difference_reported_not_fatal():
     icosa = I.tangent_bounding("icosahedron", 0)
     scene = I.SuScene.from_primary(icosa)
-    odd_disk = scene.disk_bounding(extra_lift=1, label="odd-disk")
+    odd_disk = scn.disk_bounding(scene.lifts, extra_lift=1,
+                                 label="odd-disk")
     scene2 = I.SuScene(scene.lifts, [icosa, odd_disk])
     result = I.su_psi(scene2)
     flagged = [c for c in result.certificate if not c["in_hypothesis"]]

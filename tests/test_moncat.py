@@ -37,14 +37,15 @@ def test_hom_times2(Z):
 def test_hom_projection_coset(Z):
     Z2 = fgab.cyclic_group(2)
     cat = MorTensorCat(fgab.GroupMorphism(Z, Z2, [[1]]))
-    hs = cat.hom(Z2.element([0]), Z2.element([1]))
+    a, b = Z2.element([0]), Z2.element([1])
+    hs = cat.hom(a, b)
     assert hs.particular.coords == (1,)
     assert [g.coords for g in hs.kernel_generators] == [(2,)]
     # the coset is 1 + 2Z
     for x in (-3, 1, 5):
-        assert hs.contains(Z.element([x]))
+        assert cat.hom_contains(a, b, Z.element([x]))
     for x in (-2, 0, 4):
-        assert not hs.contains(Z.element([x]))
+        assert not cat.hom_contains(a, b, Z.element([x]))
 
 
 def test_hom_identity_always_present():
@@ -54,7 +55,8 @@ def test_hom_identity_always_present():
         A_ob = testing.random_finite_group(rng)
         cat = MorTensorCat(testing.random_morphism(rng, A_mor, A_ob))
         for a in list(A_ob.elements())[:5]:
-            assert cat.hom(a, a).contains(A_mor.zero())
+            assert not cat.hom(a, a).is_empty
+            assert cat.hom_contains(a, a, A_mor.zero())
 
 
 def test_hom_oracle_small():
@@ -254,6 +256,8 @@ def test_zero_square_objects():
 def test_mirror_hofiber_hom_examples():
     square, _ = mirror_exp_square(24)
     fiber = moncat.HofibCat(square)
+    # one direct sum G_mor + H_ob per fiber: the pullback's
+    assert fiber.stacked.target is fiber.pullback.incl.target
     Gm, Ho, Hm = (square.phi_G.source, square.phi_H.target,
                   square.phi_H.source)
     # two inconsistent linear constraints
@@ -262,7 +266,8 @@ def test_mirror_hofiber_hom_examples():
     assert hs.is_empty
     # identities
     p = (Gm.element([24]), Ho.element([0]))
-    assert fiber.hom(p, p).contains(Hm.zero())
+    assert not fiber.hom(p, p).is_empty
+    assert fiber.hom_contains(p, p, Hm.zero())
     # a unique solution
     hs = fiber.hom((Gm.element([0]), Ho.element([0])),
                    (Gm.element([5]), Ho.element([5])))
@@ -320,6 +325,11 @@ def test_hofiber_rejects_non_objects():
     with pytest.raises(ValueError):
         fiber.hom((Gm.element([1]), Ho.element([0])),
                   (Gm.element([0]), Ho.element([0])))
+    # a pair from the wrong groups is refused, not read as coordinates
+    with pytest.raises(fgab.ParentMismatch):
+        fiber.hom_contains((Ho.zero(), Gm.zero()),
+                           (Ho.element([1]), Gm.element([1])),
+                           square.phi_H.source.zero())
 
 
 # -- the comparison functor ----------------------------------------------------

@@ -38,7 +38,7 @@ def test_vertex_curvature_is_angle_defect(name, builder, chi):
     ms = S.MetricSurface(surface)
     bundle = S.TangentBundle(ms)
     for v in range(surface.n_cells[0]):
-        assert bundle.curvature_at_vertex(v) == pytest.approx(
+        assert bundle.connection.curvature(v) == pytest.approx(
             ms.angle_defect(v) / (2 * math.pi), abs=1e-9)
 
 

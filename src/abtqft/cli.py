@@ -17,8 +17,8 @@ import sys
 
 from . import __version__, fgab, intmat, moncat
 from .discrete import (CellComplex, Cochain, ComplexError,
-                       DegenerateTriangle, LatticeConnection, NotClosed,
-                       check_stokes, chern_number, holonomy,
+                       DegenerateTriangle, LatticeConnection, NonCycleError,
+                       NotClosed, check_stokes, chern_number, holonomy,
                        tangent_connection)
 from .invariants import (BnrScene, IncompatibleScene, ProviderError, SuScene,
                          cs_su2_quadrature, psi, shipped_table,
@@ -41,6 +41,28 @@ def fmt(x):
 
 # -- workspace ---------------------------------------------------------------
 
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise InputError(f"{path}: no such file")
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})")
+
+
+def _read_record(path, kind, parse):
+    """`parse` applied to the JSON object in `path`; any fault of the
+    record exits as `path: bad <kind> (...)`."""
+    obj = _read_json(path)
+    try:
+        if not isinstance(obj, dict):
+            raise ValueError("top level must be an object")
+        return parse(obj)
+    except Exception as exc:
+        raise InputError(f"{path}: bad {kind} ({exc})")
+
+
 class Workspace:
     """Named registry of objects loaded from JSON files.
 
@@ -55,9 +77,6 @@ class Workspace:
         self.morphisms = {}
         self.squares = {}
         self.fills = {}
-        self.meshes = {}
-        self.connections = {}
-        self.cochains = {}
         self.matrices = {}
         self.scenes = {}
         self.files = []
@@ -66,14 +85,7 @@ class Workspace:
 
     def load_file(self, path):
         self.files.append(path)
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except FileNotFoundError:
-            raise InputError(f"{path}: no such file")
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})")
-        self._ingest(path, obj)
+        self._ingest(path, _read_json(path))
 
     def _ingest(self, path, obj):
         stem = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
@@ -82,18 +94,6 @@ class Workspace:
             return
         if not isinstance(obj, dict):
             raise InputError(f"{path}: top level must be an object or array")
-        if "cells" in obj:
-            try:
-                self.meshes[stem] = CellComplex.from_json(obj, name=stem)
-            except Exception as exc:
-                raise InputError(f"{path}: bad mesh ({exc})")
-            return
-        if "edge_phases" in obj:
-            self.connections[stem] = (path, obj)
-            return
-        if "values" in obj and "degree" in obj:
-            self.cochains[stem] = (path, obj)
-            return
         if "m3" in obj or "union" in obj or "su" in obj:
             self.scenes[stem] = (path, obj)
             return
@@ -216,9 +216,9 @@ def _load_mesh(ref):
             return build_mesh(ref.split(":", 1)[1])
         except Exception as exc:
             raise InputError(str(exc))
-    ws = Workspace()
-    ws.load_file(ref)
-    return ws.sole(ws.meshes, "mesh")
+    stem = ref.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    return _read_record(ref, "mesh",
+                        lambda obj: CellComplex.from_json(obj, name=stem))
 
 
 # -- group subcommands -------------------------------------------------------
@@ -349,19 +349,8 @@ def cmd_cat_xi(args, ws):
 
 def cmd_geo_stokes(args, ws):
     mesh = _load_mesh(args.mesh)
-    path, rec = (None, None)
-    if args.cochain:
-        cw = Workspace()
-        cw.load_file(args.cochain)
-        path, rec = cw.sole(cw.cochains, "cochain")
-    else:
-        raise InputError("stokes needs a cochain file "
-                         '({"degree": k, "values": [...]})')
-    try:
-        omega = Cochain(mesh, intmat.as_int(rec["degree"], "degree"),
-                        rec["values"])
-    except Exception as exc:
-        raise InputError(f"{path}: bad cochain ({exc})")
+    omega = _read_record(args.cochain, "cochain",
+                         lambda obj: Cochain.from_json(mesh, obj))
     lhs, rhs = check_stokes(mesh, omega)
     lines = [f"boundary integral = {fmt(lhs)}",
              f"bulk integral of d(omega) = {fmt(rhs)}",
@@ -377,13 +366,9 @@ def _geo_connection(args):
         except (NotClosed, DegenerateTriangle, ComplexError) as exc:
             raise InputError(f"{args.mesh}: {exc}")
         return bundle.dual, bundle.connection
-    cw = Workspace()
-    cw.load_file(args.connection)
-    path, rec = cw.sole(cw.connections, "connection")
-    try:
-        return mesh, LatticeConnection.from_json(mesh, rec)
-    except Exception as exc:
-        raise InputError(f"{path}: bad connection ({exc})")
+    return mesh, _read_record(
+        args.connection, "connection",
+        lambda obj: LatticeConnection.from_json(mesh, obj))
 
 
 def cmd_geo_holonomy(args, ws):
@@ -424,7 +409,10 @@ def _parse_loop(text, where):
 def cmd_geo_chern(args, ws):
     complex_, conn = _geo_connection(args)
     chain = [(f, 1) for f in range(complex_.n_cells[2])]
-    c = chern_number(conn, chain)
+    try:
+        c = chern_number(conn, chain)
+    except NonCycleError as exc:
+        raise InputError(f"{args.mesh}: {exc}")
     return [str(c)], {"chern": c}
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..intmat import as_int
+from .complexes import as_reals
+
 
 class DegreeError(ValueError):
     pass
@@ -25,6 +28,16 @@ class Cochain:
         self.complex = complex
         self.degree = degree
         self.values = values
+
+    @classmethod
+    def from_json(cls, complex, obj):
+        """The cochain of a {"degree": k, "values": [...]} record; the
+        degree must be an exact integer and no value a bool."""
+        for field in ("degree", "values"):
+            if field not in obj:
+                raise ValueError(f"cochain record missing {field!r}")
+        return cls(complex, as_int(obj["degree"], "degree"),
+                   as_reals(obj["values"], "values"))
 
 
 def coboundary(omega):

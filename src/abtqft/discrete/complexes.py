@@ -11,6 +11,16 @@ class ComplexError(ValueError):
     pass
 
 
+def as_reals(values, where):
+    """`values` as given once no entry is a bool, which the float
+    conversion would otherwise read as 0 or 1."""
+    for i, x in enumerate(values):
+        if isinstance(x, bool):
+            raise ValueError(f"{where}[{i}]: expected a real number, "
+                             f"got {x!r}")
+    return values
+
+
 class CellComplex:
     """Graded cells with signed boundary incidence lists.
 
@@ -187,38 +197,45 @@ def polygon_disk(n, name=None):
     return CellComplex({0: n, 1: n, 2: 1}, boundary, name=name or f"disk{n}")
 
 
+def build_triangle_surface(n_vertices, triangles, lengths=None, coords=None,
+                           name=None):
+    """Simplicial surface from counterclockwise vertex triples; if given,
+    `lengths(a, b)` is the length of the edge between vertices a < b.
+
+    Edges are keyed by unordered vertex pairs, so no repeated vertices or
+    parallel edges are allowed here; meshes with identifications are
+    built from explicit cell data instead.
+    """
+    edge_index = {}
+
+    def side(a, b):
+        if a == b:
+            raise ComplexError("loop edge in a simplicial surface")
+        e = edge_index.setdefault((min(a, b), max(a, b)), len(edge_index))
+        return (e, 1 if a < b else -1)
+
+    faces = [[side(a, b), side(b, c), side(c, a)] for a, b, c in triangles]
+    edge_bnd = [[(a, -1), (b, 1)] for a, b in edge_index]
+    L = None if lengths is None else [lengths(a, b) for a, b in edge_index]
+    return CellComplex({0: n_vertices, 1: len(edge_bnd), 2: len(faces)},
+                       {1: edge_bnd, 2: faces}, coords=coords,
+                       edge_lengths=L, name=name)
+
+
 def triangulated_grid(nx, ny):
     """Triangulated (nx x ny)-rectangle; vertices on the integer grid."""
     if nx < 1 or ny < 1:
         raise ComplexError("grid needs at least one cell per direction")
-    nv = (nx + 1) * (ny + 1)
 
     def vid(i, j):
         return j * (nx + 1) + i
 
-    edges = {}
-    edge_bnd = []
-
-    def eid(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in edges:
-            edges[key] = len(edge_bnd)
-            edge_bnd.append([(key[0], -1), (key[1], 1)])
-        return edges[key]
-
-    def side(a, b):
-        e = eid(a, b)
-        lo, _ = min(a, b), max(a, b)
-        return (e, 1 if a == lo else -1)
-
-    faces = []
+    triangles = []
     for j in range(ny):
         for i in range(nx):
             v00, v10 = vid(i, j), vid(i + 1, j)
             v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            faces.append([side(v00, v10), side(v10, v11), side(v11, v00)])
-            faces.append([side(v00, v11), side(v11, v01), side(v01, v00)])
+            triangles += [(v00, v10, v11), (v00, v11, v01)]
     coords = [[i, j] for j in range(ny + 1) for i in range(nx + 1)]
-    return CellComplex({0: nv, 1: len(edge_bnd), 2: len(faces)},
-                       {1: edge_bnd, 2: faces}, coords=coords,
-                       name=f"grid{nx}x{ny}")
+    return build_triangle_surface((nx + 1) * (ny + 1), triangles,
+                                  coords=coords, name=f"grid{nx}x{ny}")

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..analytic import wrap_unit, wrap_half, circle_distance
+from ..intmat import as_int
+from .complexes import as_reals
 
 
 class ConnectionDataError(ValueError):
@@ -80,10 +82,16 @@ class LatticeConnection:
 
     @classmethod
     def from_json(cls, complex, obj):
+        """The connection of a record; no edge phase may be a bool and
+        every face lift must be an exact integer."""
         phases = obj.get("edge_phases")
         if phases is None:
             raise ConnectionDataError("connection record missing 'edge_phases'")
-        return cls(complex, phases, obj.get("face_lifts"))
+        lifts = obj.get("face_lifts")
+        if lifts is not None:
+            lifts = [as_int(n, f"face_lifts[{f}]")
+                     for f, n in enumerate(lifts)]
+        return cls(complex, as_reals(phases, "edge_phases"), lifts)
 
 
 def holonomy(conn, chain_vec):

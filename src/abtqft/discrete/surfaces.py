@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from ..analytic import wrap_unit, wrap_half
-from .complexes import CellComplex, ComplexError
+from .complexes import CellComplex, ComplexError, build_triangle_surface
 from .connections import LatticeConnection
 
 TWO_PI = 2.0 * math.pi
@@ -253,41 +253,6 @@ def tangent_connection(complex):
 
 
 # -- mesh library -----------------------------------------------------------
-
-def build_triangle_surface(n_vertices, triangles, lengths, coords=None,
-                           name=None):
-    """Simplicial surface from counterclockwise vertex triples, with
-    `lengths(a, b)` the length of the edge between vertices a < b.
-
-    Edges are keyed by unordered vertex pairs, so no repeated vertices or
-    parallel edges are allowed here; meshes with identifications are
-    built from explicit cell data instead.
-    """
-    edge_index = {}
-    edge_bnd = []
-
-    def eid(a, b):
-        if a == b:
-            raise ComplexError("loop edge in a simplicial surface")
-        key = (min(a, b), max(a, b))
-        if key not in edge_index:
-            edge_index[key] = len(edge_bnd)
-            edge_bnd.append([(key[0], -1), (key[1], 1)])
-        return edge_index[key]
-
-    def side(a, b):
-        e = eid(a, b)
-        return (e, 1 if a < b else -1)
-
-    faces = [[side(a, b), side(b, c), side(c, a)] for a, b, c in triangles]
-    ne = len(edge_bnd)
-    L = [0.0] * ne
-    for (a, b), e in edge_index.items():
-        L[e] = lengths(a, b)
-    return CellComplex({0: n_vertices, 1: ne, 2: len(faces)},
-                       {1: edge_bnd, 2: faces}, coords=coords,
-                       edge_lengths=L, name=name)
-
 
 def icosahedron():
     """The regular icosahedron with its round coordinates."""

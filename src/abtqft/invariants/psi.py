@@ -7,10 +7,10 @@ of the analytic square (id_R, exp) exactly when exp(g) = exp(h), and the
 invariant is the sum over components of Xi(g, h) = g - h; each component
 must be integral on its own.  The sum is well defined mod 24 because
 alternative bounding data differ by half the Pontryagin number of a
-closed spin 4-manifold.  The 1d analog subtracts the boundary structure
-lifts from the total curvature of a bounding surface and is well defined
-mod 2 by the evenness of the Euler characteristic of closed oriented
-surfaces.
+closed spin 4-manifold.  The 1d analog is Xi over the same square, with
+g the total curvature of a bounding surface and h the sum of its
+boundary structure lifts; it is well defined mod 2 by the evenness of
+the Euler characteristic of closed oriented surfaces.
 """
 
 from __future__ import annotations
@@ -112,37 +112,39 @@ def _psi_certificate(resolved, square):
 def su_psi(scene, certify=True):
     """The mod-2 invariant of a 1d scene with its bounding surfaces.
 
-    raw = total curvature of the primary bounding minus the sum of the
-    scene's structure lifts; integer by construction.  Certification
-    evaluates every bounding; differences between tangent-type boundings
-    must be even, and an odd difference involving a raw-connection
-    bounding is reported as out-of-hypothesis rather than fatal.  An odd
-    tangent pair is in the hypothesis, so `InvariantResult` rejects it.
+    raw = Xi(g, h), g the total curvature of the primary bounding and h
+    the sum of the scene's structure lifts; integer by construction.
+    Certification gates every bounding as an object of the fiber;
+    differences between tangent-type boundings must be even, and an odd
+    difference involving a raw-connection bounding is reported as
+    out-of-hypothesis rather than fatal.  An odd tangent pair is in the
+    hypothesis, so `InvariantResult` rejects it.
     """
+    square = AnalyticExpSquare(tolerance=SU_TOLERANCE)
     total_lift = scene.sum_lifts()
     scene_hol = wrap_unit(total_lift)
-    raws = []
     for b in scene.boundings:
         if b.k != len(scene.lifts):
             raise IncompatibleScene(
                 f"bounding {b.label} has boundary length {b.k}, "
                 f"scene circle has {len(scene.lifts)} edges")
-        if circle_distance(b.holonomy, scene_hol) > SU_TOLERANCE:
+        if not square.is_object(b.holonomy, scene_hol):
             raise IncompatibleScene(
                 f"bounding {b.label} does not restrict to the scene "
                 f"circle: boundary holonomy {b.holonomy} vs "
                 f"exp(sum of lifts) {scene_hol} (lift mismatch)")
-        raws.append(b.curvature - total_lift)
+    primary = scene.boundings[0]
+    raw = square.xi(primary.curvature, total_lift)
 
     certificate = []
     if certify:
-        primary = scene.boundings[0]
-        base_int = round(raws[0])
-        for b, r in zip(scene.boundings, raws):
-            r_int = round(r)
-            if abs(r - r_int) > SU_TOLERANCE:
+        base_int = round(raw)
+        for b in scene.boundings:
+            r = square.xi(b.curvature, total_lift)
+            if not square.is_object(b.curvature, total_lift):
                 raise NonIntegralInvariant(
                     f"bounding {b.label} gives non-integral value {r}")
+            r_int = round(r)
             diff = r_int - base_int
             tangent_pair = b.kind == "tangent" and primary.kind == "tangent"
             entry = {"bounding": b.label, "integer": r_int,
@@ -152,5 +154,5 @@ def su_psi(scene, certify=True):
                 entry["note"] = ("odd difference: bounding is outside the "
                                  "tangent hypothesis")
             certificate.append(entry)
-    return InvariantResult(raws[0], 2, SU_TOLERANCE, certificate,
+    return InvariantResult(raw, 2, SU_TOLERANCE, certificate,
                            convention="su-lifts")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from ..analytic import wrap_unit, wrap_half
 from ..discrete import surfaces as _surf
+from ..intmat import as_int
 from . import table as _table
 from .chern_simons import MAX_REFINEMENT, cs_su2_quadrature
 
@@ -262,7 +263,7 @@ def disk_bounding(lifts, extra_lift=0, label="disk"):
                       float(extra_lift) + frac, label)
 
 
-def tangent_bounding(mesh, puncture, label=None, jitter_rng=None):
+def tangent_bounding(mesh, puncture, jitter_rng=None):
     """Tangent-type bounding surface: a punctured metric surface.
 
     `mesh` is a builder name or a CellComplex with lengths.  Jitter, if
@@ -276,10 +277,9 @@ def tangent_bounding(mesh, puncture, label=None, jitter_rng=None):
                                          frozen_edges=frozen)
     bundle = _surf.tangent_connection(surface)
     punct = bundle.punctured(puncture)
-    name = label or f"{getattr(surface, 'name', 'surface')}@{puncture}"
     return SuBounding("tangent", punct.boundary_length(),
                       punct.boundary_holonomy(), punct.total_curvature(),
-                      name)
+                      f"{surface.name}@{puncture}")
 
 
 class SuScene:
@@ -310,10 +310,8 @@ class SuScene:
 
     def shifted(self, edge, k):
         """Shift one structure lift by an integer (the torsor action)."""
-        if k != int(k):
-            raise ValueError("lift shifts must be integers")
         lifts = list(self.lifts)
-        lifts[edge] += int(k)
+        lifts[edge] += as_int(k, "lift shift")
         return SuScene(lifts, self.boundings)
 
     @classmethod

@@ -346,8 +346,7 @@ def xi_equivalence_by_enumeration(square, fill):
     """
     fiber = HofibCat(square)
     xi = XiFunctor(fiber, fill)
-    H_mor = square.phi_H.source
-    if not (fiber.object_group.is_finite and H_mor.is_finite
+    if not (fiber.object_group.is_finite and square.phi_H.source.is_finite
             and xi.kernel_group.is_finite):
         raise ValueError("enumeration oracle needs finite groups")
 
@@ -363,15 +362,13 @@ def xi_equivalence_by_enumeration(square, fill):
 
     # fully faithful: difference objects with trivial Xi image must have
     # exactly one connecting morphism from the unit; nontrivial image, none
-    buckets = {}
-    for x in H_mor.elements():
-        key = (square.f_mor(x).key(), square.phi_H(x).key())
-        buckets[key] = buckets.get(key, 0) + 1
+    from .testing import brute_connecting_buckets
+    buckets = brute_connecting_buckets(square)
     lam = fill.lam
     G_mor = square.phi_G.source
     for p in fiber.object_group.elements():
         dg, dh = fiber.pullback.pair(p)
-        n_solutions = buckets.get((dg.key(), dh.key()), 0)
+        n_solutions = len(buckets.get((dg.key(), dh.key()), ()))
         xi_trivial = dg - lam(dh) == G_mor.zero()
         if xi_trivial and n_solutions != 1:
             return False

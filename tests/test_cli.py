@@ -360,6 +360,13 @@ def test_open_mesh_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, "geo", verb, str(mesh), "tangent")
         assert code == 2
         assert "open.json" in err and "boundary edge" in err
+    # with a connection file, the Chern number's closed-surface check
+    # names the mesh
+    code, _, err = run(capsys, "geo", "chern", sample("mesh_square.json"),
+                       sample("conn_square.json"))
+    assert code == 2
+    assert err == (f"input error: {sample('mesh_square.json')}: chern "
+                   "number needs a closed surface (a 2-cycle)\n")
 
 
 def test_degenerate_mesh_exit_2(tmp_path, capsys):
@@ -386,6 +393,8 @@ def test_nan_edge_length_exit_2(tmp_path, capsys):
 
 with open(sample("mesh_square.json")) as _fh:
     SQUARE = json.load(_fh)
+with open(sample("conn_square.json")) as _fh:
+    CONN = json.load(_fh)
 
 
 def _icosahedron_with_float_index():
@@ -396,9 +405,9 @@ def _icosahedron_with_float_index():
 
 
 @pytest.mark.parametrize("verb, mesh, second, bad, field", [
-    ("stokes", SQUARE, {"degree": 1.7, "values": [0.0] * 5}, "cochain",
+    ("stokes", SQUARE, {"degree": 1.7, "values": [0.0] * 5}, "second",
      "degree"),
-    ("stokes", SQUARE, {"degree": True, "values": [0.0] * 5}, "cochain",
+    ("stokes", SQUARE, {"degree": True, "values": [0.0] * 5}, "second",
      "degree"),
     ("stokes", {**SQUARE, "cells": {"0": 4, "1": 5, "2": 2.9}},
      sample("cochain1.json"), "mesh", "cells.2"),
@@ -407,21 +416,61 @@ def _icosahedron_with_float_index():
     ("stokes", {**SQUARE, "boundary": {**SQUARE["boundary"], "2": [
         [[0, True], [1, 1], [4, -1]], [[4, 1], [2, 1], [3, 1]]]}},
      sample("cochain1.json"), "mesh", "boundary.2[0][0]"),
+    ("holonomy --loop 0,1,2,3", SQUARE, {**CONN, "face_lifts": [1, True]},
+     "second", "face_lifts[1]"),
+    ("holonomy --loop 0,1,2,3", SQUARE,
+     {**CONN, "edge_phases": [0.1, True, 0.15, 0.05, 0.3]}, "second",
+     "edge_phases[1]"),
+    ("stokes", SQUARE, {"degree": 1, "values": [0.5, True, 2.0, 0.75, 1.5]},
+     "second", "values[1]"),
 ], ids=["degree-float", "degree-bool", "cells-float", "index-float",
-        "sign-bool"])
+        "sign-bool", "lift-bool", "phase-bool", "value-bool"])
 def test_geo_inexact_integer_exit_2(tmp_path, capsys, verb, mesh, second,
                                     bad, field):
-    # floats and bools in integer fields are refused, never truncated
+    # floats and bools in integer fields are refused, never truncated, and
+    # bools are not read as the reals 0 and 1
     paths = {"mesh": tmp_path / "mesh.json",
-             "cochain": tmp_path / "cochain.json"}
+             "second": tmp_path / "second.json"}
     paths["mesh"].write_text(json.dumps(mesh))
     if isinstance(second, dict):
-        paths["cochain"].write_text(json.dumps(second))
-        second = str(paths["cochain"])
-    code, _, err = run(capsys, "geo", verb, str(paths["mesh"]), second)
+        paths["second"].write_text(json.dumps(second))
+        second = str(paths["second"])
+    code, _, err = run(capsys, "geo", *verb.split(), str(paths["mesh"]),
+                       second)
     assert code == 2, err
     assert err.startswith(f"input error: {paths[bad]}: ") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, bad, kind, detail", [
+    (["stokes", "COCHAIN", "COCHAIN"], "COCHAIN", "mesh",
+     "mesh record missing 'cells'"),
+    (["stokes", "MESH", "MESH"], "MESH", "cochain",
+     "cochain record missing 'degree'"),
+    (["stokes", "MESH", {"degree": 1}], "tmp", "cochain",
+     "cochain record missing 'values'"),
+    (["stokes", [SQUARE], "COCHAIN"], "tmp", "mesh",
+     "top level must be an object"),
+    (["holonomy", "MESH", 5], "tmp", "connection",
+     "top level must be an object"),
+    (["holonomy", "MESH", "COCHAIN", "--loop", "0,1,2,3"], "COCHAIN",
+     "connection", "connection record missing 'edge_phases'"),
+], ids=["cochain-as-mesh", "mesh-as-cochain", "cochain-without-values",
+        "array-top-level", "scalar-top-level", "cochain-as-connection"])
+def test_geo_wrong_kind_file_exit_2(tmp_path, capsys, argv, bad, kind,
+                                    detail):
+    # a geo verb reads each file as the one kind its argument names
+    named = {"MESH": sample("mesh_square.json"),
+             "COCHAIN": sample("cochain1.json"), "tmp": tmp_path / "x.json"}
+    args = []
+    for arg in argv:
+        if not isinstance(arg, str):
+            named["tmp"].write_text(json.dumps(arg))
+            arg = "tmp"
+        args.append(str(named.get(arg, arg)))
+    code, _, err = run(capsys, "geo", *args)
+    assert code == 2
+    assert err == f"input error: {named[bad]}: bad {kind} ({detail})\n"
 
 
 def test_nan_edge_turn_exit_2(tmp_path, capsys):

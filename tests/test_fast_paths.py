@@ -1,10 +1,12 @@
 """Fast paths checked against the slow paths they replaced.
 
 Each oracle here is the old code, kept in the test: the dense boundary
-matrix product, the per-vertex scan over all faces for corners and angle
-defects, the ring walk started from that scan, the Smith form that
-updated all four transforms on every elementary operation, the solve and
-kernel read off those transforms, and group elements as U_inv products.
+matrix product, the rectangle grid with its own edge keying, the
+per-vertex scan over all faces for corners and angle defects, the ring
+walk started from that scan, the mod-2 invariant subtracted and gated by
+hand, the Smith form that updated all four transforms on every
+elementary operation, the solve and kernel read off those transforms,
+and group elements as U_inv products.
 """
 
 import itertools
@@ -18,9 +20,15 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
 from abtqft import fgab, intmat
+from abtqft.analytic import circle_distance, wrap_unit
 from abtqft.discrete import CellComplex, ComplexError, triangulated_grid
 from abtqft.discrete import surfaces as S
-from abtqft.invariants.scenes import MESH_BUILDERS
+from abtqft.invariants import (IncompatibleScene, InvariantResult,
+                               NonIntegralInvariant, SuScene, su_psi,
+                               tangent_bounding)
+from abtqft.invariants.psi import SU_TOLERANCE
+from abtqft.invariants.scenes import (MESH_BUILDERS, disk_bounding,
+                                      random_su_scene)
 
 TORI = [(kind, n, m)
         for kind in (S.flat_torus, S.equilateral_torus, S.flipped_torus)
@@ -91,6 +99,50 @@ def test_dimension_three_boundary_of_boundary_rejected():
         tetrahedron(tet_signs=(1, 1, 1, -1))
 
 
+# -- the rectangle grid on the one simplicial builder -------------------------
+
+def slow_triangulated_grid(nx, ny):
+    nv = (nx + 1) * (ny + 1)
+
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    edges = {}
+    edge_bnd = []
+
+    def eid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in edges:
+            edges[key] = len(edge_bnd)
+            edge_bnd.append([(key[0], -1), (key[1], 1)])
+        return edges[key]
+
+    def side(a, b):
+        e = eid(a, b)
+        lo, _ = min(a, b), max(a, b)
+        return (e, 1 if a == lo else -1)
+
+    faces = []
+    for j in range(ny):
+        for i in range(nx):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            faces.append([side(v00, v10), side(v10, v11), side(v11, v00)])
+            faces.append([side(v00, v11), side(v11, v01), side(v01, v00)])
+    coords = [[i, j] for j in range(ny + 1) for i in range(nx + 1)]
+    return CellComplex({0: nv, 1: len(edge_bnd), 2: len(faces)},
+                       {1: edge_bnd, 2: faces}, coords=coords,
+                       name=f"grid{nx}x{ny}")
+
+
+def test_grid_matches_own_edge_keying():
+    for nx, ny in itertools.product(range(1, 7), repeat=2):
+        fast, slow = triangulated_grid(nx, ny), slow_triangulated_grid(nx, ny)
+        assert fast.to_json() == slow.to_json()
+        assert fast.name == slow.name
+        assert fast.edge_lengths is None
+
+
 # -- corner index, angle defects and rings ---------------------------------------
 
 def slow_corners(ms, v):
@@ -143,6 +195,63 @@ def test_large_flat_torus_chern_number():
     mesh = S.flat_torus(64, 64)
     assert mesh.n_cells[0] == 4096
     assert S.tangent_connection(mesh).chern_number() == 0
+
+
+# -- the mod-2 invariant as Xi over the analytic square -------------------------
+
+def slow_su_psi(scene):
+    total_lift = scene.sum_lifts()
+    scene_hol = wrap_unit(total_lift)
+    raws = []
+    for b in scene.boundings:
+        if b.k != len(scene.lifts):
+            raise IncompatibleScene(f"bounding {b.label} length")
+        if circle_distance(b.holonomy, scene_hol) > SU_TOLERANCE:
+            raise IncompatibleScene(f"bounding {b.label} lift mismatch")
+        raws.append(b.curvature - total_lift)
+    certificate = []
+    primary = scene.boundings[0]
+    base_int = round(raws[0])
+    for b, r in zip(scene.boundings, raws):
+        r_int = round(r)
+        if abs(r - r_int) > SU_TOLERANCE:
+            raise NonIntegralInvariant(f"bounding {b.label} non-integral")
+        diff = r_int - base_int
+        tangent_pair = b.kind == "tangent" and primary.kind == "tangent"
+        entry = {"bounding": b.label, "integer": r_int, "difference": diff,
+                 "kind": b.kind, "in_hypothesis": tangent_pair}
+        if diff % 2 != 0 and not tangent_pair:
+            entry["note"] = ("odd difference: bounding is outside the "
+                             "tangent hypothesis")
+        certificate.append(entry)
+    return InvariantResult(raws[0], 2, SU_TOLERANCE, certificate,
+                           convention="su-lifts")
+
+
+def _su_scenes():
+    """Criterion 11's scenes with their lift shifts, then the disk and
+    odd-disk scenes."""
+    rng = random.Random(1111)
+    scenes = []
+    for _ in range(100):
+        scene = random_su_scene(rng)
+        k = rng.randint(1, 3)
+        scenes += [scene, scene.shifted(rng.randrange(len(scene.lifts)), k)]
+    icosa = tangent_bounding("icosahedron", 0)
+    lifts = SuScene.from_primary(icosa).lifts
+    scenes.append(SuScene([0.0] * 4, [disk_bounding([0.0] * 4)]))
+    scenes.append(SuScene(lifts, [icosa, disk_bounding(
+        lifts, extra_lift=1, label="odd-disk")]))
+    return scenes
+
+
+def test_su_psi_matches_hand_subtraction():
+    for scene in _su_scenes():
+        fast, slow = su_psi(scene), slow_su_psi(scene)
+        assert fast.raw == slow.raw  # bit-identical
+        assert fast.integer_value == slow.integer_value
+        assert fast.residue == slow.residue
+        assert fast.certificate == slow.certificate
 
 
 # -- Smith form: the lazy transforms against the eager elimination ------------

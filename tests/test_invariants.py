@@ -343,6 +343,10 @@ def test_su_lift_shift_covariance():
         shifted = I.su_psi(scene.shifted(0, k))
         assert shifted.integer_value == base.integer_value - k
         assert shifted.residue == (base.residue - k) % 2
+    # the torsor acts by exact integers only: no bool, no integral float
+    for k in (True, 2.0):
+        with pytest.raises(ValueError, match="lift shift"):
+            scene.shifted(0, k)
 
 
 def test_su_lift_mismatch_rejected():

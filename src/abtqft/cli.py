@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import __version__, fgab, intmat, moncat
-from .discrete import (CellComplex, Cochain, ComplexError,
+from .discrete import (CellComplex, Cochain, ComplexError, DegreeError,
                        DegenerateTriangle, LatticeConnection, NonCycleError,
                        NotClosed, check_stokes, chern_number, holonomy,
                        tangent_connection)
@@ -351,7 +351,10 @@ def cmd_geo_stokes(args, ws):
     mesh = _load_mesh(args.mesh)
     omega = _read_record(args.cochain, "cochain",
                          lambda obj: Cochain.from_json(mesh, obj))
-    lhs, rhs = check_stokes(mesh, omega)
+    try:
+        lhs, rhs = check_stokes(mesh, omega)
+    except DegreeError as exc:
+        raise InputError(f"{args.cochain}: degree {omega.degree}: {exc}")
     lines = [f"boundary integral = {fmt(lhs)}",
              f"bulk integral of d(omega) = {fmt(rhs)}",
              f"gap = {fmt(abs(lhs - rhs))}"]
@@ -408,6 +411,8 @@ def _parse_loop(text, where):
 
 def cmd_geo_chern(args, ws):
     complex_, conn = _geo_connection(args)
+    if not complex_.n_cells[2]:
+        raise InputError(f"{args.mesh}: no faces, so no closed surface")
     chain = [(f, 1) for f in range(complex_.n_cells[2])]
     try:
         c = chern_number(conn, chain)

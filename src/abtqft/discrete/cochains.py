@@ -56,20 +56,15 @@ def integrate(omega, chain_vec):
     return float(np.dot(np.asarray(chain_vec, dtype=float), omega.values))
 
 
-def check_stokes(W, omega, chain=None):
-    """(lhs, rhs) with lhs the boundary integral and rhs the bulk one.
-
-    `chain` is a (k+1)-chain vector on W; by default the fundamental chain
-    of all (k+1)-cells.  Stokes makes the two sides agree up to float
-    re-association.
-    """
+def check_stokes(W, omega):
+    """(lhs, rhs): omega integrated over the boundary of W's fundamental
+    (k+1)-chain and d(omega) over that chain, which Stokes makes agree up
+    to float re-association."""
     k = omega.degree
     if k + 1 > W.dim:
         raise DegreeError(
             f"complex has no {k + 1}-cells to integrate d(omega) over")
-    if chain is None:
-        chain = W.fundamental_chain(k + 1)
-    chain = np.asarray(chain, dtype=np.int64)
+    chain = W.fundamental_chain(k + 1)
     boundary_chain = W.boundary_of(k + 1, chain)
     lhs = integrate(omega, boundary_chain)
     rhs = integrate(coboundary(omega), chain)

@@ -12,12 +12,16 @@ class ComplexError(ValueError):
 
 
 def as_reals(values, where):
-    """`values` as given once no entry is a bool, which the float
-    conversion would otherwise read as 0 or 1."""
+    """`values`, or None, as given once no entry (nor an entry of a nested
+    list) is a bool, which the float conversion would read as 0 or 1."""
+    if values is None:
+        return None
     for i, x in enumerate(values):
         if isinstance(x, bool):
             raise ValueError(f"{where}[{i}]: expected a real number, "
                              f"got {x!r}")
+        if isinstance(x, list):
+            as_reals(x, f"{where}[{i}]")
     return values
 
 
@@ -170,8 +174,9 @@ class CellComplex:
                               for n, pair in enumerate(faces)]
                              for c, faces in enumerate(cells)]
                     for k, cells in obj.get("boundary", {}).items()}
-        return cls(counts, boundary, coords=obj.get("coords"),
-                   edge_lengths=obj.get("edge_lengths"), name=name)
+        reals = {f: as_reals(obj.get(f), f)
+                 for f in ("coords", "edge_lengths")}
+        return cls(counts, boundary, name=name, **reals)
 
 
 def circle_complex(n, name=None):

@@ -16,6 +16,9 @@ from ..intmat import as_int
 from .complexes import as_reals
 
 
+CHERN_TOLERANCE = 1e-9
+
+
 class ConnectionDataError(ValueError):
     pass
 
@@ -47,17 +50,10 @@ class LatticeConnection:
         self.edge_turns = np.array([wrap_unit(t) for t in edge_turns])
         self.face_lifts = face_lifts.astype(np.int64)
 
-    def face_fraction(self, f, start=0):
-        """Principal branch in (-1/2, 1/2] of the boundary edge product.
-
-        `start` rotates the traversal order; the result is branch-stable
-        under that rotation (the sum is reassociated, the wrap is not).
-        """
-        sides = self.complex.boundary[2][f]
-        k = len(sides)
+    def face_fraction(self, f):
+        """Principal branch in (-1/2, 1/2] of the boundary edge product."""
         total = 0.0
-        for i in range(k):
-            e, sign = sides[(start + i) % k]
+        for e, sign in self.complex.boundary[2][f]:
             total += sign * self.edge_turns[e]
         return wrap_half(total)
 
@@ -132,11 +128,11 @@ def boundary_holonomy(conn, surface_chain):
     return holonomy(conn, conn.complex.boundary_of(2, vec))
 
 
-def chern_number(conn, closed_surface, tol=1e-9):
+def chern_number(conn, closed_surface):
     """Integer total curvature of a closed 2-cycle.
 
-    Raises on non-cycles; a total further than `tol` from an integer can
-    only come from corrupted data and is an error as well.
+    Raises on non-cycles; a total further than `CHERN_TOLERANCE` from an
+    integer can only come from corrupted data and is an error as well.
     """
     cx = conn.complex
     vec = cx.chain_vector(2, closed_surface)
@@ -144,7 +140,7 @@ def chern_number(conn, closed_surface, tol=1e-9):
         raise NonCycleError("chern number needs a closed surface (a 2-cycle)")
     total = total_curvature(conn, vec)
     nearest = round(total)
-    if abs(total - nearest) > tol:
+    if abs(total - nearest) > CHERN_TOLERANCE:
         raise ConnectionDataError(
             f"total curvature {total} of a cycle is not an integer "
             f"(off by {abs(total - nearest):.3e}); connection data corrupt")

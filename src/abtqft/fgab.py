@@ -344,11 +344,6 @@ class PullbackResult:
         self.pr2 = pr2
         self.incl = incl
 
-    def __iter__(self):
-        yield self.group
-        yield self.pr1
-        yield self.pr2
-
     def pair(self, p):
         return self.pr1(p), self.pr2(p)
 

@@ -1,6 +1,6 @@
 from .chern_simons import cs_su2_quadrature, sphere_volume_quadrature
-from .table import (Closed4Entry, validate_table, load_entries,
-                    shipped_table, spin_entries)
+from .table import (Closed4Entry, validate_table, shipped_table,
+                    spin_entries)
 from .scenes import (BnrScene, SuScene, SuBounding, eta_integral,
                      half_p1_integral, tangent_bounding, random_su_scene,
                      build_mesh, ProviderError, IncompatibleScene,

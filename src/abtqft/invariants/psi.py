@@ -109,7 +109,7 @@ def _psi_certificate(resolved, square):
     return certificate
 
 
-def su_psi(scene, certify=True):
+def su_psi(scene):
     """The mod-2 invariant of a 1d scene with its bounding surfaces.
 
     raw = Xi(g, h), g the total curvature of the primary bounding and h
@@ -137,22 +137,21 @@ def su_psi(scene, certify=True):
     raw = square.xi(primary.curvature, total_lift)
 
     certificate = []
-    if certify:
-        base_int = round(raw)
-        for b in scene.boundings:
-            r = square.xi(b.curvature, total_lift)
-            if not square.is_object(b.curvature, total_lift):
-                raise NonIntegralInvariant(
-                    f"bounding {b.label} gives non-integral value {r}")
-            r_int = round(r)
-            diff = r_int - base_int
-            tangent_pair = b.kind == "tangent" and primary.kind == "tangent"
-            entry = {"bounding": b.label, "integer": r_int,
-                     "difference": diff, "kind": b.kind,
-                     "in_hypothesis": tangent_pair}
-            if diff % 2 != 0 and not tangent_pair:
-                entry["note"] = ("odd difference: bounding is outside the "
-                                 "tangent hypothesis")
-            certificate.append(entry)
+    base_int = round(raw)
+    for b in scene.boundings:
+        r = square.xi(b.curvature, total_lift)
+        if not square.is_object(b.curvature, total_lift):
+            raise NonIntegralInvariant(
+                f"bounding {b.label} gives non-integral value {r}")
+        r_int = round(r)
+        diff = r_int - base_int
+        tangent_pair = b.kind == "tangent" and primary.kind == "tangent"
+        entry = {"bounding": b.label, "integer": r_int,
+                 "difference": diff, "kind": b.kind,
+                 "in_hypothesis": tangent_pair}
+        if diff % 2 != 0 and not tangent_pair:
+            entry["note"] = ("odd difference: bounding is outside the "
+                             "tangent hypothesis")
+        certificate.append(entry)
     return InvariantResult(raw, 2, SU_TOLERANCE, certificate,
                            convention="su-lifts")

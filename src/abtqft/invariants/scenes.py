@@ -15,6 +15,8 @@ gauge invariant, the holonomy.
 
 from __future__ import annotations
 
+import sys
+
 from ..analytic import wrap_unit, wrap_half
 from ..discrete import surfaces as _surf
 from ..intmat import as_int
@@ -351,11 +353,14 @@ def _list(spec, field):
 
 
 def _integer(value, where, stop=None):
-    """`value` if it is an integer, and in range(stop) when stop is given."""
+    """`value` if it is an integer, in range(stop) when stop is given and
+    otherwise small enough for the float sums it enters."""
     if (isinstance(value, bool) or not isinstance(value, int)
             or stop is not None and not 0 <= value < stop):
         bound = "" if stop is None else f" in 0..{stop - 1}"
         raise IncompatibleScene(f"{where}: {value!r} is not an integer{bound}")
+    if abs(value) > sys.float_info.max:
+        raise IncompatibleScene(f"{where}: integer too large for a float")
     return value
 
 

@@ -47,48 +47,28 @@ class Closed4Entry:
         return f"Closed4Entry({self.name}, p1={self.integral_p1}, {tag})"
 
 
-class TableReport:
-    def __init__(self):
-        self.violations = []
-
-    def add(self, entry, condition, detail):
-        self.violations.append((entry, condition, detail))
-
-    @property
-    def valid(self):
-        return not self.violations
-
-    def __repr__(self):
-        return ("TableReport(valid)" if self.valid
-                else f"TableReport({len(self.violations)} violations)")
-
-
 def validate_table(entries):
-    """Check every entry against the index-theorem arithmetic."""
-    report = TableReport()
+    """The (entry, condition, detail) list of index-arithmetic violations."""
+    violations = []
     for e in entries:
         expected = Fraction(-e.integral_p1, 24)
         if e.a_hat != expected:
-            report.add(e.name, "a_hat = -p1/24",
-                       f"a_hat={e.a_hat} but -p1/24={expected}")
+            violations.append((e.name, "a_hat = -p1/24",
+                               f"a_hat={e.a_hat} but -p1/24={expected}"))
         if e.integral_p1 != 3 * e.signature:
-            report.add(e.name, "p1 = 3*signature",
-                       f"p1={e.integral_p1}, 3*sig={3 * e.signature}")
+            violations.append((e.name, "p1 = 3*signature",
+                               f"p1={e.integral_p1}, 3*sig={3 * e.signature}"))
         if e.spin:
             if e.a_hat.denominator != 1:
-                report.add(e.name, "spin a_hat integral",
-                           f"a_hat={e.a_hat} not an integer")
+                violations.append((e.name, "spin a_hat integral",
+                                   f"a_hat={e.a_hat} not an integer"))
             elif e.a_hat.numerator % 2 != 0:
-                report.add(e.name, "spin a_hat even",
-                           f"a_hat={e.a_hat} odd")
+                violations.append((e.name, "spin a_hat even",
+                                   f"a_hat={e.a_hat} odd"))
             if e.integral_p1 % 48 != 0:
-                report.add(e.name, "spin p1 = 0 mod 48",
-                           f"p1={e.integral_p1}")
-    return report
-
-
-def load_entries(records):
-    return [Closed4Entry.from_json(r) for r in records]
+                violations.append((e.name, "spin p1 = 0 mod 48",
+                                   f"p1={e.integral_p1}"))
+    return violations
 
 
 _shipped = None
@@ -100,11 +80,11 @@ def shipped_table():
     if _shipped is None:
         text = (resources.files("abtqft.invariants")
                 .joinpath("data/spin4_table.json").read_text())
-        entries = load_entries(json.loads(text))
-        report = validate_table(entries)
-        if not report.valid:
-            raise ValueError(f"shipped 4-manifold table corrupt: "
-                             f"{report.violations}")
+        entries = [Closed4Entry.from_json(r) for r in json.loads(text)]
+        violations = validate_table(entries)
+        if violations:
+            raise ValueError(
+                f"shipped 4-manifold table corrupt: {violations}")
         _shipped = {e.name: e for e in entries}
     return _shipped
 

@@ -82,9 +82,6 @@ class CatMorphism:
         self.tgt = tgt
         self.x = x
 
-    def then(self, other):
-        return self.cat.compose(self, other)
-
     def __repr__(self):
         return f"CatMorphism({self.x!r}: {self.src!r} -> {self.tgt!r})"
 
@@ -175,46 +172,6 @@ class CommSquare:
         self.f_mor = f_mor
 
 
-class MonoidalFunctor:
-    """Functor between MorTensorCats acting linearly on objects/carriers."""
-
-    def __init__(self, source, target, object_map, carrier_map, name=None):
-        self.source = source
-        self.target = target
-        self._object_map = object_map
-        self._carrier_map = carrier_map
-        self.name = name
-
-    def apply_object(self, a):
-        return self._object_map(a)
-
-    def apply(self, m):
-        return CatMorphism(self.target, self._object_map(m.src),
-                           self._object_map(m.tgt), self._carrier_map(m.x))
-
-    def preserves_unit(self):
-        return self._object_map(self.source.unit()) == self.target.unit()
-
-    def preserves_tensor_on(self, m1, m2):
-        lhs = self.apply(self.source.tensor_morphisms(m1, m2))
-        rhs = self.target.tensor_morphisms(self.apply(m1), self.apply(m2))
-        return lhs.x == rhs.x and lhs.src == rhs.src
-
-    def preserves_composition_on(self, m1, m2):
-        lhs = self.apply(self.source.compose(m1, m2))
-        rhs = self.target.compose(self.apply(m1), self.apply(m2))
-        return lhs.x == rhs.x
-
-
-def functor_from_square(square):
-    """The monoidal functor phi_H^tensor -> phi_G^tensor of a square."""
-    return MonoidalFunctor(MorTensorCat(square.phi_H),
-                           MorTensorCat(square.phi_G),
-                           object_map=square.f_ob,
-                           carrier_map=square.f_mor,
-                           name="functor_from_square")
-
-
 class HofibCat:
     """Homotopy fiber of the functor of a commutative square.
 
@@ -249,9 +206,6 @@ class HofibCat:
         if not self.is_object(g, h):
             raise ValueError(f"({g!r}, {h!r}) is not an object: "
                              "phi_G(g) != f_ob(h)")
-
-    def tensor(self, p, q):
-        return (p[0] + q[0], p[1] + q[1])
 
     def _difference(self, p, q):
         # q - p stacked; stacking is linear on coordinates, so this equals
@@ -404,7 +358,7 @@ class AnalyticExpSquare:
     the comparison functor (g, h) -> g - h into ker(exp) = Z.
     """
 
-    def __init__(self, tolerance=1e-6):
+    def __init__(self, tolerance):
         self.tolerance = float(tolerance)
 
     def is_object(self, g, h):

@@ -228,6 +228,10 @@ SU = {"primary": {"mesh": "icosahedron", "puncture": 0},
     ("su", {"su": {**SU, "boundings": [{"kind": "sphere",
                                         "mesh": "pent-sphere"}]}},
      "su.boundings[0].kind"),
+    ("su", {"su": {**SU, "lift_shifts": [[0, 10**400]]}},
+     "su.lift_shifts[0][1]"),
+    ("su", {"su": {**SU, "boundings": [{"kind": "disk", "lift": 10**400}]}},
+     "su.boundings[0].lift"),
 ])
 def test_bad_scene_exit_2(tmp_path, capsys, verb, scene, field):
     path = tmp_path / "bad_scene.json"
@@ -367,6 +371,15 @@ def test_open_mesh_exit_2(tmp_path, capsys):
     assert code == 2
     assert err == (f"input error: {sample('mesh_square.json')}: chern "
                    "number needs a closed surface (a 2-cycle)\n")
+    # a mesh without faces is no closed surface, not the empty cycle
+    from abtqft.discrete import circle_complex
+    circle, conn = tmp_path / "circle.json", tmp_path / "conn.json"
+    circle.write_text(json.dumps(circle_complex(3).to_json()))
+    conn.write_text(json.dumps({"edge_phases": [0.1, 0.2, 0.3]}))
+    code, out, err = run(capsys, "geo", "chern", str(circle), str(conn))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: {circle}: ")
+    assert "closed surface" in err
 
 
 def test_degenerate_mesh_exit_2(tmp_path, capsys):
@@ -404,6 +417,13 @@ def _icosahedron_with_float_index():
     return rec
 
 
+def _icosahedron_with_bool_lengths():
+    from abtqft.discrete import icosahedron
+    rec = icosahedron().to_json()
+    rec["edge_lengths"] = [True] * len(rec["edge_lengths"])
+    return rec
+
+
 @pytest.mark.parametrize("verb, mesh, second, bad, field", [
     ("stokes", SQUARE, {"degree": 1.7, "values": [0.0] * 5}, "second",
      "degree"),
@@ -423,8 +443,15 @@ def _icosahedron_with_float_index():
      "edge_phases[1]"),
     ("stokes", SQUARE, {"degree": 1, "values": [0.5, True, 2.0, 0.75, 1.5]},
      "second", "values[1]"),
+    ("chern", _icosahedron_with_bool_lengths(), "tangent", "mesh",
+     "edge_lengths[0]"),
+    ("stokes", {**SQUARE, "coords": [[0, 0], [1, False], [1, 1], [0, 1]]},
+     sample("cochain1.json"), "mesh", "coords[1][1]"),
+    ("stokes", SQUARE, {"degree": 2, "values": [0.5, 1.5]}, "second",
+     "degree 2"),
 ], ids=["degree-float", "degree-bool", "cells-float", "index-float",
-        "sign-bool", "lift-bool", "phase-bool", "value-bool"])
+        "sign-bool", "lift-bool", "phase-bool", "value-bool", "length-bool",
+        "coord-bool", "degree-top"])
 def test_geo_inexact_integer_exit_2(tmp_path, capsys, verb, mesh, second,
                                     bad, field):
     # floats and bools in integer fields are refused, never truncated, and

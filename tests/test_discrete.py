@@ -6,7 +6,7 @@ import pytest
 
 import abtqft.discrete as D
 import abtqft.discrete.connections
-from abtqft.analytic import circle_distance
+from abtqft.analytic import circle_distance, wrap_half
 
 
 def random_grid(rng):
@@ -244,7 +244,7 @@ def test_chern_number_detects_corrupt_data():
     lifts[0] += 0.5
     conn.face_lifts = lifts
     with pytest.raises(D.connections.ConnectionDataError):
-        D.chern_number(conn, chain, tol=1e-9)
+        D.chern_number(conn, chain)
 
 
 def test_face_fraction_traversal_stable():
@@ -257,7 +257,12 @@ def test_face_fraction_traversal_stable():
         [rng.randint(-2, 2) for _ in range(W.n_cells[2])])
     for f in range(W.n_cells[2]):
         base = conn.curvature(f)
-        for start in range(len(W.boundary[2][f])):
-            frac = conn.face_fraction(f, start=start)
+        sides = W.boundary[2][f]
+        for start in range(len(sides)):
+            rotated = sides[start:] + sides[:start]
+            frac = wrap_half(sum(sign * conn.edge_turns[e]
+                                 for e, sign in rotated))
+            if start == 0:
+                assert frac == conn.face_fraction(f)
             relift = round(base - frac)
             assert abs(base - (relift + frac)) <= 1e-9

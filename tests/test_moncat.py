@@ -143,27 +143,56 @@ def test_tensor_morphisms(Z):
 
 # -- functors from squares -----------------------------------------------------
 
+# A commutative square induces the functor phi_H^tensor -> phi_G^tensor that
+# acts on objects by f_ob and on carriers by f_mor.  Its image of a morphism
+# is built in the target category, whose constructor is the hom-membership
+# check, and the functor laws are equalities on the legs.
+
+def _image(target, square, m):
+    return target.morphism(square.f_mor(m.x), square.f_ob(m.src),
+                           square.f_ob(m.tgt))
+
+
+def _preserves_unit(square):
+    unit = square.f_ob(square.phi_H.target.zero())
+    return unit == square.phi_G.target.zero()
+
+
+def _preserves_tensor_on(target, square, m1, m2):
+    lhs = _image(target, square, m1.cat.tensor_morphisms(m1, m2))
+    rhs = target.tensor_morphisms(_image(target, square, m1),
+                                  _image(target, square, m2))
+    return lhs.x == rhs.x and lhs.src == rhs.src
+
+
+def _preserves_composition_on(target, square, m1, m2):
+    lhs = _image(target, square, m1.cat.compose(m1, m2))
+    rhs = target.compose(_image(target, square, m1),
+                         _image(target, square, m2))
+    return lhs.x == rhs.x
+
+
 def test_identity_square_functor(Z):
     phi = fgab.scalar_morphism(Z, 2)
     square = CommSquare(phi, phi, fgab.identity_morphism(Z),
                         fgab.identity_morphism(Z))
-    F = moncat.functor_from_square(square)
-    assert F.preserves_unit()
+    source, target = MorTensorCat(square.phi_H), MorTensorCat(square.phi_G)
+    assert _preserves_unit(square)
     a = Z.element([3])
-    assert F.apply_object(a) == a
-    m = F.source.morphism(Z.element([1]), Z.element([0]), Z.element([2]))
-    assert F.apply(m).x == m.x
+    assert square.f_ob(a) == a
+    m = source.morphism(Z.element([1]), Z.element([0]), Z.element([2]))
+    assert _image(target, square, m).x == m.x
 
 
 def test_mirror_square_functor():
     square, _ = mirror_exp_square(24)
-    F = moncat.functor_from_square(square)
-    assert F.preserves_unit()
+    src, target = MorTensorCat(square.phi_H), MorTensorCat(square.phi_G)
+    assert _preserves_unit(square)
     H_ob = square.phi_H.target
     a = H_ob.element([30])
-    assert F.apply_object(a).key() == square.f_ob(a).key()
+    image = _image(target, square, src.identity(a))
+    assert image.src.key() == square.f_ob(a).key()
     rng = random.Random(9)
-    src = F.source
     for _ in range(20):
         x, y = rng.randint(-9, 9), rng.randint(-9, 9)
         a, b = rng.randint(-9, 9), rng.randint(-9, 9)
@@ -171,19 +200,18 @@ def test_mirror_square_functor():
                           H_ob.element([a + x]))
         m2 = src.morphism(src.mor_group.element([y]), H_ob.element([b]),
                           H_ob.element([b + y]))
-        assert F.preserves_tensor_on(m1, m2)
+        assert _preserves_tensor_on(target, square, m1, m2)
         m3 = src.morphism(src.mor_group.element([y]), H_ob.element([a + x]),
                           H_ob.element([a + x + y]))
-        assert F.preserves_composition_on(m1, m3)
+        assert _preserves_composition_on(target, square, m1, m3)
 
 
 def test_functor_laws_exhaustive_on_finite_square():
     # on finite squares the sampled spot-checks can be made exhaustive
     rng = random.Random(77)
     square, _ = testing.random_square(rng, max_order=12)
-    F = moncat.functor_from_square(square)
-    assert F.preserves_unit()
-    src = F.source
+    src, target = MorTensorCat(square.phi_H), MorTensorCat(square.phi_G)
+    assert _preserves_unit(square)
     morphisms = []
     for a in src.obj_group.elements():
         for x in src.mor_group.elements():
@@ -191,9 +219,9 @@ def test_functor_laws_exhaustive_on_finite_square():
             morphisms.append(src.morphism(x, a, b))
     for m1 in morphisms[:20]:
         for m2 in morphisms[:20]:
-            assert F.preserves_tensor_on(m1, m2)
+            assert _preserves_tensor_on(target, square, m1, m2)
             m3 = src.morphism(m2.x, m1.tgt, m1.tgt + square.phi_H(m2.x))
-            assert F.preserves_composition_on(m1, m3)
+            assert _preserves_composition_on(target, square, m1, m3)
 
 
 def test_zero_square_constant_functor(Z):
@@ -203,8 +231,11 @@ def test_zero_square_constant_functor(Z):
                         phi_G,
                         fgab.zero_morphism(Z, zero_grp),
                         fgab.zero_morphism(Z, zero_grp))
-    F = moncat.functor_from_square(square)
-    assert F.apply_object(Z.element([5])).key() == zero_grp.zero().key()
+    assert square.f_ob(Z.element([5])).key() == zero_grp.zero().key()
+    m = MorTensorCat(square.phi_H).morphism(Z.element([2]), Z.element([5]),
+                                            Z.element([7]))
+    image = _image(MorTensorCat(square.phi_G), square, m)
+    assert image.x.key() == zero_grp.zero().key()
 
 
 def test_square_commutation_enforced(Z):

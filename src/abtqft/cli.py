@@ -411,8 +411,6 @@ def _parse_loop(text, where):
 
 def cmd_geo_chern(args, ws):
     complex_, conn = _geo_connection(args)
-    if not complex_.n_cells[2]:
-        raise InputError(f"{args.mesh}: no faces, so no closed surface")
     chain = [(f, 1) for f in range(complex_.n_cells[2])]
     try:
         c = chern_number(conn, chain)

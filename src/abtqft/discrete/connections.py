@@ -131,12 +131,13 @@ def boundary_holonomy(conn, surface_chain):
 def chern_number(conn, closed_surface):
     """Integer total curvature of a closed 2-cycle.
 
-    Raises on non-cycles; a total further than `CHERN_TOLERANCE` from an
-    integer can only come from corrupted data and is an error as well.
+    Raises on non-cycles and on the empty chain, which bounds no surface;
+    a total further than `CHERN_TOLERANCE` from an integer can only come
+    from corrupted data and is an error as well.
     """
     cx = conn.complex
     vec = cx.chain_vector(2, closed_surface)
-    if np.any(cx.boundary_of(2, vec)):
+    if not np.any(vec) or np.any(cx.boundary_of(2, vec)):
         raise NonCycleError("chern number needs a closed surface (a 2-cycle)")
     total = total_curvature(conn, vec)
     nearest = round(total)

@@ -15,8 +15,6 @@ gauge invariant, the holonomy.
 
 from __future__ import annotations
 
-import sys
-
 from ..analytic import wrap_unit, wrap_half
 from ..discrete import surfaces as _surf
 from ..intmat import as_int
@@ -354,13 +352,14 @@ def _list(spec, field):
 
 def _integer(value, where, stop=None):
     """`value` if it is an integer, in range(stop) when stop is given and
-    otherwise small enough for the float sums it enters."""
+    otherwise at most 2**53 in size: past that a float no longer holds
+    every integer, so a lift shifted by it loses its fraction."""
     if (isinstance(value, bool) or not isinstance(value, int)
             or stop is not None and not 0 <= value < stop):
         bound = "" if stop is None else f" in 0..{stop - 1}"
         raise IncompatibleScene(f"{where}: {value!r} is not an integer{bound}")
-    if abs(value) > sys.float_info.max:
-        raise IncompatibleScene(f"{where}: integer too large for a float")
+    if abs(value) > 2**53:
+        raise IncompatibleScene(f"{where}: integer beyond 2**53 in size")
     return value
 
 

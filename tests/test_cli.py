@@ -232,6 +232,11 @@ SU = {"primary": {"mesh": "icosahedron", "puncture": 0},
      "su.lift_shifts[0][1]"),
     ("su", {"su": {**SU, "boundings": [{"kind": "disk", "lift": 10**400}]}},
      "su.boundings[0].lift"),
+    # each shift fits a float, their sum would not
+    ("su", {"su": {**SU, "lift_shifts": [[0, 10**308], [1, 10**308]]}},
+     "su.lift_shifts[0][1]"),
+    ("su", {"su": {**SU, "boundings": [{"kind": "disk", "lift": 2**53 + 1}]}},
+     "su.boundings[0].lift"),
 ])
 def test_bad_scene_exit_2(tmp_path, capsys, verb, scene, field):
     path = tmp_path / "bad_scene.json"

@@ -221,6 +221,10 @@ def test_chern_number_rejects_non_cycles():
     conn = D.LatticeConnection(W, np.zeros(W.n_cells[1]))
     with pytest.raises(D.NonCycleError):
         D.chern_number(conn, [(0, 1)])
+    # the empty chain, given or cancelled out, bounds no surface
+    for chain in ([], [(0, 1), (0, -1)]):
+        with pytest.raises(D.NonCycleError):
+            D.chern_number(conn, chain)
 
 
 def test_chern_number_robust_to_coherent_perturbation():

@@ -107,7 +107,7 @@ def criterion_4_xi_criterion():
 
 def criterion_5_mirror_factorization():
     """The integral mirror square: Xi is (g, h) -> g - h onto 24Z."""
-    square, fill = moncat.mirror_exp_square(24)
+    square, fill = moncat.mirror_exp_square()
     xi = moncat.XiFunctor(moncat.HofibCat(square), fill)
     if xi.kernel_incl.matrix.tolist() != [[24]]:
         return False, f"kernel not 24Z: {xi.kernel_incl.matrix.tolist()}"

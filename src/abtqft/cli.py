@@ -43,11 +43,14 @@ def fmt(x):
 
 def _read_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror or exc})")
+    except ValueError as exc:
+        # bad JSON, bytes that are not UTF-8 or an over-long integer
         raise InputError(f"{path}: invalid JSON ({exc})")
 
 
@@ -637,8 +640,13 @@ def main(argv=None):
             "convention": SIGN_CONVENTION,
             "version": __version__,
         }
-        with open(args.record, "w") as fh:
-            json.dump(record, fh, sort_keys=True, indent=2)
+        try:
+            with open(args.record, "w") as fh:
+                json.dump(record, fh, sort_keys=True, indent=2)
+        except OSError as exc:
+            print(f"input error: {args.record}: cannot write record "
+                  f"({exc.strerror or exc})", file=sys.stderr)
+            return 2
     return 1 if data.get("pass") is False else 0
 
 

@@ -274,16 +274,12 @@ def product_group(torsion, free_rank=0, name=None):
 
 
 def direct_sum(G, H):
-    """(G + H, projections onto G and H); an element of G + H is the
-    concatenated coordinates of its two parts."""
+    """G + H; an element is the concatenated coordinates of its two parts."""
     n, m = G.n_generators, H.n_generators
     rel = zeros(G.relations.shape[0] + H.relations.shape[0], n + m)
     rel[:G.relations.shape[0], :n] = G.relations
     rel[G.relations.shape[0]:, n:] = H.relations
-    S = FgAbGroup(n + m, rel)
-    p1 = GroupMorphism(S, G, np.hstack([intmat.identity(n), zeros(n, m)]))
-    p2 = GroupMorphism(S, H, np.hstack([zeros(m, n), intmat.identity(m)]))
-    return S, p1, p2
+    return FgAbGroup(n + m, rel)
 
 
 def _preimage_lattice(M, target_relation_cols):
@@ -338,24 +334,24 @@ def solve(f, y):
 
 
 class PullbackResult:
-    def __init__(self, group, pr1, pr2, incl):
+    """The fiber product of f: G -> T and g: H -> T, inside G + H."""
+
+    def __init__(self, group, incl, G, H):
         self.group = group
-        self.pr1 = pr1
-        self.pr2 = pr2
         self.incl = incl
+        self.factors = (G, H)
 
     def pair(self, p):
-        return self.pr1(p), self.pr2(p)
+        G, H = self.factors
+        coords, n = self.incl(p).coords, G.n_generators
+        return GroupElement(G, coords[:n]), GroupElement(H, coords[n:])
 
     def stack(self, x, y):
         """(x, y) as one element of the direct sum holding the pullback."""
-        if x.parent is not self.pr1.target or y.parent is not self.pr2.target:
+        G, H = self.factors
+        if x.parent is not G or y.parent is not H:
             raise ParentMismatch("pair not in the factors of the pullback")
         return GroupElement(self.incl.target, x.coords + y.coords)
-
-    def from_pair(self, x, y):
-        """Element of the pullback group mapping to (x, y), or None."""
-        return solve(self.incl, self.stack(x, y))
 
 
 def pullback(f, g):
@@ -365,13 +361,11 @@ def pullback(f, g):
     """
     if f.target is not g.target:
         raise TargetMismatch("pullback of morphisms with different targets")
-    S, p1, p2 = direct_sum(f.source, g.source)
+    S = direct_sum(f.source, g.source)
     diff = GroupMorphism(S, f.target,
                          np.hstack([f.matrix, -g.matrix]))
     K, incl = kernel(diff)
-    pr1 = incl.then(p1)
-    pr2 = incl.then(p2)
-    return PullbackResult(K, pr1, pr2, incl)
+    return PullbackResult(K, incl, f.source, g.source)
 
 
 # -- JSON interchange ------------------------------------------------------

@@ -337,12 +337,45 @@ def test_missing_file_exit_2(capsys):
     assert "no-such-file.json" in err
 
 
-def test_bad_json_exit_2(tmp_path, capsys):
+def _bad_json_file(tmp_path, kind):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run(capsys, "group", "smith", str(bad))
+    if kind == "syntax":
+        bad.write_text("{not json")
+    elif kind == "huge-int":
+        bad.write_text('{"matrix": [[' + "1" * 5000 + "]]}")
+    elif kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'\xff\xfe{"matrix": [[1]]}')
+    return str(bad)
+
+
+@pytest.mark.parametrize("kind", ["syntax", "huge-int", "directory",
+                                  "non-utf8"])
+@pytest.mark.parametrize("verb", [["group", "smith"], ["geo", "stokes"]],
+                         ids="-".join)
+def test_bad_json_exit_2(tmp_path, capsys, verb, kind):
+    argv = verb + [_bad_json_file(tmp_path, kind)]
+    if verb[0] == "geo":
+        argv.append(sample("cochain1.json"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and "bad.json" in err
+    assert ("cannot read" if kind == "directory" else "invalid JSON") in err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_record_unwritable_exit_2(tmp_path, capsys, where):
+    path = tmp_path / "no-dir" / "r.json"
+    if where == "directory":
+        path = tmp_path / "r.json"
+        path.mkdir()
+    code, out, err = run(capsys, "--record", str(path), "group", "smith",
+                         sample("matrix.json"))
     assert code == 2
-    assert "bad.json" in err and "invalid JSON" in err
+    assert out.splitlines()[0] == "D = diag(2,4)"
+    assert err.startswith("input error: ") and str(path) in err
+    assert "cannot write record" in err
 
 
 def test_dangling_reference_named(tmp_path, capsys):

@@ -52,7 +52,7 @@ def test_element_eq_examples(Z):
     Z24 = fgab.cyclic_group(24)
     assert Z24.element([25]) == Z24.element([1])
     assert not Z.element([1]) == Z.element([2])
-    Z2Z, *_ = fgab.direct_sum(fgab.cyclic_group(2), fgab.free_group(1))
+    Z2Z = fgab.direct_sum(fgab.cyclic_group(2), fgab.free_group(1))
     assert Z2Z.element([1, 0]) == Z2Z.element([3, 0])
     assert not Z2Z.element([1, 0]) == Z2Z.element([1, 1])
 
@@ -109,16 +109,17 @@ def test_pullback_times2_times3(Z):
     pb = fgab.pullback(f, g)
     assert pb.group.describe() == "Z"
     gen = pb.group.generator(0)
-    assert (pb.pr1(gen).coords, pb.pr2(gen).coords) in {((3,), (2,)),
-                                                        ((-3,), (-2,))}
-    assert fgab.morphism_eq(pb.pr1.then(f), pb.pr2.then(g))
+    x, y = pb.pair(gen)
+    assert (x.coords, y.coords) in {((3,), (2,)), ((-3,), (-2,))}
+    assert f(x) == g(y)
 
 
 def test_pullback_diagonal(Z):
     pb = fgab.pullback(fgab.identity_morphism(Z), fgab.identity_morphism(Z))
     assert pb.group.describe() == "Z"
     gen = pb.group.generator(0)
-    assert pb.pr1(gen).coords == pb.pr2(gen).coords
+    x, y = pb.pair(gen)
+    assert x.coords == y.coords
 
 
 def test_pullback_residues_mod_24():
@@ -130,8 +131,30 @@ def test_pullback_residues_mod_24():
     # enumeration over residues: the pair (a, b) lifts iff a = b mod 24
     for a in range(0, 48, 7):
         for b in range(0, 48, 5):
-            p = pb.from_pair(Z1.element([a]), Z2.element([b]))
+            pair = pb.stack(Z1.element([a]), Z2.element([b]))
+            p = fgab.solve(pb.incl, pair)
             assert (p is not None) == ((a - b) % 24 == 0)
+
+
+def test_pullback_pair_matches_row_blocks():
+    # on the fiber product of phi_G and f_ob of seeded squares (their
+    # homotopy fibers' objects): the projections onto the factors are the
+    # row blocks of the inclusion into G + H, applied as morphisms
+    rng = random.Random(31)
+    for _ in range(50):
+        square, _ = testing.random_square(rng)
+        pb = fgab.pullback(square.phi_G, square.f_ob)
+        G, H = square.phi_G.source, square.f_ob.source
+        n = G.n_generators
+        pr1 = fgab.GroupMorphism(pb.group, G, pb.incl.matrix[:n])
+        pr2 = fgab.GroupMorphism(pb.group, H, pb.incl.matrix[n:])
+        points = [pb.group.generator(i) for i in range(pb.group.n_generators)]
+        points += itertools.islice(pb.group.elements(), 10)
+        for p in points:
+            x, y = pb.pair(p)
+            assert x.parent is G and y.parent is H
+            assert (x.coords, y.coords) == (pr1(p).coords, pr2(p).coords)
+            assert pb.stack(x, y).key() == pb.incl(p).key()
 
 
 def test_pullback_target_mismatch(Z):
@@ -143,7 +166,7 @@ def test_pullback_target_mismatch(Z):
 def test_is_isomorphism_examples(Z):
     assert fgab.is_isomorphism(fgab.identity_morphism(Z))
     assert not fgab.is_isomorphism(fgab.scalar_morphism(Z, 2))
-    Z2Z3, *_ = fgab.direct_sum(fgab.cyclic_group(2), fgab.cyclic_group(3))
+    Z2Z3 = fgab.direct_sum(fgab.cyclic_group(2), fgab.cyclic_group(3))
     Z6 = fgab.cyclic_group(6)
     f = fgab.GroupMorphism(Z2Z3, Z6, [[3, 4]])
     assert f(Z2Z3.element([1, 1])) == Z6.element([1])
@@ -154,7 +177,7 @@ def test_is_isomorphism_examples(Z):
 
 
 def test_ill_defined_morphism_rejected():
-    Z2Z3, *_ = fgab.direct_sum(fgab.cyclic_group(2), fgab.cyclic_group(3))
+    Z2Z3 = fgab.direct_sum(fgab.cyclic_group(2), fgab.cyclic_group(3))
     with pytest.raises(fgab.IllDefinedMorphism):
         fgab.GroupMorphism(Z2Z3, fgab.cyclic_group(6), [[1, 1]])
 

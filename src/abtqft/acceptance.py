@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 from . import fgab, intmat, moncat, testing
 from .discrete import (Cochain, LatticeConnection, check_stokes,
@@ -190,8 +191,11 @@ def criterion_8_table():
 
 
 def criterion_9_chern_simons():
-    """Winding quadrature: signed unit, monotone, exact sphere volume."""
-    import time
+    """Winding quadrature: signed unit, monotone, exact sphere volume.
+
+    The 60 s budget is checked but not printed, so the detail is the
+    same on every run.
+    """
     t0 = time.time()
     values = [cs_su2_quadrature(n) for n in (1, 2, 3, 4)]
     errors = [abs(abs(v) - 1.0) for v in values]
@@ -206,8 +210,7 @@ def criterion_9_chern_simons():
     if elapsed > 60.0:
         return False, f"budget exceeded: {elapsed:.1f}s"
     return True, (f"cs(4) = {values[-1]:.9f}, errors {errors[0]:.2e} -> "
-                  f"{errors[-1]:.2e} monotone, vol gap {vol_gap:.2e}, "
-                  f"{elapsed:.1f}s")
+                  f"{errors[-1]:.2e} monotone, vol gap {vol_gap:.2e}")
 
 
 def criterion_10_psi_pipeline():

@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+from pathlib import Path
 
 from . import __version__, fgab, intmat, moncat
 from .discrete import (CellComplex, Cochain, ComplexError, DegreeError,
@@ -634,7 +635,7 @@ def main(argv=None):
                 logged.append(token)
         record = {
             "command": logged,
-            "inputs": {path: hashlib.sha256(open(path, "rb").read()).hexdigest()
+            "inputs": {path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
                        for path in (getattr(args, "files", []) or [])},
             "output": output,
             "convention": SIGN_CONVENTION,

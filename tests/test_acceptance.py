@@ -1,8 +1,13 @@
 """Acceptance criteria, one test each, printing a PASS/FAIL line."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
+from abtqft import acceptance
 from abtqft.acceptance import CRITERIA
+from abtqft.invariants.chern_simons import _grid_sizes
 
 
 @pytest.mark.parametrize("name,criterion", CRITERIA,
@@ -12,3 +17,31 @@ def test_acceptance(name, criterion, capsys):
     with capsys.disabled():
         print(f"\n{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, detail
+
+
+def _closed_form_cs(refinement):
+    # the theta midpoint rule's value, standing in for the quadrature
+    half = math.pi / _grid_sizes(refinement)[1] / 2.0
+    return -half / math.sin(half)
+
+
+def _stub_criterion_9(monkeypatch, *reads):
+    monkeypatch.setattr(acceptance, "cs_su2_quadrature", _closed_form_cs)
+    monkeypatch.setattr(acceptance, "time",
+                        SimpleNamespace(time=iter(reads).__next__))
+
+
+def test_chern_simons_detail_is_reproducible(monkeypatch):
+    # two runs of 1.7 s and 2.4 s print the same detail
+    _stub_criterion_9(monkeypatch, 0.0, 1.7, 10.0, 12.4)
+    first = acceptance.criterion_9_chern_simons()
+    second = acceptance.criterion_9_chern_simons()
+    assert first == second
+    assert first[0] is True
+    assert first[1].endswith("monotone, vol gap 7.93e-07")
+
+
+def test_chern_simons_budget_still_checked(monkeypatch):
+    _stub_criterion_9(monkeypatch, 0.0, 61.0)
+    assert acceptance.criterion_9_chern_simons() == (
+        False, "budget exceeded: 61.0s")

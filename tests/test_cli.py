@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -362,6 +364,21 @@ def test_bad_json_exit_2(tmp_path, capsys, verb, kind):
     assert code == 2 and out == ""
     assert err.startswith("input error: ") and "bad.json" in err
     assert ("cannot read" if kind == "directory" else "invalid JSON") in err
+
+
+def test_record_closes_its_inputs(tmp_path):
+    # an input hashed for --record and never closed warns under -X dev
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-m", "abtqft.cli", "--record", str(tmp_path / "r.json"),
+         "group", "smith", "samples/matrix.json"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[0] == "D = diag(2,4)"
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])

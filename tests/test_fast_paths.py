@@ -6,12 +6,14 @@ per-vertex scan over all faces for corners and angle defects, the ring
 walk started from that scan, the mod-2 invariant subtracted and gated by
 hand, the Smith form that updated all four transforms on every
 elementary operation, the solve and kernel read off those transforms,
-and group elements as U_inv products.
+group elements as U_inv products, and the winding quadrature evaluated
+one whole chi slice at a time.
 """
 
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from abtqft import fgab, intmat
 from abtqft.analytic import circle_distance, wrap_unit
 from abtqft.discrete import CellComplex, ComplexError, triangulated_grid
 from abtqft.discrete import surfaces as S
+from abtqft.invariants import chern_simons as CS
 from abtqft.invariants import (IncompatibleScene, InvariantResult,
                                NonIntegralInvariant, SuScene, su_psi,
                                tangent_bounding)
@@ -486,3 +489,73 @@ def test_elements_match_u_inv_products():
         slow = [tuple(U_inv @ np.array(y, dtype=object)) for y in
                 itertools.product(*[range(m) for m in G._mods])]
         assert [x.coords for x in G.elements()] == slow
+
+
+# -- SU(2) winding quadrature: blocked slices against whole slices ----------
+
+def eager_cs_quadrature(refinement):
+    """The quadrature with each chi slice evaluated whole (the old
+    `cs_su2_quadrature`, without its certificate)."""
+    n_chi, n_theta, n_phi = CS._grid_sizes(refinement)
+    d_chi = math.pi / n_chi
+    d_theta = math.pi / n_theta
+    d_phi = 2.0 * math.pi / n_phi
+    thetas = (np.arange(n_theta) + 0.5) * d_theta
+    phis = (np.arange(n_phi) + 0.5) * d_phi
+    theta_grid, phi_grid = np.meshgrid(thetas, phis, indexing="ij")
+
+    total = 0.0
+    for i in range(n_chi):
+        chi = (i + 0.5) * d_chi
+        chi_grid = np.full_like(theta_grid, chi)
+        dens = CS._frame_density(chi_grid, theta_grid, phi_grid)
+        weights = (math.sin(chi) ** 2) * np.sin(theta_grid)
+        total += float(np.sum(dens * weights)) * d_chi * d_theta * d_phi
+    return -total / (24.0 * math.pi ** 2)
+
+
+@pytest.mark.parametrize("refinement", [1, 2])
+def test_blocked_quadrature_matches_whole_slices(refinement):
+    assert CS.cs_su2_quadrature(refinement) == eager_cs_quadrature(refinement)
+
+
+# 30 points is 7 rows of 4: 800 rows leave a last block of 2; 1 point is
+# still one whole row per block
+@pytest.mark.parametrize("block_points", [30, 1])
+def test_ragged_blocks_match_whole_slices(monkeypatch, block_points):
+    monkeypatch.setattr(CS, "BLOCK_POINTS", block_points)
+    assert CS.cs_su2_quadrature(1) == eager_cs_quadrature(1)
+
+
+def test_blocked_densities_equal_whole_slice(monkeypatch):
+    blocks = []
+
+    def recording(chi, theta, phi):
+        dens = frame_density(chi, theta, phi)
+        blocks.append((chi, theta, phi, dens))
+        return dens
+
+    frame_density = CS._frame_density
+    monkeypatch.setattr(CS, "_frame_density", recording)
+    CS.cs_su2_quadrature(2)
+    n_chi, n_theta, n_phi = CS._grid_sizes(2)
+    rows = CS.BLOCK_POINTS // n_phi
+    per_slice = -(-n_theta // rows)
+    assert len(blocks) == n_chi * per_slice
+    first = blocks[:per_slice]
+    assert all(b[0].shape == (rows, n_phi) for b in first[:-1])
+    chi, theta, phi, dens = (np.concatenate([b[k] for b in first])
+                             for k in range(4))
+    assert chi.shape == (n_theta, n_phi)
+    assert np.array_equal(dens, frame_density(chi, theta, phi))
+
+
+def test_quadrature_memory_is_bounded():
+    # whole slices peaked at 9.1 MB here; blocks of 2,048 points at 1.9 MB
+    tracemalloc.start()
+    try:
+        CS.cs_su2_quadrature(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

@@ -302,6 +302,20 @@ def test_refinement_bound():
         I.BnrScene([_s3_component(eta=quad)])
 
 
+def test_cs_certificate_catches_what_the_psi_gate_misses(monkeypatch):
+    # a density off by 1e-9 moves cs(1) by 1e-9: far inside psi's 1e-6
+    # integrality gate, far outside the midpoint closed form's 1e-12
+    from abtqft.invariants import chern_simons as CS
+    from abtqft.invariants.psi import PSI_TOLERANCE
+    good = CS.cs_su2_quadrature(1)
+    frame_density = CS._frame_density
+    monkeypatch.setattr(CS, "_frame_density",
+                        lambda *grid: frame_density(*grid) * (1.0 + 1e-9))
+    assert abs(good * (1.0 + 1e-9) + 1.0) < PSI_TOLERANCE
+    with pytest.raises(ArithmeticError, match="closed form"):
+        CS.cs_su2_quadrature(1)
+
+
 def test_cs_integrand_is_constant_density():
     # the pulled-back 3-form is a constant multiple of the volume form
     from abtqft.invariants.chern_simons import _frame_density

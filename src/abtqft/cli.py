@@ -5,28 +5,16 @@ categories, homotopy fibers, the comparison functor), `geo` (discrete
 geometry), `bnr` (the invariant pipelines) and `suite` (acceptance).
 Inputs are JSON files merged into a named workspace; all floating-point
 output uses fixed 12-significant-digit formatting so runs are
-byte-reproducible.
+byte-reproducible.  Each handler imports the layers it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-from pathlib import Path
 
-from . import __version__, fgab, intmat, moncat
-from .discrete import (CellComplex, Cochain, ComplexError, DegreeError,
-                       DegenerateTriangle, LatticeConnection, NonCycleError,
-                       NotClosed, check_stokes, chern_number, holonomy,
-                       tangent_connection)
-from .invariants import (BnrScene, IncompatibleScene, ProviderError, SuScene,
-                         cs_su2_quadrature, psi, shipped_table,
-                         sphere_volume_quadrature, su_psi, SIGN_CONVENTION,
-                         build_mesh)
-from .invariants.chern_simons import MAX_REFINEMENT
-from . import acceptance
+from . import SIGN_CONVENTION, __version__
 
 
 class InputError(ValueError):
@@ -126,6 +114,7 @@ class Workspace:
         self.order["morphisms"].append(name)
 
     def _matrix(self, path, at, rows):
+        from . import intmat
         try:
             shape = (len(rows), len(rows[0]) if rows else 0)
             return intmat.as_int_matrix(rows, shape)
@@ -133,6 +122,7 @@ class Workspace:
             raise InputError(f"{path}: {at}: {exc}")
 
     def _group(self, path, at, rec, name):
+        from . import fgab
         try:
             return fgab.group_from_json(rec, name=name)
         except (ValueError, TypeError) as exc:
@@ -149,6 +139,7 @@ class Workspace:
         return self._interned.setdefault(key, G)
 
     def _morphism(self, path, at, rec, name):
+        from . import fgab
         if not isinstance(rec, dict) or "matrix" not in rec:
             raise InputError(f"{path}: {at}: morphism needs a 'matrix'")
         src = self._resolve_group(path, f"{at}.source", rec.get("source"))
@@ -167,6 +158,7 @@ class Workspace:
         return self._morphism(path, at, ref, None)
 
     def _square(self, path, at, rec):
+        from . import moncat
         legs = {}
         for leg in ("phi_H", "phi_G", "f_ob", "f_mor"):
             if leg not in rec:
@@ -215,9 +207,10 @@ def _gen_text(gens):
 
 
 def _load_mesh(ref):
+    from .discrete import CellComplex, surfaces
     if ref.startswith("builtin:"):
         try:
-            return build_mesh(ref.split(":", 1)[1])
+            return surfaces.build_mesh(ref.split(":", 1)[1])
         except Exception as exc:
             raise InputError(str(exc))
     stem = ref.rsplit("/", 1)[-1].rsplit(".", 1)[0]
@@ -228,6 +221,7 @@ def _load_mesh(ref):
 # -- group subcommands -------------------------------------------------------
 
 def cmd_group_smith(args, ws):
+    from . import intmat
     M = ws.sole(ws.matrices, "matrix", args.name)
     s = intmat.smith(M)
     U, V = s.U.tolist(), s.V.tolist()
@@ -236,6 +230,7 @@ def cmd_group_smith(args, ws):
 
 
 def cmd_group_kernel(args, ws):
+    from . import fgab
     f = ws.sole(ws.morphisms, "morphism", args.name)
     K, incl = fgab.kernel(f)
     return ([f"ker = {K.describe()}", f"incl = {incl.matrix.tolist()}"],
@@ -243,24 +238,28 @@ def cmd_group_kernel(args, ws):
 
 
 def cmd_group_cokernel(args, ws):
+    from . import fgab
     f = ws.sole(ws.morphisms, "morphism", args.name)
     C = fgab.cokernel(f)
     return [f"coker = {C.describe()}"], {"cokernel": C.describe()}
 
 
 def cmd_group_image(args, ws):
+    from . import fgab
     f = ws.sole(ws.morphisms, "morphism", args.name)
     I, _ = fgab.image(f)
     return [f"image = {I.describe()}"], {"image": I.describe()}
 
 
 def cmd_group_iso(args, ws):
+    from . import fgab
     f = ws.sole(ws.morphisms, "morphism", args.name)
     ok = fgab.is_isomorphism(f)
     return ["true" if ok else "false"], {"isomorphism": ok}
 
 
 def cmd_group_pullback(args, ws):
+    from . import fgab
     names = ws.order["morphisms"]
     if len(names) < 2:
         raise InputError("pullback needs two morphisms (two files or a "
@@ -273,6 +272,7 @@ def cmd_group_pullback(args, ws):
 
 
 def cmd_group_solve(args, ws):
+    from . import fgab
     f = ws.sole(ws.morphisms, "morphism", args.name)
     y = _parse_element(f.target, args.rhs,
                        f"{', '.join(ws.files)}: argument rhs")
@@ -286,6 +286,7 @@ def cmd_group_solve(args, ws):
 # -- cat subcommands ---------------------------------------------------------
 
 def cmd_cat_hom(args, ws):
+    from . import moncat
     phi = ws.sole(ws.morphisms, "morphism", args.name)
     cat = moncat.MorTensorCat(phi)
     a = _parse_element(cat.obj_group, args.a, f"{args.files[0]}: argument a")
@@ -315,6 +316,7 @@ def cmd_cat_hom(args, ws):
 
 
 def cmd_cat_hofiber(args, ws):
+    from . import moncat
     square = ws.sole(ws.squares, "square", args.square)
     fiber = moncat.HofibCat(square)
     gens = fiber.pullback.incl.matrix.T.tolist()
@@ -325,6 +327,7 @@ def cmd_cat_hofiber(args, ws):
 
 
 def cmd_cat_xi(args, ws):
+    from . import moncat
     square = ws.sole(ws.squares, "square", args.square)
     lam = ws.sole(ws.fills, "fill", args.fill)
     fill = moncat.DiagonalFill(square, lam)
@@ -352,6 +355,7 @@ def cmd_cat_xi(args, ws):
 # -- geo subcommands ---------------------------------------------------------
 
 def cmd_geo_stokes(args, ws):
+    from .discrete import Cochain, DegreeError, check_stokes
     mesh = _load_mesh(args.mesh)
     omega = _read_record(args.cochain, "cochain",
                          lambda obj: Cochain.from_json(mesh, obj))
@@ -366,6 +370,8 @@ def cmd_geo_stokes(args, ws):
 
 
 def _geo_connection(args):
+    from .discrete import (ComplexError, DegenerateTriangle, LatticeConnection,
+                           NotClosed, tangent_connection)
     mesh = _load_mesh(args.mesh)
     if args.connection == "tangent":
         try:
@@ -379,6 +385,7 @@ def _geo_connection(args):
 
 
 def cmd_geo_holonomy(args, ws):
+    from .discrete import ComplexError, holonomy
     complex_, conn = _geo_connection(args)
     if args.loop:
         where = f"{args.mesh}: --loop {args.loop}"
@@ -414,6 +421,7 @@ def _parse_loop(text, where):
 
 
 def cmd_geo_chern(args, ws):
+    from .discrete import NonCycleError, chern_number
     complex_, conn = _geo_connection(args)
     chain = [(f, 1) for f in range(complex_.n_cells[2])]
     try:
@@ -425,12 +433,14 @@ def cmd_geo_chern(args, ws):
 
 # -- bnr subcommands ---------------------------------------------------------
 
-BUILTIN_SCENES = {"s3-lie": BnrScene.s3_lie, "empty": BnrScene.empty}
+BUILTIN_SCENES = ["empty", "s3-lie"]
 
 
 def cmd_bnr_psi(args, ws):
+    from .invariants import BnrScene, IncompatibleScene, ProviderError, psi
     if args.builtin:
-        path, obj = "--builtin", BUILTIN_SCENES[args.builtin]()
+        builtin = {"s3-lie": BnrScene.s3_lie, "empty": BnrScene.empty}
+        path, obj = "--builtin", builtin[args.builtin]()
     else:
         path, obj = ws.sole(ws.scenes, "scene")
     try:
@@ -450,6 +460,7 @@ def cmd_bnr_psi(args, ws):
 
 
 def cmd_bnr_su(args, ws):
+    from .invariants import IncompatibleScene, ProviderError, SuScene, su_psi
     path, obj = ws.sole(ws.scenes, "scene")
     try:
         result = su_psi(SuScene.from_json(obj))
@@ -467,6 +478,7 @@ def cmd_bnr_su(args, ws):
 
 
 def cmd_bnr_cs(args, ws):
+    from .invariants import cs_su2_quadrature, sphere_volume_quadrature
     value = cs_su2_quadrature(args.refine)
     vol = sphere_volume_quadrature(args.refine)
     return ([f"cs = {fmt(value)}", f"sphere volume = {fmt(vol)}"],
@@ -474,6 +486,7 @@ def cmd_bnr_cs(args, ws):
 
 
 def cmd_bnr_table(args, ws):
+    from .invariants import shipped_table
     # shipped_table() validates the table when it loads it
     entries = shipped_table().values()
     lines = [f"{e.name}: p1={e.integral_p1} sig={e.signature} "
@@ -484,6 +497,7 @@ def cmd_bnr_table(args, ws):
 
 
 def cmd_suite(args, ws):
+    from . import acceptance
     lines = []
     ok = acceptance.run_all(out=lines.append)
     return lines, {"pass": ok}
@@ -492,6 +506,7 @@ def cmd_suite(args, ws):
 # -- main --------------------------------------------------------------------
 
 def refinement_level(text):
+    from .invariants.chern_simons import MAX_REFINEMENT
     value = int(text)
     if not 1 <= value <= MAX_REFINEMENT:
         raise argparse.ArgumentTypeError(
@@ -574,7 +589,7 @@ def build_parser():
     bsub = b.add_subparsers(dest="op", required=True)
     sp = bsub.add_parser("psi", parents=[common])
     sp.add_argument("files", nargs="*")
-    sp.add_argument("--builtin", choices=sorted(BUILTIN_SCENES))
+    sp.add_argument("--builtin", choices=BUILTIN_SCENES)
     sp.add_argument("--certify", action="store_true")
     sp.set_defaults(handler=cmd_bnr_psi)
     sp = bsub.add_parser("su", parents=[common])
@@ -622,16 +637,13 @@ def main(argv=None):
     print(output)
 
     if args.record:
-        logged = []
-        skip = False
-        for token in argv:
-            if skip:
-                skip = False
-            elif token == "--record":
-                skip = True
-            elif token.startswith("--record="):
-                pass
-            else:
+        import hashlib
+        from pathlib import Path
+        logged, tokens = [], iter(argv)
+        for token in tokens:
+            if token == "--record":
+                next(tokens, None)      # and its path
+            elif not token.startswith("--record="):
                 logged.append(token)
         record = {
             "command": logged,

@@ -69,11 +69,13 @@ class MetricSurface:
                         f"face {f}: sides {j-1} and {j} do not chain")
                 verts.append(ends[j][0])
             L = [float(self.lengths[e]) for e, _ in sides]
+            for (e, _), length in zip(sides, L):
+                if length <= 0.0:
+                    raise DegenerateTriangle(
+                        f"face {f}: edge {e} has non-positive length {length}")
             angles = []
             for j in range(3):
                 a, b, c = L[j - 1], L[j], L[(j + 1) % 3]
-                if min(a, b, c) <= 0.0:
-                    raise DegenerateTriangle(f"face {f} has a zero side")
                 cosv = (a * a + b * b - c * c) / (2.0 * a * b)
                 if not -1.0 < cosv < 1.0:
                     raise DegenerateTriangle(
@@ -392,6 +394,20 @@ def genus2_surface():
         faces.append([(i, 1), (base_e, base_s), ((i + 1) % 8, -1)])
     return CellComplex({0: 2, 1: 12, 2: 8}, {1: edge_bnd, 2: faces},
                        edge_lengths=lengths, name="genus2")
+
+
+MESH_BUILDERS = {"icosahedron": icosahedron, "flat-torus": flat_torus,
+                 "eq-torus": equilateral_torus, "flip-torus": flipped_torus,
+                 "hex-sphere": hex_sphere, "pent-sphere": pent_sphere,
+                 "oct-sphere": oct_sphere, "genus2": genus2_surface}
+
+
+def build_mesh(name):
+    """The builtin surface `name`, a key of MESH_BUILDERS."""
+    if not isinstance(name, str) or name not in MESH_BUILDERS:
+        raise ValueError(f"unknown mesh {name!r}; "
+                         f"available: {sorted(MESH_BUILDERS)}")
+    return MESH_BUILDERS[name]()
 
 
 def jittered_lengths(surface, rng, frozen_edges=()):

@@ -213,7 +213,13 @@ class GroupMorphism:
     def __call__(self, x):
         if x.parent is not self.source:
             raise ParentMismatch("argument not in the source group")
-        return GroupElement(self.target, self.matrix @ np.array(x.coords, dtype=object))
+        return GroupElement(self.target, [sum(map(mul, row, x.coords))
+                                          for row in self._rows])
+
+    @cached_property
+    def _rows(self):
+        # the rows of the matrix as int tuples, read once per morphism
+        return tuple(map(tuple, self.matrix.tolist()))
 
     def then(self, other):
         """Diagrammatic composition: apply self first, then `other`."""

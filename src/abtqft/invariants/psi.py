@@ -15,9 +15,8 @@ the Euler characteristic of closed oriented surfaces.
 
 from __future__ import annotations
 
+from .. import SIGN_CONVENTION
 from ..analytic import circle_distance, wrap_unit
-from ..moncat import AnalyticExpSquare
-from .scenes import SIGN_CONVENTION, IncompatibleScene
 
 PSI_TOLERANCE = 1e-6
 SU_TOLERANCE = 1e-9
@@ -69,6 +68,7 @@ class InvariantResult:
 def psi(scene, certify=False):
     """The mod-24 invariant of a scene: the sum of Xi(g, h) over its
     disjoint components, each gated as an object of the fiber."""
+    from ..moncat import AnalyticExpSquare   # so this module needs no numpy
     square = AnalyticExpSquare(tolerance=PSI_TOLERANCE)
     resolved = scene.resolve()
     raw = 0.0
@@ -120,6 +120,8 @@ def su_psi(scene):
     out-of-hypothesis rather than fatal.  An odd tangent pair is in the
     hypothesis, so `InvariantResult` rejects it.
     """
+    from ..moncat import AnalyticExpSquare
+    from .scenes import IncompatibleScene
     square = AnalyticExpSquare(tolerance=SU_TOLERANCE)
     total_lift = scene.sum_lifts()
     scene_hol = wrap_unit(total_lift)

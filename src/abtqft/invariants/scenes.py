@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from ..analytic import wrap_unit, wrap_half
 from ..discrete import surfaces as _surf
+from ..discrete.surfaces import build_mesh
 from ..intmat import as_int
 from . import table as _table
 from .chern_simons import MAX_REFINEMENT, cs_su2_quadrature
-
-SIGN_CONVENTION = "psi(S3-Lie,D4-flat)=+1"
 
 
 class ProviderError(ValueError):
@@ -220,25 +219,6 @@ def _union_members(obj):
 
 # -- 1d scenes: circle with structure lifts and bounding surfaces ----------
 
-MESH_BUILDERS = {
-    "icosahedron": _surf.icosahedron,
-    "flat-torus": lambda: _surf.flat_torus(4, 4),
-    "eq-torus": lambda: _surf.equilateral_torus(4, 4),
-    "flip-torus": lambda: _surf.flipped_torus(4, 4),
-    "hex-sphere": _surf.hex_sphere,
-    "pent-sphere": _surf.pent_sphere,
-    "oct-sphere": _surf.oct_sphere,
-    "genus2": _surf.genus2_surface,
-}
-
-
-def build_mesh(name, where=""):
-    if not isinstance(name, str) or name not in MESH_BUILDERS:
-        raise ProviderError(f"{where}unknown mesh {name!r}; "
-                            f"available: {sorted(MESH_BUILDERS)}")
-    return MESH_BUILDERS[name]()
-
-
 class SuBounding:
     """A bounding surface datum: kind, boundary length and holonomy, and
     its total lifted curvature."""
@@ -365,8 +345,11 @@ def _integer(value, where, stop=None):
 
 def _read_tangent(spec, where):
     """The tangent bounding of a {"mesh", "puncture"} block."""
-    surface = build_mesh(spec.get("mesh") if isinstance(spec, dict) else None,
-                         f"{where}.mesh: ")
+    try:
+        surface = build_mesh(spec.get("mesh") if isinstance(spec, dict)
+                             else None)
+    except ValueError as exc:
+        raise ProviderError(f"{where}.mesh: {exc}")
     puncture = _integer(spec.get("puncture", 0), f"{where}.puncture",
                         surface.n_cells[0])
     return tangent_bounding(surface, puncture)

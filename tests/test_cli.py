@@ -448,6 +448,19 @@ def test_degenerate_mesh_exit_2(tmp_path, capsys):
     assert "flat.json" in err and "triangle inequality" in err
 
 
+def test_negative_edge_length_exit_2(tmp_path, capsys):
+    from abtqft.discrete import icosahedron
+    rec = icosahedron().to_json()
+    rec["edge_lengths"][0] = -1.0
+    mesh = tmp_path / "negative.json"
+    mesh.write_text(json.dumps(rec))
+    for verb in ("chern", "holonomy"):
+        code, out, err = run(capsys, "geo", verb, str(mesh), "tangent")
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: {mesh}: ")
+        assert "edge 0 has non-positive length -1.0" in err
+
+
 def test_nan_edge_length_exit_2(tmp_path, capsys):
     from abtqft.discrete import icosahedron
     rec = icosahedron().to_json()

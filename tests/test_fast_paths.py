@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
-from abtqft import fgab, intmat
+from abtqft import fgab, intmat, testing
 from abtqft.analytic import circle_distance, wrap_unit
 from abtqft.discrete import CellComplex, ComplexError, triangulated_grid
 from abtqft.discrete import surfaces as S
@@ -30,15 +30,14 @@ from abtqft.invariants import (IncompatibleScene, InvariantResult,
                                NonIntegralInvariant, SuScene, su_psi,
                                tangent_bounding)
 from abtqft.invariants.psi import SU_TOLERANCE
-from abtqft.invariants.scenes import (MESH_BUILDERS, disk_bounding,
-                                      random_su_scene)
+from abtqft.invariants.scenes import disk_bounding, random_su_scene
 
 TORI = [(kind, n, m)
         for kind in (S.flat_torus, S.equilateral_torus, S.flipped_torus)
         for n, m in ((12, 20), (16, 16), (20, 12))]
 
 GRIDS = [triangulated_grid(nx, ny) for nx, ny in ((1, 1), (2, 3), (4, 2))]
-BUILTINS = [build() for build in MESH_BUILDERS.values()]
+BUILTINS = [build() for build in S.MESH_BUILDERS.values()]
 DUALS = [S.tangent_connection(mesh).dual for mesh in BUILTINS]
 COMPLEXES = GRIDS + BUILTINS + DUALS
 
@@ -489,6 +488,24 @@ def test_elements_match_u_inv_products():
         slow = [tuple(U_inv @ np.array(y, dtype=object)) for y in
                 itertools.product(*[range(m) for m in G._mods])]
         assert [x.coords for x in G.elements()] == slow
+
+
+def test_morphism_images_match_matmul():
+    # the old image: one object-dtype matmul per element
+    rng = random.Random("morphisms")
+    groups = [fgab.FgAbGroup(0), fgab.free_group(2),
+              fgab.FgAbGroup(3, [[2, 4, 0], [0, 6, 3]])]
+    groups += [testing.random_finite_group(rng) for _ in range(8)]
+    for G in groups:
+        for H in groups:
+            f = testing.random_morphism(rng, G, H)
+            for _ in range(4):
+                coords = [rng.randint(-10**20, 10**20)
+                          for _ in range(G.n_generators)]
+                slow = f.matrix @ np.array(coords, dtype=object)
+                image = f(G.element(coords))
+                assert image.parent is H
+                assert image.coords == tuple(slow)
 
 
 # -- SU(2) winding quadrature: blocked slices against whole slices ----------

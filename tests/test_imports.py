@@ -1,0 +1,131 @@
+"""Each CLI process imports only the layers its verb runs, and the lazy
+package names resolve to the objects their submodules define.
+
+Every check runs in a fresh interpreter, since what a process has
+imported is the point.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SRC = os.path.join(ROOT, "src")
+
+# run the CLI, then list every loaded module
+FOOTPRINT = """
+import json, sys
+from abtqft.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _python(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_by(*argv):
+    """The modules loaded once `abtqft <argv>` has run; it must exit 0."""
+    code, modules = json.loads(_python("-c", FOOTPRINT, *argv).splitlines()[-1])
+    assert code == 0
+    return set(modules)
+
+
+ALGEBRA_ONLY = {"abtqft.discrete", "abtqft.invariants", "abtqft.acceptance"}
+GEOMETRY_ONLY = {"abtqft.invariants", "abtqft.moncat", "abtqft.fgab"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["group", "smith", "samples/matrix.json"],
+     ALGEBRA_ONLY | {"abtqft.testing"}),
+    (["cat", "hom", "samples/times2.json", "0", "4"], ALGEBRA_ONLY),
+    (["cat", "xi", "samples/mirror24.json", "--oracle"], ALGEBRA_ONLY),
+    (["geo", "stokes", "samples/mesh_square.json", "samples/cochain1.json"],
+     GEOMETRY_ONLY),
+    (["geo", "chern", "builtin:icosahedron", "tangent"], GEOMETRY_ONLY),
+    (["bnr", "table", "validate"], {"numpy"}),
+])
+def test_verb_imports_only_its_layers(argv, absent):
+    assert not loaded_by(*argv) & absent
+
+
+def test_record_does_not_load_the_invariants(tmp_path):
+    modules = loaded_by("--record", str(tmp_path / "r.json"),
+                        "group", "smith", "samples/matrix.json")
+    assert "abtqft.invariants" not in modules
+
+
+def test_subpackages_resolve_after_bare_import():
+    names = ["analytic", "fgab", "intmat", "moncat", "discrete", "invariants"]
+    probe = f"""
+import sys
+import abtqft
+print(sorted(m for m in sys.modules if m.startswith("abtqft.")))
+for name in {names!r}:
+    assert getattr(abtqft, name) is sys.modules["abtqft." + name], name
+print("ok")
+"""
+    before, ok = _python("-c", probe).splitlines()
+    assert before == "[]" and ok == "ok"
+
+
+@pytest.mark.parametrize("first", [
+    "from abtqft.invariants import psi",
+    "from abtqft.invariants import su_psi",
+    "import abtqft.invariants.psi",
+    "from abtqft import acceptance",
+])
+def test_psi_is_the_function_whatever_loads_first(first):
+    probe = f"""
+{first}
+import types
+from abtqft.invariants import psi
+assert isinstance(psi, types.FunctionType), psi
+from abtqft.invariants import psi as again
+import abtqft.invariants.psi
+from abtqft.invariants import psi as after
+import sys
+module = sys.modules["abtqft.invariants.psi"]
+assert psi is again is after is module.psi, (psi, again, after)
+assert isinstance(module, types.ModuleType)
+print("ok")
+"""
+    assert _python("-c", probe).split() == ["ok"]
+
+
+# the names the eager `invariants/__init__.py` exported, by submodule
+OLD_EXPORTS = {
+    "chern_simons": ["cs_su2_quadrature", "sphere_volume_quadrature"],
+    "table": ["Closed4Entry", "validate_table", "shipped_table",
+              "spin_entries"],
+    "scenes": ["BnrScene", "SuScene", "SuBounding", "eta_integral",
+               "half_p1_integral", "tangent_bounding", "random_su_scene",
+               "build_mesh", "ProviderError", "IncompatibleScene",
+               "SIGN_CONVENTION"],
+    "psi": ["psi", "su_psi", "InvariantResult", "NonIntegralInvariant",
+            "ParityCertificateError", "PSI_TOLERANCE", "SU_TOLERANCE"],
+}
+
+
+def test_old_invariant_names_resolve_to_their_submodules():
+    import importlib
+
+    import abtqft
+    import abtqft.invariants as I
+    for module, names in OLD_EXPORTS.items():
+        sub = importlib.import_module(f"abtqft.invariants.{module}")
+        for name in names:
+            # the sign convention now lives in the top-level package
+            owner = abtqft if name == "SIGN_CONVENTION" else sub
+            assert getattr(I, name) is getattr(owner, name), (module, name)
+    with pytest.raises(AttributeError):
+        I.no_such_name

@@ -87,20 +87,26 @@ class SmithDecomposition:
     """Holds U·M·V = D together with the exact inverses of U and V.
 
     D is diagonal with nonnegative entries d1 | d2 | ... ; U and V are
-    unimodular.  `diag` lists the min(m, n) diagonal entries.  `smith`
-    eliminates on a copy of M alone and logs its elementary row and
-    column operations.  One log reader, `apply_log`, interprets the log:
-    solving and kernels apply U and V to single vectors with it, and
+    unimodular.  `diag` is a new list of the min(m, n) diagonal entries.
+    `smith` eliminates on a copy of M alone and logs its elementary row
+    and column operations.  One log reader, `apply_log`, interprets the
+    log: solving and kernels apply U and V to single vectors with it, and
     each transform is built on first access by applying it to the
-    columns of the identity.
+    columns of the identity.  Equal inputs to `smith` share one instance,
+    so M, D and the four transforms are read-only arrays.
     """
 
     def __init__(self, M, D, row_ops, col_ops):
+        M.flags.writeable = D.flags.writeable = False
         self.M = M
         self.D = D
-        self.diag = [D[i, i] for i in range(min(D.shape))]
+        self._diag = D.diagonal().tolist()
         self._row_ops = row_ops
         self._col_ops = col_ops
+
+    @property
+    def diag(self):
+        return list(self._diag)
 
     @cached_property
     def U(self):
@@ -124,7 +130,9 @@ def _columns(ops, n, **how):
     """The n x n matrix whose column c is `apply_log(ops, e_c, **how)`."""
     cols = [apply_log(ops, [0] * c + [1] + [0] * (n - 1 - c), **how)
             for c in range(n)]
-    return np.array(cols, dtype=object).reshape(n, n).T
+    T = np.array(cols, dtype=object).reshape(n, n)
+    T.flags.writeable = False
+    return T.T
 
 
 def apply_log(ops, x, transpose=False, inverse=False):
@@ -154,17 +162,33 @@ def apply_log(ops, x, transpose=False, inverse=False):
     return x
 
 
-def smith(M):
-    """Smith decomposition of an integer matrix.
+SMITH_CACHE_SIZE = 16   # repeats of a matrix come within a few calls
+_SMITH_CACHE = {}
 
-    Row/column eliminations on plain int rows, each logged for the
-    transforms.  The pivot is a minimal nonzero |entry| of the trailing
-    block, first in row-major order; the inner divisibility pass
-    guarantees the divisor chain d1 | d2 | ...
-    """
+
+def smith(M):
+    """Smith decomposition of an integer matrix, shared by equal inputs:
+    equal matrices after `as_int_matrix` (same shape and entries, in any
+    container) get one read-only `SmithDecomposition`, and the memo keeps
+    the SMITH_CACHE_SIZE most recently used distinct inputs."""
     M = as_int_matrix(M)
-    m, n = M.shape
     A = M.tolist()
+    key = (M.shape, tuple(map(tuple, A)))
+    s = _SMITH_CACHE.pop(key, None)
+    if s is None:
+        s = _eliminate(M, A)
+        if len(_SMITH_CACHE) >= SMITH_CACHE_SIZE:
+            del _SMITH_CACHE[next(iter(_SMITH_CACHE))]
+    _SMITH_CACHE[key] = s
+    return s
+
+
+def _eliminate(M, A):
+    """Row/column eliminations in place on the int rows A of M, each
+    logged for the transforms.  The pivot is a minimal nonzero |entry| of
+    the trailing block, first in row-major order; the inner divisibility
+    pass guarantees the divisor chain d1 | d2 | ..."""
+    m, n = M.shape
     row_ops, col_ops = [], []
 
     # the leading s x s block is diagonal and the rest of its rows and
@@ -255,7 +279,7 @@ def kernel_basis(M):
     """
     s = smith(M)
     n = s.M.shape[1]
-    free = [i for i in range(n) if i >= len(s.diag) or s.diag[i] == 0]
+    free = [i for i in range(n) if i >= len(s._diag) or s._diag[i] == 0]
     B = zeros(n, len(free))
     for k, f in enumerate(free):
         col = apply_log(s._col_ops, [int(i == f) for i in range(n)],
@@ -283,7 +307,7 @@ def solve_linear(M, b, decomposition=None):
         raise ValueError("rhs has wrong length")
     w = [0] * n
     for i, ci in enumerate(apply_log(s._row_ops, b)):
-        d = s.diag[i] if i < len(s.diag) else 0
+        d = s._diag[i] if i < len(s._diag) else 0
         if d == 0:
             if ci != 0:
                 return None

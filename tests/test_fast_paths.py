@@ -399,10 +399,34 @@ def _same(lazy, eager):
     return lazy.shape == eager.shape and lazy.tolist() == eager.tolist()
 
 
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """`smith` starts from an empty memo, and the shared one is restored."""
+    monkeypatch.setattr(intmat, "_SMITH_CACHE", {})
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The matrices `smith` eliminates, one entry per elimination."""
+    eliminate, seen = intmat._eliminate, []
+
+    def counting(M, A):
+        seen.append(M.tolist())
+        return eliminate(M, A)
+
+    monkeypatch.setattr(intmat, "_eliminate", counting)
+    return seen
+
+
 @pytest.mark.parametrize("family", SMITH_FAMILIES)
-def test_lazy_smith_matches_eager_transforms(family):
+def test_lazy_smith_matches_eager_transforms(family, empty_memo):
     for M in _smith_cases(family, SMITH_FAMILIES[family], 0):
         lazy, eager = intmat.smith(M), EagerDecomposition(M)
+        # equal inputs share one decomposition, whatever their container
+        assert intmat.smith(M) is lazy
+        assert intmat.smith(M.astype(np.int64)) is lazy
+        if M.shape[0]:          # an empty list has no shape to share
+            assert intmat.smith(M.tolist()) is lazy
         for name in ("U", "V", "U_inv", "V_inv", "D"):
             assert _same(getattr(lazy, name), getattr(eager, name)), (name, M)
         assert lazy.diag == eager.diag
@@ -440,7 +464,7 @@ def test_apply_log_matches_transforms(family):
                                     inverse=True) == list(eager.V_inv @ x)
 
 
-def test_solve_and_kernel_build_no_transform(monkeypatch):
+def test_solve_and_kernel_build_no_transform(monkeypatch, empty_memo):
     smith, made = intmat.smith, []
 
     def recording_smith(M):
@@ -454,9 +478,76 @@ def test_solve_and_kernel_build_no_transform(monkeypatch):
     xs = [intmat.solve_linear(M, b, decomposition=s)
           for b in ([1, 0, 0], [11, 12, -8], [0, 0, 0])]
     assert xs[1] is not None and xs[2] is not None
-    assert len(made) == 2
-    for d in made:
-        assert "U" not in d.__dict__ and "V" not in d.__dict__
+    assert len(made) == 2 and made[0] is made[1]
+    assert "U" not in s.__dict__ and "V" not in s.__dict__
+
+
+# -- the Smith memo: one shared, read-only decomposition per input -------------
+
+def test_large_op_eliminates_once(empty_memo, eliminations):
+    rng = random.Random("smith/48")
+    M = [[rng.randint(-9, 9) for _ in range(48)] for _ in range(48)]
+    A = np.array(M, dtype=object)
+    s = intmat.smith(M)
+    assert intmat.kernel_basis(M).shape == (48, 48 - sum(map(bool, s.diag)))
+    for _ in range(3):
+        b = list(A @ [rng.randint(-5, 5) for _ in range(48)])
+        assert list(A @ intmat.solve_linear(M, b)) == b
+    assert eliminations == [M]
+
+
+def test_smith_memo_keys_empty_shapes_apart(empty_memo):
+    made = [intmat.smith(np.zeros(shape, dtype=np.int64))
+            for shape in ((0, 3), (3, 0), (0, 0))]
+    assert [s.M.shape for s in made] == [(0, 3), (3, 0), (0, 0)]
+    assert len(intmat._SMITH_CACHE) == 3
+
+
+def test_smith_memo_is_bounded_least_recently_used(empty_memo, eliminations):
+    size = intmat.SMITH_CACHE_SIZE
+    for k in range(size + 1):
+        intmat.smith([[k]])
+    intmat.smith([[size]])
+    assert len(eliminations) == size + 1
+    intmat.smith([[0]])                 # the oldest input was dropped
+    assert len(eliminations) == size + 2
+    assert len(intmat._SMITH_CACHE) == size
+    intmat.smith([[2]])                 # a reused input moves to the back,
+    intmat.smith([[size + 1]])          # so [[3]] goes, not [[2]]
+    intmat.smith([[2]])
+    assert len(eliminations) == size + 3
+
+
+def test_shared_smith_is_read_only(empty_memo):
+    s = intmat.smith([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    for name in ("M", "D", "U", "V", "U_inv", "V_inv"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, name)[0, 0] = 7
+    s.diag[0] = 7                       # a copy
+    assert s.diag == [2, 6, 12]
+
+
+def test_smith_memo_does_not_see_later_edits(empty_memo):
+    rows = [[2, 4], [6, 8]]
+    array = np.array(rows, dtype=object)
+    s = intmat.smith(rows)
+    assert intmat.smith(array) is s
+    rows[0][0] = array[0, 0] = 3
+    assert s.M.tolist() == [[2, 4], [6, 8]] and s.diag == [2, 4]
+    t = intmat.smith(rows)
+    assert t is not s and intmat.smith(array) is t
+    assert t.diag == EagerDecomposition(rows).diag == [1, 0]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[1, True]], r"^entry\[0\]\[1\]: "),
+    ([[1.0]], r"^entry\[0\]\[0\]: "),
+    ([[1, 2], [3]], "2d matrix"),
+])
+def test_smith_memo_never_keeps_bad_input(bad, message, empty_memo):
+    with pytest.raises(ValueError, match=message):
+        intmat.smith(bad)
+    assert intmat._SMITH_CACHE == {}
 
 
 def test_lazy_smith_builds_each_transform_once():

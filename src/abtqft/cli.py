@@ -170,9 +170,11 @@ class Workspace:
             raise InputError(f"{path}: {at}: {exc}")
 
     def _fill(self, path, at, rec):
+        # a fill names no square: it is checked against one when used
         if "lambda" not in rec:
             raise InputError(f"{path}: {at}: fill missing 'lambda'")
-        return self._resolve_morphism(path, f"{at}.lambda", rec["lambda"])
+        return (f"{path}: {at}",
+                self._resolve_morphism(path, f"{at}.lambda", rec["lambda"]))
 
     def sole(self, table, kind, name=None):
         if name is not None:
@@ -265,7 +267,10 @@ def cmd_group_pullback(args, ws):
         raise InputError("pullback needs two morphisms (two files or a "
                          "workspace defining two)")
     f, g = ws.morphisms[names[0]], ws.morphisms[names[1]]
-    pb = fgab.pullback(f, g)
+    try:
+        pb = fgab.pullback(f, g)
+    except fgab.TargetMismatch as exc:
+        raise InputError(f"{', '.join(ws.files)}: {exc}")
     gens = pb.incl.matrix.T.tolist()
     return ([f"P = {pb.group.describe()}, gen {_gen_text(gens)}"],
             {"group": pb.group.describe(), "generators": gens})
@@ -329,8 +334,11 @@ def cmd_cat_hofiber(args, ws):
 def cmd_cat_xi(args, ws):
     from . import moncat
     square = ws.sole(ws.squares, "square", args.square)
-    lam = ws.sole(ws.fills, "fill", args.fill)
-    fill = moncat.DiagonalFill(square, lam)
+    where, lam = ws.sole(ws.fills, "fill", args.fill)
+    try:
+        fill = moncat.DiagonalFill(square, lam)
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}")
     xi = moncat.XiFunctor(moncat.HofibCat(square), fill)
     equiv = moncat.xi_is_equivalence(square, fill)
     gens = xi.kernel_incl.matrix.T.tolist()

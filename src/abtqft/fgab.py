@@ -87,8 +87,12 @@ class FgAbGroup:
         return tuple((a + b) % m if m else a + b
                      for a, b, m in zip(k1, k2, self._mods))
 
-    def in_relation_lattice(self, coords):
-        return all(k == 0 for k in self.canonical_key(coords))
+    def first_column_outside(self, columns):
+        """Index of the first column outside the relation lattice, or None."""
+        for j, col in enumerate(columns.T.tolist()):
+            if any(self.canonical_key(col)):
+                return j
+        return None
 
     # -- structure --------------------------------------------------------
 
@@ -203,12 +207,12 @@ class GroupMorphism:
                 f"matrix shape {self.matrix.shape} != "
                 f"({target.n_generators}, {source.n_generators})")
         self.name = name
-        for row in self.source.relations:
-            image = self.matrix @ row
-            if not self.target.in_relation_lattice(image):
-                raise IllDefinedMorphism(
-                    f"relation {list(row)} maps to {list(image)} "
-                    "outside the target relation lattice")
+        images = self.matrix @ source.relations.T
+        j = target.first_column_outside(images)
+        if j is not None:
+            raise IllDefinedMorphism(
+                f"relation {list(source.relations[j])} maps to "
+                f"{list(images[:, j])} outside the target relation lattice")
 
     def __call__(self, x):
         if x.parent is not self.source:
@@ -237,27 +241,6 @@ class GroupMorphism:
         # Smith data of [matrix | target relation columns]: solving
         # f(x) = y means solving this system, decomposed once per morphism
         return intmat.smith(np.hstack([self.matrix, self.target.relations.T]))
-
-
-def identity_morphism(G):
-    return GroupMorphism(G, G, intmat.identity(G.n_generators), name="id")
-
-
-def zero_morphism(G, H):
-    return GroupMorphism(G, H, zeros(H.n_generators, G.n_generators), name="0")
-
-
-def scalar_morphism(G, k):
-    return GroupMorphism(G, G, k * intmat.identity(G.n_generators))
-
-
-def morphism_eq(f, g):
-    """Equality of morphisms: generator images agree in the target."""
-    if f.source is not g.source or f.target is not g.target:
-        return False
-    diff = f.matrix - g.matrix
-    return all(f.target.in_relation_lattice(diff[:, j])
-               for j in range(f.source.n_generators))
 
 
 def free_group(rank, name=None):
@@ -340,12 +323,25 @@ def solve(f, y):
 
 
 class PullbackResult:
-    """The fiber product of f: G -> T and g: H -> T, inside G + H."""
+    """The fiber product of f: G -> T and g: H -> T, inside G + H.
 
-    def __init__(self, group, incl, G, H):
-        self.group = group
-        self.incl = incl
-        self.factors = (G, H)
+    The direct sum and the difference map (x, y) -> f(x) - g(y) are built
+    at once; their kernel, the fiber product (group, incl), on first read.
+    """
+
+    def __init__(self, f, g):
+        self.factors = (f.source, g.source)
+        self.direct_sum = direct_sum(f.source, g.source)
+        self.difference = GroupMorphism(self.direct_sum, f.target,
+                                        np.hstack([f.matrix, -g.matrix]))
+
+    @cached_property
+    def incl(self):
+        return kernel(self.difference)[1]
+
+    @property
+    def group(self):
+        return self.incl.source
 
     def pair(self, p):
         G, H = self.factors
@@ -357,7 +353,7 @@ class PullbackResult:
         G, H = self.factors
         if x.parent is not G or y.parent is not H:
             raise ParentMismatch("pair not in the factors of the pullback")
-        return GroupElement(self.incl.target, x.coords + y.coords)
+        return GroupElement(self.direct_sum, x.coords + y.coords)
 
 
 def pullback(f, g):
@@ -367,11 +363,7 @@ def pullback(f, g):
     """
     if f.target is not g.target:
         raise TargetMismatch("pullback of morphisms with different targets")
-    S = direct_sum(f.source, g.source)
-    diff = GroupMorphism(S, f.target,
-                         np.hstack([f.matrix, -g.matrix]))
-    K, incl = kernel(diff)
-    return PullbackResult(K, incl, f.source, g.source)
+    return PullbackResult(f, g)
 
 
 # -- JSON interchange ------------------------------------------------------
@@ -381,11 +373,6 @@ def group_from_json(obj, name=None):
         raise ValueError("group record must be an object")
     return FgAbGroup(obj.get("generators"), obj.get("relations", ()),
                      name=name or obj.get("name"))
-
-
-def group_to_json(G):
-    return {"generators": G.n_generators,
-            "relations": [[int(v) for v in row] for row in G.relations]}
 
 
 def morphism_from_json(obj, source, target, name=None):

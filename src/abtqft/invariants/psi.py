@@ -16,7 +16,7 @@ the Euler characteristic of closed oriented surfaces.
 from __future__ import annotations
 
 from .. import SIGN_CONVENTION
-from ..analytic import circle_distance, wrap_unit
+from ..analytic import AnalyticExpSquare, circle_distance, wrap_unit
 
 PSI_TOLERANCE = 1e-6
 SU_TOLERANCE = 1e-9
@@ -68,7 +68,6 @@ class InvariantResult:
 def psi(scene, certify=False):
     """The mod-24 invariant of a scene: the sum of Xi(g, h) over its
     disjoint components, each gated as an object of the fiber."""
-    from ..moncat import AnalyticExpSquare   # so this module needs no numpy
     square = AnalyticExpSquare(tolerance=PSI_TOLERANCE)
     resolved = scene.resolve()
     raw = 0.0
@@ -120,7 +119,6 @@ def su_psi(scene):
     out-of-hypothesis rather than fatal.  An odd tangent pair is in the
     hypothesis, so `InvariantResult` rejects it.
     """
-    from ..moncat import AnalyticExpSquare
     from .scenes import IncompatibleScene
     square = AnalyticExpSquare(tolerance=SU_TOLERANCE)
     total_lift = scene.sum_lifts()

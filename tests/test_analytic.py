@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from abtqft.analytic import circle_distance, wrap_half, wrap_unit
-from abtqft.moncat import AnalyticExpSquare
+from abtqft.analytic import (AnalyticExpSquare, circle_distance, wrap_half,
+                             wrap_unit)
 
 
 @given(st.floats(-100, 100))

@@ -589,7 +589,34 @@ def test_ill_defined_morphism_in_file_exit_2(tmp_path, capsys):
     }))
     code, _, err = run(capsys, "group", "iso", str(f))
     assert code == 2
-    assert "bad_mor.json" in err
+    assert err == (f"input error: {f}: $: relation [2] maps to [2] "
+                   "outside the target relation lattice\n")
+
+
+def test_pullback_of_different_targets_exit_2(capsys):
+    code, out, err = run(capsys, "group", "pullback", sample("times2.json"),
+                         sample("proj24.json"))
+    assert (code, out) == (2, "")
+    assert err == (f"input error: {sample('times2.json')}, "
+                   f"{sample('proj24.json')}: "
+                   "pullback of morphisms with different targets\n")
+
+
+@pytest.mark.parametrize("leg, field, value, message", [
+    ("lam", "matrix", [[2]], "fills.idfill: f_mor != lambda . phi_H"),
+    ("lam", "target", "Hob", "fills.idfill: lambda must end at G_mor"),
+    ("fob", "matrix", [[2]], "squares.mirror: square does not commute"),
+])
+def test_mismatched_square_or_fill_exit_2(tmp_path, capsys, leg, field,
+                                          value, message):
+    with open(sample("mirror24.json")) as fh:
+        rec = json.load(fh)
+    rec["morphisms"][leg][field] = value
+    f = tmp_path / "bad_square.json"
+    f.write_text(json.dumps(rec))
+    code, out, err = run(capsys, "cat", "xi", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {f}: {message}\n"
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))

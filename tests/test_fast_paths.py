@@ -6,8 +6,10 @@ per-vertex scan over all faces for corners and angle defects, the ring
 walk started from that scan, the mod-2 invariant subtracted and gated by
 hand, the Smith form that updated all four transforms on every
 elementary operation, the solve and kernel read off those transforms,
-group elements as U_inv products, and the winding quadrature evaluated
-one whole chi slice at a time.
+group elements as U_inv products, squares and fills compared as two
+checked composite morphisms, the fiber product taken whenever a fiber is
+built, and the winding quadrature evaluated one whole chi slice at a
+time.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
-from abtqft import fgab, intmat, testing
+from abtqft import fgab, intmat, moncat, testing
 from abtqft.analytic import circle_distance, wrap_unit
 from abtqft.discrete import CellComplex, ComplexError, triangulated_grid
 from abtqft.discrete import surfaces as S
@@ -597,6 +599,122 @@ def test_morphism_images_match_matmul():
                 image = f(G.element(coords))
                 assert image.parent is H
                 assert image.coords == tuple(slow)
+
+
+# -- squares and fills: lattice columns against checked composites ----------
+
+def eager_equal(f, g):
+    """The old morphism equality: generator images agree in the target."""
+    if f.source is not g.source or f.target is not g.target:
+        return False
+    diff = f.matrix - g.matrix
+    return all(all(k == 0 for k in f.target.canonical_key(diff[:, j]))
+               for j in range(f.source.n_generators))
+
+
+def eager_commutes(phi_H, phi_G, f_ob, f_mor):
+    return eager_equal(phi_H.then(f_ob), f_mor.then(phi_G))
+
+
+def eager_splits(square, lam):
+    return (eager_equal(square.f_mor, square.phi_H.then(lam))
+            and eager_equal(square.f_ob, lam.then(square.phi_G)))
+
+
+def _perturbed(rng, f):
+    """f with one matrix entry moved, if such a copy is well defined."""
+    for _ in range(20):
+        M = f.matrix.copy()
+        M[rng.randrange(M.shape[0]), rng.randrange(M.shape[1])] += \
+            rng.choice((-1, 1, 2, 3))
+        try:
+            return fgab.GroupMorphism(f.source, f.target, M)
+        except fgab.IllDefinedMorphism:
+            pass
+    return f
+
+
+def test_square_and_fill_verdicts_match_composites():
+    rng = random.Random("squares")
+    seen = set()
+    for _ in range(60):
+        square, fill = testing.random_square(rng)
+        phi_H, phi_G, f_mor = square.phi_H, square.phi_G, square.f_mor
+        for f_ob in (square.f_ob, _perturbed(rng, square.f_ob)):
+            commutes = eager_commutes(phi_H, phi_G, f_ob, f_mor)
+            seen.add(("square", commutes))
+            if not commutes:
+                with pytest.raises(fgab.IllDefinedMorphism,
+                                   match="^square does not commute$"):
+                    moncat.CommSquare(phi_H, phi_G, f_ob, f_mor)
+                continue
+            built = moncat.CommSquare(phi_H, phi_G, f_ob, f_mor)
+            for lam in (fill.lam, _perturbed(rng, fill.lam)):
+                splits = eager_splits(built, lam)
+                seen.add(("fill", splits))
+                try:
+                    moncat.DiagonalFill(built, lam)
+                except moncat.TriangleMismatch:
+                    assert not splits
+                else:
+                    assert splits
+    assert seen == {(kind, verdict) for kind in ("square", "fill")
+                    for verdict in (True, False)}
+
+
+def test_square_and_fill_build_no_morphism(monkeypatch):
+    rng = random.Random("no composites")
+    cases = [testing.random_square(rng) for _ in range(10)]
+    built = []
+    init = fgab.GroupMorphism.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fgab.GroupMorphism, "__init__", counting_init)
+    for square, fill in cases:
+        again = moncat.CommSquare(square.phi_H, square.phi_G, square.f_ob,
+                                  square.f_mor)
+        moncat.DiagonalFill(again, fill.lam)
+    assert built == []
+
+
+def test_fiber_queries_take_no_fiber_product(monkeypatch):
+    rng = random.Random("lazy fiber")
+    taken = []
+    kernel = fgab.kernel
+
+    def recording_kernel(f):
+        taken.append(f)
+        return kernel(f)
+
+    monkeypatch.setattr(fgab, "kernel", recording_kernel)
+    monkeypatch.setattr(moncat, "kernel", recording_kernel)
+    for _ in range(20):
+        square, fill = testing.random_square(rng)
+        fiber = moncat.HofibCat(square)
+        pb = fiber.pullback
+        H_ob, H_mor = square.phi_H.target, square.phi_H.source
+        # (lambda(h), h) is an object: phi_G . lambda = f_ob
+        objects = [fiber.unit()] + [(fill.lam(h), h) for h in
+                                    itertools.islice(H_ob.elements(), 4)]
+        xi = moncat.XiFunctor(fiber, fill)
+        for p, q in itertools.product(objects, repeat=2):
+            fiber.hom(p, q)
+            fiber.hom_contains(p, q, H_mor.generator(0))
+            xi.apply_object(q)
+        assert fiber.stacked.target is pb.direct_sum
+        assert not any(f is pb.difference for f in taken)
+        # reading the object group takes it once; pairs round-trip as before
+        P = fiber.object_group
+        assert P is pb.group
+        assert sum(f is pb.difference for f in taken) == 1
+        assert fiber.stacked.target is pb.incl.target
+        for p in itertools.islice(P.elements(), 10):
+            x, y = pb.pair(p)
+            assert fiber.is_object(x, y)
+            assert pb.stack(x, y).key() == pb.incl(p).key()
 
 
 # -- SU(2) winding quadrature: blocked slices against whole slices ----------

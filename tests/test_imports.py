@@ -5,6 +5,8 @@ Every check runs in a fresh interpreter, since what a process has
 imported is the point.
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -41,7 +43,8 @@ def loaded_by(*argv):
 
 
 ALGEBRA_ONLY = {"abtqft.discrete", "abtqft.invariants", "abtqft.acceptance"}
-GEOMETRY_ONLY = {"abtqft.invariants", "abtqft.moncat", "abtqft.fgab"}
+GROUP_LAYER = {"abtqft.moncat", "abtqft.fgab"}
+GEOMETRY_ONLY = {"abtqft.invariants"} | GROUP_LAYER
 
 
 @pytest.mark.parametrize("argv, absent", [
@@ -53,9 +56,28 @@ GEOMETRY_ONLY = {"abtqft.invariants", "abtqft.moncat", "abtqft.fgab"}
      GEOMETRY_ONLY),
     (["geo", "chern", "builtin:icosahedron", "tangent"], GEOMETRY_ONLY),
     (["bnr", "table", "validate"], {"numpy"}),
+    (["bnr", "psi", "samples/scene_s3.json", "--certify"], GROUP_LAYER),
+    (["bnr", "su", "samples/scene_su.json"], GROUP_LAYER),
 ])
 def test_verb_imports_only_its_layers(argv, absent):
     assert not loaded_by(*argv) & absent
+
+
+@pytest.mark.parametrize("layer", ["invariants", "discrete"])
+def test_numeric_layers_never_import_the_group_layer(layer):
+    # at module level or inside a function: either one loads it
+    for path in sorted(glob.glob(os.path.join(SRC, "abtqft", layer, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            parts = {p for name in names for p in name.split(".")}
+            assert not parts & {"fgab", "moncat"}, (path, node.lineno)
 
 
 def test_record_does_not_load_the_invariants(tmp_path):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abtqft import fgab, moncat, testing
-from abtqft.moncat import (AnalyticExpSquare, CommSquare, DiagonalFill,
-                           MorTensorCat, mirror_exp_square)
+from abtqft.analytic import AnalyticExpSquare
+from abtqft.moncat import (CommSquare, DiagonalFill, MorTensorCat,
+                           mirror_exp_square)
 
 
 @pytest.fixture
@@ -18,7 +19,7 @@ def Z():
 
 def test_hom_discrete_category(Z):
     # the category of a group alone: only identities
-    cat = MorTensorCat(fgab.zero_morphism(fgab.FgAbGroup(0), Z))
+    cat = MorTensorCat(fgab.GroupMorphism(fgab.FgAbGroup(0), Z, [[]]))
     a, b = Z.element([3]), Z.element([4])
     assert cat.hom(a, b).is_empty
     same = cat.hom(a, Z.element([3]))
@@ -27,7 +28,7 @@ def test_hom_discrete_category(Z):
 
 
 def test_hom_times2(Z):
-    cat = MorTensorCat(fgab.scalar_morphism(Z, 2))
+    cat = MorTensorCat(fgab.GroupMorphism(Z, Z, [[2]]))
     hs = cat.hom(Z.element([0]), Z.element([4]))
     assert hs.particular.coords == (2,)
     assert hs.kernel_generators == []
@@ -84,7 +85,7 @@ def test_hom_oracle_small():
 # closure of that test under sums.
 
 def test_compose_examples(Z):
-    cat = MorTensorCat(fgab.scalar_morphism(Z, 2))
+    cat = MorTensorCat(fgab.GroupMorphism(Z, Z, [[2]]))
     a, b, c = Z.element([0]), Z.element([4]), Z.element([10])
     x1, x2 = Z.element([2]), Z.element([3])
     assert cat.hom_contains(a, b, x1) and cat.hom_contains(b, c, x2)
@@ -107,7 +108,7 @@ def test_compose_residues(Z):
 
 
 def test_compose_associativity(Z):
-    cat = MorTensorCat(fgab.identity_morphism(Z))
+    cat = MorTensorCat(fgab.GroupMorphism(Z, Z, [[1]]))
     objs = [Z.element([i]) for i in range(4)]
     xs = [Z.element([1])] * 3
     for i in range(3):
@@ -119,7 +120,7 @@ def test_compose_associativity(Z):
 
 
 def test_non_composable(Z):
-    cat = MorTensorCat(fgab.scalar_morphism(Z, 2))
+    cat = MorTensorCat(fgab.GroupMorphism(Z, Z, [[2]]))
     # 0 -> 4 carried by 2 and 5 -> 7 carried by 1 do not meet, and the sum
     # of their carriers does not join the outer ends 0 -> 7
     x1, x2 = Z.element([2]), Z.element([1])
@@ -131,7 +132,7 @@ def test_non_composable(Z):
 
 
 def test_tensor_and_dual(Z):
-    cat = MorTensorCat(fgab.scalar_morphism(Z, 2))
+    cat = MorTensorCat(fgab.GroupMorphism(Z, Z, [[2]]))
     # the unit is zero, the tensor of objects their sum, the dual the negative
     assert Z.zero() + Z.zero() == Z.zero()
     assert -Z.element([5]) == Z.element([-5])
@@ -144,7 +145,7 @@ def test_tensor_and_dual(Z):
 
 
 def test_tensor_morphisms(Z):
-    cat = MorTensorCat(fgab.scalar_morphism(Z, 2))
+    cat = MorTensorCat(fgab.GroupMorphism(Z, Z, [[2]]))
     a1, b1, x1 = Z.element([0]), Z.element([2]), Z.element([1])
     a2, b2, x2 = Z.element([1]), Z.element([5]), Z.element([2])
     assert cat.hom_contains(a1, b1, x1) and cat.hom_contains(a2, b2, x2)
@@ -188,9 +189,9 @@ def _preserves_composition_on(target, square, m1, m2):
 
 
 def test_identity_square_functor(Z):
-    phi = fgab.scalar_morphism(Z, 2)
-    square = CommSquare(phi, phi, fgab.identity_morphism(Z),
-                        fgab.identity_morphism(Z))
+    phi = fgab.GroupMorphism(Z, Z, [[2]])
+    square = CommSquare(phi, phi, fgab.GroupMorphism(Z, Z, [[1]]),
+                        fgab.GroupMorphism(Z, Z, [[1]]))
     source, target = MorTensorCat(square.phi_H), MorTensorCat(square.phi_G)
     assert _preserves_unit(square)
     a = Z.element([3])
@@ -248,10 +249,10 @@ def test_functor_laws_exhaustive_on_finite_square():
 def test_zero_square_constant_functor(Z):
     zero_grp = fgab.FgAbGroup(0)
     phi_G = fgab.GroupMorphism(zero_grp, zero_grp, [])
-    square = CommSquare(fgab.identity_morphism(Z),
+    square = CommSquare(fgab.GroupMorphism(Z, Z, [[1]]),
                         phi_G,
-                        fgab.zero_morphism(Z, zero_grp),
-                        fgab.zero_morphism(Z, zero_grp))
+                        fgab.GroupMorphism(Z, zero_grp, []),
+                        fgab.GroupMorphism(Z, zero_grp, []))
     assert square.f_ob(Z.element([5])).key() == zero_grp.zero().key()
     m = (Z.element([5]), Z.element([7]), Z.element([2]))
     assert MorTensorCat(square.phi_H).hom_contains(*m)
@@ -262,10 +263,10 @@ def test_zero_square_constant_functor(Z):
 def test_square_commutation_enforced(Z):
     Z24 = fgab.cyclic_group(24)
     with pytest.raises(fgab.IllDefinedMorphism):
-        CommSquare(fgab.scalar_morphism(Z, 2),
+        CommSquare(fgab.GroupMorphism(Z, Z, [[2]]),
                    fgab.GroupMorphism(Z, Z24, [[1]]),
                    fgab.GroupMorphism(Z, Z24, [[1]]),
-                   fgab.identity_morphism(Z))
+                   fgab.GroupMorphism(Z, Z, [[1]]))
 
 
 # -- homotopy fibers -----------------------------------------------------------
@@ -283,9 +284,9 @@ def test_mirror_hofiber_objects():
 
 
 def test_identity_square_hofiber_is_diagonal(Z):
-    phi = fgab.identity_morphism(Z)
-    square = CommSquare(phi, phi, fgab.identity_morphism(Z),
-                        fgab.identity_morphism(Z))
+    phi = fgab.GroupMorphism(Z, Z, [[1]])
+    square = CommSquare(phi, phi, fgab.GroupMorphism(Z, Z, [[1]]),
+                        fgab.GroupMorphism(Z, Z, [[1]]))
     fiber = moncat.HofibCat(square)
     for g in range(-3, 4):
         for h in range(-3, 4):
@@ -296,9 +297,10 @@ def test_zero_square_objects():
     # f_ob = 0, f_mor = 0, phi_G = id: objects are exactly (0, h)
     Z = fgab.free_group(1, "H")
     G = fgab.free_group(1, "G")
-    phi_G = fgab.identity_morphism(G)
-    square = CommSquare(fgab.identity_morphism(Z), phi_G,
-                        fgab.zero_morphism(Z, G), fgab.zero_morphism(Z, G))
+    phi_G = fgab.GroupMorphism(G, G, [[1]])
+    square = CommSquare(fgab.GroupMorphism(Z, Z, [[1]]), phi_G,
+                        fgab.GroupMorphism(Z, G, [[0]]),
+                        fgab.GroupMorphism(Z, G, [[0]]))
     fiber = moncat.HofibCat(square)
     for g in range(-2, 3):
         for h in range(-2, 3):
@@ -452,7 +454,7 @@ def test_xi_equivalence_criterion_examples(Z):
 
     # phi_H = 0: Z -> 0 is not injective
     zero_grp = fgab.FgAbGroup(0)
-    phi_H3 = fgab.zero_morphism(Z, zero_grp)
+    phi_H3 = fgab.GroupMorphism(Z, zero_grp, [])
     lam3 = fgab.GroupMorphism(zero_grp, G_mor, [[] for _ in range(1)])
     square3 = CommSquare(phi_H3, phi_G, lam3.then(phi_G), phi_H3.then(lam3))
     fill3 = DiagonalFill(square3, lam3)
@@ -486,7 +488,10 @@ def test_fill_forced_when_phi_H_invertible():
             cols.append(list(x.coords))
         inv = fgab.GroupMorphism(phi_H.target, phi_H.source,
                                  np.array(cols, dtype=object).T)
-        assert fgab.morphism_eq(fill.lam, inv.then(square.f_mor))
+        forced = inv.then(square.f_mor)
+        assert forced.target is fill.lam.target
+        assert fill.lam.target.first_column_outside(
+            fill.lam.matrix - forced.matrix) is None
 
 
 def test_kernel_elements_are_endomorphisms():

@@ -32,8 +32,8 @@ class IllDefinedMorphism(ValueError):
 class FgAbGroup:
     """Z^n_generators / (row lattice of `relations`).
 
-    The normal form (invariant factors and free rank) is computed once at
-    construction; instances are immutable afterwards.
+    The normal form (invariant factors and free rank) is computed on first
+    read, so a group that only holds relations is never eliminated.
     """
 
     def __init__(self, n_generators, relations=None, name=None):
@@ -47,13 +47,24 @@ class FgAbGroup:
                 f"relation rows have length {self.relations.shape[1]}, "
                 f"expected {n}")
         self.name = name
-        # Smith data of relations^T turns lattice membership into
-        # per-coordinate divisibility checks.
-        self._snf = intmat.smith(self.relations.T)
+
+    @cached_property
+    def _snf(self):
+        # relations^T in Smith form: membership is per-coordinate divisibility
+        return intmat.smith(self.relations.T)
+
+    @cached_property
+    def _mods(self):
         diag = self._snf.diag
-        self._mods = [diag[i] if i < len(diag) else 0 for i in range(n)]
-        self.invariant_factors = tuple(d for d in self._mods if d >= 2)
-        self.free_rank = sum(1 for d in self._mods if d == 0)
+        return diag + [0] * (self.n_generators - len(diag))
+
+    @cached_property
+    def invariant_factors(self):
+        return tuple(d for d in self._mods if d >= 2)
+
+    @cached_property
+    def free_rank(self):
+        return self._mods.count(0)
 
     # -- elements ---------------------------------------------------------
 
@@ -214,6 +225,16 @@ class GroupMorphism:
                 f"relation {list(source.relations[j])} maps to "
                 f"{list(images[:, j])} outside the target relation lattice")
 
+    @classmethod
+    def _derived(cls, source, target, matrix):
+        """Unchecked, as well defined by construction: the `kernel` and
+        `image` inclusions map a preimage lattice into the target's; a
+        pullback's difference and a fiber's stacked map have block-diagonal
+        direct sums, so each column check is one their two parts passed."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.matrix, f.name = source, target, matrix, None
+        return f
+
     def __call__(self, x):
         if x.parent is not self.source:
             raise ParentMismatch("argument not in the source group")
@@ -281,19 +302,16 @@ def _preimage_lattice(M, target_relation_cols):
 def kernel(f):
     """(K, incl) with incl: K -> source injective and image = ker f."""
     P = _preimage_lattice(f.matrix, f.target.relations.T)
-    t = P.shape[1]
     rel_cols = _preimage_lattice(P, f.source.relations.T)
-    K = FgAbGroup(t, rel_cols.T)
-    incl = GroupMorphism(K, f.source, P)
-    return K, incl
+    K = FgAbGroup(P.shape[1], rel_cols.T)
+    return K, GroupMorphism._derived(K, f.source, P)
 
 
 def image(f):
     """(Img, incl) presenting the image subgroup of the target."""
     rel_cols = _preimage_lattice(f.matrix, f.target.relations.T)
     Img = FgAbGroup(f.source.n_generators, rel_cols.T)
-    incl = GroupMorphism(Img, f.target, f.matrix)
-    return Img, incl
+    return Img, GroupMorphism._derived(Img, f.target, f.matrix)
 
 
 def cokernel(f):
@@ -303,8 +321,12 @@ def cokernel(f):
 
 
 def is_isomorphism(f):
-    K, _ = kernel(f)
-    return K.is_trivial and cokernel(f).is_trivial
+    """Isomorphic source and target, and f onto: a surjective endomorphism
+    of a f.g. Z-module is injective (Matsumura, CRT, Thm 2.4)."""
+    t = f.target.n_generators
+    return (f.source.invariant_factors == f.target.invariant_factors
+            and f.source.free_rank == f.target.free_rank
+            and f._target_solver.diag[:t] == [1] * t)
 
 
 def solve(f, y):
@@ -332,8 +354,8 @@ class PullbackResult:
     def __init__(self, f, g):
         self.factors = (f.source, g.source)
         self.direct_sum = direct_sum(f.source, g.source)
-        self.difference = GroupMorphism(self.direct_sum, f.target,
-                                        np.hstack([f.matrix, -g.matrix]))
+        self.difference = GroupMorphism._derived(
+            self.direct_sum, f.target, np.hstack([f.matrix, -g.matrix]))
 
     @cached_property
     def incl(self):

@@ -60,13 +60,12 @@ def zeros(m, n):
 
 def det(M):
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    M = np.array(M, dtype=object)
-    n = M.shape[0]
-    if M.shape != (n, n):
+    A = as_int_matrix(M)
+    n = A.shape[0]
+    if A.shape != (n, n):
         raise ValueError("det of non-square matrix")
     if n == 0:
         return 1
-    A = M.copy()
     sign = 1
     prev = 1
     for k in range(n - 1):

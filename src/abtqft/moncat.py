@@ -10,7 +10,8 @@ equivalence exactly when the source's vertical morphism is invertible.
 
 Squares and fills are checked on the difference of composite matrices,
 column by column in the target lattice.  A fiber's object group, the
-fiber product, is computed on first read: hom-sets and Xi never need it.
+fiber product, and a hom-set's kernel are taken on first read: hom-sets
+and Xi never need the first, nor an empty hom-set the second.
 """
 
 from __future__ import annotations
@@ -28,17 +29,19 @@ class TriangleMismatch(ValueError):
 
 
 class HomSet:
-    """Coset presentation of a hom-set: particular + kernel.
+    """Coset presentation of a hom-set: particular + kernel of `category`.
 
-    `kernel_group` and `kernel_incl` present the subgroup of the ambient
-    morphism group acting simply transitively on the hom-set; the coset is
-    never enumerated unless asked, so infinite hom-sets are first-class.
+    `kernel_group` and `kernel_incl` (read on first use) present the
+    subgroup of A_mor acting simply transitively on the hom-set; the coset
+    is never enumerated unless asked, so infinite hom-sets are first-class.
     """
 
-    def __init__(self, particular, kernel_group, kernel_incl):
+    def __init__(self, particular, category):
         self.particular = particular
-        self.kernel_group = kernel_group
-        self.kernel_incl = kernel_incl
+        self.category = category
+
+    kernel_group = property(lambda self: self.category.kernel_pair[0])
+    kernel_incl = property(lambda self: self.category.kernel_pair[1])
 
     @property
     def is_empty(self):
@@ -86,7 +89,7 @@ class MorTensorCat:
         """Hom(a, b) as a coset; empty iff b - a misses the image of phi."""
         if a.parent is not self.obj_group or b.parent is not self.obj_group:
             raise fgab.ParentMismatch("objects must live in the object group")
-        return HomSet(solve(self.phi, b - a), *self.kernel_pair)
+        return HomSet(solve(self.phi, b - a), self)
 
     def hom_contains(self, a, b, x):
         if x.parent is not self.mor_group:
@@ -131,7 +134,7 @@ class HofibCat:
         self.pullback = pullback(square.phi_G, square.f_ob)
         # the two constraints stacked into one morphism into the pullback's
         # G_mor + H_ob: hom-sets are those of its category on stacked pairs
-        self.stacked = GroupMorphism(
+        self.stacked = GroupMorphism._derived(
             square.phi_H.source, self.pullback.direct_sum,
             np.vstack([square.f_mor.matrix, square.phi_H.matrix]))
         self._stacked_cat = MorTensorCat(self.stacked)
@@ -206,9 +209,7 @@ class XiFunctor:
             raise TriangleMismatch("fill belongs to a different square")
         self.fiber = fiber
         self.fill = fill
-        K, incl = kernel(fiber.square.phi_G)
-        self.kernel_group = K
-        self.kernel_incl = incl
+        self.kernel_group, self.kernel_incl = kernel(fiber.square.phi_G)
 
     def apply_object(self, p):
         g, h = p

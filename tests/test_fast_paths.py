@@ -8,8 +8,9 @@ hand, the Smith form that updated all four transforms on every
 elementary operation, the solve and kernel read off those transforms,
 group elements as U_inv products, squares and fills compared as two
 checked composite morphisms, the fiber product taken whenever a fiber is
-built, and the winding quadrature evaluated one whole chi slice at a
-time.
+built, isomorphisms decided by a trivial kernel and cokernel, and the
+winding quadrature evaluated one whole chi slice at a time.  Morphisms
+built without the well-definedness check are rebuilt with it.
 """
 
 import itertools
@@ -715,6 +716,125 @@ def test_fiber_queries_take_no_fiber_product(monkeypatch):
             x, y = pb.pair(p)
             assert fiber.is_object(x, y)
             assert pb.stack(x, y).key() == pb.incl(p).key()
+
+
+# -- derived morphisms, lazy normal forms and the Xi criterion ----------------
+
+def eager_is_isomorphism(f):
+    """The old decision: a trivial kernel, taken with its checked
+    inclusion, and a trivial cokernel."""
+    K, incl = fgab.kernel(f)
+    fgab.GroupMorphism(K, f.source, incl.matrix)
+    return K.is_trivial and fgab.cokernel(f).is_trivial
+
+
+def test_derived_morphisms_pass_the_public_check(monkeypatch):
+    # the well-definedness checks moved from the kernel and image
+    # inclusions, a pullback's difference and a fiber's stacked map
+    derived = []
+    build = fgab.GroupMorphism._derived.__func__
+
+    def recording(cls, source, target, matrix):
+        derived.append(build(cls, source, target, matrix))
+        return derived[-1]
+
+    monkeypatch.setattr(fgab.GroupMorphism, "_derived", classmethod(recording))
+    rng = random.Random("derived morphisms")
+    for _ in range(60):
+        square, fill = testing.random_square(rng)
+        fiber = moncat.HofibCat(square)
+        pb = fiber.pullback
+        xi = moncat.XiFunctor(fiber, fill)
+        unit = fiber.unit()
+        hs = fiber.hom(unit, unit)
+        expected = [pb.difference, fiber.stacked, pb.incl, xi.kernel_incl,
+                    hs.kernel_incl]
+        maps = (square.phi_H, square.phi_G, square.f_ob, square.f_mor,
+                fill.lam)
+        for f in maps:
+            expected += [fgab.kernel(f)[1], fgab.image(f)[1]]
+        assert all(any(f is g for g in derived) for f in expected)
+        for f in derived:
+            again = fgab.GroupMorphism(f.source, f.target, f.matrix)
+            assert again.matrix.tolist() == f.matrix.tolist()
+        derived.clear()
+
+
+def _presentation(rng):
+    """A random group: free parts, 0 generators and relation matrices
+    with fewer or more rows than generators all occur."""
+    torsion = [rng.choice((1, 2, 3, 4, 6, 9)) for _ in range(rng.randint(0, 2))]
+    G = fgab.product_group(torsion, rng.randint(0, 2))
+    if G.n_generators and rng.random() < 0.5:
+        return testing.scrambled_presentation(G, rng)
+    return G
+
+
+def test_is_isomorphism_matches_kernel_and_cokernel():
+    rng = random.Random("isomorphisms")
+    seen, n_iso, n_cases = set(), 0, 0
+    while n_cases < 2100:
+        G = _presentation(rng)
+        for H in (_presentation(rng), testing.scrambled_presentation(G, rng)
+                  if G.n_generators else G):
+            for f in (testing.random_morphism(rng, G, H),
+                      testing.random_morphism(rng, H, G)):
+                iso = fgab.is_isomorphism(f)
+                assert iso == eager_is_isomorphism(f), f.matrix.tolist()
+                seen.add((fgab.kernel(f)[0].is_trivial,
+                          fgab.cokernel(f).is_trivial))
+                n_iso += iso
+                n_cases += 1
+        if G._mods == H._mods:
+            f = testing.random_automorphism(rng, G, H)
+            assert fgab.is_isomorphism(f) and eager_is_isomorphism(f)
+            n_iso += 1
+            n_cases += 1
+    # onto but not injective, and the reverse, both occur
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+    assert n_iso >= 300
+
+
+def test_queries_eliminate_only_what_they_read(monkeypatch, empty_memo,
+                                               eliminations):
+    rng = random.Random("lazy normal forms")
+    taken = []
+    kernel = fgab.kernel
+
+    def recording_kernel(f):
+        taken.append(f)
+        return kernel(f)
+
+    monkeypatch.setattr(fgab, "kernel", recording_kernel)
+    monkeypatch.setattr(moncat, "kernel", recording_kernel)
+    n_empty = 0
+    for _ in range(30):
+        square, fill = testing.random_square(rng)
+        H_mor, H_ob = square.phi_H.source, square.phi_H.target
+        G_mor, G_ob = square.phi_G.source, square.phi_G.target
+        for G in (H_mor, H_ob, G_mor, G_ob):
+            G.free_rank         # the input groups' own eliminations
+        before = len(eliminations)
+        moncat.xi_is_equivalence(square, fill)
+        assert len(eliminations) - before <= 1
+
+        fiber = moncat.HofibCat(square)
+        h = H_ob.generator(0)
+        for q in ((fill.lam(h), h), (G_mor.zero(), h)):
+            if fiber.is_object(*q):
+                fiber.hom(fiber.unit(), q).element_keys()
+        assert "_snf" not in fiber.pullback.direct_sum.__dict__
+
+        for b in itertools.islice(G_ob.elements(), 6):
+            del taken[:]
+            hs = moncat.MorTensorCat(square.phi_G).hom(G_ob.zero(), b)
+            keys = hs.element_keys()
+            # the kernel is taken when the coset is read, and only then
+            assert taken == ([] if hs.is_empty else [square.phi_G])
+            n_empty += hs.is_empty
+            assert keys or hs.is_empty
+    assert n_empty >= 10
 
 
 # -- SU(2) winding quadrature: blocked slices against whole slices ----------

@@ -105,6 +105,15 @@ def test_det_examples():
     assert intmat.det(intmat.as_int_matrix([[1, 2], [2, 4]])) == 0
 
 
+@pytest.mark.parametrize("bad, where", [
+    ([[0.5, 1], [1, 3]], r"entry\[0\]\[0\]"),     # was read as det 0.0
+    ([[1, True], [0, 1]], r"entry\[0\]\[1\]"),
+])
+def test_det_takes_the_integer_gate(bad, where):
+    with pytest.raises(ValueError, match=f"^{where}: expected exact integer"):
+        intmat.det(bad)
+
+
 def test_as_int_matrix_rejects_floats_and_bools():
     with pytest.raises(ValueError, match=r"^entry\[0\]\[0\]: "):
         intmat.as_int_matrix([[1.5]])

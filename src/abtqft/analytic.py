@@ -1,4 +1,4 @@
-"""Circle values as turns, their distance, and the analytic square.
+"""Circle values as turns, the analytic square, and the integer gate.
 
 Circle values are stored additively as "turns": a real in [0, 1) standing
 for exp(2*pi*i*t).  The exponential morphism R -> U(1) is then reduction
@@ -9,6 +9,24 @@ part.  `AnalyticExpSquare` is the square (id_R, exp) built on it.
 from __future__ import annotations
 
 import math
+
+
+class NonIntegralInvariant(ValueError):
+    """A value that must be an integer is not one.  Integrality is a
+    theorem wherever it is asked for, so this means corrupt or
+    inconsistent input data, and it halts rather than rounds."""
+
+
+def nearest_integer(x, tolerance, what):
+    """The integer nearest `x`, which must lie within `tolerance` of it;
+    `what` names the value in the error."""
+    x = float(x)
+    n = round(x)
+    if abs(x - n) > tolerance:
+        raise NonIntegralInvariant(
+            f"{what} {x!r} is {abs(x - n):.3e} from the nearest integer "
+            f"(tolerance {tolerance})")
+    return n
 
 
 def wrap_unit(t):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import SIGN_CONVENTION, __version__
@@ -55,24 +56,41 @@ def _read_record(path, kind, parse):
         raise InputError(f"{path}: bad {kind} ({exc})")
 
 
+class _Names(dict):
+    """A workspace table, filled from `files[-1]`, the file being loaded:
+    a name one file defined, no other file may define."""
+
+    def __init__(self, files):
+        super().__init__()
+        self.files, self.defined_in = files, {}
+
+    def __setitem__(self, name, value):
+        path = self.files[-1]
+        first = self.defined_in.setdefault(name, path)
+        if not os.path.samefile(first, path):
+            raise InputError(f"{path}: {name!r} is already defined by {first}")
+        super().__setitem__(name, value)
+
+
 class Workspace:
     """Named registry of objects loaded from JSON files.
 
     Name references are resolved at load time; a dangling reference
     aborts with the offending file and name.  Anonymous inline groups
     are interned by presentation so identical specs in different files
-    yield one group, letting their morphisms compose.
+    yield one group, letting their morphisms compose.  `order` lists the
+    morphism names in load order.
     """
 
     def __init__(self):
-        self.groups = {}
-        self.morphisms = {}
-        self.squares = {}
-        self.fills = {}
-        self.matrices = {}
-        self.scenes = {}
         self.files = []
-        self.order = {"morphisms": []}
+        self.groups = _Names(self.files)
+        self.morphisms = _Names(self.files)
+        self.squares = _Names(self.files)
+        self.fills = _Names(self.files)
+        self.matrices = _Names(self.files)
+        self.scenes = _Names(self.files)
+        self.order = []
         self._interned = {}
 
     def load_file(self, path):
@@ -111,7 +129,7 @@ class Workspace:
 
     def _add_morphism(self, name, mor):
         self.morphisms[name] = mor
-        self.order["morphisms"].append(name)
+        self.order.append(name)
 
     def _matrix(self, path, at, rows):
         from . import intmat
@@ -262,7 +280,7 @@ def cmd_group_iso(args, ws):
 
 def cmd_group_pullback(args, ws):
     from . import fgab
-    names = ws.order["morphisms"]
+    names = ws.order
     if len(names) < 2:
         raise InputError("pullback needs two morphisms (two files or a "
                          "workspace defining two)")

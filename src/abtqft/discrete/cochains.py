@@ -18,13 +18,11 @@ class Cochain:
     def __init__(self, complex, degree, values):
         if not (0 <= degree <= 3):
             raise DegreeError(f"degree {degree} out of range")
-        values = np.asarray(values, dtype=float)
+        values = as_reals(values, "values")
         if values.shape != (complex.n_cells[degree],):
             raise DegreeError(
                 f"{len(values)} values for {complex.n_cells[degree]} "
                 f"cells of dimension {degree}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("cochain values must be finite")
         self.complex = complex
         self.degree = degree
         self.values = values
@@ -32,12 +30,11 @@ class Cochain:
     @classmethod
     def from_json(cls, complex, obj):
         """The cochain of a {"degree": k, "values": [...]} record; the
-        degree must be an exact integer and no value a bool."""
+        degree must be an exact integer."""
         for field in ("degree", "values"):
             if field not in obj:
                 raise ValueError(f"cochain record missing {field!r}")
-        return cls(complex, as_int(obj["degree"], "degree"),
-                   as_reals(obj["values"], "values"))
+        return cls(complex, as_int(obj["degree"], "degree"), obj["values"])
 
 
 def coboundary(omega):

@@ -11,18 +11,28 @@ class ComplexError(ValueError):
     pass
 
 
-def as_reals(values, where):
-    """`values`, or None, as given once no entry (nor an entry of a nested
-    list) is a bool, which the float conversion would read as 0 or 1."""
-    if values is None:
-        return None
-    for i, x in enumerate(values):
-        if isinstance(x, bool):
-            raise ValueError(f"{where}[{i}]: expected a real number, "
-                             f"got {x!r}")
-        if isinstance(x, list):
-            as_reals(x, f"{where}[{i}]")
-    return values
+def as_reals(values, where, ndim=1):
+    """`values` as a float array once every entry (of every row, with
+    `ndim=2`) is a finite int or float.  A bool, string, None, list where
+    a number belongs, NaN or infinity is refused as `where[i]`, shown as
+    read.  A numeric array skips the per-entry scan."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        for i, x in enumerate(values):
+            if ndim > 1 and isinstance(x, (list, tuple, np.ndarray)):
+                as_reals(x, f"{where}[{i}]", ndim - 1)
+            elif ndim > 1 or type(x) is not float and type(x) is not int and (
+                    isinstance(x, bool) or not isinstance(
+                        x, (int, float, np.integer, np.floating))):
+                expected = "a row of reals" if ndim > 1 else "a finite real"
+                raise ValueError(f"{where}[{i}]: expected {expected}, "
+                                 f"got {x!r}")
+    reals = np.asarray(values, dtype=float)
+    finite = np.isfinite(reals)
+    if not finite.all():
+        at = tuple(np.argwhere(~finite)[0].tolist())
+        raise ValueError(f"{where}{''.join(f'[{i}]' for i in at)}: expected "
+                         f"a finite real, got {float(reals[at])!r}")
+    return reals
 
 
 class CellComplex:
@@ -68,30 +78,22 @@ class CellComplex:
                     raise ComplexError(
                         f"boundary of boundary nonzero in dimension {k} "
                         f"at cell {c}")
-        self._bnd_matrix = {}
-        self.coords = None if coords is None else np.asarray(coords, dtype=float)
+        self.coords = coords if coords is None else as_reals(coords, "coords", 2)
         if self.coords is not None and len(self.coords) != self.n_cells[0]:
             raise ComplexError("one coordinate row per vertex required")
         self.edge_lengths = (None if edge_lengths is None
-                             else np.asarray(edge_lengths, dtype=float))
-        if self.edge_lengths is not None:
-            if len(self.edge_lengths) != self.n_cells[1]:
-                raise ComplexError("one length per edge required")
-            bad = np.flatnonzero(~np.isfinite(self.edge_lengths))
-            if bad.size:
-                e = int(bad[0])
-                raise ComplexError(
-                    f"edge {e} has non-finite length {self.edge_lengths[e]}")
+                             else as_reals(edge_lengths, "edge_lengths"))
+        if (self.edge_lengths is not None
+                and len(self.edge_lengths) != self.n_cells[1]):
+            raise ComplexError("one length per edge required")
 
     def boundary_matrix(self, k):
         """Integer matrix of the boundary operator on k-chains."""
-        if k not in self._bnd_matrix:
-            M = np.zeros((self.n_cells[k - 1], self.n_cells[k]), dtype=np.int64)
-            for c, faces in enumerate(self.boundary.get(k, [])):
-                for idx, sign in faces:
-                    M[idx, c] += sign
-            self._bnd_matrix[k] = M
-        return self._bnd_matrix[k]
+        M = np.zeros((self.n_cells[k - 1], self.n_cells[k]), dtype=np.int64)
+        for c, faces in enumerate(self.boundary.get(k, [])):
+            for idx, sign in faces:
+                M[idx, c] += sign
+        return M
 
     # -- chains -----------------------------------------------------------
 
@@ -174,9 +176,8 @@ class CellComplex:
                               for n, pair in enumerate(faces)]
                              for c, faces in enumerate(cells)]
                     for k, cells in obj.get("boundary", {}).items()}
-        reals = {f: as_reals(obj.get(f), f)
-                 for f in ("coords", "edge_lengths")}
-        return cls(counts, boundary, name=name, **reals)
+        return cls(counts, boundary, coords=obj.get("coords"),
+                   edge_lengths=obj.get("edge_lengths"), name=name)
 
 
 def circle_complex(n, name=None):
@@ -241,6 +242,6 @@ def triangulated_grid(nx, ny):
             v00, v10 = vid(i, j), vid(i + 1, j)
             v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
             triangles += [(v00, v10, v11), (v00, v11, v01)]
-    coords = [[i, j] for j in range(ny + 1) for i in range(nx + 1)]
+    coords = np.array([[i, j] for j in range(ny + 1) for i in range(nx + 1)])
     return build_triangle_surface((nx + 1) * (ny + 1), triangles,
                                   coords=coords, name=f"grid{nx}x{ny}")

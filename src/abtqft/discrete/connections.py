@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analytic import wrap_unit, wrap_half, circle_distance
+from ..analytic import circle_distance, nearest_integer, wrap_half, wrap_unit
 from ..intmat import as_int
 from .complexes import as_reals
 
@@ -29,15 +29,10 @@ class NonCycleError(ValueError):
 
 class LatticeConnection:
     def __init__(self, complex, edge_turns, face_lifts=None):
-        edge_turns = np.asarray(edge_turns, dtype=float)
+        edge_turns = as_reals(edge_turns, "edge_phases")
         if edge_turns.shape != (complex.n_cells[1],):
             raise ConnectionDataError(
                 f"{len(edge_turns)} edge phases for {complex.n_cells[1]} edges")
-        bad = np.flatnonzero(~np.isfinite(edge_turns))
-        if bad.size:
-            e = int(bad[0])
-            raise ConnectionDataError(
-                f"edge {e} has non-finite turn {edge_turns[e]}")
         if face_lifts is None:
             face_lifts = np.zeros(complex.n_cells[2], dtype=np.int64)
         face_lifts = np.asarray(face_lifts)
@@ -63,7 +58,7 @@ class LatticeConnection:
 
     def gauge_transformed(self, vertex_turns):
         """Multiply edge values by the coboundary of a circle 0-cochain."""
-        vertex_turns = np.asarray(vertex_turns, dtype=float)
+        vertex_turns = as_reals(vertex_turns, "vertex_turns")
         if vertex_turns.shape != (self.complex.n_cells[0],):
             raise ConnectionDataError("one gauge turn per vertex required")
         new = self.edge_turns.copy()
@@ -72,14 +67,9 @@ class LatticeConnection:
             new[e] = wrap_unit(new[e] + vertex_turns[head] - vertex_turns[tail])
         return LatticeConnection(self.complex, new, self.face_lifts)
 
-    def to_json(self):
-        return {"edge_phases": self.edge_turns.tolist(),
-                "face_lifts": self.face_lifts.tolist()}
-
     @classmethod
     def from_json(cls, complex, obj):
-        """The connection of a record; no edge phase may be a bool and
-        every face lift must be an exact integer."""
+        """The connection of a record; each face lift an exact integer."""
         phases = obj.get("edge_phases")
         if phases is None:
             raise ConnectionDataError("connection record missing 'edge_phases'")
@@ -87,7 +77,7 @@ class LatticeConnection:
         if lifts is not None:
             lifts = [as_int(n, f"face_lifts[{f}]")
                      for f, n in enumerate(lifts)]
-        return cls(complex, as_reals(phases, "edge_phases"), lifts)
+        return cls(complex, phases, lifts)
 
 
 def holonomy(conn, chain_vec):
@@ -139,13 +129,8 @@ def chern_number(conn, closed_surface):
     vec = cx.chain_vector(2, closed_surface)
     if not np.any(vec) or np.any(cx.boundary_of(2, vec)):
         raise NonCycleError("chern number needs a closed surface (a 2-cycle)")
-    total = total_curvature(conn, vec)
-    nearest = round(total)
-    if abs(total - nearest) > CHERN_TOLERANCE:
-        raise ConnectionDataError(
-            f"total curvature {total} of a cycle is not an integer "
-            f"(off by {abs(total - nearest):.3e}); connection data corrupt")
-    return int(nearest)
+    return nearest_integer(total_curvature(conn, vec), CHERN_TOLERANCE,
+                           "total curvature of the cycle =")
 
 
 def holonomy_curvature_gap(conn, surface_chain):

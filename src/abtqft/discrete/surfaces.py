@@ -15,11 +15,12 @@ import math
 
 import numpy as np
 
-from ..analytic import wrap_unit, wrap_half
+from ..analytic import nearest_integer, wrap_unit, wrap_half
 from .complexes import CellComplex, ComplexError, build_triangle_surface
 from .connections import LatticeConnection
 
 TWO_PI = 2.0 * math.pi
+LIFT_TOLERANCE = 1e-9  # angle defect / 2 pi vs ring holonomy + lift
 
 
 class DegenerateTriangle(ValueError):
@@ -54,7 +55,6 @@ class MetricSurface:
         nf = complex.n_cells[2]
         self.corner_angles = []
         self.side_dirs = []
-        self.corner_vertex = []
         self.corners_at = [[] for _ in range(complex.n_cells[0])]
         for f in range(nf):
             sides = complex.boundary[2][f]
@@ -62,12 +62,10 @@ class MetricSurface:
                 raise ComplexError(f"face {f} is not a triangle")
             # sides must chain head-to-tail
             ends = [_side_tail_head(complex, e, sign) for e, sign in sides]
-            verts = []
             for j in range(3):
                 if ends[j - 1][1] != ends[j][0]:
                     raise ComplexError(
                         f"face {f}: sides {j-1} and {j} do not chain")
-                verts.append(ends[j][0])
             L = [float(self.lengths[e]) for e, _ in sides]
             for (e, _), length in zip(sides, L):
                 if length <= 0.0:
@@ -89,9 +87,8 @@ class MetricSurface:
                 raise ComplexError(f"face {f}: chart failed to close")
             self.corner_angles.append(angles)
             self.side_dirs.append(dirs)
-            self.corner_vertex.append(verts)
-            for j, v in enumerate(verts):
-                self.corners_at[v].append((f, j))
+            for j, (tail, _) in enumerate(ends):
+                self.corners_at[tail].append((f, j))
 
     def edge_direction_in_chart(self, f, slot):
         """Chart angle of the global orientation of the edge at `slot`."""
@@ -156,15 +153,10 @@ class TangentBundle:
         self.defects = np.array([surface.angle_defect(v) for v in range(nv)])
 
         bare = LatticeConnection(self.dual, turns)
-        lifts = np.zeros(nv, dtype=np.int64)
-        for v in range(nv):
-            target = self.defects[v] / TWO_PI
-            frac = bare.face_fraction(v)
-            lifts[v] = round(target - frac)
-            if abs(target - frac - lifts[v]) > 1e-9:
-                raise AssertionError(
-                    f"ring holonomy at vertex {v} does not match its "
-                    f"angle defect: {frac} vs {target}")
+        lifts = [nearest_integer(
+            self.defects[v] / TWO_PI - bare.face_fraction(v), LIFT_TOLERANCE,
+            f"vertex {v}: angle defect / 2 pi - ring holonomy =")
+            for v in range(nv)]
         self.connection = LatticeConnection(self.dual, turns, lifts)
 
     def _ring(self, v):
@@ -417,7 +409,7 @@ def jittered_lengths(surface, rng, frozen_edges=()):
     between paired surfaces stay metrically identical.
     """
     frozen = set(frozen_edges)
-    L = list(surface.edge_lengths)
+    L = surface.edge_lengths.copy()
     for e in range(len(L)):
         if e not in frozen:
             L[e] = L[e] * (1.0 + 0.05 * (2.0 * rng.random() - 1.0))

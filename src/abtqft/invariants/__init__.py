@@ -4,8 +4,9 @@ the others on first access, so `bnr table` never imports numpy."""
 import importlib
 
 from .. import SIGN_CONVENTION
-from .psi import (psi, su_psi, InvariantResult, NonIntegralInvariant,
-                  ParityCertificateError, PSI_TOLERANCE, SU_TOLERANCE)
+from ..analytic import NonIntegralInvariant
+from .psi import (psi, su_psi, InvariantResult, ParityCertificateError,
+                  PSI_TOLERANCE, SU_TOLERANCE)
 
 _OWNER = {name: module for module, names in {
     "chern_simons": "cs_su2_quadrature sphere_volume_quadrature",

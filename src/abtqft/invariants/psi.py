@@ -16,18 +16,10 @@ the Euler characteristic of closed oriented surfaces.
 from __future__ import annotations
 
 from .. import SIGN_CONVENTION
-from ..analytic import AnalyticExpSquare, circle_distance, wrap_unit
+from ..analytic import AnalyticExpSquare, nearest_integer, wrap_unit
 
 PSI_TOLERANCE = 1e-6
 SU_TOLERANCE = 1e-9
-
-
-class NonIntegralInvariant(ValueError):
-    """Raised when a provider-consistent scene fails integrality.
-
-    Integrality is a theorem, so a violation always means corrupt or
-    inconsistent input data; it must halt rather than round.
-    """
 
 
 class ParityCertificateError(ValueError):
@@ -37,13 +29,8 @@ class ParityCertificateError(ValueError):
 class InvariantResult:
     def __init__(self, raw, modulus, tolerance, certificate=None,
                  convention=SIGN_CONVENTION):
-        nearest = round(raw)
-        if abs(raw - nearest) > tolerance:
-            raise NonIntegralInvariant(
-                f"value {raw!r} is {abs(raw - nearest):.3e} from the nearest "
-                f"integer (tolerance {tolerance}); provider data inconsistent")
+        self.integer_value = nearest_integer(raw, tolerance, "value")
         self.raw = float(raw)
-        self.integer_value = int(nearest)
         self.modulus = int(modulus)
         self.residue = self.integer_value % self.modulus
         self.certificate = certificate or []
@@ -67,45 +54,33 @@ class InvariantResult:
 
 def psi(scene, certify=False):
     """The mod-24 invariant of a scene: the sum of Xi(g, h) over its
-    disjoint components, each gated as an object of the fiber."""
+    disjoint components, each gated as an object of the fiber.
+
+    With `certify`, every alternative bounding datum of a component is
+    gated the same way and its difference from the given one recorded.
+    Every difference is in the hypothesis of the mod-24 theorem, so
+    `InvariantResult` rejects any that is not in 24Z (corrupt table data).
+    """
     square = AnalyticExpSquare(tolerance=PSI_TOLERANCE)
     resolved = scene.resolve()
-    raw = 0.0
+    raw, integers = 0.0, []
     for comp, h, g in resolved:
-        if not square.is_object(g, h):
-            raise NonIntegralInvariant(
-                f"component {comp.label}: Xi(g, h) = {g - h!r} is "
-                f"{circle_distance(g, h):.3e} from the nearest integer "
-                f"(tolerance {PSI_TOLERANCE}); provider data inconsistent")
+        integers.append(nearest_integer(
+            square.xi(g, h), PSI_TOLERANCE,
+            f"component {comp.label}: Xi(g, h) ="))
         raw += square.xi(g, h)
-    certificate = _psi_certificate(resolved, square) if certify else None
-    return InvariantResult(raw, 24, len(resolved) * PSI_TOLERANCE,
-                           certificate)
-
-
-def _psi_certificate(resolved, square):
-    """Evaluate every alternative bounding datum and record differences.
-
-    Each alternative pair is gated as an object of the fiber like the
-    given one.  Every difference is in the hypothesis of the mod-24
-    theorem, so `InvariantResult` rejects any that is not in 24Z
-    (corrupt table data).
-    """
     certificate = []
-    for comp, h, g in resolved:
-        base_int = round(square.xi(g, h))
+    for (comp, h, g), base_int in zip(resolved, integers if certify else ()):
         for label, alt_g in comp.alternatives():
-            alt_raw = square.xi(alt_g, h)
-            if not square.is_object(alt_g, h):
-                raise NonIntegralInvariant(
-                    f"alternative bounding {label} of {comp.label} "
-                    f"gives non-integral value {alt_raw}")
-            alt_int = round(alt_raw)
+            alt_int = nearest_integer(
+                square.xi(alt_g, h), PSI_TOLERANCE,
+                f"alternative bounding {label} of {comp.label}: Xi(g, h) =")
             certificate.append({"component": comp.label, "bounding": label,
                                 "integer": alt_int,
                                 "difference": alt_int - base_int,
                                 "in_hypothesis": True})
-    return certificate
+    return InvariantResult(raw, 24, len(resolved) * PSI_TOLERANCE,
+                           certificate)
 
 
 def su_psi(scene):
@@ -136,15 +111,12 @@ def su_psi(scene):
     primary = scene.boundings[0]
     raw = square.xi(primary.curvature, total_lift)
 
+    integers = [nearest_integer(square.xi(b.curvature, total_lift),
+                                SU_TOLERANCE, f"bounding {b.label}: Xi(g, h) =")
+                for b in scene.boundings]
     certificate = []
-    base_int = round(raw)
-    for b in scene.boundings:
-        r = square.xi(b.curvature, total_lift)
-        if not square.is_object(b.curvature, total_lift):
-            raise NonIntegralInvariant(
-                f"bounding {b.label} gives non-integral value {r}")
-        r_int = round(r)
-        diff = r_int - base_int
+    for b, r_int in zip(scene.boundings, integers):
+        diff = r_int - integers[0]
         tangent_pair = b.kind == "tangent" and primary.kind == "tangent"
         entry = {"bounding": b.label, "integer": r_int,
                  "difference": diff, "kind": b.kind,

@@ -1,10 +1,15 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from abtqft.analytic import (AnalyticExpSquare, circle_distance, wrap_half,
+from abtqft.analytic import (AnalyticExpSquare, NonIntegralInvariant,
+                             circle_distance, nearest_integer, wrap_half,
                              wrap_unit)
+from abtqft.discrete.connections import CHERN_TOLERANCE
+from abtqft.discrete.surfaces import LIFT_TOLERANCE
+from abtqft.invariants.psi import PSI_TOLERANCE, SU_TOLERANCE
 
 
 @given(st.floats(-100, 100))
@@ -53,3 +58,17 @@ def test_integers_exact():
     assert square.is_object(5.0, 2.0)
     assert square.xi(5.0, 2.0) == 3.0
     assert not square.is_object(2.5, 0.0)
+
+
+@pytest.mark.parametrize("tolerance", [PSI_TOLERANCE, SU_TOLERANCE,
+                                       CHERN_TOLERANCE, LIFT_TOLERANCE])
+@pytest.mark.parametrize("n", [0, 7, -24])
+def test_nearest_integer_gate_boundary(tolerance, n):
+    for sign in (1, -1):
+        inside = n + sign * tolerance * (1 - 1e-3)
+        assert nearest_integer(inside, tolerance, "x") == n
+        assert type(nearest_integer(inside, tolerance, "x")) is int
+        outside = n + sign * tolerance * (1 + 1e-3)
+        with pytest.raises(NonIntegralInvariant,
+                           match=re.escape(f"x {outside!r} is ")):
+            nearest_integer(outside, tolerance, "x")

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -469,7 +470,7 @@ def test_nan_edge_length_exit_2(tmp_path, capsys):
     mesh.write_text(json.dumps(rec))
     code, _, err = run(capsys, "geo", "chern", str(mesh), "tangent")
     assert code == 2
-    assert "nan.json" in err and "edge 3" in err and "non-finite" in err
+    assert "nan.json" in err and "edge_lengths[3]" in err and "finite" in err
 
 
 with open(sample("mesh_square.json")) as _fh:
@@ -485,10 +486,10 @@ def _icosahedron_with_float_index():
     return rec
 
 
-def _icosahedron_with_bool_lengths():
+def _icosahedron_with_lengths(value):
     from abtqft.discrete import icosahedron
     rec = icosahedron().to_json()
-    rec["edge_lengths"] = [True] * len(rec["edge_lengths"])
+    rec["edge_lengths"] = [value] * len(rec["edge_lengths"])
     return rec
 
 
@@ -511,19 +512,36 @@ def _icosahedron_with_bool_lengths():
      "edge_phases[1]"),
     ("stokes", SQUARE, {"degree": 1, "values": [0.5, True, 2.0, 0.75, 1.5]},
      "second", "values[1]"),
-    ("chern", _icosahedron_with_bool_lengths(), "tangent", "mesh",
+    ("chern", _icosahedron_with_lengths(True), "tangent", "mesh",
      "edge_lengths[0]"),
     ("stokes", {**SQUARE, "coords": [[0, 0], [1, False], [1, 1], [0, 1]]},
      sample("cochain1.json"), "mesh", "coords[1][1]"),
     ("stokes", SQUARE, {"degree": 2, "values": [0.5, 1.5]}, "second",
      "degree 2"),
+    ("chern", _icosahedron_with_lengths("2.0"), "tangent", "mesh",
+     "edge_lengths[0]"),
+    ("stokes", SQUARE, {"degree": 1, "values": [0.5, "1.0", 2.0, 0.75, 1.5]},
+     "second", "values[1]"),
+    ("holonomy --loop 0,1,2,3", SQUARE,
+     {**CONN, "edge_phases": [0.1, "0.2", 0.15, 0.05, 0.3]}, "second",
+     "edge_phases[1]"),
+    ("holonomy --loop 0,1,2,3", SQUARE,
+     {**CONN, "edge_phases": [0.1, 0.2, 0.15, 0.05, None]}, "second",
+     "edge_phases[4]"),
+    ("stokes", SQUARE, {"degree": 1, "values": [0.5, [1.5], 2.0, 0.75, 1.5]},
+     "second", "values[1]"),
+    ("stokes", {**SQUARE, "coords": [[0, 0], [1, float("nan")], [1, 1],
+                                     [0, 1]]},
+     sample("cochain1.json"), "mesh", "coords[1][1]"),
 ], ids=["degree-float", "degree-bool", "cells-float", "index-float",
         "sign-bool", "lift-bool", "phase-bool", "value-bool", "length-bool",
-        "coord-bool", "degree-top"])
+        "coord-bool", "degree-top", "length-string", "value-string",
+        "phase-string", "phase-null", "value-nested", "coord-nan"])
 def test_geo_inexact_integer_exit_2(tmp_path, capsys, verb, mesh, second,
                                     bad, field):
-    # floats and bools in integer fields are refused, never truncated, and
-    # bools are not read as the reals 0 and 1
+    # floats and bools in integer fields are refused, never truncated;
+    # real fields take finite numbers only: no bool read as 0 or 1, no
+    # string read as its number, no null, nested list or NaN
     paths = {"mesh": tmp_path / "mesh.json",
              "second": tmp_path / "second.json"}
     paths["mesh"].write_text(json.dumps(mesh))
@@ -577,7 +595,7 @@ def test_nan_edge_turn_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "geo", "holonomy", sample("mesh_square.json"),
                        str(conn))
     assert code == 2
-    assert "conn.json" in err and "edge 1" in err and "non-finite" in err
+    assert "conn.json" in err and "edge_phases[1]" in err and "finite" in err
 
 
 def test_ill_defined_morphism_in_file_exit_2(tmp_path, capsys):
@@ -591,6 +609,37 @@ def test_ill_defined_morphism_in_file_exit_2(tmp_path, capsys):
     assert code == 2
     assert err == (f"input error: {f}: $: relation [2] maps to [2] "
                    "outside the target relation lattice\n")
+
+
+@pytest.mark.parametrize("verb, first, second", [
+    ("pullback", "times2.json", "times3.json"),
+    ("pullback", "times3.json", "times2.json"),
+    ("kernel", "proj24.json", "times2.json"),
+    ("kernel", "times2.json", "proj24.json"),
+])
+def test_same_name_from_two_files_exit_2(tmp_path, capsys, verb, first,
+                                         second):
+    # a file names its object by its stem; a name that another file
+    # already defined is refused, never silently replaced
+    paths = []
+    for folder, name in (("a", first), ("b", second)):
+        (tmp_path / folder).mkdir()
+        path = tmp_path / folder / "m.json"
+        shutil.copy(sample(name), path)
+        paths.append(str(path))
+    code, out, err = run(capsys, "group", verb, *paths)
+    assert (code, out) == (2, "")
+    assert err == (f"input error: {paths[1]}: 'm' is already defined by "
+                   f"{paths[0]}\n")
+
+
+def test_same_file_twice_defines_its_name_once(capsys):
+    # the pullback of x2 with itself, however the file is spelled
+    respelled = os.path.join(SAMPLES, "..", "samples", "times2.json")
+    for second in (sample("times2.json"), respelled):
+        code, out, _ = run(capsys, "group", "pullback",
+                           sample("times2.json"), second)
+        assert (code, out) == (0, "P = Z, gen (1,1)\n")
 
 
 def test_pullback_of_different_targets_exit_2(capsys):

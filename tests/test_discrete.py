@@ -1,12 +1,13 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
 
 import abtqft.discrete as D
 import abtqft.discrete.connections
-from abtqft.analytic import circle_distance, wrap_half
+from abtqft.analytic import NonIntegralInvariant, circle_distance, wrap_half
 
 
 def random_grid(rng):
@@ -40,7 +41,8 @@ def test_non_finite_edge_length_rejected():
     for bad in (float("nan"), float("inf")):
         lengths = [1.0] * W.n_cells[1]
         lengths[2] = bad
-        with pytest.raises(D.ComplexError, match="edge 2"):
+        with pytest.raises(ValueError, match=re.escape(
+                "edge_lengths[2]: expected a finite")):
             D.CellComplex({k: W.n_cells[k] for k in range(3)},
                           {k: W.boundary[k] for k in (1, 2)},
                           edge_lengths=lengths)
@@ -201,7 +203,8 @@ def test_non_finite_edge_turn_rejected():
     W = D.triangulated_grid(2, 2)
     turns = [0.25] * W.n_cells[1]
     turns[4] = float("nan")
-    with pytest.raises(D.connections.ConnectionDataError, match="edge 4"):
+    with pytest.raises(ValueError, match=re.escape(
+            "edge_phases[4]: expected a finite")):
         D.LatticeConnection(W, turns)
 
 
@@ -247,8 +250,23 @@ def test_chern_number_detects_corrupt_data():
     lifts = conn.face_lifts.astype(float)
     lifts[0] += 0.5
     conn.face_lifts = lifts
-    with pytest.raises(D.connections.ConnectionDataError):
+    total = D.total_curvature(conn, tb.dual.fundamental_chain(2))
+    with pytest.raises(NonIntegralInvariant, match=re.escape(
+            f"total curvature of the cycle = {total!r} is 5.000e-01 from "
+            "the nearest integer (tolerance 1e-09)")):
         D.chern_number(conn, chain)
+
+
+def test_tangent_lift_gate_names_its_value(monkeypatch):
+    # an angle defect off by 0.1 radian leaves each ring holonomy
+    # 0.1 / 2 pi from an integer lift
+    defect = D.MetricSurface.angle_defect
+    monkeypatch.setattr(D.MetricSurface, "angle_defect",
+                        lambda self, v: defect(self, v) + 0.1)
+    with pytest.raises(NonIntegralInvariant, match=(
+            r"vertex 0: angle defect / 2 pi - ring holonomy = \S+ is "
+            r"1\.592e-02 from the nearest integer \(tolerance 1e-09\)")):
+        D.tangent_connection(D.icosahedron())
 
 
 def test_face_fraction_traversal_stable():

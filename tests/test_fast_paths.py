@@ -150,9 +150,16 @@ def test_grid_matches_own_edge_keying():
 
 # -- corner index, angle defects and rings ---------------------------------------
 
+def slot_vertex(cx, f, j):
+    """The vertex at slot j of face f: the tail of side j as traversed."""
+    e, sign = cx.boundary[2][f][j]
+    tail, head = cx.edge_endpoints(e)
+    return tail if sign == 1 else head
+
+
 def slow_corners(ms, v):
     return [(f, j) for f in range(ms.complex.n_cells[2]) for j in range(3)
-            if ms.corner_vertex[f][j] == v]
+            if slot_vertex(ms.complex, f, j) == v]
 
 
 def slow_angle_defect(ms, v):

@@ -194,8 +194,23 @@ def test_psi_union_json():
 
 def test_psi_integrality_enforced(monkeypatch):
     monkeypatch.setitem(scn._ETA_TABLE, ("S3", "Lie-framing"), -1.4)
-    with pytest.raises(I.NonIntegralInvariant):
+    with pytest.raises(I.NonIntegralInvariant, match=re.escape(
+            "Xi(g, h) = 1.4 is 4.000e-01 from the nearest integer "
+            "(tolerance 1e-06)")):
         I.psi(I.BnrScene.s3_lie())
+
+
+def test_psi_certificate_gates_each_alternative(monkeypatch):
+    # an odd Pontryagin number puts the +K3 alternative half-way between
+    # integers while the given bounding stays integral
+    I.shipped_table()
+    monkeypatch.setitem(I.table._shipped, "K3",
+                        I.Closed4Entry("K3", -47, -16, "2", True))
+    assert I.psi(I.BnrScene.s3_lie()).integer_value == 1
+    with pytest.raises(I.NonIntegralInvariant, match=re.escape(
+            "alternative bounding +K3 of S3/Lie-framing|D4/flat-extension: "
+            "Xi(g, h) = -22.5 is 5.000e-01")):
+        I.psi(I.BnrScene.s3_lie(), certify=True)
 
 
 def test_psi_certificate_rejects_corrupt_table(monkeypatch):
@@ -392,6 +407,18 @@ def test_su_odd_tangent_pair_is_fatal():
                         icosa.curvature + 1.0, "fake")
     scene = I.SuScene.from_primary(icosa, extra=[fake])
     with pytest.raises(I.ParityCertificateError):
+        I.su_psi(scene)
+
+
+def test_su_gates_each_bounding():
+    icosa = I.tangent_bounding("icosahedron", 0)
+    off = I.SuBounding("tangent", icosa.k, icosa.holonomy,
+                       icosa.curvature + 0.1, "off")
+    scene = I.SuScene.from_primary(icosa, extra=[off])
+    value = off.curvature - scene.sum_lifts()
+    with pytest.raises(I.NonIntegralInvariant, match=re.escape(
+            f"bounding off: Xi(g, h) = {value!r} is 1.000e-01 from the "
+            "nearest integer (tolerance 1e-09)")):
         I.su_psi(scene)
 
 

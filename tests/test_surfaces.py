@@ -118,9 +118,11 @@ def test_dual_complex_closed():
 def test_ring_triangle_edges_cover_incident_faces():
     surface = S.icosahedron()
     edges = S.ring_triangle_edges(surface, 0)
-    ms = S.MetricSurface(surface)
     for f in range(surface.n_cells[2]):
-        if 0 in ms.corner_vertex[f]:
+        # slot j's corner is the tail of side j as the face traverses it
+        corners = [surface.edge_endpoints(e)[0 if sign == 1 else 1]
+                   for e, sign in surface.boundary[2][f]]
+        if 0 in corners:
             for e, _ in surface.boundary[2][f]:
                 assert e in edges
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from ..intmat import as_int
@@ -12,17 +14,19 @@ class ComplexError(ValueError):
 
 
 def as_reals(values, where, ndim=1):
-    """`values` as a float array once every entry (of every row, with
-    `ndim=2`) is a finite int or float.  A bool, string, None, list where
-    a number belongs, NaN or infinity is refused as `where[i]`, shown as
-    read.  A numeric array skips the per-entry scan."""
+    """`values` as a float array once every entry (of every row, each as
+    long as the first, with `ndim=2`) is a finite float or an int within
+    the float range; a bool, string, None or list there is refused as
+    `where[i]`, shown as read.  A numeric array skips the per-entry scan."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
         for i, x in enumerate(values):
-            if ndim > 1 and isinstance(x, (list, tuple, np.ndarray)):
+            if ndim > 1 and isinstance(x, (list, tuple, np.ndarray)) and (
+                    len(x) == len(values[0])):
                 as_reals(x, f"{where}[{i}]", ndim - 1)
-            elif ndim > 1 or type(x) is not float and type(x) is not int and (
+            elif ndim > 1 or type(x) is not float and (
                     isinstance(x, bool) or not isinstance(
-                        x, (int, float, np.integer, np.floating))):
+                        x, (int, float, np.integer, np.floating))
+                    or abs(x) > sys.float_info.max):
                 expected = "a row of reals" if ndim > 1 else "a finite real"
                 raise ValueError(f"{where}[{i}]: expected {expected}, "
                                  f"got {x!r}")
@@ -39,21 +43,20 @@ class CellComplex:
     """Graded cells with signed boundary incidence lists.
 
     `boundary[k]` holds, for each k-cell, a list of (face_index, sign)
-    pairs over the (k-1)-cells.  The chain-complex identity boundary of
-    boundary = 0 is verified at construction, cell by cell over the
-    incidence lists, in time linear in the number of incidences.  Dense
-    boundary matrices are built only when `boundary_matrix` is asked for.
-    Optional vertex coordinates and finite edge lengths support quadrature
-    and metric constructions.
+    pairs over the (k-1)-cells.  Input is checked once: the constructor
+    verifies every index, every sign and boundary of boundary = 0, cell
+    by cell over the incidence lists, in time linear in the number of
+    incidences; complexes derived from valid ones (`_derived`) are valid
+    by construction.  Dense boundary matrices are built only when
+    `boundary_matrix` is asked for.  Optional vertex coordinates and finite
+    edge lengths support quadrature and metric constructions.
     """
 
     def __init__(self, cell_counts, boundary, coords=None, edge_lengths=None,
                  name=None):
-        self.dim = max((k for k, n in cell_counts.items() if n > 0), default=0)
-        self.n_cells = {k: int(cell_counts.get(k, 0)) for k in range(4)}
-        self.boundary = {k: [list(map(tuple, b)) for b in boundary.get(k, [])]
-                         for k in range(1, 4)}
-        self.name = name
+        self._set(cell_counts, {
+            k: [list(map(tuple, b)) for b in boundary.get(k, [])]
+            for k in range(1, 4)}, coords, edge_lengths, name)
         for k in range(1, 4):
             if len(self.boundary[k]) != self.n_cells[k]:
                 raise ComplexError(
@@ -78,6 +81,25 @@ class CellComplex:
                     raise ComplexError(
                         f"boundary of boundary nonzero in dimension {k} "
                         f"at cell {c}")
+
+    @classmethod
+    def _derived(cls, cell_counts, boundary, coords=None, edge_lengths=None,
+                 name=None):
+        """Unchecked incidence, valid by construction in each caller:
+        `jittered_lengths` shares the lists of a valid complex; the sides
+        (a, b), (b, c), (c, a) of a `build_triangle_surface` triangle with
+        distinct, range-checked vertices have boundaries summing to zero; the
+        dual of a `TangentBundle` sums (next face - current face) around each
+        vertex ring, which `_ring` proves closed.  Reals pass `as_reals`."""
+        cx = cls.__new__(cls)
+        cx._set(cell_counts, boundary, coords, edge_lengths, name)
+        return cx
+
+    def _set(self, cell_counts, boundary, coords, edge_lengths, name):
+        self.dim = max((k for k, n in cell_counts.items() if n > 0), default=0)
+        self.n_cells = {k: int(cell_counts.get(k, 0)) for k in range(4)}
+        self.boundary = {k: boundary.get(k, []) for k in range(1, 4)}
+        self.name = name
         self.coords = coords if coords is None else as_reals(coords, "coords", 2)
         if self.coords is not None and len(self.coords) != self.n_cells[0]:
             raise ComplexError("one coordinate row per vertex required")
@@ -217,15 +239,17 @@ def build_triangle_surface(n_vertices, triangles, lengths=None, coords=None,
     def side(a, b):
         if a == b:
             raise ComplexError("loop edge in a simplicial surface")
+        if not (0 <= a < n_vertices and 0 <= b < n_vertices):
+            raise ComplexError(f"side ({a}, {b}) leaves 0..{n_vertices - 1}")
         e = edge_index.setdefault((min(a, b), max(a, b)), len(edge_index))
         return (e, 1 if a < b else -1)
 
     faces = [[side(a, b), side(b, c), side(c, a)] for a, b, c in triangles]
     edge_bnd = [[(a, -1), (b, 1)] for a, b in edge_index]
     L = None if lengths is None else [lengths(a, b) for a, b in edge_index]
-    return CellComplex({0: n_vertices, 1: len(edge_bnd), 2: len(faces)},
-                       {1: edge_bnd, 2: faces}, coords=coords,
-                       edge_lengths=L, name=name)
+    return CellComplex._derived(
+        {0: n_vertices, 1: len(edge_bnd), 2: len(faces)},
+        {1: edge_bnd, 2: faces}, coords=coords, edge_lengths=L, name=name)
 
 
 def triangulated_grid(nx, ny):

@@ -145,18 +145,16 @@ class TangentBundle:
             dual_edge_bnd.append([(f_plus, -1), (f_minus, 1)])
 
         self.rings = [self._ring(v) for v in range(nv)]
-        dual_face_bnd = [[(e, sign) for e, sign in ring] for ring in self.rings]
-
-        self.dual = CellComplex({0: nf, 1: ne, 2: nv},
-                                {1: dual_edge_bnd, 2: dual_face_bnd},
-                                name="dual")
+        self.dual = CellComplex._derived({0: nf, 1: ne, 2: nv},
+                                         {1: dual_edge_bnd, 2: self.rings},
+                                         name="dual")
         self.defects = np.array([surface.angle_defect(v) for v in range(nv)])
 
-        bare = LatticeConnection(self.dual, turns)
-        lifts = [nearest_integer(
-            self.defects[v] / TWO_PI - bare.face_fraction(v), LIFT_TOLERANCE,
+        # each ring's sum is the connection's face fraction over these turns
+        lifts = [nearest_integer(self.defects[v] / TWO_PI - wrap_half(sum(
+            sign * turns[e] for e, sign in ring)), LIFT_TOLERANCE,
             f"vertex {v}: angle defect / 2 pi - ring holonomy =")
-            for v in range(nv)]
+            for v, ring in enumerate(self.rings)]
         self.connection = LatticeConnection(self.dual, turns, lifts)
 
     def _ring(self, v):
@@ -413,11 +411,9 @@ def jittered_lengths(surface, rng, frozen_edges=()):
     for e in range(len(L)):
         if e not in frozen:
             L[e] = L[e] * (1.0 + 0.05 * (2.0 * rng.random() - 1.0))
-    return CellComplex(
-        {k: surface.n_cells[k] for k in range(surface.dim + 1)},
-        {k: surface.boundary[k] for k in range(1, surface.dim + 1)},
-        coords=surface.coords, edge_lengths=L,
-        name=(surface.name or "surface") + "-jittered")
+    return CellComplex._derived(
+        surface.n_cells, surface.boundary, coords=surface.coords,
+        edge_lengths=L, name=(surface.name or "surface") + "-jittered")
 
 
 def ring_triangle_edges(surface, vertex):

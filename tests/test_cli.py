@@ -533,10 +533,19 @@ def _icosahedron_with_lengths(value):
     ("stokes", {**SQUARE, "coords": [[0, 0], [1, float("nan")], [1, 1],
                                      [0, 1]]},
      sample("cochain1.json"), "mesh", "coords[1][1]"),
+    ("stokes", {**SQUARE, "coords": [[10**400, 0], [1, 0], [1, 1], [0, 1]]},
+     sample("cochain1.json"), "mesh", "coords[0][0]"),
+    ("stokes", {**SQUARE, "edge_lengths": [10**400, 1, 1, 1, 1]},
+     sample("cochain1.json"), "mesh", "edge_lengths[0]"),
+    ("stokes", SQUARE, {"degree": 1, "values": [10**400, 1.0, 2.0, 0.75, 1.5]},
+     "second", "values[0]"),
+    ("stokes", {**SQUARE, "coords": [[0, 0], [1], [1, 1], [0, 1]]},
+     sample("cochain1.json"), "mesh", "coords[1]"),
 ], ids=["degree-float", "degree-bool", "cells-float", "index-float",
         "sign-bool", "lift-bool", "phase-bool", "value-bool", "length-bool",
         "coord-bool", "degree-top", "length-string", "value-string",
-        "phase-string", "phase-null", "value-nested", "coord-nan"])
+        "phase-string", "phase-null", "value-nested", "coord-nan",
+        "coord-huge-int", "length-huge-int", "value-huge-int", "coord-ragged"])
 def test_geo_inexact_integer_exit_2(tmp_path, capsys, verb, mesh, second,
                                     bad, field):
     # floats and bools in integer fields are refused, never truncated;

@@ -9,8 +9,11 @@ elementary operation, the solve and kernel read off those transforms,
 group elements as U_inv products, squares and fills compared as two
 checked composite morphisms, the fiber product taken whenever a fiber is
 built, isomorphisms decided by a trivial kernel and cokernel, and the
-winding quadrature evaluated one whole chi slice at a time.  Morphisms
-built without the well-definedness check are rebuilt with it.
+winding quadrature evaluated one whole chi slice at a time, and the
+tangent bundle over a checked dual whose lifts read a bare connection.
+Morphisms built without the well-definedness check, and cell complexes
+built without the index, sign and boundary-of-boundary checks, are
+rebuilt with them.
 """
 
 import itertools
@@ -25,15 +28,17 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
 from abtqft import fgab, intmat, moncat, testing
-from abtqft.analytic import circle_distance, wrap_unit
-from abtqft.discrete import CellComplex, ComplexError, triangulated_grid
+from abtqft.analytic import circle_distance, nearest_integer, wrap_unit
+from abtqft.discrete import (CellComplex, ComplexError, LatticeConnection,
+                             triangulated_grid)
 from abtqft.discrete import surfaces as S
+from abtqft.discrete.complexes import build_triangle_surface
 from abtqft.invariants import chern_simons as CS
 from abtqft.invariants import (IncompatibleScene, InvariantResult,
                                NonIntegralInvariant, SuScene, su_psi,
                                tangent_bounding)
 from abtqft.invariants.psi import SU_TOLERANCE
-from abtqft.invariants.scenes import disk_bounding, random_su_scene
+from abtqft.invariants.scenes import SU_POOLS, disk_bounding, random_su_scene
 
 TORI = [(kind, n, m)
         for kind in (S.flat_torus, S.equilateral_torus, S.flipped_torus)
@@ -207,6 +212,131 @@ def test_large_flat_torus_chern_number():
     mesh = S.flat_torus(64, 64)
     assert mesh.n_cells[0] == 4096
     assert S.tangent_connection(mesh).chern_number() == 0
+
+
+# -- complexes valid by construction ---------------------------------------------
+
+class EagerTangentBundle(S.TangentBundle):
+    """The old construction: the dual through the checked constructor, and
+    a bare connection built only to read the ring fractions for the lifts."""
+
+    def __init__(self, surface):
+        self.surface = surface
+        cx = surface.complex
+        ne, nf, nv = cx.n_cells[1], cx.n_cells[2], cx.n_cells[0]
+        slots = {e: {} for e in range(ne)}
+        for f in range(nf):
+            for j, (e, sign) in enumerate(cx.boundary[2][f]):
+                slots[e][sign] = (f, j)
+        self._slots = slots
+        dual_edge_bnd = []
+        turns = np.zeros(ne)
+        for e in range(ne):
+            f_plus, j_plus = slots[e][1]
+            f_minus, j_minus = slots[e][-1]
+            a_plus = surface.edge_direction_in_chart(f_plus, j_plus)
+            a_minus = surface.edge_direction_in_chart(f_minus, j_minus)
+            turns[e] = wrap_unit((a_minus - a_plus) / S.TWO_PI)
+            dual_edge_bnd.append([(f_plus, -1), (f_minus, 1)])
+        self.rings = [self._ring(v) for v in range(nv)]
+        dual_face_bnd = [[(e, sign) for e, sign in ring] for ring in self.rings]
+        self.dual = CellComplex({0: nf, 1: ne, 2: nv},
+                                {1: dual_edge_bnd, 2: dual_face_bnd},
+                                name="dual")
+        self.defects = np.array([surface.angle_defect(v) for v in range(nv)])
+        bare = LatticeConnection(self.dual, turns)
+        lifts = [nearest_integer(
+            self.defects[v] / S.TWO_PI - bare.face_fraction(v),
+            S.LIFT_TOLERANCE, f"vertex {v}") for v in range(nv)]
+        self.connection = LatticeConnection(self.dual, turns, lifts)
+
+
+def eager_tangent_bundle(surface):
+    return EagerTangentBundle(surface)
+
+
+def _bundle_bits(bundle):
+    conn = bundle.connection
+    return (conn.edge_turns.tobytes(), bundle.defects.tobytes(),
+            conn.face_lifts.tobytes(), bundle.dual.n_cells,
+            bundle.dual.boundary)
+
+
+WORKLOAD_TORI = [kind(n, n)
+                 for kind in (S.flat_torus, S.equilateral_torus,
+                              S.flipped_torus)
+                 for n in (12, 14, 16, 18, 20)]
+
+
+def test_tangent_bundle_matches_the_eager_construction(monkeypatch):
+    # as the geometry workload builds them: every (mesh, puncture) of the
+    # su pools under seeded jitter, and the tori bare
+    rng = random.Random("eager tangent bundle")
+    cases = [(mesh, v, rng.random()) for pool in SU_POOLS for mesh, v in pool]
+    cases += [(torus, rng.randrange(torus.n_cells[0]), None)
+              for torus in WORKLOAD_TORI]
+    for mesh, v, seed in cases:
+        def bounding():
+            jitter = None if seed is None else random.Random(seed)
+            return tangent_bounding(mesh, v, jitter_rng=jitter)
+        got = bounding()
+        with monkeypatch.context() as m:
+            m.setattr(S, "tangent_connection",
+                      lambda cx: eager_tangent_bundle(S.MetricSurface(cx)))
+            want = bounding()
+        assert (repr(got.holonomy), repr(got.curvature)) == (
+            repr(want.holonomy), repr(want.curvature)), (mesh, v)
+        surface = mesh if seed is None else S.jittered_lengths(
+            S.build_mesh(mesh), random.Random(seed),
+            S.ring_triangle_edges(S.build_mesh(mesh), v))
+        surface = S.MetricSurface(surface)
+        assert _bundle_bits(S.TangentBundle(surface)) == _bundle_bits(
+            eager_tangent_bundle(surface)), (mesh, v)
+
+
+def test_derived_complexes_pass_the_public_check(monkeypatch):
+    # the index, sign and boundary-of-boundary checks moved from jittered
+    # copies, `build_triangle_surface` and tangent duals
+    derived = []
+    build = CellComplex._derived.__func__
+
+    def recording(cls, *args, **kwargs):
+        derived.append(build(cls, *args, **kwargs))
+        return derived[-1]
+
+    monkeypatch.setattr(CellComplex, "_derived", classmethod(recording))
+    for mesh in S.MESH_BUILDERS.values():
+        S.tangent_connection(mesh())
+    for kind in (S.flat_torus, S.equilateral_torus, S.flipped_torus):
+        for n in range(12, 21):
+            S.tangent_connection(kind(n, n))
+    for nx, ny in itertools.product(range(1, 5), repeat=2):
+        triangulated_grid(nx, ny)
+    rng = random.Random("derived complexes")
+    for _ in range(50):
+        random_su_scene(rng)
+    names = [cx.name for cx in derived]
+    assert names.count("dual") == 8 + 27 + 100
+    assert sum(name.endswith("-jittered") for name in names) == 100
+    assert sum(name.startswith("grid") for name in names) == 16
+    for cx in derived:
+        again = CellComplex(cx.n_cells, cx.boundary, coords=cx.coords,
+                            edge_lengths=cx.edge_lengths, name=cx.name)
+        assert (again.dim, again.n_cells, again.boundary) == (
+            cx.dim, cx.n_cells, cx.boundary)
+        for reals in ("coords", "edge_lengths"):
+            a, b = getattr(again, reals), getattr(cx, reals)
+            assert a is b is None or a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("triangles, message", [
+    ([(0, 1, 2), (0, 2, 3)], r"side \(2, 3\) leaves 0\.\.2"),
+    ([(-1, 0, 1)], r"side \(-1, 0\) leaves 0\.\.2"),
+    ([(0, 1, 1)], "loop edge"),
+], ids=["past-the-end", "negative", "loop"])
+def test_triangle_builder_refuses_bad_vertices(triangles, message):
+    with pytest.raises(ComplexError, match=message):
+        build_triangle_surface(3, triangles)
 
 
 # -- the mod-2 invariant as Xi over the analytic square -------------------------

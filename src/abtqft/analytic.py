@@ -1,9 +1,9 @@
-"""Circle values as turns, the analytic square, and the integer gate.
+"""Circle values as turns, and the integer gate.
 
 Circle values are stored additively as "turns": a real in [0, 1) standing
 for exp(2*pi*i*t).  The exponential morphism R -> U(1) is then reduction
 mod 1, and a lift of a circle value is any real with the right fractional
-part.  `AnalyticExpSquare` is the square (id_R, exp) built on it.
+part.
 """
 
 from __future__ import annotations
@@ -52,21 +52,3 @@ def circle_distance(a, b):
     """Distance between two turns on the circle."""
     return abs(wrap_half(a - b))
 
-
-class AnalyticExpSquare:
-    """The analytic square (id_R, exp) with its identity diagonal fill.
-
-    Supports exactly what the numeric pipeline needs: recognizing a pair
-    (g, h) in R x_{U(1)} R as an object within tolerance and evaluating
-    the comparison functor (g, h) -> g - h into ker(exp) = Z.
-    """
-
-    def __init__(self, tolerance):
-        self.tolerance = float(tolerance)
-
-    def is_object(self, g, h):
-        return circle_distance(g, h) <= self.tolerance
-
-    def xi(self, g, h):
-        """g - h, which is an integer up to tolerance for genuine objects."""
-        return g - h

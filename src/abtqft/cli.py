@@ -107,6 +107,9 @@ class Workspace:
         if "m3" in obj or "union" in obj or "su" in obj:
             self.scenes[stem] = (path, obj)
             return
+        for table in ("groups", "morphisms", "squares", "fills"):
+            if not isinstance(obj.get(table) or {}, dict):
+                raise InputError(f"{path}: {table}: expected an object")
         for name, rec in (obj.get("groups") or {}).items():
             self.groups[name] = self._group(path, f"groups.{name}", rec, name)
         for name, rec in (obj.get("morphisms") or {}).items():
@@ -179,7 +182,7 @@ class Workspace:
         from . import moncat
         legs = {}
         for leg in ("phi_H", "phi_G", "f_ob", "f_mor"):
-            if leg not in rec:
+            if not isinstance(rec, dict) or leg not in rec:
                 raise InputError(f"{path}: {at}: square missing {leg!r}")
             legs[leg] = self._resolve_morphism(path, f"{at}.{leg}", rec[leg])
         try:
@@ -189,7 +192,7 @@ class Workspace:
 
     def _fill(self, path, at, rec):
         # a fill names no square: it is checked against one when used
-        if "lambda" not in rec:
+        if not isinstance(rec, dict) or "lambda" not in rec:
             raise InputError(f"{path}: {at}: fill missing 'lambda'")
         return (f"{path}: {at}",
                 self._resolve_morphism(path, f"{at}.lambda", rec["lambda"]))
@@ -411,9 +414,9 @@ def _geo_connection(args):
 
 
 def cmd_geo_holonomy(args, ws):
-    from .discrete import ComplexError, holonomy
+    from .discrete import ComplexError, NonCycleError, holonomy
     complex_, conn = _geo_connection(args)
-    if args.loop:
+    if args.loop is not None:
         where = f"{args.mesh}: --loop {args.loop}"
         try:
             chain = complex_.chain_vector(1, _parse_loop(args.loop, where))
@@ -424,9 +427,10 @@ def cmd_geo_holonomy(args, ws):
         where, chain = args.mesh, complex_.fundamental_chain(1)
         problem = ("the default loop (every edge once) is not closed; "
                    "pass --loop")
-    if not complex_.is_cycle(1, chain):
+    try:
+        value = holonomy(conn, chain)
+    except NonCycleError:
         raise InputError(f"{where}: {problem}")
-    value = holonomy(conn, chain)
     return ([f"holonomy = exp(2*pi*i * {fmt(value)})"], {"turns": value})
 
 
@@ -643,11 +647,6 @@ def main(argv=None):
     try:
         for path in getattr(args, "files", []) or []:
             ws.load_file(path)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         lines, data = args.handler(args, ws)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -54,6 +54,9 @@ class CellComplex:
 
     def __init__(self, cell_counts, boundary, coords=None, edge_lengths=None,
                  name=None):
+        for k, n in cell_counts.items():
+            if n < 0:
+                raise ComplexError(f"cells.{k}: negative count {n}")
         self._set(cell_counts, {
             k: [list(map(tuple, b)) for b in boundary.get(k, [])]
             for k in range(1, 4)}, coords, edge_lengths, name)
@@ -150,9 +153,6 @@ class CellComplex:
                     out[idx] += sign * coeff
         return np.array(out, dtype=np.int64)
 
-    def is_cycle(self, k, chain_vec):
-        return not np.any(self.boundary_of(k, chain_vec))
-
     def edge_endpoints(self, e):
         """(tail, head) of an edge from its signed boundary."""
         tail = head = None
@@ -187,19 +187,36 @@ class CellComplex:
 
     @classmethod
     def from_json(cls, obj, name=None):
-        """The complex of a mesh record; a cell count, incidence index or
-        sign that is not an exact integer is named by its field."""
+        """The complex of a mesh record; a malformed table, dimension,
+        [cell, sign] pair, count, index or sign is named by its field."""
         if "cells" not in obj:
             raise ComplexError("mesh record missing 'cells'")
-        counts = {int(k): as_int(v, f"cells.{k}")
-                  for k, v in obj["cells"].items()}
-        boundary = {int(k): [[tuple(as_int(x, f"boundary.{k}[{c}][{n}]")
-                                    for x in pair)
-                              for n, pair in enumerate(faces)]
-                             for c, faces in enumerate(cells)]
-                    for k, cells in obj.get("boundary", {}).items()}
+        counts = {k: as_int(v, f"cells.{k}")
+                  for k, v in _by_dimension(obj["cells"], "cells")}
+        boundary = {k: [[_incidence(pair, f"boundary.{k}[{c}][{n}]")
+                         for n, pair in enumerate(faces)]
+                        for c, faces in enumerate(cells)]
+                    for k, cells in _by_dimension(obj.get("boundary", {}),
+                                                  "boundary")}
         return cls(counts, boundary, coords=obj.get("coords"),
                    edge_lengths=obj.get("edge_lengths"), name=name)
+
+
+def _by_dimension(table, where):
+    """The items of a JSON object keyed by the dimensions "0".."3"."""
+    if not isinstance(table, dict):
+        raise ComplexError(f"{where}: expected an object")
+    for k in table:
+        if k not in ("0", "1", "2", "3"):
+            raise ComplexError(f"{where}.{k}: expected a dimension 0..3")
+    return [(int(k), value) for k, value in table.items()]
+
+
+def _incidence(pair, where):
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ComplexError(f"{where}: expected a [cell, sign] pair, "
+                           f"got {pair!r}")
+    return tuple(as_int(x, where) for x in pair)
 
 
 def circle_complex(n, name=None):

@@ -3,20 +3,20 @@
 A 3d scene component resolves to a pair (g, h): g is half the Pontryagin
 Chern-Weil integral of the bounding datum, h the integral of the
 canonical structure 3-form.  The pair is an object of the homotopy fiber
-of the analytic square (id_R, exp) exactly when exp(g) = exp(h), and the
-invariant is the sum over components of Xi(g, h) = g - h; each component
-must be integral on its own.  The sum is well defined mod 24 because
-alternative bounding data differ by half the Pontryagin number of a
-closed spin 4-manifold.  The 1d analog is Xi over the same square, with
-g the total curvature of a bounding surface and h the sum of its
-boundary structure lifts; it is well defined mod 2 by the evenness of
-the Euler characteristic of closed oriented surfaces.
+of the analytic square (id_R, exp) exactly when exp(g) = exp(h), which
+Xi(g, h) = g - h maps to ker(exp) = Z.  The invariant is the sum of Xi
+over components, each gated as an integer on its own; the sum is well
+defined mod 24 because alternative bounding data differ by half the
+Pontryagin number of a closed spin 4-manifold.  The 1d analog is Xi over
+the same square, with g the total curvature of a bounding surface and h
+the sum of its boundary structure lifts; it is well defined mod 2 by the
+evenness of the Euler characteristic of closed oriented surfaces.
 """
 
 from __future__ import annotations
 
 from .. import SIGN_CONVENTION
-from ..analytic import AnalyticExpSquare, nearest_integer, wrap_unit
+from ..analytic import circle_distance, nearest_integer, wrap_unit
 
 PSI_TOLERANCE = 1e-6
 SU_TOLERANCE = 1e-9
@@ -27,13 +27,15 @@ class ParityCertificateError(ValueError):
 
 
 class InvariantResult:
-    def __init__(self, raw, modulus, tolerance, certificate=None,
+    """A pipeline's float `raw` and the `integer` it proved `raw` is."""
+
+    def __init__(self, raw, integer, modulus, certificate,
                  convention=SIGN_CONVENTION):
-        self.integer_value = nearest_integer(raw, tolerance, "value")
+        self.integer_value = integer
         self.raw = float(raw)
         self.modulus = int(modulus)
         self.residue = self.integer_value % self.modulus
-        self.certificate = certificate or []
+        self.certificate = certificate
         self.convention = convention
         for entry in self.certificate:
             diff = entry.get("difference")
@@ -61,26 +63,24 @@ def psi(scene, certify=False):
     Every difference is in the hypothesis of the mod-24 theorem, so
     `InvariantResult` rejects any that is not in 24Z (corrupt table data).
     """
-    square = AnalyticExpSquare(tolerance=PSI_TOLERANCE)
     resolved = scene.resolve()
     raw, integers = 0.0, []
     for comp, h, g in resolved:
+        xi = g - h
         integers.append(nearest_integer(
-            square.xi(g, h), PSI_TOLERANCE,
-            f"component {comp.label}: Xi(g, h) ="))
-        raw += square.xi(g, h)
+            xi, PSI_TOLERANCE, f"component {comp.label}: Xi(g, h) ="))
+        raw += xi
     certificate = []
     for (comp, h, g), base_int in zip(resolved, integers if certify else ()):
         for label, alt_g in comp.alternatives():
             alt_int = nearest_integer(
-                square.xi(alt_g, h), PSI_TOLERANCE,
+                alt_g - h, PSI_TOLERANCE,
                 f"alternative bounding {label} of {comp.label}: Xi(g, h) =")
             certificate.append({"component": comp.label, "bounding": label,
                                 "integer": alt_int,
                                 "difference": alt_int - base_int,
                                 "in_hypothesis": True})
-    return InvariantResult(raw, 24, len(resolved) * PSI_TOLERANCE,
-                           certificate)
+    return InvariantResult(raw, sum(integers), 24, certificate)
 
 
 def su_psi(scene):
@@ -95,7 +95,6 @@ def su_psi(scene):
     hypothesis, so `InvariantResult` rejects it.
     """
     from .scenes import IncompatibleScene
-    square = AnalyticExpSquare(tolerance=SU_TOLERANCE)
     total_lift = scene.sum_lifts()
     scene_hol = wrap_unit(total_lift)
     for b in scene.boundings:
@@ -103,17 +102,16 @@ def su_psi(scene):
             raise IncompatibleScene(
                 f"bounding {b.label} has boundary length {b.k}, "
                 f"scene circle has {len(scene.lifts)} edges")
-        if not square.is_object(b.holonomy, scene_hol):
+        if not circle_distance(b.holonomy, scene_hol) <= SU_TOLERANCE:
             raise IncompatibleScene(
                 f"bounding {b.label} does not restrict to the scene "
                 f"circle: boundary holonomy {b.holonomy} vs "
                 f"exp(sum of lifts) {scene_hol} (lift mismatch)")
     primary = scene.boundings[0]
-    raw = square.xi(primary.curvature, total_lift)
-
-    integers = [nearest_integer(square.xi(b.curvature, total_lift),
-                                SU_TOLERANCE, f"bounding {b.label}: Xi(g, h) =")
-                for b in scene.boundings]
+    xis = [b.curvature - total_lift for b in scene.boundings]
+    integers = [nearest_integer(xi, SU_TOLERANCE,
+                                f"bounding {b.label}: Xi(g, h) =")
+                for b, xi in zip(scene.boundings, xis)]
     certificate = []
     for b, r_int in zip(scene.boundings, integers):
         diff = r_int - integers[0]
@@ -125,5 +123,5 @@ def su_psi(scene):
             entry["note"] = ("odd difference: bounding is outside the "
                              "tangent hypothesis")
         certificate.append(entry)
-    return InvariantResult(raw, 2, SU_TOLERANCE, certificate,
+    return InvariantResult(xis[0], integers[0], 2, certificate,
                            convention="su-lifts")

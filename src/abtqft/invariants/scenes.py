@@ -345,9 +345,10 @@ def _integer(value, where, stop=None):
 
 def _read_tangent(spec, where):
     """The tangent bounding of a {"mesh", "puncture"} block."""
+    if not isinstance(spec, dict):
+        raise IncompatibleScene(f"{where}: expected an object")
     try:
-        surface = build_mesh(spec.get("mesh") if isinstance(spec, dict)
-                             else None)
+        surface = build_mesh(spec.get("mesh"))
     except ValueError as exc:
         raise ProviderError(f"{where}.mesh: {exc}")
     puncture = _integer(spec.get("puncture", 0), f"{where}.puncture",

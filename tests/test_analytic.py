@@ -4,9 +4,8 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from abtqft.analytic import (AnalyticExpSquare, NonIntegralInvariant,
-                             circle_distance, nearest_integer, wrap_half,
-                             wrap_unit)
+from abtqft.analytic import (NonIntegralInvariant, circle_distance,
+                             nearest_integer, wrap_half, wrap_unit)
 from abtqft.discrete.connections import CHERN_TOLERANCE
 from abtqft.discrete.surfaces import LIFT_TOLERANCE
 from abtqft.invariants.psi import PSI_TOLERANCE, SU_TOLERANCE
@@ -48,16 +47,6 @@ def test_circle_equality():
     assert circle_distance(0.999999999999, 0.0) <= 1e-9
     assert not circle_distance(0.4, 0.6) <= 1e-9
     assert circle_distance(wrap_unit(0.7 + 0.6), 0.3) <= 1e-9
-
-
-def test_integers_exact():
-    # Z enters the analytic layer only as ker(exp), through the square
-    # (id_R, exp): Xi of an object is an integer, and a pair whose gap
-    # is not an integer is not an object
-    square = AnalyticExpSquare(tolerance=1e-9)
-    assert square.is_object(5.0, 2.0)
-    assert square.xi(5.0, 2.0) == 3.0
-    assert not square.is_object(2.5, 0.0)
 
 
 @pytest.mark.parametrize("tolerance", [PSI_TOLERANCE, SU_TOLERANCE,

@@ -128,6 +128,21 @@ def test_geo_holonomy_open_loop_exit_2(capsys):
     assert "not closed" in err
 
 
+@pytest.mark.parametrize("circle", [True, False], ids=["circle", "square"])
+def test_geo_holonomy_empty_loop_exit_2(tmp_path, capsys, circle):
+    # an empty --loop is a loop with one empty token, not the default loop
+    mesh, conn = sample("mesh_square.json"), sample("conn_square.json")
+    if circle:
+        from abtqft.discrete import circle_complex
+        mesh, conn = tmp_path / "circle.json", tmp_path / "conn.json"
+        mesh.write_text(json.dumps(circle_complex(3).to_json()))
+        conn.write_text(json.dumps({"edge_phases": [0.125, 0.25, 0.5]}))
+    code, out, err = run(capsys, "geo", "holonomy", str(mesh), str(conn),
+                         "--loop", "")
+    assert (code, out) == (2, "")
+    assert err == f"input error: {mesh}: --loop : bad loop token ''\n"
+
+
 def test_geo_holonomy_missing_edge_exit_2(capsys):
     code, _, err = run(capsys, "geo", "holonomy", sample("mesh_square.json"),
                        sample("conn_square.json"), "--loop", "99")
@@ -240,6 +255,9 @@ SU = {"primary": {"mesh": "icosahedron", "puncture": 0},
      "su.lift_shifts[0][1]"),
     ("su", {"su": {**SU, "boundings": [{"kind": "disk", "lift": 2**53 + 1}]}},
      "su.boundings[0].lift"),
+    ("su", {"su": {**SU, "primary": 3}}, "su.primary: expected an object"),
+    ("su", {"su": {**SU, "boundings": [5]}},
+     "su.boundings[0]: expected an object"),
 ])
 def test_bad_scene_exit_2(tmp_path, capsys, verb, scene, field):
     path = tmp_path / "bad_scene.json"
@@ -541,11 +559,24 @@ def _icosahedron_with_lengths(value):
      "second", "values[0]"),
     ("stokes", {**SQUARE, "coords": [[0, 0], [1], [1, 1], [0, 1]]},
      sample("cochain1.json"), "mesh", "coords[1]"),
+    ("stokes", {**SQUARE, "cells": {**SQUARE["cells"], "x": 1}},
+     sample("cochain1.json"), "mesh", "cells.x: expected a dimension"),
+    ("stokes", {**SQUARE, "cells": {**SQUARE["cells"], "4": 1}},
+     sample("cochain1.json"), "mesh", "cells.4: expected a dimension"),
+    ("stokes", {**SQUARE, "cells": {**SQUARE["cells"], "0": -1}},
+     sample("cochain1.json"), "mesh", "cells.0: negative count"),
+    ("stokes", {**SQUARE, "boundary": [SQUARE["boundary"]["1"]]},
+     sample("cochain1.json"), "mesh", "boundary: expected an object"),
+    ("stokes", {**SQUARE, "boundary": {**SQUARE["boundary"], "2": [
+        [[0, 1, 5], [1, 1], [4, -1]], [[4, 1], [2, 1], [3, 1]]]}},
+     sample("cochain1.json"), "mesh", "boundary.2[0][0]: expected a [cell"),
 ], ids=["degree-float", "degree-bool", "cells-float", "index-float",
         "sign-bool", "lift-bool", "phase-bool", "value-bool", "length-bool",
         "coord-bool", "degree-top", "length-string", "value-string",
         "phase-string", "phase-null", "value-nested", "coord-nan",
-        "coord-huge-int", "length-huge-int", "value-huge-int", "coord-ragged"])
+        "coord-huge-int", "length-huge-int", "value-huge-int", "coord-ragged",
+        "cells-key-word", "cells-key-4", "cells-negative", "boundary-list",
+        "incidence-triple"])
 def test_geo_inexact_integer_exit_2(tmp_path, capsys, verb, mesh, second,
                                     bad, field):
     # floats and bools in integer fields are refused, never truncated;
@@ -673,6 +704,31 @@ def test_mismatched_square_or_fill_exit_2(tmp_path, capsys, leg, field,
     f = tmp_path / "bad_square.json"
     f.write_text(json.dumps(rec))
     code, out, err = run(capsys, "cat", "xi", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {f}: {message}\n"
+
+
+@pytest.mark.parametrize("verb, extra, record, message", [
+    ("group kernel", [], {"groups": [1]}, "groups: expected an object"),
+    ("group kernel", [], {"morphisms": [1]},
+     "morphisms: expected an object"),
+    ("cat hofiber", [], {"squares": {"s": 3}},
+     "squares.s: square missing 'phi_H'"),
+    ("cat hofiber", [], {"squares": {"s": "phi_H phi_G f_ob f_mor"}},
+     "squares.s: square missing 'phi_H'"),
+    ("cat xi", [sample("mirror24.json")], {"fills": {"l": 3}},
+     "fills.l: fill missing 'lambda'"),
+    ("cat xi", [sample("mirror24.json")], {"fills": {"l": "lambda"}},
+     "fills.l: fill missing 'lambda'"),
+], ids=["groups-list", "morphisms-list", "square-number", "square-string",
+        "fill-number", "fill-string"])
+def test_malformed_workspace_record_exit_2(tmp_path, capsys, verb, extra,
+                                           record, message):
+    # a table or record that is not a JSON object is refused by name,
+    # even a string holding every field name it should have
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(record))
+    code, out, err = run(capsys, *verb.split(), *extra, str(f))
     assert (code, out) == (2, "")
     assert err == f"input error: {f}: {message}\n"
 

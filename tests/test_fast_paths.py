@@ -4,20 +4,23 @@ Each oracle here is the old code, kept in the test: the dense boundary
 matrix product, the rectangle grid with its own edge keying, the
 per-vertex scan over all faces for corners and angle defects, the ring
 walk started from that scan, the mod-2 invariant subtracted and gated by
-hand, the Smith form that updated all four transforms on every
-elementary operation, the solve and kernel read off those transforms,
-group elements as U_inv products, squares and fills compared as two
-checked composite morphisms, the fiber product taken whenever a fiber is
-built, isomorphisms decided by a trivial kernel and cokernel, and the
-winding quadrature evaluated one whole chi slice at a time, and the
-tangent bundle over a checked dual whose lifts read a bare connection.
-Morphisms built without the well-definedness check, and cell complexes
-built without the index, sign and boundary-of-boundary checks, are
-rebuilt with them.
+hand, each invariant's integer rounded from its raw value under the
+whole tolerance (the gate `InvariantResult` ran), the Smith form that
+updated all four transforms on every elementary operation, the solve and
+kernel read off those transforms, group elements as U_inv products,
+squares and fills compared as two checked composite morphisms, the fiber
+product taken whenever a fiber is built, isomorphisms decided by a
+trivial kernel and cokernel, and the winding quadrature evaluated one
+whole chi slice at a time, and the tangent bundle over a checked dual
+whose lifts read a bare connection. Morphisms built without the
+well-definedness check, and cell complexes built without the index, sign
+and boundary-of-boundary checks, are rebuilt with them.
 """
 
 import itertools
+import json
 import math
+import os
 import random
 import tracemalloc
 
@@ -34,10 +37,10 @@ from abtqft.discrete import (CellComplex, ComplexError, LatticeConnection,
 from abtqft.discrete import surfaces as S
 from abtqft.discrete.complexes import build_triangle_surface
 from abtqft.invariants import chern_simons as CS
-from abtqft.invariants import (IncompatibleScene, InvariantResult,
-                               NonIntegralInvariant, SuScene, su_psi,
+from abtqft.invariants import (BnrScene, IncompatibleScene, InvariantResult,
+                               NonIntegralInvariant, SuScene, psi, su_psi,
                                tangent_bounding)
-from abtqft.invariants.psi import SU_TOLERANCE
+from abtqft.invariants.psi import PSI_TOLERANCE, SU_TOLERANCE
 from abtqft.invariants.scenes import SU_POOLS, disk_bounding, random_su_scene
 
 TORI = [(kind, n, m)
@@ -101,7 +104,7 @@ def test_dimension_three_complex_accepted():
     T = tetrahedron()
     assert T.dim == 3
     assert not (T.boundary_matrix(2) @ T.boundary_matrix(3)).any()
-    assert T.is_cycle(2, T.boundary_of(3, T.fundamental_chain(3)))
+    assert not T.boundary_of(2, T.boundary_of(3, T.fundamental_chain(3))).any()
 
 
 def test_dimension_three_boundary_of_boundary_rejected():
@@ -366,7 +369,7 @@ def slow_su_psi(scene):
             entry["note"] = ("odd difference: bounding is outside the "
                              "tangent hypothesis")
         certificate.append(entry)
-    return InvariantResult(raws[0], 2, SU_TOLERANCE, certificate,
+    return InvariantResult(raws[0], base_int, 2, certificate,
                            convention="su-lifts")
 
 
@@ -394,6 +397,34 @@ def test_su_psi_matches_hand_subtraction():
         assert fast.integer_value == slow.integer_value
         assert fast.residue == slow.residue
         assert fast.certificate == slow.certificate
+
+
+def _sample(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "samples", name)
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def test_result_integer_is_its_raw_rounded():
+    # the pipelines gate each Xi on its own and hand `InvariantResult` the
+    # integer they proved; rounding the raw sum under the whole tolerance
+    # (n components at PSI_TOLERANCE each, one primary at SU_TOLERANCE)
+    # must give that integer back
+    q1 = BnrScene.s3_lie(eta_provider="quadrature", refinement=1)
+    for scene in (BnrScene.from_json(_sample("scene_s3.json")),
+                  BnrScene.from_json(_sample("scene_s3_k3.json")),
+                  BnrScene.s3_lie(), BnrScene.empty(),
+                  BnrScene.s3_lie(glue=["K3"]),
+                  BnrScene.s3_lie().union(BnrScene.empty()), q1,
+                  q1.union(q1)):
+        result = psi(scene, certify=True)
+        tolerance = len(scene.resolve()) * PSI_TOLERANCE
+        assert nearest_integer(result.raw, tolerance, "psi raw") == (
+            result.integer_value)
+    for scene in [SuScene.from_json(_sample("scene_su.json"))] + _su_scenes():
+        result = su_psi(scene)
+        assert nearest_integer(result.raw, SU_TOLERANCE, "su raw") == (
+            result.integer_value)
 
 
 # -- Smith form: the lazy transforms against the eager elimination ------------

@@ -1,27 +1,29 @@
 """Each decision at the float boundary has one home in `src/`: a float
-is taken as an integer only by `analytic.nearest_integer`, and reals are
-tested for finiteness only by `complexes.as_reals` (input) and
-`analytic.wrap_unit` (turns)."""
+is taken as an integer only by `analytic.nearest_integer`, called once per
+rounded value at pinned sites, and reals are tested for finiteness only
+by `complexes.as_reals` (input) and `analytic.wrap_unit` (turns)."""
 
 import ast
+import collections
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "abtqft"
 
 
-def _uses(tree, wanted):
-    """[(enclosing function, line)] of each call of `round` (as a name or
-    an attribute) when `wanted` is "round", or of each mention of the
-    name `wanted` otherwise."""
+def _uses(tree, wanted, call=False):
+    """[(enclosing function, line)] of each call of `wanted` (as a name or
+    an attribute) when `call`, or of each mention of the name `wanted`
+    otherwise.  A method is named `Class.method`."""
     found = []
 
     def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if wanted == "round":
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            function = f"{function}.{node.name}" if function else node.name
+        if call:
             hit = (isinstance(node, ast.Call)
                    and getattr(node.func, "id",
-                               getattr(node.func, "attr", None)) == "round")
+                               getattr(node.func, "attr", None)) == wanted)
         else:
             hit = (getattr(node, "id", None) == wanted
                    or getattr(node, "attr", None) == wanted
@@ -36,14 +38,31 @@ def _uses(tree, wanted):
     return found
 
 
-def _homes(wanted):
-    return {(str(path.relative_to(SRC)), function)
-            for path in sorted(SRC.rglob("*.py"))
-            for function, _ in _uses(ast.parse(path.read_text()), wanted)}
+def _sites(wanted, call=False):
+    """How often each (file, enclosing function) in `src/` uses `wanted`."""
+    return collections.Counter(
+        (str(path.relative_to(SRC)), function)
+        for path in sorted(SRC.rglob("*.py"))
+        for function, _ in _uses(ast.parse(path.read_text()), wanted, call))
+
+
+def _homes(wanted, call=False):
+    return set(_sites(wanted, call))
 
 
 def test_round_only_in_nearest_integer():
-    assert _homes("round") == {("analytic.py", "nearest_integer")}
+    assert _homes("round", call=True) == {("analytic.py", "nearest_integer")}
+
+
+def test_nearest_integer_call_sites():
+    # one gate per rounded value: each Xi of `psi` (component and
+    # alternative) and of `su_psi`, each vertex lift of the tangent
+    # bundle and the Chern number; an invariant result rounds nothing
+    assert _sites("nearest_integer", call=True) == {
+        ("invariants/psi.py", "psi"): 2,
+        ("invariants/psi.py", "su_psi"): 1,
+        ("discrete/surfaces.py", "TangentBundle.__init__"): 1,
+        ("discrete/connections.py", "chern_number"): 1}
 
 
 def test_isfinite_only_in_the_real_gates():
@@ -55,7 +74,11 @@ def test_finder_sees_each_spelling():
     source = ("import math\n"
               "from numpy import isfinite as fin\n"
               "def f(x):\n"
-              "    return round(x), x.round(), math.isfinite(x)\n")
+              "    return round(x), x.round(), math.isfinite(x)\n"
+              "class C:\n"
+              "    def m(self, round=round):\n"
+              "        return round(self)\n")
     tree = ast.parse(source)
-    assert _uses(tree, "round") == [("f", 4), ("f", 4)]
+    assert _uses(tree, "round", call=True) == [("f", 4), ("f", 4),
+                                               ("C.m", 7)]
     assert _uses(tree, "isfinite") == [(None, 2), ("f", 4)]

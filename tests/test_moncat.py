@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abtqft import fgab, moncat, testing
-from abtqft.analytic import AnalyticExpSquare
 from abtqft.moncat import (CommSquare, DiagonalFill, MorTensorCat,
                            mirror_exp_square)
 
@@ -519,12 +518,3 @@ def test_fill_triangle_checks():
     bad = fgab.GroupMorphism(square.phi_H.target, square.phi_G.source, [[2]])
     with pytest.raises(moncat.TriangleMismatch):
         DiagonalFill(square, bad)
-
-
-def test_analytic_exp_square():
-    sq = AnalyticExpSquare(tolerance=1e-6)
-    assert sq.is_object(3.0, 2.0)
-    assert sq.is_object(0.5, -0.5)
-    assert not sq.is_object(0.25, 0.0)
-    assert sq.xi(3.0, 2.0) == 1.0
-    assert sq.xi(2.75, 0.75) == 2.0

@@ -1,4 +1,4 @@
-"""Circle values as turns, and the integer gate.
+"""Circle values as turns, and the integer gates.
 
 Circle values are stored additively as "turns": a real in [0, 1) standing
 for exp(2*pi*i*t).  The exponential morphism R -> U(1) is then reduction
@@ -9,12 +9,23 @@ part.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 
 class NonIntegralInvariant(ValueError):
     """A value that must be an integer is not one.  Integrality is a
     theorem wherever it is asked for, so this means corrupt or
     inconsistent input data, and it halts rather than rounds."""
+
+
+def as_int(x, where="value"):
+    """`x` as a Python int.  The one integer gate: a bool or a non-integer
+    (even an integral float) raises ValueError naming `where`."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise ValueError(f"{where}: expected exact integer, got {x!r}")
+    return int(x)
 
 
 def nearest_integer(x, tolerance, what):

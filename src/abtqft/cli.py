@@ -16,6 +16,7 @@ import os
 import sys
 
 from . import SIGN_CONVENTION, __version__
+from .reader import Node, ShapeError
 
 
 class InputError(ValueError):
@@ -42,18 +43,18 @@ def _read_json(path):
     except ValueError as exc:
         # bad JSON, bytes that are not UTF-8 or an over-long integer
         raise InputError(f"{path}: invalid JSON ({exc})")
+    except RecursionError:
+        raise InputError(f"{path}: invalid JSON (nested too deeply)")
 
 
-def _read_record(path, kind, parse):
-    """`parse` applied to the JSON object in `path`; any fault of the
-    record exits as `path: bad <kind> (...)`."""
-    obj = _read_json(path)
+def _read_record(path, parse):
+    """`parse` applied to the document in `path`; each fault it names by
+    its JSON path exits as `path: PATH: ...`."""
+    doc = Node(_read_json(path))
     try:
-        if not isinstance(obj, dict):
-            raise ValueError("top level must be an object")
-        return parse(obj)
-    except Exception as exc:
-        raise InputError(f"{path}: bad {kind} ({exc})")
+        return parse(doc)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}")
 
 
 class _Names(dict):
@@ -95,107 +96,94 @@ class Workspace:
 
     def load_file(self, path):
         self.files.append(path)
-        self._ingest(path, _read_json(path))
+        try:
+            self._ingest(path, Node(_read_json(path)))
+        except ShapeError as exc:
+            raise InputError(f"{path}: {exc}")
 
-    def _ingest(self, path, obj):
+    def _ingest(self, path, doc):
         stem = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        if isinstance(obj, list):
-            self.matrices[stem] = self._matrix(path, "$", obj)
+        if doc.is_list():
+            self.matrices[stem] = self._matrix(doc)
             return
-        if not isinstance(obj, dict):
-            raise InputError(f"{path}: top level must be an object or array")
-        if "m3" in obj or "union" in obj or "su" in obj:
-            self.scenes[stem] = (path, obj)
+        if doc.has("m3") or doc.has("union") or doc.has("su"):
+            self.scenes[stem] = (path, doc)
             return
-        for table in ("groups", "morphisms", "squares", "fills"):
-            if not isinstance(obj.get(table) or {}, dict):
-                raise InputError(f"{path}: {table}: expected an object")
-        for name, rec in (obj.get("groups") or {}).items():
-            self.groups[name] = self._group(path, f"groups.{name}", rec, name)
-        for name, rec in (obj.get("morphisms") or {}).items():
-            self._add_morphism(name, self._morphism(
-                path, f"morphisms.{name}", rec, name))
-        for name, rec in (obj.get("squares") or {}).items():
-            self.squares[name] = self._square(path, f"squares.{name}", rec)
-        for name, rec in (obj.get("fills") or {}).items():
-            self.fills[name] = self._fill(path, f"fills.{name}", rec)
-        if "generators" in obj:
-            self.groups[stem] = self._group(path, "$", obj, stem)
-        elif "matrix" in obj and "source" in obj:
-            self._add_morphism(stem, self._morphism(path, "$", obj, stem))
-        elif "matrix" in obj:
-            self.matrices[stem] = self._matrix(path, "matrix", obj["matrix"])
-        elif "phi_H" in obj:
-            self.squares[stem] = self._square(path, "$", obj)
-        elif "lambda" in obj:
-            self.fills[stem] = self._fill(path, "$", obj)
+        from . import fgab
+        tables = {table: doc.field(table, {}).items()
+                  for table in ("groups", "morphisms", "squares", "fills")}
+        for name, rec in tables["groups"]:
+            self.groups[name] = fgab.group_from_json(rec, name)
+        for name, rec in tables["morphisms"]:
+            self._add_morphism(name, self._morphism(path, rec, name))
+        for name, rec in tables["squares"]:
+            self.squares[name] = self._square(path, rec)
+        for name, rec in tables["fills"]:
+            self.fills[name] = self._fill(path, rec)
+        if doc.has("generators"):
+            self.groups[stem] = fgab.group_from_json(doc, stem)
+        elif doc.has("matrix") and doc.has("source"):
+            self._add_morphism(stem, self._morphism(path, doc, stem))
+        elif doc.has("matrix"):
+            self.matrices[stem] = self._matrix(doc.field("matrix"))
+        elif doc.has("phi_H"):
+            self.squares[stem] = self._square(path, doc)
+        elif doc.has("lambda"):
+            self.fills[stem] = self._fill(path, doc)
 
     def _add_morphism(self, name, mor):
         self.morphisms[name] = mor
         self.order.append(name)
 
-    def _matrix(self, path, at, rows):
+    def _matrix(self, doc):
         from . import intmat
-        try:
-            shape = (len(rows), len(rows[0]) if rows else 0)
-            return intmat.as_int_matrix(rows, shape)
-        except (ValueError, TypeError) as exc:
-            raise InputError(f"{path}: {at}: {exc}")
+        rows = doc.matrix()
+        return intmat.as_int_matrix(rows, (len(rows),
+                                           len(rows[0]) if rows else 0))
 
-    def _group(self, path, at, rec, name):
+    def _resolve(self, path, ref, kind):
+        """The group or morphism that `ref` names, or that its record
+        defines."""
+        if not isinstance(ref.value, str):
+            return (self._group(ref) if kind == "group"
+                    else self._morphism(path, ref))
+        table = self.groups if kind == "group" else self.morphisms
+        if ref.value not in table:
+            raise InputError(f"{path}: {ref.path}: unknown {kind} name "
+                             f"{ref.value!r}")
+        return table[ref.value]
+
+    def _group(self, ref):
         from . import fgab
-        try:
-            return fgab.group_from_json(rec, name=name)
-        except (ValueError, TypeError) as exc:
-            raise InputError(f"{path}: {at}: {exc}")
-
-    def _resolve_group(self, path, at, ref):
-        if isinstance(ref, str):
-            if ref not in self.groups:
-                raise InputError(f"{path}: {at}: unknown group name {ref!r}")
-            return self.groups[ref]
-        G = self._group(path, at, ref, None)
+        G = fgab.group_from_json(ref)
         key = (G.n_generators,
                tuple(tuple(int(v) for v in row) for row in G.relations))
         return self._interned.setdefault(key, G)
 
-    def _morphism(self, path, at, rec, name):
+    def _morphism(self, path, rec, name=None):
         from . import fgab
-        if not isinstance(rec, dict) or "matrix" not in rec:
-            raise InputError(f"{path}: {at}: morphism needs a 'matrix'")
-        src = self._resolve_group(path, f"{at}.source", rec.get("source"))
-        tgt = self._resolve_group(path, f"{at}.target", rec.get("target"))
+        src, tgt = (self._resolve(path, rec.field(end), "group")
+                    for end in ("source", "target"))
         try:
             return fgab.morphism_from_json(rec, src, tgt, name=name)
-        except (ValueError, TypeError) as exc:
-            raise InputError(f"{path}: {at}: {exc}")
+        except ShapeError:
+            raise
+        except ValueError as exc:
+            raise InputError(f"{path}: {rec.path}: {exc}")
 
-    def _resolve_morphism(self, path, at, ref):
-        if isinstance(ref, str):
-            if ref not in self.morphisms:
-                raise InputError(
-                    f"{path}: {at}: unknown morphism name {ref!r}")
-            return self.morphisms[ref]
-        return self._morphism(path, at, ref, None)
-
-    def _square(self, path, at, rec):
+    def _square(self, path, rec):
         from . import moncat
-        legs = {}
-        for leg in ("phi_H", "phi_G", "f_ob", "f_mor"):
-            if not isinstance(rec, dict) or leg not in rec:
-                raise InputError(f"{path}: {at}: square missing {leg!r}")
-            legs[leg] = self._resolve_morphism(path, f"{at}.{leg}", rec[leg])
+        legs = {leg: self._resolve(path, rec.field(leg), "morphism")
+                for leg in ("phi_H", "phi_G", "f_ob", "f_mor")}
         try:
             return moncat.CommSquare(**legs)
-        except (ValueError, TypeError) as exc:
-            raise InputError(f"{path}: {at}: {exc}")
+        except ValueError as exc:
+            raise InputError(f"{path}: {rec.path}: {exc}")
 
-    def _fill(self, path, at, rec):
+    def _fill(self, path, rec):
         # a fill names no square: it is checked against one when used
-        if not isinstance(rec, dict) or "lambda" not in rec:
-            raise InputError(f"{path}: {at}: fill missing 'lambda'")
-        return (f"{path}: {at}",
-                self._resolve_morphism(path, f"{at}.lambda", rec["lambda"]))
+        return (f"{path}: {rec.path}",
+                self._resolve(path, rec.field("lambda"), "morphism"))
 
     def sole(self, table, kind, name=None):
         if name is not None:
@@ -234,11 +222,10 @@ def _load_mesh(ref):
     if ref.startswith("builtin:"):
         try:
             return surfaces.build_mesh(ref.split(":", 1)[1])
-        except Exception as exc:
+        except ValueError as exc:
             raise InputError(str(exc))
     stem = ref.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return _read_record(ref, "mesh",
-                        lambda obj: CellComplex.from_json(obj, name=stem))
+    return _read_record(ref, lambda doc: CellComplex.from_json(doc, stem))
 
 
 # -- group subcommands -------------------------------------------------------
@@ -386,8 +373,8 @@ def cmd_cat_xi(args, ws):
 def cmd_geo_stokes(args, ws):
     from .discrete import Cochain, DegreeError, check_stokes
     mesh = _load_mesh(args.mesh)
-    omega = _read_record(args.cochain, "cochain",
-                         lambda obj: Cochain.from_json(mesh, obj))
+    omega = _read_record(args.cochain,
+                         lambda doc: Cochain.from_json(mesh, doc))
     try:
         lhs, rhs = check_stokes(mesh, omega)
     except DegreeError as exc:
@@ -409,8 +396,7 @@ def _geo_connection(args):
             raise InputError(f"{args.mesh}: {exc}")
         return bundle.dual, bundle.connection
     return mesh, _read_record(
-        args.connection, "connection",
-        lambda obj: LatticeConnection.from_json(mesh, obj))
+        args.connection, lambda doc: LatticeConnection.from_json(mesh, doc))
 
 
 def cmd_geo_holonomy(args, ws):
@@ -476,7 +462,7 @@ def cmd_bnr_psi(args, ws):
     try:
         scene = obj if isinstance(obj, BnrScene) else BnrScene.from_json(obj)
         result = psi(scene, certify=args.certify)
-    except (IncompatibleScene, ProviderError) as exc:
+    except (IncompatibleScene, ProviderError, ShapeError) as exc:
         raise InputError(f"{path}: {exc}")
     lines = [result.render()]
     for entry in result.certificate:
@@ -494,7 +480,7 @@ def cmd_bnr_su(args, ws):
     path, obj = ws.sole(ws.scenes, "scene")
     try:
         result = su_psi(SuScene.from_json(obj))
-    except (IncompatibleScene, ProviderError) as exc:
+    except (IncompatibleScene, ProviderError, ShapeError) as exc:
         raise InputError(f"{path}: {exc}")
     lines = [result.render()]
     for entry in result.certificate:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..intmat import as_int
+from ..reader import node
 from .complexes import as_reals
 
 
@@ -29,12 +29,12 @@ class Cochain:
 
     @classmethod
     def from_json(cls, complex, obj):
-        """The cochain of a {"degree": k, "values": [...]} record; the
-        degree must be an exact integer."""
-        for field in ("degree", "values"):
-            if field not in obj:
-                raise ValueError(f"cochain record missing {field!r}")
-        return cls(complex, as_int(obj["degree"], "degree"), obj["values"])
+        """The cochain of a {"degree": k, "values": [...]} record, one
+        value per k-cell."""
+        doc = node(obj)
+        degree = doc.field("degree").int(0, 3)
+        return cls(complex, degree, doc.field("values").reals(
+            as_reals, 1, complex.n_cells[degree]))
 
 
 def coboundary(omega):

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from ..intmat import as_int
+from ..reader import node
 
 
 class ComplexError(ValueError):
@@ -14,21 +14,19 @@ class ComplexError(ValueError):
 
 
 def as_reals(values, where, ndim=1):
-    """`values` as a float array once every entry (of every row, each as
-    long as the first, with `ndim=2`) is a finite float or an int within
-    the float range; a bool, string, None or list there is refused as
-    `where[i]`, shown as read.  A numeric array skips the per-entry scan."""
+    """`values` as a float array once every entry (of every row, with
+    `ndim=2`) is a finite float or an int within the float range; a bool,
+    string, None or list there is refused as `where[i]`, shown as read.
+    A numeric array skips the per-entry scan."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
         for i, x in enumerate(values):
-            if ndim > 1 and isinstance(x, (list, tuple, np.ndarray)) and (
-                    len(x) == len(values[0])):
+            if ndim > 1:
                 as_reals(x, f"{where}[{i}]", ndim - 1)
-            elif ndim > 1 or type(x) is not float and (
+            elif type(x) is not float and (
                     isinstance(x, bool) or not isinstance(
                         x, (int, float, np.integer, np.floating))
                     or abs(x) > sys.float_info.max):
-                expected = "a row of reals" if ndim > 1 else "a finite real"
-                raise ValueError(f"{where}[{i}]: expected {expected}, "
+                raise ValueError(f"{where}[{i}]: expected a finite real, "
                                  f"got {x!r}")
     reals = np.asarray(values, dtype=float)
     finite = np.isfinite(reals)
@@ -63,16 +61,17 @@ class CellComplex:
         for k in range(1, 4):
             if len(self.boundary[k]) != self.n_cells[k]:
                 raise ComplexError(
-                    f"dimension {k}: {len(self.boundary[k])} boundary lists "
+                    f"boundary.{k}: {len(self.boundary[k])} boundary lists "
                     f"for {self.n_cells[k]} cells")
             for c, faces in enumerate(self.boundary[k]):
                 for idx, sign in faces:
                     if not (0 <= idx < self.n_cells[k - 1]):
                         raise ComplexError(
-                            f"cell {c} of dimension {k} references "
-                            f"missing {k-1}-cell {idx}")
+                            f"boundary.{k}[{c}]: references missing "
+                            f"{k-1}-cell {idx}")
                     if sign not in (1, -1):
-                        raise ComplexError(f"boundary sign {sign} is not +-1")
+                        raise ComplexError(f"boundary.{k}[{c}]: boundary "
+                                           f"sign {sign} is not +-1")
         for k in range(2, self.dim + 1):
             lower = self.boundary[k - 1]
             for c, faces in enumerate(self.boundary[k]):
@@ -82,8 +81,8 @@ class CellComplex:
                         total[idx2] = total.get(idx2, 0) + sign * sign2
                 if any(total.values()):
                     raise ComplexError(
-                        f"boundary of boundary nonzero in dimension {k} "
-                        f"at cell {c}")
+                        f"boundary.{k}[{c}]: boundary of boundary nonzero "
+                        f"in dimension {k}")
 
     @classmethod
     def _derived(cls, cell_counts, boundary, coords=None, edge_lengths=None,
@@ -187,36 +186,25 @@ class CellComplex:
 
     @classmethod
     def from_json(cls, obj, name=None):
-        """The complex of a mesh record; a malformed table, dimension,
-        [cell, sign] pair, count, index or sign is named by its field."""
-        if "cells" not in obj:
-            raise ComplexError("mesh record missing 'cells'")
-        counts = {k: as_int(v, f"cells.{k}")
-                  for k, v in _by_dimension(obj["cells"], "cells")}
-        boundary = {k: [[_incidence(pair, f"boundary.{k}[{c}][{n}]")
-                         for n, pair in enumerate(faces)]
-                        for c, faces in enumerate(cells)]
-                    for k, cells in _by_dimension(obj.get("boundary", {}),
-                                                  "boundary")}
-        return cls(counts, boundary, coords=obj.get("coords"),
-                   edge_lengths=obj.get("edge_lengths"), name=name)
+        """The complex of a mesh record, every field read by `reader`."""
+        doc = node(obj)
+        counts = {int(k): n.int(0)
+                  for k, n in doc.field("cells").items(_DIMENSIONS)}
+        boundary = {
+            int(k): [[pair.pair(counts.get(int(k) - 1, 0))
+                      for pair in faces.list()]
+                     for faces in cells.list(counts.get(int(k), 0))]
+            for k, cells in doc.field("boundary", {}).items(_DIMENSIONS[1:])}
+        coords = (doc.field("coords").reals(as_reals, 2, counts.get(0, 0))
+                  if doc.has("coords") else None)
+        lengths = (doc.field("edge_lengths").reals(as_reals, 1,
+                                                    counts.get(1, 0))
+                   if doc.has("edge_lengths") else None)
+        return cls(counts, boundary, coords=coords, edge_lengths=lengths,
+                   name=name)
 
 
-def _by_dimension(table, where):
-    """The items of a JSON object keyed by the dimensions "0".."3"."""
-    if not isinstance(table, dict):
-        raise ComplexError(f"{where}: expected an object")
-    for k in table:
-        if k not in ("0", "1", "2", "3"):
-            raise ComplexError(f"{where}.{k}: expected a dimension 0..3")
-    return [(int(k), value) for k, value in table.items()]
-
-
-def _incidence(pair, where):
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise ComplexError(f"{where}: expected a [cell, sign] pair, "
-                           f"got {pair!r}")
-    return tuple(as_int(x, where) for x in pair)
+_DIMENSIONS = ("0", "1", "2", "3")
 
 
 def circle_complex(n, name=None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analytic import circle_distance, nearest_integer, wrap_half, wrap_unit
-from ..intmat import as_int
+from ..reader import node
 from .complexes import as_reals
 
 
@@ -69,14 +69,15 @@ class LatticeConnection:
 
     @classmethod
     def from_json(cls, complex, obj):
-        """The connection of a record; each face lift an exact integer."""
-        phases = obj.get("edge_phases")
-        if phases is None:
-            raise ConnectionDataError("connection record missing 'edge_phases'")
-        lifts = obj.get("face_lifts")
-        if lifts is not None:
-            lifts = [as_int(n, f"face_lifts[{f}]")
-                     for f, n in enumerate(lifts)]
+        """The connection of a record: a phase per edge and, optionally,
+        an integer lift per face, at most 2**53 in size so that its float
+        curvature keeps the fraction."""
+        doc = node(obj)
+        phases = doc.field("edge_phases").reals(as_reals, 1,
+                                                complex.n_cells[1])
+        lifts = ([n.int(-2**53, 2**53)
+                  for n in doc.field("face_lifts").list(complex.n_cells[2])]
+                 if doc.has("face_lifts") else None)
         return cls(complex, phases, lifts)
 
 

@@ -14,7 +14,9 @@ from operator import mul
 import numpy as np
 
 from . import intmat
-from .intmat import as_int, as_int_matrix, zeros
+from .analytic import as_int
+from .intmat import as_int_matrix, zeros
+from .reader import node
 
 
 class ParentMismatch(ValueError):
@@ -391,14 +393,16 @@ def pullback(f, g):
 # -- JSON interchange ------------------------------------------------------
 
 def group_from_json(obj, name=None):
-    if not isinstance(obj, dict):
-        raise ValueError("group record must be an object")
-    return FgAbGroup(obj.get("generators"), obj.get("relations", ()),
-                     name=name or obj.get("name"))
+    """The group of a {"generators": n, "relations": [[...], ...]} record."""
+    doc = node(obj)
+    n = doc.field("generators").int(0)
+    return FgAbGroup(n, doc.field("relations", []).matrix(n),
+                     name or doc.field("name", "").str() or None)
 
 
 def morphism_from_json(obj, source, target, name=None):
-    mat = obj.get("matrix")
-    if mat is None:
-        raise ValueError("morphism record missing 'matrix'")
-    return GroupMorphism(source, target, mat, name=name or obj.get("name"))
+    """The morphism of a record's integer "matrix" from `source` to
+    `target`."""
+    doc = node(obj)
+    return GroupMorphism(source, target, doc.field("matrix").matrix(),
+                         name or doc.field("name", "").str() or None)

@@ -11,15 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-
-def as_int(x, where="value"):
-    """`x` as a Python int.  The one integer gate: a bool or a non-integer
-    (even an integral float) raises ValueError naming `where`."""
-    if type(x) is int:
-        return x
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"{where}: expected exact integer, got {x!r}")
-    return int(x)
+from .analytic import as_int
 
 
 def as_int_matrix(rows, shape=None, name="entry"):

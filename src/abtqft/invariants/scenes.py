@@ -15,10 +15,10 @@ gauge invariant, the holonomy.
 
 from __future__ import annotations
 
-from ..analytic import wrap_unit, wrap_half
+from ..analytic import as_int, wrap_unit, wrap_half
 from ..discrete import surfaces as _surf
 from ..discrete.surfaces import build_mesh
-from ..intmat import as_int
+from ..reader import node
 from . import table as _table
 from .chern_simons import MAX_REFINEMENT, cs_su2_quadrature
 
@@ -43,6 +43,13 @@ _NABLA_TABLE = {
     ("D4", "flat-extension"): {"bounds": ("S3", "Lie-framing"), "base": 0.0},
     ("empty", "empty"): {"bounds": ("empty", "empty"), "base": 0.0},
 }
+
+# the keys each descriptor block may name
+_BLOCK_KEYS = {block: sorted({pair[i] for pair in table})
+               for block, table, i in (("m3", _ETA_TABLE, 0),
+                                       ("eta", _ETA_TABLE, 1),
+                                       ("w4", _NABLA_TABLE, 0),
+                                       ("nabla", _NABLA_TABLE, 1))}
 
 _cs_cache = {}
 
@@ -89,26 +96,17 @@ def half_p1_integral(w4_key, nabla_key, glue=()):
     return value
 
 
-def _block(desc, block, where):
-    """(key, provider, params) of one descriptor block, validated."""
-    spec = desc.get(block)
-    if spec is None:
-        raise IncompatibleScene(f"{where}scene missing block {block!r}")
-    if not isinstance(spec, dict) or not isinstance(spec.get("key"), str):
-        raise IncompatibleScene(
-            f"{where}{block}: expected an object with a string 'key'")
-    if "compatible" in desc or "compatible" in spec:
-        raise IncompatibleScene(
-            f"{where}the compatibility flag is provider-owned and may not "
-            "appear in scene files")
-    params = spec.get("params") or {}
-    if not isinstance(params, dict):
-        raise IncompatibleScene(f"{where}{block}.params: expected an object")
-    provider = spec.get("provider", "table")
-    if provider not in ("table", "quadrature"):
-        raise ProviderError(f"{where}{block}.provider: unknown provider "
-                            f"{provider!r} (have: table, quadrature)")
-    return spec["key"], provider, params
+def _block(desc, block):
+    """(key, provider, params) of one descriptor block."""
+    spec = desc.field(block)
+    key = spec.field("key").str(_BLOCK_KEYS[block])
+    for owner in (desc, spec):
+        if owner.has("compatible"):
+            raise IncompatibleScene(
+                f"{owner.field('compatible').path}: the compatibility flag "
+                "is provider-owned and may not appear in scene files")
+    return (key, spec.field("provider", "table").str(("table", "quadrature")),
+            spec.field("params", {}).obj())
 
 
 class SceneComponent:
@@ -119,32 +117,20 @@ class SceneComponent:
     spin 4-manifolds glued into the bounding datum.
     """
 
-    def __init__(self, desc, where):
-        if not isinstance(desc, dict):
-            raise IncompatibleScene(f"{where}a scene component must be an "
-                                    "object")
-        self.m3, _, _ = _block(desc, "m3", where)
-        self.eta, eta_provider, eta_params = _block(desc, "eta", where)
-        self.w4, _, _ = _block(desc, "w4", where)
-        self.nabla, nabla_provider, nabla_params = _block(desc, "nabla",
-                                                          where)
-        refinement = eta_params.get("refinement", 2)
-        if (isinstance(refinement, bool) or not isinstance(refinement, int)
-                or not 1 <= refinement <= MAX_REFINEMENT):
-            raise ProviderError(f"{where}eta.params.refinement: "
-                                f"{refinement!r} is not an integer in "
-                                f"1..{MAX_REFINEMENT}")
+    def __init__(self, desc):
+        self.m3, _, _ = _block(desc, "m3")
+        self.eta, eta_provider, eta_params = _block(desc, "eta")
+        self.w4, _, _ = _block(desc, "w4")
+        self.nabla, nabla_provider, nabla_params = _block(desc, "nabla")
+        refinement = eta_params.field("refinement", 2).int(1, MAX_REFINEMENT)
         self.refinement = refinement if eta_provider == "quadrature" else None
         if nabla_provider != "table":
             raise ProviderError(
-                f"{where}nabla.provider: 4-dimensional Chern-Weil integrals "
-                "are table-only; quadrature is not offered for bounding data")
-        glue = nabla_params.get("glue", [])
-        if (not isinstance(glue, list)
-                or not all(isinstance(name, str) for name in glue)):
-            raise ProviderError(f"{where}nabla.params.glue: {glue!r} is not "
-                                "a list of 4-manifold names")
-        self.glue = tuple(glue)
+                f"{desc.field('nabla').path}.provider: 4-dimensional "
+                "Chern-Weil integrals are table-only; quadrature is not "
+                "offered for bounding data")
+        self.glue = tuple(name.str(sorted(_table.shipped_table()))
+                          for name in nabla_params.field("glue", []).list())
         self.label = f"{self.m3}/{self.eta}|{self.w4}/{self.nabla}"
         if self.glue:
             self.label += "+" + "+".join(self.glue)
@@ -164,8 +150,7 @@ class BnrScene:
     """Descriptor of one or more (M3, eta, W4, nabla) components."""
 
     def __init__(self, components):
-        self.components = [SceneComponent(desc, f"component {i}: ")
-                           for i, desc in enumerate(components)]
+        self.components = [SceneComponent(node(desc)) for desc in components]
 
     @classmethod
     def empty(cls):
@@ -185,7 +170,7 @@ class BnrScene:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(_union_members(obj))
+        return cls(_union_members(node(obj)))
 
     def union(self, other):
         scene = BnrScene([])
@@ -208,13 +193,16 @@ class BnrScene:
         return resolved
 
 
-def _union_members(obj):
-    """The component descriptors of a scene object, unions flattened."""
-    if not isinstance(obj, dict) or "union" not in obj:
-        return [obj]
-    if not isinstance(obj["union"], list):
-        raise IncompatibleScene("union: expected a list of scenes")
-    return [desc for sub in obj["union"] for desc in _union_members(sub)]
+def _union_members(doc):
+    """The component nodes of a scene, unions flattened in order."""
+    members, todo = [], [doc]
+    while todo:
+        scene = todo.pop()
+        if scene.has("union"):
+            todo.extend(reversed(scene.field("union").list()))
+        else:
+            members.append(scene)
+    return members
 
 
 # -- 1d scenes: circle with structure lifts and bounding surfaces ----------
@@ -296,63 +284,31 @@ class SuScene:
 
     @classmethod
     def from_json(cls, obj):
-        spec = obj.get("su")
-        if not isinstance(spec, dict):
-            raise IncompatibleScene("not a 1d scene file ('su' must be an "
-                                    "object)")
-        scene = cls.from_primary(_read_tangent(spec.get("primary"),
-                                               "su.primary"))
-        for i, b in enumerate(_list(spec, "boundings")):
-            where = f"su.boundings[{i}]"
-            kind = b.get("kind", "tangent") if isinstance(b, dict) else None
+        spec = node(obj).field("su")
+        scene = cls.from_primary(_read_tangent(spec.field("primary")))
+        for b in spec.field("boundings", []).list():
+            kind = b.field("kind", "tangent").str(("disk", "tangent"))
             if kind == "disk":
-                lift = _integer(b.get("lift", 0), f"{where}.lift")
+                lift = b.field("lift", 0).int(-_FLOAT_EXACT, _FLOAT_EXACT)
                 scene.boundings.append(disk_bounding(scene.lifts, lift))
-            elif kind in ("tangent", None):
-                scene.boundings.append(_read_tangent(b, where))
             else:
-                raise IncompatibleScene(
-                    f"{where}.kind: unknown bounding kind {kind!r}; "
-                    "expected 'disk' or 'tangent'")
-        for i, pair in enumerate(_list(spec, "lift_shifts")):
-            where = f"su.lift_shifts[{i}]"
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise IncompatibleScene(f"{where}: expected [edge, shift]")
-            edge = _integer(pair[0], f"{where}[0]", len(scene.lifts))
-            scene = scene.shifted(edge, _integer(pair[1], f"{where}[1]"))
+                scene.boundings.append(_read_tangent(b))
+        for pair in spec.field("lift_shifts", []).list():
+            edge, shift = pair.list(2)
+            scene = scene.shifted(edge.int(0, len(scene.lifts) - 1),
+                                  shift.int(-_FLOAT_EXACT, _FLOAT_EXACT))
         return scene
 
 
-def _list(spec, field):
-    value = spec.get(field, [])
-    if not isinstance(value, list):
-        raise IncompatibleScene(f"su.{field}: expected a list")
-    return value
+# past 2**53 a float no longer holds every integer, so a lift shifted by a
+# larger integer loses its fraction
+_FLOAT_EXACT = 2**53
 
 
-def _integer(value, where, stop=None):
-    """`value` if it is an integer, in range(stop) when stop is given and
-    otherwise at most 2**53 in size: past that a float no longer holds
-    every integer, so a lift shifted by it loses its fraction."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or stop is not None and not 0 <= value < stop):
-        bound = "" if stop is None else f" in 0..{stop - 1}"
-        raise IncompatibleScene(f"{where}: {value!r} is not an integer{bound}")
-    if abs(value) > 2**53:
-        raise IncompatibleScene(f"{where}: integer beyond 2**53 in size")
-    return value
-
-
-def _read_tangent(spec, where):
+def _read_tangent(spec):
     """The tangent bounding of a {"mesh", "puncture"} block."""
-    if not isinstance(spec, dict):
-        raise IncompatibleScene(f"{where}: expected an object")
-    try:
-        surface = build_mesh(spec.get("mesh"))
-    except ValueError as exc:
-        raise ProviderError(f"{where}.mesh: {exc}")
-    puncture = _integer(spec.get("puncture", 0), f"{where}.puncture",
-                        surface.n_cells[0])
+    surface = build_mesh(spec.field("mesh").str(sorted(_surf.MESH_BUILDERS)))
+    puncture = spec.field("puncture", 0).int(0, surface.n_cells[0] - 1)
     return tangent_bounding(surface, puncture)
 
 

@@ -13,6 +13,8 @@ import json
 from fractions import Fraction
 from importlib import resources
 
+from ..reader import node
+
 
 class Closed4Entry:
     def __init__(self, name, integral_p1, signature, a_hat, spin):
@@ -32,15 +34,10 @@ class Closed4Entry:
 
     @classmethod
     def from_json(cls, obj):
-        missing = {"name", "integral_p1", "signature", "a_hat"} - set(obj)
-        if missing:
-            raise ValueError(f"table entry missing fields {sorted(missing)}")
-        for f in ("integral_p1", "signature"):
-            if isinstance(obj[f], bool) or not isinstance(obj[f], int):
-                raise ValueError(f"entry {obj.get('name')}: {f} must be an "
-                                 "exact integer")
-        return cls(obj["name"], obj["integral_p1"], obj["signature"],
-                   obj["a_hat"], obj.get("spin", False))
+        doc = node(obj)
+        return cls(doc.field("name").str(), doc.field("integral_p1").int(),
+                   doc.field("signature").int(), doc.field("a_hat").str(),
+                   doc.field("spin", False).bool())
 
     def __repr__(self):
         tag = "spin" if self.spin else "oriented"
@@ -80,7 +77,8 @@ def shipped_table():
     if _shipped is None:
         text = (resources.files("abtqft.invariants")
                 .joinpath("data/spin4_table.json").read_text())
-        entries = [Closed4Entry.from_json(r) for r in json.loads(text)]
+        entries = [Closed4Entry.from_json(r)
+                   for r in node(json.loads(text)).list()]
         violations = validate_table(entries)
         if violations:
             raise ValueError(

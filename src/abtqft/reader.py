@@ -1,0 +1,137 @@
+"""The one reader of JSON documents: every input's shape is checked here.
+
+A `Node` is a JSON value with its path in the document: `$` at the top,
+`cells.1` for a field of a field, `boundary.1[0][1]` for list items.
+Each typed step checks its node and raises `ShapeError`, whose message
+reads `PATH: expected ..., got ...`.  Integers pass the gate `as_int`;
+reals pass the gate handed to `reals`, so no numpy is imported here.
+"""
+
+from __future__ import annotations
+
+import reprlib
+
+from .analytic import as_int
+
+_SHOW = reprlib.Repr()
+_SHOW.maxlevel, _SHOW.maxlist, _SHOW.maxdict = 2, 4, 4
+_SHOW.maxstring = _SHOW.maxother = 40
+_REQUIRED = object()
+
+
+class ShapeError(ValueError):
+    """A JSON value of the wrong shape, named by its path."""
+
+
+class _Missing:
+    """What an absent field holds."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __repr__(self):
+        return f"no {self.key!r} field"
+
+
+def node(value):
+    """`value` as the top level of a document, unless it is a node."""
+    return value if type(value) is Node else Node(value)
+
+
+class Node:
+    __slots__ = ("value", "path")
+
+    def __init__(self, value, path="$"):
+        self.value, self.path = value, path
+
+    def fail(self, expected):
+        raise ShapeError(f"{self.path}: expected {expected}, "
+                         f"got {_SHOW.repr(self.value)}")
+
+    def obj(self):
+        if not isinstance(self.value, dict):
+            self.fail("an object")
+        return self
+
+    def has(self, key):
+        """Whether this is an object with the field `key`."""
+        return isinstance(self.value, dict) and key in self.value
+
+    def field(self, key, default=_REQUIRED):
+        """The field `key`; an absent one holds `default` when given."""
+        value = self.obj().value.get(key, default)
+        return Node(_Missing(key) if value is _REQUIRED else value,
+                    key if self.path == "$" else f"{self.path}.{key}")
+
+    def items(self, keys=None):
+        """(key, node) of each field, each key one of `keys` if given."""
+        fields = [(key, self.field(key)) for key in self.obj().value]
+        for key, child in fields if keys is not None else ():
+            Node(key, child.path).str(keys)
+        return fields
+
+    def is_list(self):
+        return isinstance(self.value, list)
+
+    def list(self, length=None):
+        """The item nodes of a list, `length` of them if given."""
+        if not isinstance(self.value, list) or length not in (
+                None, len(self.value)):
+            self.fail("a list" if length is None
+                      else f"a list of length {length}")
+        return [Node(v, f"{self.path}[{i}]") for i, v in enumerate(self.value)]
+
+    def matrix(self, width=None):
+        """Rows of integers, each `width` long, or as long as the first."""
+        rows = self.list()
+        if width is None and rows:
+            width = len(rows[0].list())
+        return [[x.int() for x in row.list(width)] for row in rows]
+
+    def reals(self, gate, ndim=1, length=None):
+        """`gate(value, path, ndim)` of a list (`length` long if given) of
+        reals, or with `ndim=2` of rows each as long as the first."""
+        rows = self.list(length)
+        if ndim == 2 and rows:
+            width = len(rows[0].list())
+            for row in rows:
+                row.list(width)
+        try:
+            return gate(self.value, self.path, ndim)
+        except ValueError as exc:
+            raise ShapeError(str(exc)) from None
+
+    def int(self, lo=None, hi=None):
+        """An exact integer, in lo..hi (or >= lo) where given."""
+        try:
+            n = as_int(self.value)
+        except ValueError:
+            n = None
+        if n is None or lo is not None and n < lo or hi is not None and n > hi:
+            self.fail("an integer" + ("" if lo is None else f" >= {lo}"
+                                      if hi is None else f" in {lo}..{hi}"))
+        return n
+
+    def str(self, choices=None):
+        """A string, one of `choices` if given."""
+        if not isinstance(self.value, str) or choices is not None and (
+                self.value not in choices):
+            self.fail("a string" if choices is None else
+                      "one of " + ", ".join(map(repr, choices)))
+        return self.value
+
+    def bool(self):
+        if not isinstance(self.value, bool):
+            self.fail("true or false")
+        return self.value
+
+    def pair(self, cells):
+        """A [cell, sign] pair: a cell index below `cells`, a sign +-1."""
+        try:
+            cell, sign = (x.int() for x in self.list(2))
+        except ShapeError:
+            cell = sign = None
+        if cell is None or not 0 <= cell < cells or sign not in (1, -1):
+            self.fail(f"a [cell, sign] pair with cell in 0..{cells - 1} and "
+                      "sign 1 or -1")
+        return cell, sign

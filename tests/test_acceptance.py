@@ -1,5 +1,6 @@
 """Acceptance criteria, one test each, printing a PASS/FAIL line."""
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -45,3 +46,19 @@ def test_chern_simons_budget_still_checked(monkeypatch):
     _stub_criterion_9(monkeypatch, 0.0, 61.0)
     assert acceptance.criterion_9_chern_simons() == (
         False, "budget exceeded: 61.0s")
+
+
+def test_failing_criteria_fail_the_suite(monkeypatch, capsys):
+    from abtqft.cli import main
+
+    def raises():
+        raise ValueError("no table")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        ("1 stub", lambda: (False, "off by one")), ("2 stub", raises)])
+    assert main(["suite", "acceptance"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL 1 stub: off by one",
+        "FAIL 2 stub: raised ValueError: no table"]
+    assert main(["--format", "json", "suite", "acceptance"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"pass": False}

@@ -366,13 +366,15 @@ def _bad_json_file(tmp_path, kind):
         bad.write_text('{"matrix": [[' + "1" * 5000 + "]]}")
     elif kind == "directory":
         bad.mkdir()
+    elif kind == "nested":
+        bad.write_text("[" * 100_000)
     else:
         bad.write_bytes(b'\xff\xfe{"matrix": [[1]]}')
     return str(bad)
 
 
 @pytest.mark.parametrize("kind", ["syntax", "huge-int", "directory",
-                                  "non-utf8"])
+                                  "non-utf8", "nested"])
 @pytest.mark.parametrize("verb", [["group", "smith"], ["geo", "stokes"]],
                          ids="-".join)
 def test_bad_json_exit_2(tmp_path, capsys, verb, kind):
@@ -383,6 +385,62 @@ def test_bad_json_exit_2(tmp_path, capsys, verb, kind):
     assert code == 2 and out == ""
     assert err.startswith("input error: ") and "bad.json" in err
     assert ("cannot read" if kind == "directory" else "invalid JSON") in err
+    if kind == "nested":
+        assert err == f"input error: {argv[2]}: invalid JSON (nested too " \
+            "deeply)\n"
+
+
+def test_deeply_nested_scene(tmp_path, capsys):
+    # a union too deep for the JSON decoder is an input error; one it
+    # decodes is flattened without recursion
+    for depth, code in ((990, 2), (200, 0)):
+        path = tmp_path / f"deep{depth}.json"
+        path.write_text('{"union": [' * depth + json.dumps(S3) + "]}" * depth)
+        got, out, err = run(capsys, "bnr", "psi", str(path))
+        assert got == code, err
+        if code:
+            assert err == f"input error: {path}: invalid JSON (nested too " \
+                "deeply)\n"
+        else:
+            assert out.startswith("raw=1 int=1 mod24=1 ")
+
+
+@pytest.mark.parametrize("verb, name, text, data", [
+    ("cokernel", "times2.json", "coker = Z/2", {"cokernel": "Z/2"}),
+    ("image", "times2.json", "image = Z", {"image": "Z"}),
+    ("cokernel", "proj24.json", "coker = 0", {"cokernel": "0"}),
+    ("image", "proj24.json", "image = Z/24", {"image": "Z/24"}),
+])
+def test_group_cokernel_and_image(capsys, verb, name, text, data):
+    assert run(capsys, "group", verb, sample(name)) == (0, text + "\n", "")
+    code, out, _ = run(capsys, "--format", "json", "group", verb,
+                       sample(name))
+    assert code == 0 and json.loads(out) == data
+
+
+def _times2_z4_to_z8(tmp_path):
+    path = tmp_path / "times2_z4_z8.json"
+    path.write_text(json.dumps({
+        "matrix": [[2]], "source": {"generators": 1, "relations": [[4]]},
+        "target": {"generators": 1, "relations": [[8]]}}))
+    return str(path)
+
+
+def test_cat_hom_oracle_on_finite_groups(tmp_path, capsys):
+    code, out, _ = run(capsys, "cat", "hom", _times2_z4_to_z8(tmp_path),
+                       "1", "3", "--oracle")
+    assert code == 0
+    assert out.splitlines() == ["particular = (1)",
+                                "kernel generators = [[4]]", "oracle: agrees"]
+
+
+def test_cat_hom_oracle_disagreement_exit_1(tmp_path, capsys, monkeypatch):
+    from abtqft import testing
+    monkeypatch.setattr(testing, "brute_hom_table", lambda phi: ({}, None))
+    code, out, err = run(capsys, "cat", "hom", _times2_z4_to_z8(tmp_path),
+                         "1", "3", "--oracle")
+    assert (code, out) == (1, "")
+    assert err == "computation error: hom-set oracle disagreement\n"
 
 
 def test_record_closes_its_inputs(tmp_path):
@@ -560,11 +618,12 @@ def _icosahedron_with_lengths(value):
     ("stokes", {**SQUARE, "coords": [[0, 0], [1], [1, 1], [0, 1]]},
      sample("cochain1.json"), "mesh", "coords[1]"),
     ("stokes", {**SQUARE, "cells": {**SQUARE["cells"], "x": 1}},
-     sample("cochain1.json"), "mesh", "cells.x: expected a dimension"),
+     sample("cochain1.json"), "mesh", "cells.x: expected one of '0', '1',"),
     ("stokes", {**SQUARE, "cells": {**SQUARE["cells"], "4": 1}},
-     sample("cochain1.json"), "mesh", "cells.4: expected a dimension"),
+     sample("cochain1.json"), "mesh", "cells.4: expected one of '0', '1',"),
     ("stokes", {**SQUARE, "cells": {**SQUARE["cells"], "0": -1}},
-     sample("cochain1.json"), "mesh", "cells.0: negative count"),
+     sample("cochain1.json"), "mesh",
+     "cells.0: expected an integer >= 0, got -1"),
     ("stokes", {**SQUARE, "boundary": [SQUARE["boundary"]["1"]]},
      sample("cochain1.json"), "mesh", "boundary: expected an object"),
     ("stokes", {**SQUARE, "boundary": {**SQUARE["boundary"], "2": [
@@ -595,24 +654,38 @@ def test_geo_inexact_integer_exit_2(tmp_path, capsys, verb, mesh, second,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, bad, kind, detail", [
-    (["stokes", "COCHAIN", "COCHAIN"], "COCHAIN", "mesh",
-     "mesh record missing 'cells'"),
-    (["stokes", "MESH", "MESH"], "MESH", "cochain",
-     "cochain record missing 'degree'"),
-    (["stokes", "MESH", {"degree": 1}], "tmp", "cochain",
-     "cochain record missing 'values'"),
-    (["stokes", [SQUARE], "COCHAIN"], "tmp", "mesh",
-     "top level must be an object"),
-    (["holonomy", "MESH", 5], "tmp", "connection",
-     "top level must be an object"),
+@pytest.mark.parametrize("argv, bad, detail", [
+    (["stokes", "COCHAIN", "COCHAIN"], "COCHAIN",
+     "cells: expected an object, got no 'cells' field"),
+    (["stokes", "MESH", "MESH"], "MESH",
+     "degree: expected an integer in 0..3, got no 'degree' field"),
+    (["stokes", "MESH", {"degree": 1}], "tmp",
+     "values: expected a list of length 5, got no 'values' field"),
+    (["stokes", [SQUARE], "COCHAIN"], "tmp",
+     "$: expected an object, got [{'boundary': {...}, 'cells': {...}}]"),
+    (["holonomy", "MESH", 5], "tmp", "$: expected an object, got 5"),
     (["holonomy", "MESH", "COCHAIN", "--loop", "0,1,2,3"], "COCHAIN",
-     "connection", "connection record missing 'edge_phases'"),
+     "edge_phases: expected a list of length 5, got no 'edge_phases' field"),
+    (["stokes", {**SQUARE, "boundary": {**SQUARE["boundary"], "1": 3}},
+      "COCHAIN"], "tmp", "boundary.1: expected a list of length 5, got 3"),
+    (["stokes", {**SQUARE, "boundary": {**SQUARE["boundary"], "1": [
+        3, *SQUARE["boundary"]["1"][1:]]}}, "COCHAIN"], "tmp",
+     "boundary.1[0]: expected a list, got 3"),
+    (["stokes", "MESH", {"degree": 1, "values": 3}], "tmp",
+     "values: expected a list of length 5, got 3"),
+    (["stokes", "MESH", {"degree": 1, "values": {}}], "tmp",
+     "values: expected a list of length 5, got {}"),
+    (["holonomy", "MESH", {**CONN, "edge_phases": True}], "tmp",
+     "edge_phases: expected a list of length 5, got True"),
+    (["holonomy", "MESH", {**CONN, "face_lifts": 3}], "tmp",
+     "face_lifts: expected a list of length 2, got 3"),
 ], ids=["cochain-as-mesh", "mesh-as-cochain", "cochain-without-values",
-        "array-top-level", "scalar-top-level", "cochain-as-connection"])
-def test_geo_wrong_kind_file_exit_2(tmp_path, capsys, argv, bad, kind,
-                                    detail):
-    # a geo verb reads each file as the one kind its argument names
+        "array-top-level", "scalar-top-level", "cochain-as-connection",
+        "boundary-number", "face-list-number", "values-number",
+        "values-object", "phases-bool", "lifts-number"])
+def test_geo_wrong_kind_file_exit_2(tmp_path, capsys, argv, bad, detail):
+    # a geo verb reads each file as the one kind its argument names, and
+    # names the path of the first field of the wrong shape
     named = {"MESH": sample("mesh_square.json"),
              "COCHAIN": sample("cochain1.json"), "tmp": tmp_path / "x.json"}
     args = []
@@ -623,7 +696,7 @@ def test_geo_wrong_kind_file_exit_2(tmp_path, capsys, argv, bad, kind,
         args.append(str(named.get(arg, arg)))
     code, _, err = run(capsys, "geo", *args)
     assert code == 2
-    assert err == f"input error: {named[bad]}: bad {kind} ({detail})\n"
+    assert err == f"input error: {named[bad]}: {detail}\n"
 
 
 def test_nan_edge_turn_exit_2(tmp_path, capsys):
@@ -709,19 +782,27 @@ def test_mismatched_square_or_fill_exit_2(tmp_path, capsys, leg, field,
 
 
 @pytest.mark.parametrize("verb, extra, record, message", [
-    ("group kernel", [], {"groups": [1]}, "groups: expected an object"),
+    ("group kernel", [], {"groups": [1]},
+     "groups: expected an object, got [1]"),
     ("group kernel", [], {"morphisms": [1]},
-     "morphisms: expected an object"),
+     "morphisms: expected an object, got [1]"),
     ("cat hofiber", [], {"squares": {"s": 3}},
-     "squares.s: square missing 'phi_H'"),
+     "squares.s: expected an object, got 3"),
     ("cat hofiber", [], {"squares": {"s": "phi_H phi_G f_ob f_mor"}},
-     "squares.s: square missing 'phi_H'"),
+     "squares.s: expected an object, got 'phi_H phi_G f_ob f_mor'"),
     ("cat xi", [sample("mirror24.json")], {"fills": {"l": 3}},
-     "fills.l: fill missing 'lambda'"),
+     "fills.l: expected an object, got 3"),
     ("cat xi", [sample("mirror24.json")], {"fills": {"l": "lambda"}},
-     "fills.l: fill missing 'lambda'"),
+     "fills.l: expected an object, got 'lambda'"),
+    ("group kernel", [], [1], "$[0]: expected a list, got 1"),
+    ("bnr psi", [], [1], "$[0]: expected a list, got 1"),
+    ("group kernel", [], 3, "$: expected an object, got 3"),
+    ("group kernel", [], {"morphisms": {"f": {"matrix": [[1]], "source": {
+        "generators": 1}}}},
+     "morphisms.f.target: expected an object, got no 'target' field"),
 ], ids=["groups-list", "morphisms-list", "square-number", "square-string",
-        "fill-number", "fill-string"])
+        "fill-number", "fill-string", "workspace-list", "scene-list",
+        "workspace-number", "morphism-without-target"])
 def test_malformed_workspace_record_exit_2(tmp_path, capsys, verb, extra,
                                            record, message):
     # a table or record that is not a JSON object is refused by name,

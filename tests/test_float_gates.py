@@ -1,7 +1,9 @@
-"""Each decision at the float boundary has one home in `src/`: a float
-is taken as an integer only by `analytic.nearest_integer`, called once per
-rounded value at pinned sites, and reals are tested for finiteness only
-by `complexes.as_reals` (input) and `analytic.wrap_unit` (turns)."""
+"""Each decision at the input and float boundaries has one home in
+`src/`: a float is taken as an integer only by `analytic.nearest_integer`,
+called once per rounded value at pinned sites, reals are tested for
+finiteness only by `complexes.as_reals` (input) and `analytic.wrap_unit`
+(turns), and only the reader asks whether a JSON value is an object or a
+list."""
 
 import ast
 import collections
@@ -10,10 +12,11 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "abtqft"
 
 
-def _uses(tree, wanted, call=False):
+def _uses(tree, wanted, call=False, of=None):
     """[(enclosing function, line)] of each call of `wanted` (as a name or
     an attribute) when `call`, or of each mention of the name `wanted`
-    otherwise.  A method is named `Class.method`."""
+    otherwise; with `of`, only the calls whose arguments after the first
+    mention the name `of`.  A method is named `Class.method`."""
     found = []
 
     def visit(node, function):
@@ -23,7 +26,10 @@ def _uses(tree, wanted, call=False):
         if call:
             hit = (isinstance(node, ast.Call)
                    and getattr(node.func, "id",
-                               getattr(node.func, "attr", None)) == wanted)
+                               getattr(node.func, "attr", None)) == wanted
+                   and (of is None or any(
+                       getattr(name, "id", None) == of
+                       for arg in node.args[1:] for name in ast.walk(arg))))
         else:
             hit = (getattr(node, "id", None) == wanted
                    or getattr(node, "attr", None) == wanted
@@ -38,16 +44,17 @@ def _uses(tree, wanted, call=False):
     return found
 
 
-def _sites(wanted, call=False):
+def _sites(wanted, call=False, of=None):
     """How often each (file, enclosing function) in `src/` uses `wanted`."""
     return collections.Counter(
         (str(path.relative_to(SRC)), function)
         for path in sorted(SRC.rglob("*.py"))
-        for function, _ in _uses(ast.parse(path.read_text()), wanted, call))
+        for function, _ in _uses(ast.parse(path.read_text()), wanted, call,
+                                 of))
 
 
-def _homes(wanted, call=False):
-    return set(_sites(wanted, call))
+def _homes(wanted, call=False, of=None):
+    return set(_sites(wanted, call, of))
 
 
 def test_round_only_in_nearest_integer():
@@ -70,6 +77,13 @@ def test_isfinite_only_in_the_real_gates():
                                   ("analytic.py", "wrap_unit")}
 
 
+def test_json_shapes_only_in_the_reader():
+    # every other module reads a document through `reader.Node`'s steps
+    for kind in ("dict", "list"):
+        homes = _homes("isinstance", call=True, of=kind)
+        assert homes and {path for path, _ in homes} == {"reader.py"}, kind
+
+
 def test_finder_sees_each_spelling():
     source = ("import math\n"
               "from numpy import isfinite as fin\n"
@@ -82,3 +96,11 @@ def test_finder_sees_each_spelling():
     assert _uses(tree, "round", call=True) == [("f", 4), ("f", 4),
                                                ("C.m", 7)]
     assert _uses(tree, "isfinite") == [(None, 2), ("f", 4)]
+    source = ("def g(x):\n"
+              "    return isinstance(x, dict), isinstance(x, (int, list)),"
+              " isinstance(x, list | dict), isinstance(list, int)\n")
+    tree = ast.parse(source)
+    assert _uses(tree, "isinstance", call=True, of="dict") == [("g", 2),
+                                                               ("g", 2)]
+    assert _uses(tree, "isinstance", call=True, of="list") == [("g", 2),
+                                                               ("g", 2)]

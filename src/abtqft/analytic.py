@@ -9,6 +9,7 @@ part.
 from __future__ import annotations
 
 import math
+import reprlib
 from numbers import Integral
 
 
@@ -26,6 +27,16 @@ def as_int(x, where="value"):
     if isinstance(x, bool) or not isinstance(x, Integral):
         raise ValueError(f"{where}: expected exact integer, got {x!r}")
     return int(x)
+
+
+def as_float_exact_int(x, where="value"):
+    """`x` as an `as_int` that a float holds exactly, at most 2**53 in
+    size, so that adding it to a real keeps the real's fraction."""
+    n = as_int(x, where)
+    if not -2**53 <= n <= 2**53:
+        raise ValueError(f"{where}: expected an integer of at most 2**53 in "
+                         f"size, got {reprlib.repr(n)}")
+    return n
 
 
 def nearest_integer(x, tolerance, what):

@@ -25,9 +25,7 @@ class InputError(ValueError):
 
 def fmt(x):
     """Fixed 12-significant-digit float rendering."""
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}"
 
 
 # -- workspace ---------------------------------------------------------------
@@ -47,14 +45,29 @@ def _read_json(path):
         raise InputError(f"{path}: invalid JSON (nested too deeply)")
 
 
-def _read_record(path, parse):
-    """`parse` applied to the document in `path`; each fault it names by
-    its JSON path exits as `path: PATH: ...`."""
-    doc = Node(_read_json(path))
+def _parse(path, doc, parse):
+    """`parse(doc)` of the document `doc` of `path`; each fault it names
+    by its JSON path exits as `path: PATH: ...`."""
     try:
         return parse(doc)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
+
+
+def _read_record(path, parse):
+    return _parse(path, Node(_read_json(path)), parse)
+
+
+def _build(path, rec, make, *args, **kwargs):
+    """`make(...)`, which builds the value of the record `rec` of `path`:
+    a fault of that value exits as `path: REC: ...`; a fault of a field's
+    shape already names its path."""
+    try:
+        return make(*args, **kwargs)
+    except ShapeError:
+        raise
+    except ValueError as exc:
+        raise InputError(f"{path}: {rec.path}: {exc}")
 
 
 class _Names(dict):
@@ -109,11 +122,11 @@ class Workspace:
         if doc.has("m3") or doc.has("union") or doc.has("su"):
             self.scenes[stem] = (path, doc)
             return
-        from . import fgab
+        from .fgab import group_from_json
         tables = {table: doc.field(table, {}).items()
                   for table in ("groups", "morphisms", "squares", "fills")}
         for name, rec in tables["groups"]:
-            self.groups[name] = fgab.group_from_json(rec, name)
+            self.groups[name] = _build(path, rec, group_from_json, rec, name)
         for name, rec in tables["morphisms"]:
             self._add_morphism(name, self._morphism(path, rec, name))
         for name, rec in tables["squares"]:
@@ -121,7 +134,7 @@ class Workspace:
         for name, rec in tables["fills"]:
             self.fills[name] = self._fill(path, rec)
         if doc.has("generators"):
-            self.groups[stem] = fgab.group_from_json(doc, stem)
+            self.groups[stem] = _build(path, doc, group_from_json, doc, stem)
         elif doc.has("matrix") and doc.has("source"):
             self._add_morphism(stem, self._morphism(path, doc, stem))
         elif doc.has("matrix"):
@@ -145,7 +158,7 @@ class Workspace:
         """The group or morphism that `ref` names, or that its record
         defines."""
         if not isinstance(ref.value, str):
-            return (self._group(ref) if kind == "group"
+            return (self._group(path, ref) if kind == "group"
                     else self._morphism(path, ref))
         table = self.groups if kind == "group" else self.morphisms
         if ref.value not in table:
@@ -153,9 +166,9 @@ class Workspace:
                              f"{ref.value!r}")
         return table[ref.value]
 
-    def _group(self, ref):
+    def _group(self, path, ref):
         from . import fgab
-        G = fgab.group_from_json(ref)
+        G = _build(path, ref, fgab.group_from_json, ref)
         key = (G.n_generators,
                tuple(tuple(int(v) for v in row) for row in G.relations))
         return self._interned.setdefault(key, G)
@@ -164,21 +177,14 @@ class Workspace:
         from . import fgab
         src, tgt = (self._resolve(path, rec.field(end), "group")
                     for end in ("source", "target"))
-        try:
-            return fgab.morphism_from_json(rec, src, tgt, name=name)
-        except ShapeError:
-            raise
-        except ValueError as exc:
-            raise InputError(f"{path}: {rec.path}: {exc}")
+        return _build(path, rec, fgab.morphism_from_json, rec, src, tgt,
+                      name=name)
 
     def _square(self, path, rec):
         from . import moncat
         legs = {leg: self._resolve(path, rec.field(leg), "morphism")
                 for leg in ("phi_H", "phi_G", "f_ob", "f_mor")}
-        try:
-            return moncat.CommSquare(**legs)
-        except ValueError as exc:
-            raise InputError(f"{path}: {rec.path}: {exc}")
+        return _build(path, rec, moncat.CommSquare, **legs)
 
     def _fill(self, path, rec):
         # a fill names no square: it is checked against one when used
@@ -453,17 +459,13 @@ BUILTIN_SCENES = ["empty", "s3-lie"]
 
 
 def cmd_bnr_psi(args, ws):
-    from .invariants import BnrScene, IncompatibleScene, ProviderError, psi
+    from .invariants import BnrScene, psi
     if args.builtin:
         builtin = {"s3-lie": BnrScene.s3_lie, "empty": BnrScene.empty}
-        path, obj = "--builtin", builtin[args.builtin]()
+        scene = builtin[args.builtin]()
     else:
-        path, obj = ws.sole(ws.scenes, "scene")
-    try:
-        scene = obj if isinstance(obj, BnrScene) else BnrScene.from_json(obj)
-        result = psi(scene, certify=args.certify)
-    except (IncompatibleScene, ProviderError, ShapeError) as exc:
-        raise InputError(f"{path}: {exc}")
+        scene = _parse(*ws.sole(ws.scenes, "scene"), BnrScene.from_json)
+    result = psi(scene, certify=args.certify)
     lines = [result.render()]
     for entry in result.certificate:
         lines.append(
@@ -476,12 +478,8 @@ def cmd_bnr_psi(args, ws):
 
 
 def cmd_bnr_su(args, ws):
-    from .invariants import IncompatibleScene, ProviderError, SuScene, su_psi
-    path, obj = ws.sole(ws.scenes, "scene")
-    try:
-        result = su_psi(SuScene.from_json(obj))
-    except (IncompatibleScene, ProviderError, ShapeError) as exc:
-        raise InputError(f"{path}: {exc}")
+    from .invariants import SuScene, su_psi
+    result = su_psi(_parse(*ws.sole(ws.scenes, "scene"), SuScene.from_json))
     lines = [result.render()]
     for entry in result.certificate:
         lines.append(

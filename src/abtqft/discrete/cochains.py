@@ -16,13 +16,14 @@ class Cochain:
     """A degree-k cochain: one finite real per k-cell of its complex."""
 
     def __init__(self, complex, degree, values):
-        if not (0 <= degree <= 3):
-            raise DegreeError(f"degree {degree} out of range")
+        if not 0 <= degree <= 3:
+            raise DegreeError(f"degree: expected an integer in 0..3, got "
+                              f"{degree!r}")
         values = as_reals(values, "values")
         if values.shape != (complex.n_cells[degree],):
             raise DegreeError(
-                f"{len(values)} values for {complex.n_cells[degree]} "
-                f"cells of dimension {degree}")
+                f"values: expected {complex.n_cells[degree]} entries, one "
+                f"per {degree}-cell, got {len(values)}")
         self.complex = complex
         self.degree = degree
         self.values = values
@@ -32,9 +33,8 @@ class Cochain:
         """The cochain of a {"degree": k, "values": [...]} record, one
         value per k-cell."""
         doc = node(obj)
-        degree = doc.field("degree").int(0, 3)
-        return cls(complex, degree, doc.field("values").reals(
-            as_reals, 1, complex.n_cells[degree]))
+        return cls(complex, doc.field("degree").int(),
+                   doc.field("values").reals())
 
 
 def coboundary(omega):

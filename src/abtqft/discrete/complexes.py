@@ -13,11 +13,12 @@ class ComplexError(ValueError):
     pass
 
 
-def as_reals(values, where, ndim=1):
+def as_reals(values, where, ndim=1, length=None):
     """`values` as a float array once every entry (of every row, with
-    `ndim=2`) is a finite float or an int within the float range; a bool,
-    string, None or list there is refused as `where[i]`, shown as read.
-    A numeric array skips the per-entry scan."""
+    `ndim=2`) is a finite float or an int within the float range, and
+    there are `length` entries (rows) where given; a bool, string, None
+    or list there is refused as `where[i]`, shown as read.  A numeric
+    array skips the per-entry scan."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
         for i, x in enumerate(values):
             if ndim > 1:
@@ -34,6 +35,9 @@ def as_reals(values, where, ndim=1):
         at = tuple(np.argwhere(~finite)[0].tolist())
         raise ValueError(f"{where}{''.join(f'[{i}]' for i in at)}: expected "
                          f"a finite real, got {float(reals[at])!r}")
+    if length is not None and len(reals) != length:
+        raise ValueError(f"{where}: expected {length} entries, got "
+                         f"{len(reals)}")
     return reals
 
 
@@ -54,24 +58,24 @@ class CellComplex:
                  name=None):
         for k, n in cell_counts.items():
             if n < 0:
-                raise ComplexError(f"cells.{k}: negative count {n}")
+                raise ComplexError(f"cells.{k}: expected an integer >= 0, "
+                                   f"got {n}")
         self._set(cell_counts, {
             k: [list(map(tuple, b)) for b in boundary.get(k, [])]
             for k in range(1, 4)}, coords, edge_lengths, name)
         for k in range(1, 4):
-            if len(self.boundary[k]) != self.n_cells[k]:
+            cells, faces_below = self.n_cells[k], self.n_cells[k - 1]
+            if len(self.boundary[k]) != cells:
                 raise ComplexError(
-                    f"boundary.{k}: {len(self.boundary[k])} boundary lists "
-                    f"for {self.n_cells[k]} cells")
+                    f"boundary.{k}: expected {cells} boundary lists, one per "
+                    f"{k}-cell, got {len(self.boundary[k])}")
             for c, faces in enumerate(self.boundary[k]):
-                for idx, sign in faces:
-                    if not (0 <= idx < self.n_cells[k - 1]):
+                for j, (idx, sign) in enumerate(faces):
+                    if not 0 <= idx < faces_below or sign not in (1, -1):
                         raise ComplexError(
-                            f"boundary.{k}[{c}]: references missing "
-                            f"{k-1}-cell {idx}")
-                    if sign not in (1, -1):
-                        raise ComplexError(f"boundary.{k}[{c}]: boundary "
-                                           f"sign {sign} is not +-1")
+                            f"boundary.{k}[{c}][{j}]: expected a [cell, sign] "
+                            f"pair with cell in 0..{faces_below - 1} and sign "
+                            f"1 or -1, got [{idx}, {sign}]")
         for k in range(2, self.dim + 1):
             lower = self.boundary[k - 1]
             for c, faces in enumerate(self.boundary[k]):
@@ -102,14 +106,10 @@ class CellComplex:
         self.n_cells = {k: int(cell_counts.get(k, 0)) for k in range(4)}
         self.boundary = {k: boundary.get(k, []) for k in range(1, 4)}
         self.name = name
-        self.coords = coords if coords is None else as_reals(coords, "coords", 2)
-        if self.coords is not None and len(self.coords) != self.n_cells[0]:
-            raise ComplexError("one coordinate row per vertex required")
-        self.edge_lengths = (None if edge_lengths is None
-                             else as_reals(edge_lengths, "edge_lengths"))
-        if (self.edge_lengths is not None
-                and len(self.edge_lengths) != self.n_cells[1]):
-            raise ComplexError("one length per edge required")
+        self.coords = (None if coords is None else
+                       as_reals(coords, "coords", 2, self.n_cells[0]))
+        self.edge_lengths = (None if edge_lengths is None else as_reals(
+            edge_lengths, "edge_lengths", 1, self.n_cells[1]))
 
     def boundary_matrix(self, k):
         """Integer matrix of the boundary operator on k-chains."""
@@ -186,19 +186,17 @@ class CellComplex:
 
     @classmethod
     def from_json(cls, obj, name=None):
-        """The complex of a mesh record, every field read by `reader`."""
+        """The complex of a mesh record; the reader checks its JSON shape,
+        the constructor its counts, cells and signs."""
         doc = node(obj)
-        counts = {int(k): n.int(0)
+        counts = {int(k): n.int()
                   for k, n in doc.field("cells").items(_DIMENSIONS)}
         boundary = {
-            int(k): [[pair.pair(counts.get(int(k) - 1, 0))
-                      for pair in faces.list()]
-                     for faces in cells.list(counts.get(int(k), 0))]
+            int(k): [[tuple(x.int() for x in pair.list(2))
+                      for pair in faces.list()] for faces in cells.list()]
             for k, cells in doc.field("boundary", {}).items(_DIMENSIONS[1:])}
-        coords = (doc.field("coords").reals(as_reals, 2, counts.get(0, 0))
-                  if doc.has("coords") else None)
-        lengths = (doc.field("edge_lengths").reals(as_reals, 1,
-                                                    counts.get(1, 0))
+        coords = doc.field("coords").reals(2) if doc.has("coords") else None
+        lengths = (doc.field("edge_lengths").reals()
                    if doc.has("edge_lengths") else None)
         return cls(counts, boundary, coords=coords, edge_lengths=lengths,
                    name=name)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analytic import circle_distance, nearest_integer, wrap_half, wrap_unit
+from ..analytic import (as_float_exact_int, circle_distance, nearest_integer,
+                        wrap_half, wrap_unit)
 from ..reader import node
 from .complexes import as_reals
 
@@ -29,21 +30,18 @@ class NonCycleError(ValueError):
 
 class LatticeConnection:
     def __init__(self, complex, edge_turns, face_lifts=None):
-        edge_turns = as_reals(edge_turns, "edge_phases")
-        if edge_turns.shape != (complex.n_cells[1],):
-            raise ConnectionDataError(
-                f"{len(edge_turns)} edge phases for {complex.n_cells[1]} edges")
+        edge_turns = as_reals(edge_turns, "edge_phases", 1, complex.n_cells[1])
         if face_lifts is None:
-            face_lifts = np.zeros(complex.n_cells[2], dtype=np.int64)
-        face_lifts = np.asarray(face_lifts)
-        if face_lifts.shape != (complex.n_cells[2],):
+            face_lifts = [0] * complex.n_cells[2]
+        face_lifts = [as_float_exact_int(n, f"face_lifts[{f}]")
+                      for f, n in enumerate(face_lifts)]
+        if len(face_lifts) != complex.n_cells[2]:
             raise ConnectionDataError(
-                f"{len(face_lifts)} face lifts for {complex.n_cells[2]} faces")
-        if face_lifts.size and not np.issubdtype(face_lifts.dtype, np.integer):
-            raise ConnectionDataError("face lifts must be integers")
+                f"face_lifts: expected {complex.n_cells[2]} entries, got "
+                f"{len(face_lifts)}")
         self.complex = complex
         self.edge_turns = np.array([wrap_unit(t) for t in edge_turns])
-        self.face_lifts = face_lifts.astype(np.int64)
+        self.face_lifts = np.array(face_lifts, dtype=np.int64)
 
     def face_fraction(self, f):
         """Principal branch in (-1/2, 1/2] of the boundary edge product."""
@@ -58,9 +56,8 @@ class LatticeConnection:
 
     def gauge_transformed(self, vertex_turns):
         """Multiply edge values by the coboundary of a circle 0-cochain."""
-        vertex_turns = as_reals(vertex_turns, "vertex_turns")
-        if vertex_turns.shape != (self.complex.n_cells[0],):
-            raise ConnectionDataError("one gauge turn per vertex required")
+        vertex_turns = as_reals(vertex_turns, "vertex_turns", 1,
+                                self.complex.n_cells[0])
         new = self.edge_turns.copy()
         for e in range(self.complex.n_cells[1]):
             tail, head = self.complex.edge_endpoints(e)
@@ -70,15 +67,11 @@ class LatticeConnection:
     @classmethod
     def from_json(cls, complex, obj):
         """The connection of a record: a phase per edge and, optionally,
-        an integer lift per face, at most 2**53 in size so that its float
-        curvature keeps the fraction."""
+        an integer lift per face."""
         doc = node(obj)
-        phases = doc.field("edge_phases").reals(as_reals, 1,
-                                                complex.n_cells[1])
-        lifts = ([n.int(-2**53, 2**53)
-                  for n in doc.field("face_lifts").list(complex.n_cells[2])]
+        lifts = ([n.int() for n in doc.field("face_lifts").list()]
                  if doc.has("face_lifts") else None)
-        return cls(complex, phases, lifts)
+        return cls(complex, doc.field("edge_phases").reals(), lifts)
 
 
 def holonomy(conn, chain_vec):

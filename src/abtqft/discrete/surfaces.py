@@ -47,9 +47,11 @@ class MetricSurface:
 
     def __init__(self, complex):
         if complex.dim != 2:
-            raise ComplexError("metric surface must be 2-dimensional")
+            raise ComplexError(f"cells: expected a 2-dimensional complex, "
+                               f"got dimension {complex.dim}")
         if complex.edge_lengths is None:
-            raise ComplexError("metric surface needs edge_lengths")
+            raise ComplexError("edge_lengths: expected a length per edge, "
+                               "got no 'edge_lengths' field")
         self.complex = complex
         self.lengths = complex.edge_lengths
         nf = complex.n_cells[2]
@@ -59,13 +61,15 @@ class MetricSurface:
         for f in range(nf):
             sides = complex.boundary[2][f]
             if len(sides) != 3:
-                raise ComplexError(f"face {f} is not a triangle")
+                raise ComplexError(f"boundary.2[{f}]: expected the 3 sides of "
+                                   f"a triangle, got {len(sides)} sides")
             # sides must chain head-to-tail
             ends = [_side_tail_head(complex, e, sign) for e, sign in sides]
             for j in range(3):
                 if ends[j - 1][1] != ends[j][0]:
                     raise ComplexError(
-                        f"face {f}: sides {j-1} and {j} do not chain")
+                        f"boundary.2[{f}]: expected sides that chain head to "
+                        f"tail, got sides {(j - 1) % 3} and {j} that do not")
             L = [float(self.lengths[e]) for e, _ in sides]
             for (e, _), length in zip(sides, L):
                 if length <= 0.0:

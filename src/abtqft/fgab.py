@@ -41,13 +41,12 @@ class FgAbGroup:
     def __init__(self, n_generators, relations=None, name=None):
         n = self.n_generators = as_int(n_generators, "generators")
         if n < 0:
-            raise ValueError("negative generator count")
+            raise ValueError(f"generators: expected an integer >= 0, got {n}")
         self.relations = as_int_matrix(
             () if relations is None else relations, (0, n), "relations")
         if self.relations.shape[1] != n:
-            raise ValueError(
-                f"relation rows have length {self.relations.shape[1]}, "
-                f"expected {n}")
+            raise ValueError(f"relations: expected rows of length {n}, got "
+                             f"{self.relations.shape[1]}")
         self.name = name
 
     @cached_property
@@ -179,20 +178,11 @@ class GroupElement:
     def __neg__(self):
         return GroupElement(self.parent, [-a for a in self.coords])
 
-    def __mul__(self, k):
-        k = as_int(k, "scalar")
-        return GroupElement(self.parent, [k * a for a in self.coords])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
         _require_same_parent(self, other)
         return self.key() == other.key()
-
-    def __hash__(self):
-        return hash((id(self.parent), self.key()))
 
     def __repr__(self):
         return f"<{self.coords} in {self.parent!r}>"
@@ -217,8 +207,9 @@ class GroupMorphism:
             matrix, (target.n_generators, source.n_generators), "matrix")
         if self.matrix.shape != (target.n_generators, source.n_generators):
             raise ValueError(
-                f"matrix shape {self.matrix.shape} != "
-                f"({target.n_generators}, {source.n_generators})")
+                f"matrix: expected a {target.n_generators}x"
+                f"{source.n_generators} matrix, got {self.matrix.shape[0]}x"
+                f"{self.matrix.shape[1]}")
         self.name = name
         images = self.matrix @ source.relations.T
         j = target.first_column_outside(images)
@@ -395,8 +386,8 @@ def pullback(f, g):
 def group_from_json(obj, name=None):
     """The group of a {"generators": n, "relations": [[...], ...]} record."""
     doc = node(obj)
-    n = doc.field("generators").int(0)
-    return FgAbGroup(n, doc.field("relations", []).matrix(n),
+    return FgAbGroup(doc.field("generators").int(),
+                     doc.field("relations", []).matrix(),
                      name or doc.field("name", "").str() or None)
 
 

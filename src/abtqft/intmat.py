@@ -31,7 +31,9 @@ def as_int_matrix(rows, shape=None, name="entry"):
         if 0 not in shape:
             raise ValueError(f"{name}: empty, expected a "
                              f"{shape[0]}x{shape[1]} matrix")
-        return np.zeros(shape, dtype=object)
+        # empty rows of another width keep it for the caller's check
+        return np.zeros(A.shape if A.ndim == 2 and A.shape[1] != shape[1]
+                        else shape, dtype=object)
     if A.ndim != 2:
         raise ValueError(f"expected a 2d matrix, got ndim={A.ndim}")
     for k, x in enumerate(A.flat):

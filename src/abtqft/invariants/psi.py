@@ -16,7 +16,7 @@ evenness of the Euler characteristic of closed oriented surfaces.
 from __future__ import annotations
 
 from .. import SIGN_CONVENTION
-from ..analytic import circle_distance, nearest_integer, wrap_unit
+from ..analytic import nearest_integer
 
 PSI_TOLERANCE = 1e-6
 SU_TOLERANCE = 1e-9
@@ -88,25 +88,14 @@ def su_psi(scene):
 
     raw = Xi(g, h), g the total curvature of the primary bounding and h
     the sum of the scene's structure lifts; integer by construction.
-    Certification gates every bounding as an object of the fiber;
+    Every bounding is an object of the fiber, which `SuScene` checked
+    when it was built; certification gates each one's Xi as an integer;
     differences between tangent-type boundings must be even, and an odd
     difference involving a raw-connection bounding is reported as
     out-of-hypothesis rather than fatal.  An odd tangent pair is in the
     hypothesis, so `InvariantResult` rejects it.
     """
-    from .scenes import IncompatibleScene
     total_lift = scene.sum_lifts()
-    scene_hol = wrap_unit(total_lift)
-    for b in scene.boundings:
-        if b.k != len(scene.lifts):
-            raise IncompatibleScene(
-                f"bounding {b.label} has boundary length {b.k}, "
-                f"scene circle has {len(scene.lifts)} edges")
-        if not circle_distance(b.holonomy, scene_hol) <= SU_TOLERANCE:
-            raise IncompatibleScene(
-                f"bounding {b.label} does not restrict to the scene "
-                f"circle: boundary holonomy {b.holonomy} vs "
-                f"exp(sum of lifts) {scene_hol} (lift mismatch)")
     primary = scene.boundings[0]
     xis = [b.curvature - total_lift for b in scene.boundings]
     integers = [nearest_integer(xi, SU_TOLERANCE,

@@ -1,26 +1,29 @@
 """Scene descriptors and the integrals they resolve to.
 
 A 3d/4d scene is the quadruple (closed 3-manifold with structure form,
-bounding spin 4-manifold with connection).  Each component is read once,
-when the scene is built; resolution then takes the structure-form
+bounding spin 4-manifold with connection).  Each component is read and
+checked once, when the scene is built: boundary compatibility is the
+table's bounds relation, which scene files may not set, and glued
+4-manifolds must be spin.  Resolution then takes the structure-form
 integral from the table or from quadrature, and half the Pontryagin
-integral from the table.  Boundary compatibility is the table's bounds
-relation, checked during resolution; scene files may not set it.
+integral from the table.
 
 The 1d/2d scenes pair a circle carrying transport values and real lifts
 with bounding surfaces; tangent-type boundings come from punctured
 metric surfaces, whose boundary circle is matched through its only
-gauge invariant, the holonomy.
+gauge invariant, the holonomy, when the scene is built.
 """
 
 from __future__ import annotations
 
-from ..analytic import as_int, wrap_unit, wrap_half
+from ..analytic import (as_float_exact_int, as_int, circle_distance,
+                        wrap_half, wrap_unit)
 from ..discrete import surfaces as _surf
 from ..discrete.surfaces import build_mesh
 from ..reader import node
 from . import table as _table
 from .chern_simons import MAX_REFINEMENT, cs_su2_quadrature
+from .psi import SU_TOLERANCE
 
 
 class ProviderError(ValueError):
@@ -55,16 +58,14 @@ _cs_cache = {}
 
 
 def eta_integral(m3_key, eta_key, refinement=None):
-    """Integral of the canonical structure 3-form over (m3_key, eta_key).
+    """Integral of the canonical structure 3-form over (m3_key, eta_key),
+    a pair of the table (the only pairs a `SceneComponent` bounds).
 
     The table value, or with a refinement level the signed quadrature,
     whose sign must be the table's: the declared sign convention sends
     the generator scene to +1.
     """
-    expected = _ETA_TABLE.get((m3_key, eta_key))
-    if expected is None:
-        raise ProviderError(
-            f"no structure-form datum for ({m3_key!r}, {eta_key!r})")
+    expected = _ETA_TABLE[(m3_key, eta_key)]
     if refinement is None or m3_key == "empty":
         return expected
     if refinement not in _cs_cache:
@@ -80,19 +81,12 @@ def eta_integral(m3_key, eta_key, refinement=None):
 
 def half_p1_integral(w4_key, nabla_key, glue=()):
     """Half the Pontryagin Chern-Weil integral of a table bounding datum
-    (`BnrScene.resolve` checks that it bounds the scene) with the named
-    closed spin 4-manifolds glued in; table-only."""
+    with the named closed spin 4-manifolds of the table glued in (a
+    `SceneComponent` checks both); table-only."""
     value = _NABLA_TABLE[(w4_key, nabla_key)]["base"]
     tbl = _table.shipped_table()
     for name in glue:
-        if name not in tbl:
-            raise ProviderError(f"glue: unknown closed 4-manifold {name!r}")
-        entry = tbl[name]
-        if not entry.spin:
-            raise ProviderError(
-                f"glue: {name} is not spin; gluing it would break the "
-                "bounding spin structure")
-        value += float(entry.half_p1())
+        value += float(tbl[name].half_p1())
     return value
 
 
@@ -110,7 +104,9 @@ def _block(desc, block):
 
 
 class SceneComponent:
-    """One (M3, eta, W4, nabla) component, read once from its descriptor.
+    """One (M3, eta, W4, nabla) component, read and checked once from its
+    descriptor: the bounding datum must bound (M3, eta) and every glued
+    4-manifold must be spin.
 
     `refinement` is None when the structure-form integral comes from the
     table, else the quadrature's refinement level; `glue` names the closed
@@ -129,8 +125,19 @@ class SceneComponent:
                 f"{desc.field('nabla').path}.provider: 4-dimensional "
                 "Chern-Weil integrals are table-only; quadrature is not "
                 "offered for bounding data")
-        self.glue = tuple(name.str(sorted(_table.shipped_table()))
-                          for name in nabla_params.field("glue", []).list())
+        tbl = _table.shipped_table()
+        glue = nabla_params.field("glue", []).list()
+        self.glue = tuple(name.str(sorted(tbl)) for name in glue)
+        for name in glue:
+            if not tbl[name.value].spin:
+                raise ProviderError(f"{name.path}: expected a spin closed "
+                                    f"4-manifold, got {name.value!r}")
+        datum = _NABLA_TABLE.get((self.w4, self.nabla))
+        if datum is None or datum["bounds"] != (self.m3, self.eta):
+            raise IncompatibleScene(
+                f"{desc.field('nabla').field('key').path}: expected a "
+                f"bounding datum of ({self.m3!r}, {self.eta!r}) with matching "
+                f"restriction, got ({self.w4!r}, {self.nabla!r})")
         self.label = f"{self.m3}/{self.eta}|{self.w4}/{self.nabla}"
         if self.glue:
             self.label += "+" + "+".join(self.glue)
@@ -179,18 +186,10 @@ class BnrScene:
 
     def resolve(self):
         """(component, structure-form integral, half-p1 integral) per
-        component.  The bounds check here is the scene's one
-        compatibility check."""
-        resolved = []
-        for c in self.components:
-            datum = _NABLA_TABLE.get((c.w4, c.nabla))
-            if datum is None or datum["bounds"] != (c.m3, c.eta):
-                raise IncompatibleScene(
-                    f"({c.w4!r}, {c.nabla!r}) does not bound "
-                    f"({c.m3!r}, {c.eta!r}) with matching restriction")
-            resolved.append((c, eta_integral(c.m3, c.eta, c.refinement),
-                             half_p1_integral(c.w4, c.nabla, c.glue)))
-        return resolved
+        component."""
+        return [(c, eta_integral(c.m3, c.eta, c.refinement),
+                 half_p1_integral(c.w4, c.nabla, c.glue))
+                for c in self.components]
 
 
 def _union_members(doc):
@@ -219,12 +218,14 @@ class SuBounding:
         self.label = label
 
 
-def disk_bounding(lifts, extra_lift=0, label="disk"):
+def disk_bounding(lifts, extra_lift=0, label="disk", where="extra_lift"):
     """Single-face disk carrying the given boundary values.
 
     A raw-connection bounding (not tangent-type): its curvature is the
-    principal log of the boundary product plus an integer lift.
+    principal log of the boundary product plus an integer lift, named
+    `where` in faults.
     """
+    extra_lift = as_float_exact_int(extra_lift, where)
     u = [wrap_unit(a) for a in lifts]
     frac = wrap_half(sum(u))
     return SuBounding("connection", len(lifts), wrap_unit(sum(u)),
@@ -255,20 +256,30 @@ class SuScene:
 
     The circle's transport values are exp(2 pi i lift); every bounding
     surface must restrict to them on its boundary (same length, same
-    holonomy up to tolerance).
+    holonomy up to `SU_TOLERANCE`).  The constructor checks each one,
+    naming bounding i `where[i]`, or `boundings[i]` by default.
     """
 
-    def __init__(self, lifts, boundings):
+    def __init__(self, lifts, boundings, where=None):
         if not boundings:
             raise IncompatibleScene("scene needs at least one bounding")
         self.lifts = [float(a) for a in lifts]
         self.boundings = list(boundings)
+        n, hol = len(self.lifts), wrap_unit(self.sum_lifts())
+        for i, b in enumerate(self.boundings):
+            if b.k != n or not circle_distance(b.holonomy, hol) <= (
+                    SU_TOLERANCE):
+                raise IncompatibleScene(
+                    f"{where[i] if where else f'boundings[{i}]'}: expected "
+                    f"boundary length {n} and holonomy {hol!r}, got "
+                    f"boundary length {b.k} and holonomy {b.holonomy!r} "
+                    f"({b.label})")
 
     @classmethod
     def from_primary(cls, primary, extra=()):
         """Canonical scene of a tangent bounding: constant lifts h/k."""
-        c = primary.holonomy / primary.k
-        return cls([c] * primary.k, [primary, *extra])
+        return cls([primary.holonomy / primary.k] * primary.k,
+                   [primary, *extra])
 
     def sum_lifts(self):
         total = 0.0
@@ -278,31 +289,44 @@ class SuScene:
 
     def shifted(self, edge, k):
         """Shift one structure lift by an integer (the torsor action)."""
-        lifts = list(self.lifts)
-        lifts[edge] += as_int(k, "lift shift")
-        return SuScene(lifts, self.boundings)
+        return SuScene(_shifted_lifts(self.lifts, edge, k, "edge",
+                                      "lift shift"), self.boundings)
 
     @classmethod
     def from_json(cls, obj):
+        """The scene of an {"su": {...}} record, built once: the canonical
+        lifts of its primary bounding moved by its lift shifts, with all
+        its boundings."""
         spec = node(obj).field("su")
-        scene = cls.from_primary(_read_tangent(spec.field("primary")))
+        primary = _read_tangent(spec.field("primary"))
+        lifts = [primary.holonomy / primary.k] * primary.k
+        boundings, where = [primary], [spec.field("primary").path]
         for b in spec.field("boundings", []).list():
             kind = b.field("kind", "tangent").str(("disk", "tangent"))
             if kind == "disk":
-                lift = b.field("lift", 0).int(-_FLOAT_EXACT, _FLOAT_EXACT)
-                scene.boundings.append(disk_bounding(scene.lifts, lift))
+                lift = b.field("lift", 0)
+                boundings.append(disk_bounding(lifts, lift.int(),
+                                               where=lift.path))
             else:
-                scene.boundings.append(_read_tangent(b))
+                boundings.append(_read_tangent(b))
+            where.append(b.path)
         for pair in spec.field("lift_shifts", []).list():
             edge, shift = pair.list(2)
-            scene = scene.shifted(edge.int(0, len(scene.lifts) - 1),
-                                  shift.int(-_FLOAT_EXACT, _FLOAT_EXACT))
-        return scene
+            lifts = _shifted_lifts(lifts, edge.int(), shift.int(), edge.path,
+                                   shift.path)
+        return cls(lifts, boundings, where)
 
 
-# past 2**53 a float no longer holds every integer, so a lift shifted by a
-# larger integer loses its fraction
-_FLOAT_EXACT = 2**53
+def _shifted_lifts(lifts, edge, k, edge_where, k_where):
+    """`lifts` with lift `edge` shifted by the integer `k`, each named by
+    its `where` in faults."""
+    edge = as_int(edge, edge_where)
+    if not 0 <= edge < len(lifts):
+        raise ValueError(f"{edge_where}: expected an edge in "
+                         f"0..{len(lifts) - 1}, got {edge}")
+    lifts = list(lifts)
+    lifts[edge] += as_float_exact_int(k, k_where)
+    return lifts
 
 
 def _read_tangent(spec):

@@ -3,8 +3,12 @@
 A `Node` is a JSON value with its path in the document: `$` at the top,
 `cells.1` for a field of a field, `boundary.1[0][1]` for list items.
 Each typed step checks its node and raises `ShapeError`, whose message
-reads `PATH: expected ..., got ...`.  Integers pass the gate `as_int`;
-reals pass the gate handed to `reals`, so no numpy is imported here.
+reads `PATH: expected ..., got ...`.  The reader checks what only it can
+see: JSON types, the arity of fixed-size lists, uniform row width and
+the choices and ranges of nested scene fields.  Counts, index ranges and
+reals are checked by the constructor that builds the value (`as_reals`
+reads reals there), so no numpy is imported here; integers pass the gate
+`as_int`.
 """
 
 from __future__ import annotations
@@ -81,35 +85,35 @@ class Node:
                       else f"a list of length {length}")
         return [Node(v, f"{self.path}[{i}]") for i, v in enumerate(self.value)]
 
-    def matrix(self, width=None):
-        """Rows of integers, each `width` long, or as long as the first."""
+    def rows(self):
+        """The item nodes of each row of a list of lists, every row as
+        long as the first."""
         rows = self.list()
-        if width is None and rows:
-            width = len(rows[0].list())
-        return [[x.int() for x in row.list(width)] for row in rows]
+        width = len(rows[0].list()) if rows else 0
+        return [row.list(width) for row in rows]
 
-    def reals(self, gate, ndim=1, length=None):
-        """`gate(value, path, ndim)` of a list (`length` long if given) of
-        reals, or with `ndim=2` of rows each as long as the first."""
-        rows = self.list(length)
-        if ndim == 2 and rows:
-            width = len(rows[0].list())
-            for row in rows:
-                row.list(width)
-        try:
-            return gate(self.value, self.path, ndim)
-        except ValueError as exc:
-            raise ShapeError(str(exc)) from None
+    def matrix(self):
+        """Rows of integers, each as long as the first."""
+        return [[x.int() for x in row] for row in self.rows()]
+
+    def reals(self, ndim=1):
+        """The value of a list (with `ndim=2`, of rows each as long as the
+        first), whose entries its constructor reads as reals."""
+        if ndim == 2:
+            self.rows()
+        else:
+            self.list()
+        return self.value
 
     def int(self, lo=None, hi=None):
-        """An exact integer, in lo..hi (or >= lo) where given."""
+        """An exact integer, in lo..hi if given."""
         try:
             n = as_int(self.value)
         except ValueError:
             n = None
-        if n is None or lo is not None and n < lo or hi is not None and n > hi:
-            self.fail("an integer" + ("" if lo is None else f" >= {lo}"
-                                      if hi is None else f" in {lo}..{hi}"))
+        if n is None or lo is not None and not lo <= n <= hi:
+            self.fail("an integer" if lo is None
+                      else f"an integer in {lo}..{hi}")
         return n
 
     def str(self, choices=None):
@@ -124,14 +128,3 @@ class Node:
         if not isinstance(self.value, bool):
             self.fail("true or false")
         return self.value
-
-    def pair(self, cells):
-        """A [cell, sign] pair: a cell index below `cells`, a sign +-1."""
-        try:
-            cell, sign = (x.int() for x in self.list(2))
-        except ShapeError:
-            cell = sign = None
-        if cell is None or not 0 <= cell < cells or sign not in (1, -1):
-            self.fail(f"a [cell, sign] pair with cell in 0..{cells - 1} and "
-                      "sign 1 or -1")
-        return cell, sign

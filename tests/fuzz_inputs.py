@@ -52,9 +52,7 @@ TYPE_ERROR_TEXT = ("is not iterable", "has no len()", "argument must be",
                    "not subscriptable", "unhashable")
 PATH = r"(\$|[A-Za-z_][\w-]*)(\.[\w-]+|\[\d+\])*"
 # exit-2 faults of what a document says rather than of its shape
-NON_SHAPE = ("expected exactly one ", "does not bound", "is not spin",
-             "does not restrict to the scene circle",
-             "has boundary length", "pullback needs two morphisms",
+NON_SHAPE = ("expected exactly one ", "pullback needs two morphisms",
              "pullback of morphisms with different")
 
 

@@ -4,8 +4,9 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from abtqft.analytic import (NonIntegralInvariant, circle_distance,
-                             nearest_integer, wrap_half, wrap_unit)
+from abtqft.analytic import (NonIntegralInvariant, as_float_exact_int,
+                             circle_distance, nearest_integer, wrap_half,
+                             wrap_unit)
 from abtqft.discrete.connections import CHERN_TOLERANCE
 from abtqft.discrete.surfaces import LIFT_TOLERANCE
 from abtqft.invariants.psi import PSI_TOLERANCE, SU_TOLERANCE
@@ -61,3 +62,16 @@ def test_nearest_integer_gate_boundary(tolerance, n):
         with pytest.raises(NonIntegralInvariant,
                            match=re.escape(f"x {outside!r} is ")):
             nearest_integer(outside, tolerance, "x")
+
+
+def test_float_exact_gate_boundary():
+    # every integer up to 2**53 in size is a float exactly; past it not
+    for n in (0, 2**53, -2**53):
+        assert as_float_exact_int(n, "k") == n == float(n)
+    for n in (2**53 + 1, -2**53 - 1):
+        with pytest.raises(ValueError, match=re.escape(
+                f"k: expected an integer of at most 2**53 in size, got {n}")):
+            as_float_exact_int(n, "k")
+    for x in (True, 2.0, "1"):
+        with pytest.raises(ValueError, match="k: expected exact integer"):
+            as_float_exact_int(x, "k")

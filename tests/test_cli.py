@@ -230,7 +230,8 @@ SU = {"primary": {"mesh": "icosahedron", "puncture": 0},
     ("psi", _s3("eta", provider="oracle"), "eta.provider"),
     ("psi", _s3("eta", provider="quadrature", params={"refinement": 0}),
      "eta.params.refinement"),
-    ("psi", _s3("nabla", params={"glue": ["CP2"]}), "glue: CP2"),
+    ("psi", _s3("nabla", params={"glue": ["CP2"]}),
+     "nabla.params.glue[0]: expected a spin"),
     ("psi", _s3("nabla", params={"glue": "K3"}), "nabla.params.glue"),
     ("psi", {**S3, "m3": "S3"}, "m3"),
     ("psi", _s3("eta", compatible=True), "compatibility flag"),
@@ -258,6 +259,19 @@ SU = {"primary": {"mesh": "icosahedron", "puncture": 0},
     ("su", {"su": {**SU, "primary": 3}}, "su.primary: expected an object"),
     ("su", {"su": {**SU, "boundings": [5]}},
      "su.boundings[0]: expected an object"),
+    ("psi", {**S3, "w4": {"key": "empty"}, "nabla": {"key": "empty"}},
+     "nabla.key: expected a bounding datum of ('S3', 'Lie-framing')"),
+    ("psi", {"union": [S3, _s3("nabla", key="empty")]},
+     "union[1].nabla.key: expected a bounding datum"),
+    ("su", {"su": {**SU, "boundings": [*SU["boundings"],
+                                       {"mesh": "oct-sphere",
+                                        "puncture": 1}]}},
+     "su.boundings[1]: expected boundary length 5 "),
+    ("su", {"su": {**SU, "lift_shifts": [[-1, 1]]}},
+     "su.lift_shifts[0][0]: expected an edge in 0..4, got -1"),
+    # a float that holds 2**52 exactly no longer holds the lift's fraction
+    ("su", {"su": {**SU, "lift_shifts": [[0, 2**52]]}},
+     "su.primary: expected boundary length 5 and holonomy"),
 ])
 def test_bad_scene_exit_2(tmp_path, capsys, verb, scene, field):
     path = tmp_path / "bad_scene.json"
@@ -299,6 +313,19 @@ def test_bnr_psi_union_of_quadrature_components(tmp_path, capsys):
       "target": {"generators": 1}}, "matrix[0][1]"),
     ({"matrix": [], "source": {"generators": 2},
       "target": {"generators": 1}}, "matrix: empty"),
+    ({"generators": -1}, "$: generators: expected an integer >= 0, got -1"),
+    ({"generators": 2, "relations": [[1]]},
+     "$: relations: expected rows of length 2, got 1"),
+    ({"generators": 2, "relations": [[]]},
+     "$: relations: expected rows of length 2, got 0"),
+    ({"matrix": [[0, 0, 0]], "source": {"generators": 2},
+      "target": {"generators": 1}},
+     "$: matrix: expected a 1x2 matrix, got 1x3"),
+    ({"groups": {"G": {"generators": -1}}},
+     "groups.G: generators: expected an integer >= 0"),
+    ({"matrix": [[1]], "source": {"generators": 1, "relations": [[1, 0]]},
+      "target": {"generators": 1}},
+     "source: relations: expected rows of length 1, got 2"),
 ])
 def test_bad_group_file_exit_2(tmp_path, capsys, record, field):
     path = tmp_path / "bad_group.json"
@@ -314,6 +341,10 @@ def test_bnr_table(capsys):
     assert code == 0 and out.splitlines()[-1] == "valid"
 
 
+# the refinement-1 winding quadrature, in full
+CS_REFINE_1 = -1.000000642552659
+
+
 def test_json_format(capsys):
     code, out, _ = run(capsys, "--format", "json", "bnr", "psi",
                        sample("scene_s3.json"))
@@ -321,14 +352,18 @@ def test_json_format(capsys):
     data = json.loads(out)
     assert data["integer"] == 1 and data["residue"] == 1
     # the text output rounds to 12 digits; json keeps the full float
-    for argv, raw in (
-            (["bnr", "psi", sample("scene_s3.json")], 1.0),
-            (["bnr", "psi", sample("scene_s3_k3.json"), "--certify"],
+    for argv, key, raw in (
+            (["bnr", "psi", sample("scene_s3.json")], "raw", 1.0),
+            (["bnr", "psi", sample("scene_s3_k3.json"), "--certify"], "raw",
              -22.99999983936189),
-            (["bnr", "su", sample("scene_su.json")], 0.9999999999999991)):
+            (["bnr", "su", sample("scene_su.json")], "raw",
+             0.9999999999999991),
+            (["bnr", "cs", "--refine", "1"], "cs", CS_REFINE_1)):
         code, out, _ = run(capsys, "--format", "json", *argv)
         assert code == 0
-        assert json.loads(out)["raw"] == raw
+        assert json.loads(out)[key] == raw
+    code, out, _ = run(capsys, "bnr", "cs", "--refine", "1")
+    assert (code, out.splitlines()[0]) == (0, f"cs = {CS_REFINE_1:.12g}")
 
 
 def test_determinism(capsys):
@@ -555,6 +590,18 @@ with open(sample("conn_square.json")) as _fh:
     CONN = json.load(_fh)
 
 
+# a square disk and a triangle, each with edge lengths, whose faces the
+# tables below replace
+SQUARE_DISK = {"cells": {"0": 4, "1": 4, "2": 1},
+               "boundary": {"1": [[[i, -1], [(i + 1) % 4, 1]]
+                                  for i in range(4)]},
+               "edge_lengths": [1.0] * 4}
+TRIANGLE = {**SQUARE_DISK, "cells": {"0": 3, "1": 3, "2": 1},
+            "boundary": {"1": [[[i, -1], [(i + 1) % 3, 1]]
+                               for i in range(3)]},
+            "edge_lengths": [1.0] * 3}
+
+
 def _icosahedron_with_float_index():
     from abtqft.discrete import icosahedron
     rec = icosahedron().to_json()
@@ -628,7 +675,8 @@ def _icosahedron_with_lengths(value):
      sample("cochain1.json"), "mesh", "boundary: expected an object"),
     ("stokes", {**SQUARE, "boundary": {**SQUARE["boundary"], "2": [
         [[0, 1, 5], [1, 1], [4, -1]], [[4, 1], [2, 1], [3, 1]]]}},
-     sample("cochain1.json"), "mesh", "boundary.2[0][0]: expected a [cell"),
+     sample("cochain1.json"), "mesh",
+     "boundary.2[0][0]: expected a list of length 2, got [0, 1, 5]"),
 ], ids=["degree-float", "degree-bool", "cells-float", "index-float",
         "sign-bool", "lift-bool", "phase-bool", "value-bool", "length-bool",
         "coord-bool", "degree-top", "length-string", "value-string",
@@ -658,31 +706,70 @@ def test_geo_inexact_integer_exit_2(tmp_path, capsys, verb, mesh, second,
     (["stokes", "COCHAIN", "COCHAIN"], "COCHAIN",
      "cells: expected an object, got no 'cells' field"),
     (["stokes", "MESH", "MESH"], "MESH",
-     "degree: expected an integer in 0..3, got no 'degree' field"),
+     "degree: expected an integer, got no 'degree' field"),
     (["stokes", "MESH", {"degree": 1}], "tmp",
-     "values: expected a list of length 5, got no 'values' field"),
+     "values: expected a list, got no 'values' field"),
     (["stokes", [SQUARE], "COCHAIN"], "tmp",
      "$: expected an object, got [{'boundary': {...}, 'cells': {...}}]"),
     (["holonomy", "MESH", 5], "tmp", "$: expected an object, got 5"),
     (["holonomy", "MESH", "COCHAIN", "--loop", "0,1,2,3"], "COCHAIN",
-     "edge_phases: expected a list of length 5, got no 'edge_phases' field"),
+     "edge_phases: expected a list, got no 'edge_phases' field"),
     (["stokes", {**SQUARE, "boundary": {**SQUARE["boundary"], "1": 3}},
-      "COCHAIN"], "tmp", "boundary.1: expected a list of length 5, got 3"),
+      "COCHAIN"], "tmp", "boundary.1: expected a list, got 3"),
     (["stokes", {**SQUARE, "boundary": {**SQUARE["boundary"], "1": [
         3, *SQUARE["boundary"]["1"][1:]]}}, "COCHAIN"], "tmp",
      "boundary.1[0]: expected a list, got 3"),
     (["stokes", "MESH", {"degree": 1, "values": 3}], "tmp",
-     "values: expected a list of length 5, got 3"),
+     "values: expected a list, got 3"),
     (["stokes", "MESH", {"degree": 1, "values": {}}], "tmp",
-     "values: expected a list of length 5, got {}"),
+     "values: expected a list, got {}"),
     (["holonomy", "MESH", {**CONN, "edge_phases": True}], "tmp",
-     "edge_phases: expected a list of length 5, got True"),
+     "edge_phases: expected a list, got True"),
     (["holonomy", "MESH", {**CONN, "face_lifts": 3}], "tmp",
-     "face_lifts: expected a list of length 2, got 3"),
+     "face_lifts: expected a list, got 3"),
+    (["stokes", "MESH", {"degree": 4, "values": []}], "tmp",
+     "degree: expected an integer in 0..3, got 4"),
+    (["stokes", "MESH", {"degree": 1, "values": [0.5]}], "tmp",
+     "values: expected 5 entries, one per 1-cell, got 1"),
+    (["holonomy", "MESH", {**CONN, "edge_phases": [0.1]}], "tmp",
+     "edge_phases: expected 5 entries, got 1"),
+    (["holonomy", "MESH", {**CONN, "face_lifts": [1]}], "tmp",
+     "face_lifts: expected 2 entries, got 1"),
+    (["holonomy", "MESH", {**CONN, "face_lifts": [2**63, 0]}], "tmp",
+     "face_lifts[0]: expected an integer of at most 2**53 in size, got "
+     "9223372036854775808"),
+    (["stokes", {**SQUARE, "boundary": {**SQUARE["boundary"], "1": (
+        SQUARE["boundary"]["1"][:4])}}, "COCHAIN"], "tmp",
+     "boundary.1: expected 5 boundary lists, one per 1-cell, got 4"),
+    (["stokes", {**SQUARE, "boundary": {**SQUARE["boundary"], "2": [
+        [[0, 1], [1, 1], [9, -1]], [[4, 1], [2, 1], [3, 1]]]}}, "COCHAIN"],
+     "tmp", "boundary.2[0][2]: expected a [cell, sign] pair with cell in "
+     "0..4 and sign 1 or -1, got [9, -1]"),
+    (["stokes", {**SQUARE, "coords": [[0, 0]]}, "COCHAIN"], "tmp",
+     "coords: expected 4 entries, got 1"),
+    (["stokes", {**SQUARE, "edge_lengths": [1.0]}, "COCHAIN"], "tmp",
+     "edge_lengths: expected 5 entries, got 1"),
+    (["chern", "MESH", "tangent"], "MESH",
+     "edge_lengths: expected a length per edge, got no 'edge_lengths' "
+     "field"),
+    (["chern", {**SQUARE_DISK, "boundary": {**SQUARE_DISK["boundary"], "2": [
+        [[0, 1], [1, 1], [2, 1], [3, 1]]]}}, "tangent"], "tmp",
+     "boundary.2[0]: expected the 3 sides of a triangle, got 4 sides"),
+    (["chern", {**TRIANGLE, "boundary": {**TRIANGLE["boundary"], "2": [
+        [[0, 1], [2, 1], [1, 1]]]}}, "tangent"], "tmp",
+     "boundary.2[0]: expected sides that chain head to tail, got sides 2 "
+     "and 0 that do not"),
+    (["chern", {**TRIANGLE, "cells": {"0": 3, "1": 3}, "boundary": {
+        "1": TRIANGLE["boundary"]["1"]}}, "tangent"], "tmp",
+     "cells: expected a 2-dimensional complex, got dimension 1"),
 ], ids=["cochain-as-mesh", "mesh-as-cochain", "cochain-without-values",
         "array-top-level", "scalar-top-level", "cochain-as-connection",
         "boundary-number", "face-list-number", "values-number",
-        "values-object", "phases-bool", "lifts-number"])
+        "values-object", "phases-bool", "lifts-number", "degree-range",
+        "values-count", "phases-count", "lifts-count", "lift-beyond-2**53",
+        "boundary-count", "cell-out-of-range", "coords-count",
+        "lengths-count", "tangent-without-lengths", "four-sided-face",
+        "unchained-sides", "one-dimensional-mesh"])
 def test_geo_wrong_kind_file_exit_2(tmp_path, capsys, argv, bad, detail):
     # a geo verb reads each file as the one kind its argument names, and
     # names the path of the first field of the wrong shape

@@ -208,6 +208,21 @@ def test_non_finite_edge_turn_rejected():
         D.LatticeConnection(W, turns)
 
 
+def test_face_lifts_checked_by_the_constructor():
+    # a lift beyond 2**53 is refused, never wrapped into int64 (2**63 read
+    # as -2**63) nor stored where a float curvature loses its fraction
+    disk = D.polygon_disk(3)
+    assert D.LatticeConnection(disk, [0.1, 0.2, 0.3], [2**53]).face_lifts[
+        0] == 2**53
+    for lifts, fault in (
+            ([2**63], "face_lifts[0]: expected an integer of at most 2**53 "
+             "in size, got 9223372036854775808"),
+            ([1.0], "face_lifts[0]: expected exact integer, got 1.0"),
+            ([0, 0], "face_lifts: expected 1 entries, got 2")):
+        with pytest.raises(ValueError, match=re.escape(fault)):
+            D.LatticeConnection(disk, [0.1, 0.2, 0.3], lifts)
+
+
 def test_chern_number_examples():
     tb = D.tangent_connection(D.icosahedron())
     dual = tb.dual

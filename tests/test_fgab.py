@@ -53,6 +53,9 @@ def test_element_eq_examples(Z):
     Z24 = fgab.cyclic_group(24)
     assert Z24.element([25]) == Z24.element([1])
     assert not Z.element([1]) == Z.element([2])
+    # elements compare by class and are never hashed
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(Z24.element([1]))
     Z2Z = fgab.direct_sum(fgab.cyclic_group(2), fgab.free_group(1))
     assert Z2Z.element([1, 0]) == Z2Z.element([3, 0])
     assert not Z2Z.element([1, 0]) == Z2Z.element([1, 1])

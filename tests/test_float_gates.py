@@ -1,9 +1,10 @@
 """Each decision at the input and float boundaries has one home in
 `src/`: a float is taken as an integer only by `analytic.nearest_integer`,
-called once per rounded value at pinned sites, reals are tested for
-finiteness only by `complexes.as_reals` (input) and `analytic.wrap_unit`
-(turns), and only the reader asks whether a JSON value is an object or a
-list."""
+called once per rounded value at pinned sites, an integer is bounded to
+what a float holds exactly only by `analytic.as_float_exact_int`, reals
+are tested for finiteness only by `complexes.as_reals` (input) and
+`analytic.wrap_unit` (turns), and only the reader asks whether a JSON
+value is an object or a list."""
 
 import ast
 import collections
@@ -15,15 +16,18 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "abtqft"
 def _uses(tree, wanted, call=False, of=None):
     """[(enclosing function, line)] of each call of `wanted` (as a name or
     an attribute) when `call`, or of each mention of the name `wanted`
-    otherwise; with `of`, only the calls whose arguments after the first
-    mention the name `of`.  A method is named `Class.method`."""
+    otherwise, or of each node for which a callable `wanted` is true;
+    with `of`, only the calls whose arguments after the first mention the
+    name `of`.  A method is named `Class.method`."""
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             function = f"{function}.{node.name}" if function else node.name
-        if call:
+        if callable(wanted):
+            hit = wanted(node)
+        elif call:
             hit = (isinstance(node, ast.Call)
                    and getattr(node.func, "id",
                                getattr(node.func, "attr", None)) == wanted
@@ -59,6 +63,21 @@ def _homes(wanted, call=False, of=None):
 
 def test_round_only_in_nearest_integer():
     assert _homes("round", call=True) == {("analytic.py", "nearest_integer")}
+
+
+def _float_exact_bound(node):
+    """Whether `node` spells 2**53: as a power, a shift or its value."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float) and node.value == 2**53
+    return isinstance(node, ast.BinOp) and (
+        (type(node.op), getattr(node.left, "value", None),
+         getattr(node.right, "value", None)) in {(ast.Pow, 2, 53),
+                                                 (ast.LShift, 1, 53)})
+
+
+def test_float_exact_bound_only_in_its_gate():
+    assert _homes(_float_exact_bound) == {("analytic.py",
+                                           "as_float_exact_int")}
 
 
 def test_nearest_integer_call_sites():
@@ -104,3 +123,9 @@ def test_finder_sees_each_spelling():
                                                                ("g", 2)]
     assert _uses(tree, "isinstance", call=True, of="list") == [("g", 2),
                                                                ("g", 2)]
+    source = ("BOUND = 2**53\n"
+              "def h(x):\n"
+              "    return -2 ** 53 <= x < 1 << 53, x == 9007199254740992.0,"
+              " x < 2**52, '2**53'\n")
+    assert _uses(ast.parse(source), _float_exact_bound) == [
+        (None, 1), ("h", 3), ("h", 3), ("h", 3)]

@@ -134,12 +134,16 @@ def _s3_component(eta=None, nabla=None):
 
 
 def test_provider_rejects_unknown_and_quadrature_4d():
-    with pytest.raises(I.ProviderError):
-        I.eta_integral("S3", "unknown-structure")
+    # a scene is checked when it is built: an unknown structure, a 4d
+    # quadrature and a non-spin glue never reach the integrals
+    with pytest.raises(ShapeError, match="eta.key"):
+        I.BnrScene([_s3_component(eta={"key": "unknown-structure"})])
     with pytest.raises(I.ProviderError):
         I.BnrScene([_s3_component(nabla={"provider": "quadrature"})])
-    with pytest.raises(I.ProviderError):
-        I.half_p1_integral("D4", "flat-extension", glue=("CP2",))
+    with pytest.raises(I.ProviderError, match=re.escape(
+            "nabla.params.glue[1]: expected a spin closed 4-manifold, got "
+            "'CP2'")):
+        I.BnrScene([_s3_component(nabla={"params": {"glue": ["K3", "CP2"]}})])
     with pytest.raises(ShapeError, match="eta.provider"):
         I.BnrScene([_s3_component(eta={"provider": "oracle"})])
 
@@ -153,11 +157,11 @@ def test_scene_rejects_user_compatibility_flag():
 
 
 def test_scene_rejects_mismatched_bounding():
-    scene = I.BnrScene([{"m3": {"key": "empty"}, "eta": {"key": "empty"},
-                         "w4": {"key": "D4"},
-                         "nabla": {"key": "flat-extension"}}])
-    with pytest.raises(I.IncompatibleScene):
-        I.psi(scene)
+    with pytest.raises(I.IncompatibleScene, match=re.escape(
+            "nabla.key: expected a bounding datum of ('empty', 'empty') with "
+            "matching restriction, got ('D4', 'flat-extension')")):
+        I.BnrScene([{"m3": {"key": "empty"}, "eta": {"key": "empty"},
+                     "w4": {"key": "D4"}, "nabla": {"key": "flat-extension"}}])
 
 
 # -- psi -------------------------------------------------------------------------
@@ -382,12 +386,29 @@ def test_su_lift_shift_covariance():
 def test_su_lift_mismatch_rejected():
     icosa = I.tangent_bounding("icosahedron", 0)
     scene = I.SuScene.from_primary(icosa)
-    bad = I.SuScene([a + 0.01 for a in scene.lifts], [icosa])
-    with pytest.raises(I.IncompatibleScene):
-        I.su_psi(bad)
-    short = I.SuScene([0.0] * 3, [icosa])
-    with pytest.raises(I.IncompatibleScene):
-        I.su_psi(short)
+    with pytest.raises(I.IncompatibleScene, match=re.escape(
+            "boundings[0]: expected boundary length 5 and holonomy")):
+        I.SuScene([a + 0.01 for a in scene.lifts], [icosa])
+    with pytest.raises(I.IncompatibleScene, match=re.escape(
+            "boundings[1]: expected boundary length 3 and holonomy 0.0, got "
+            "boundary length 5")):
+        I.SuScene([0.0] * 3, [scn.disk_bounding([0.0] * 3), icosa])
+
+
+@pytest.mark.parametrize("build, fault", [
+    (lambda s: s.shifted(-1, 1), "edge: expected an edge in 0..5, got -1"),
+    (lambda s: s.shifted(6, 1), "edge: expected an edge in 0..5, got 6"),
+    (lambda s: s.shifted(0, 10**400), "lift shift: expected an integer of "
+     "at most 2**53 in size, got 100000000000000000...0000000000000000000"),
+    (lambda s: scn.disk_bounding(s.lifts, 2**80), "extra_lift: expected an "
+     "integer of at most 2**53 in size, got 1208925819614629174706176"),
+], ids=["edge-negative", "edge-past-the-end", "shift-huge", "disk-lift-2**80"])
+def test_su_integers_name_their_field(build, fault):
+    # an edge index is never wrapped, and an integer a float cannot hold
+    # exactly never silently loses the lift's fraction
+    scene = I.SuScene.from_primary(I.tangent_bounding("hex-sphere", 0))
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        build(scene)
 
 
 def test_su_odd_difference_reported_not_fatal():

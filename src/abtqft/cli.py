@@ -520,7 +520,7 @@ def cmd_suite(args, ws):
 # -- main --------------------------------------------------------------------
 
 def refinement_level(text):
-    from .invariants.chern_simons import MAX_REFINEMENT
+    from .invariants import MAX_REFINEMENT
     value = int(text)
     if not 1 <= value <= MAX_REFINEMENT:
         raise argparse.ArgumentTypeError(

@@ -8,6 +8,11 @@ from ..analytic import NonIntegralInvariant
 from .psi import (psi, su_psi, InvariantResult, ParityCertificateError,
                   PSI_TOLERANCE, SU_TOLERANCE)
 
+# the finest quadrature grid scenes and `bnr cs --refine` may ask for
+# (its cost is stated in `chern_simons`); here, so that reading it loads
+# no numpy
+MAX_REFINEMENT = 8
+
 _OWNER = {name: module for module, names in {
     "chern_simons": "cs_su2_quadrature sphere_volume_quadrature",
     "table": "Closed4Entry validate_table shipped_table spin_entries",

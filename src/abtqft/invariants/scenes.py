@@ -18,12 +18,22 @@ from __future__ import annotations
 
 from ..analytic import (as_float_exact_int, as_int, circle_distance,
                         wrap_half, wrap_unit)
-from ..discrete import surfaces as _surf
-from ..discrete.surfaces import build_mesh
 from ..reader import node
+from . import MAX_REFINEMENT
 from . import table as _table
-from .chern_simons import MAX_REFINEMENT, cs_su2_quadrature
 from .psi import SU_TOLERANCE
+
+# the most a lift shift may round its lift: a thousandth of the holonomy
+# tolerance, which the shifted circle must still meet
+SHIFT_ROUNDING = SU_TOLERANCE / 1000
+
+
+def __getattr__(name):
+    # the discrete layer loads only where a tangent bounding is built
+    if name == "build_mesh":
+        from ..discrete.surfaces import build_mesh
+        return build_mesh
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ProviderError(ValueError):
@@ -69,6 +79,7 @@ def eta_integral(m3_key, eta_key, refinement=None):
     if refinement is None or m3_key == "empty":
         return expected
     if refinement not in _cs_cache:
+        from .chern_simons import cs_su2_quadrature
         _cs_cache[refinement] = cs_su2_quadrature(refinement)
     value = _cs_cache[refinement]
     if (value < 0) != (expected < 0):
@@ -239,7 +250,8 @@ def tangent_bounding(mesh, puncture, jitter_rng=None):
     requested, perturbs every length except those of the triangles at the
     puncture, so the boundary circle is untouched.
     """
-    surface = build_mesh(mesh) if isinstance(mesh, str) else mesh
+    from ..discrete import surfaces as _surf
+    surface = _surf.build_mesh(mesh) if isinstance(mesh, str) else mesh
     if jitter_rng is not None:
         frozen = _surf.ring_triangle_edges(surface, puncture)
         surface = _surf.jittered_lengths(surface, jitter_rng,
@@ -319,19 +331,29 @@ class SuScene:
 
 def _shifted_lifts(lifts, edge, k, edge_where, k_where):
     """`lifts` with lift `edge` shifted by the integer `k`, each named by
-    its `where` in faults."""
+    its `where` in faults.  A shift whose sum rounds the lift by more
+    than SHIFT_ROUNDING is refused: it would move the lift's fraction."""
     edge = as_int(edge, edge_where)
     if not 0 <= edge < len(lifts):
         raise ValueError(f"{edge_where}: expected an edge in "
                          f"0..{len(lifts) - 1}, got {edge}")
+    k = as_float_exact_int(k, k_where)
     lifts = list(lifts)
-    lifts[edge] += as_float_exact_int(k, k_where)
+    lift = lifts[edge]
+    lifts[edge] = lift + k
+    rounding = lifts[edge] - k - lift   # the sum's rounding error
+    if not abs(rounding) <= SHIFT_ROUNDING:
+        raise ValueError(f"{k_where}: expected a shift that keeps the "
+                         f"fraction of lift {edge} ({lift!r}), got {k}, "
+                         f"which rounds it by {rounding!r}")
     return lifts
 
 
 def _read_tangent(spec):
     """The tangent bounding of a {"mesh", "puncture"} block."""
-    surface = build_mesh(spec.field("mesh").str(sorted(_surf.MESH_BUILDERS)))
+    from ..discrete import surfaces as _surf
+    surface = _surf.build_mesh(
+        spec.field("mesh").str(sorted(_surf.MESH_BUILDERS)))
     puncture = spec.field("puncture", 0).int(0, surface.n_cells[0] - 1)
     return tangent_bounding(surface, puncture)
 

@@ -271,7 +271,8 @@ SU = {"primary": {"mesh": "icosahedron", "puncture": 0},
      "su.lift_shifts[0][0]: expected an edge in 0..4, got -1"),
     # a float that holds 2**52 exactly no longer holds the lift's fraction
     ("su", {"su": {**SU, "lift_shifts": [[0, 2**52]]}},
-     "su.primary: expected boundary length 5 and holonomy"),
+     "su.lift_shifts[0][1]: expected a shift that keeps the fraction of "
+     "lift 0"),
 ])
 def test_bad_scene_exit_2(tmp_path, capsys, verb, scene, field):
     path = tmp_path / "bad_scene.json"

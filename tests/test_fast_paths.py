@@ -11,10 +11,11 @@ kernel read off those transforms, group elements as U_inv products,
 squares and fills compared as two checked composite morphisms, the fiber
 product taken whenever a fiber is built, isomorphisms decided by a
 trivial kernel and cokernel, and the winding quadrature evaluated one
-whole chi slice at a time, and the tangent bundle over a checked dual
-whose lifts read a bare connection. Morphisms built without the
-well-definedness check, and cell complexes built without the index, sign
-and boundary-of-boundary checks, are rebuilt with them.
+whole chi slice at a time by the old allocating density, and the tangent
+bundle over a checked dual whose lifts read a bare connection. Morphisms
+built without the well-definedness check, and cell complexes built
+without the index, sign and boundary-of-boundary checks, are rebuilt
+with them.
 """
 
 import itertools
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1007,10 +1009,40 @@ def test_queries_eliminate_only_what_they_read(monkeypatch, empty_memo,
 
 # -- SU(2) winding quadrature: blocked slices against whole slices ----------
 
+def eager_su2(q0, q1, q2, q3):
+    m = np.empty(q0.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = q0 + 1j * q3
+    m[..., 0, 1] = q2 + 1j * q1
+    m[..., 1, 0] = -q2 + 1j * q1
+    m[..., 1, 1] = q0 - 1j * q3
+    return m
+
+
+def eager_frame_density(chi, theta, phi):
+    """The old `_frame_density`: angles in, every temporary allocated."""
+    schi, cchi = np.sin(chi), np.cos(chi)
+    sth, cth = np.sin(theta), np.cos(theta)
+    sph, cph = np.sin(phi), np.cos(phi)
+
+    q = eager_su2(cchi, schi * cth, schi * sth * cph, schi * sth * sph)
+    e_chi = eager_su2(-schi, cchi * cth, cchi * sth * cph, cchi * sth * sph)
+    zeros = np.zeros_like(chi)
+    e_theta = eager_su2(zeros, -sth, cth * cph, cth * sph)
+    e_phi = eager_su2(zeros, zeros, -sph, cph)
+
+    qi = np.conjugate(np.swapaxes(q, -1, -2))
+    t1 = qi @ e_chi
+    t2 = qi @ e_theta
+    t3 = qi @ e_phi
+    comm = t2 @ t3 - t3 @ t2
+    dens = 3.0 * np.einsum("...ij,...ji->...", t1, comm)
+    return np.real(dens)
+
+
 def eager_cs_quadrature(refinement):
-    """The quadrature with each chi slice evaluated whole (the old
-    `cs_su2_quadrature`, without its certificate)."""
-    n_chi, n_theta, n_phi = CS._grid_sizes(refinement)
+    """The quadrature with each chi slice evaluated whole by the old
+    density (the old `cs_su2_quadrature`, without its certificate)."""
+    n_chi, n_theta, n_phi = 4 * refinement, 800 * refinement, 4 * refinement
     d_chi = math.pi / n_chi
     d_theta = math.pi / n_theta
     d_phi = 2.0 * math.pi / n_phi
@@ -1022,15 +1054,34 @@ def eager_cs_quadrature(refinement):
     for i in range(n_chi):
         chi = (i + 0.5) * d_chi
         chi_grid = np.full_like(theta_grid, chi)
-        dens = CS._frame_density(chi_grid, theta_grid, phi_grid)
+        dens = eager_frame_density(chi_grid, theta_grid, phi_grid)
         weights = (math.sin(chi) ** 2) * np.sin(theta_grid)
         total += float(np.sum(dens * weights)) * d_chi * d_theta * d_phi
     return -total / (24.0 * math.pi ** 2)
 
 
-@pytest.mark.parametrize("refinement", [1, 2])
+def trig(*angles):
+    """sin and cos of each angle array, in `_frame_density`'s order."""
+    return [f(a) for a in angles for f in (np.sin, np.cos)]
+
+
+@pytest.mark.parametrize("refinement", [
+    1, 2, *(pytest.param(r, marks=pytest.mark.slow) for r in range(3, 9))])
 def test_blocked_quadrature_matches_whole_slices(refinement):
     assert CS.cs_su2_quadrature(refinement) == eager_cs_quadrature(refinement)
+
+
+@pytest.mark.parametrize("shape", [(64,), (7, 12), (1, 4)])
+def test_frame_density_matches_eager_pointwise(shape):
+    rng = np.random.default_rng(23)
+    chi, theta = rng.uniform(0.0, math.pi, (2,) + shape)
+    phi = rng.uniform(0.0, 2 * math.pi, shape)
+    want = eager_frame_density(chi, theta, phi)
+    assert np.array_equal(CS._frame_density(*trig(chi, theta, phi)), want)
+    # the same points through buffers sized for more of them
+    buffers = CS._Buffers(2 * chi.size)
+    got = CS._frame_density(*trig(chi, theta, phi), buffers)
+    assert np.array_equal(got, want)
 
 
 # 30 points is 7 rows of 4: 800 rows leave a last block of 2; 1 point is
@@ -1044,9 +1095,10 @@ def test_ragged_blocks_match_whole_slices(monkeypatch, block_points):
 def test_blocked_densities_equal_whole_slice(monkeypatch):
     blocks = []
 
-    def recording(chi, theta, phi):
-        dens = frame_density(chi, theta, phi)
-        blocks.append((chi, theta, phi, dens))
+    def recording(*args):
+        dens = frame_density(*args)
+        # copies: the quadrature reuses its buffers from block to block
+        blocks.append([np.array(a) for a in args[:6]] + [np.array(dens)])
         return dens
 
     frame_density = CS._frame_density
@@ -1058,14 +1110,45 @@ def test_blocked_densities_equal_whole_slice(monkeypatch):
     assert len(blocks) == n_chi * per_slice
     first = blocks[:per_slice]
     assert all(b[0].shape == (rows, n_phi) for b in first[:-1])
-    chi, theta, phi, dens = (np.concatenate([b[k] for b in first])
-                             for k in range(4))
-    assert chi.shape == (n_theta, n_phi)
-    assert np.array_equal(dens, frame_density(chi, theta, phi))
+    *grid, dens = (np.concatenate([b[k] for b in first]) for k in range(7))
+    assert dens.shape == (n_theta, n_phi)
+    assert np.array_equal(dens, frame_density(*grid))
+
+
+# a child that imports the quadrature, then runs it at the refinement
+# given as argv[1] (none: import only); it prints nothing
+FAULTS_CHILD = """
+import sys
+from abtqft.invariants.chern_simons import cs_su2_quadrature
+if len(sys.argv) > 1:
+    cs_su2_quadrature(int(sys.argv[1]))
+"""
+
+
+def _minor_faults(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         env.get("PYTHONPATH", "")])
+    pid = os.posix_spawn(sys.executable,
+                         [sys.executable, "-c", FAULTS_CHILD, *argv], env)
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_minflt
+
+
+def test_quadrature_buffers_are_allocated_once():
+    # per-block temporaries that glibc hands back to the OS fault in again
+    # on every block, so a finer grid's faults grow with its points (8x
+    # from r = 1 to 2); buffers held for the whole call fault in once
+    base = _minor_faults()
+    r1, r2 = (_minor_faults(r) - base for r in ("1", "2"))
+    assert r2 <= 3 * max(r1, 1), (base, r1, r2)
 
 
 def test_quadrature_memory_is_bounded():
-    # whole slices peaked at 9.1 MB here; blocks of 2,048 points at 1.9 MB
+    # whole slices peaked at 9.1 MB; one set of 2,048-point block buffers,
+    # with the grid's sines and cosines, peaks at 1.6 MB
     tracemalloc.start()
     try:
         CS.cs_su2_quadrature(2)

@@ -56,7 +56,10 @@ GEOMETRY_ONLY = {"abtqft.invariants"} | GROUP_LAYER
      GEOMETRY_ONLY),
     (["geo", "chern", "builtin:icosahedron", "tangent"], GEOMETRY_ONLY),
     (["bnr", "table", "validate"], {"numpy"}),
-    (["bnr", "psi", "samples/scene_s3.json", "--certify"], GROUP_LAYER),
+    (["bnr", "psi", "samples/scene_s3.json", "--certify"],
+     GROUP_LAYER | {"numpy", "abtqft.discrete"}),
+    (["bnr", "psi", "samples/scene_s3_k3.json"],
+     GROUP_LAYER | {"abtqft.discrete"}),
     (["bnr", "su", "samples/scene_su.json"], GROUP_LAYER),
 ])
 def test_verb_imports_only_its_layers(argv, absent):

@@ -305,6 +305,15 @@ def test_cs_rejects_bad_refinement():
         I.cs_su2_quadrature(0)
 
 
+@pytest.mark.parametrize("quadrature", ["cs_su2_quadrature",
+                                        "sphere_volume_quadrature"])
+@pytest.mark.parametrize("refinement", [1.9, 2.5, True])
+def test_refinement_is_an_exact_integer(quadrature, refinement):
+    # no truncation to a coarser grid: 1.9 is not refinement 1
+    with pytest.raises(ValueError, match="refinement"):
+        getattr(I, quadrature)(refinement)
+
+
 def test_refinement_bound():
     from abtqft.invariants.chern_simons import MAX_REFINEMENT, _grid_sizes
     top = MAX_REFINEMENT
@@ -343,7 +352,8 @@ def test_cs_integrand_is_constant_density():
     chi = rng.uniform(0.2, math.pi - 0.2, 64)
     theta = rng.uniform(0.2, math.pi - 0.2, 64)
     phi = rng.uniform(0.0, 2 * math.pi, 64)
-    dens = _frame_density(chi, theta, phi)
+    dens = _frame_density(*(f(a) for a in (chi, theta, phi)
+                            for f in (np.sin, np.cos)))
     assert np.std(dens) < 1e-9
     assert np.mean(dens) == pytest.approx(12.0, abs=1e-9)
 

@@ -13,7 +13,7 @@ import reprlib
 from numbers import Integral
 
 
-class NonIntegralInvariant(ValueError):
+class NonIntegralInvariant(ArithmeticError):
     """A value that must be an integer is not one.  Integrality is a
     theorem wherever it is asked for, so this means corrupt or
     inconsistent input data, and it halts rather than rounds."""

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import SIGN_CONVENTION, __version__
 from .reader import Node, ShapeError
@@ -30,44 +31,36 @@ def fmt(x):
 
 # -- workspace ---------------------------------------------------------------
 
+@contextmanager
+def _blame(path, rec=None):
+    """Blame the file `path` for each input fault raised inside: a
+    `ValueError` exits 2 as `path: ...`, and as `path: REC: ...` when it
+    is a fault of the value of the record `rec` rather than of a field's
+    shape, which already names its JSON path.  Any other fault (an
+    `ArithmeticError` of a computation) passes through and exits 1."""
+    try:
+        yield
+    except InputError:
+        raise
+    except ValueError as exc:
+        where = (path if rec is None or isinstance(exc, ShapeError)
+                 else f"{path}: {rec.path}")
+        raise InputError(f"{where}: {exc}")
+
+
 def _read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return Node(json.load(fh))
     except FileNotFoundError:
-        raise InputError(f"{path}: no such file")
+        raise ValueError("no such file")
     except OSError as exc:
-        raise InputError(f"{path}: cannot read ({exc.strerror or exc})")
+        raise ValueError(f"cannot read ({exc.strerror or exc})")
     except ValueError as exc:
         # bad JSON, bytes that are not UTF-8 or an over-long integer
-        raise InputError(f"{path}: invalid JSON ({exc})")
+        raise ValueError(f"invalid JSON ({exc})")
     except RecursionError:
-        raise InputError(f"{path}: invalid JSON (nested too deeply)")
-
-
-def _parse(path, doc, parse):
-    """`parse(doc)` of the document `doc` of `path`; each fault it names
-    by its JSON path exits as `path: PATH: ...`."""
-    try:
-        return parse(doc)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}")
-
-
-def _read_record(path, parse):
-    return _parse(path, Node(_read_json(path)), parse)
-
-
-def _build(path, rec, make, *args, **kwargs):
-    """`make(...)`, which builds the value of the record `rec` of `path`:
-    a fault of that value exits as `path: REC: ...`; a fault of a field's
-    shape already names its path."""
-    try:
-        return make(*args, **kwargs)
-    except ShapeError:
-        raise
-    except ValueError as exc:
-        raise InputError(f"{path}: {rec.path}: {exc}")
+        raise ValueError("invalid JSON (nested too deeply)")
 
 
 class _Names(dict):
@@ -82,7 +75,7 @@ class _Names(dict):
         path = self.files[-1]
         first = self.defined_in.setdefault(name, path)
         if not os.path.samefile(first, path):
-            raise InputError(f"{path}: {name!r} is already defined by {first}")
+            raise ValueError(f"{name!r} is already defined by {first}")
         super().__setitem__(name, value)
 
 
@@ -109,10 +102,8 @@ class Workspace:
 
     def load_file(self, path):
         self.files.append(path)
-        try:
-            self._ingest(path, Node(_read_json(path)))
-        except ShapeError as exc:
-            raise InputError(f"{path}: {exc}")
+        with _blame(path):
+            self._ingest(path, _read_json(path))
 
     def _ingest(self, path, doc):
         stem = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
@@ -122,11 +113,10 @@ class Workspace:
         if doc.has("m3") or doc.has("union") or doc.has("su"):
             self.scenes[stem] = (path, doc)
             return
-        from .fgab import group_from_json
         tables = {table: doc.field(table, {}).items()
                   for table in ("groups", "morphisms", "squares", "fills")}
         for name, rec in tables["groups"]:
-            self.groups[name] = _build(path, rec, group_from_json, rec, name)
+            self.groups[name] = self._group(path, rec, name)
         for name, rec in tables["morphisms"]:
             self._add_morphism(name, self._morphism(path, rec, name))
         for name, rec in tables["squares"]:
@@ -134,7 +124,7 @@ class Workspace:
         for name, rec in tables["fills"]:
             self.fills[name] = self._fill(path, rec)
         if doc.has("generators"):
-            self.groups[stem] = _build(path, doc, group_from_json, doc, stem)
+            self.groups[stem] = self._group(path, doc, stem)
         elif doc.has("matrix") and doc.has("source"):
             self._add_morphism(stem, self._morphism(path, doc, stem))
         elif doc.has("matrix"):
@@ -162,13 +152,17 @@ class Workspace:
                     else self._morphism(path, ref))
         table = self.groups if kind == "group" else self.morphisms
         if ref.value not in table:
-            raise InputError(f"{path}: {ref.path}: unknown {kind} name "
+            raise ValueError(f"{ref.path}: unknown {kind} name "
                              f"{ref.value!r}")
         return table[ref.value]
 
-    def _group(self, path, ref):
+    def _group(self, path, rec, name=None):
+        """The group of `rec`, interned by presentation if anonymous."""
         from . import fgab
-        G = _build(path, ref, fgab.group_from_json, ref)
+        with _blame(path, rec):
+            G = fgab.group_from_json(rec, name)
+        if name is not None:
+            return G
         key = (G.n_generators,
                tuple(tuple(int(v) for v in row) for row in G.relations))
         return self._interned.setdefault(key, G)
@@ -177,19 +171,19 @@ class Workspace:
         from . import fgab
         src, tgt = (self._resolve(path, rec.field(end), "group")
                     for end in ("source", "target"))
-        return _build(path, rec, fgab.morphism_from_json, rec, src, tgt,
-                      name=name)
+        with _blame(path, rec):
+            return fgab.morphism_from_json(rec, src, tgt, name=name)
 
     def _square(self, path, rec):
         from . import moncat
         legs = {leg: self._resolve(path, rec.field(leg), "morphism")
                 for leg in ("phi_H", "phi_G", "f_ob", "f_mor")}
-        return _build(path, rec, moncat.CommSquare, **legs)
+        with _blame(path, rec):
+            return moncat.CommSquare(**legs)
 
     def _fill(self, path, rec):
         # a fill names no square: it is checked against one when used
-        return (f"{path}: {rec.path}",
-                self._resolve(path, rec.field("lambda"), "morphism"))
+        return path, rec, self._resolve(path, rec.field("lambda"), "morphism")
 
     def sole(self, table, kind, name=None):
         if name is not None:
@@ -204,17 +198,16 @@ class Workspace:
         return next(iter(table.values()))
 
 
-def _parse_element(group, text, where):
-    """The element of `group` with the comma-separated coordinates `text`;
-    `where` names the file and argument in error messages."""
+def _parse_element(group, text):
+    """The element of `group` with the comma-separated coordinates `text`."""
     try:
         coords = [int(t) for t in str(text).split(",")]
     except ValueError:
-        raise InputError(f"{where}: coordinates {text!r} must be "
-                         "comma-separated integers")
+        raise ValueError(f"coordinates {text!r} must be comma-separated "
+                         "integers")
     if len(coords) != group.n_generators:
-        raise InputError(f"{where}: {len(coords)} coordinates {text!r} for "
-                         f"a group with {group.n_generators} generators")
+        raise ValueError(f"{len(coords)} coordinates {text!r} for a group "
+                         f"with {group.n_generators} generators")
     return group.element(coords)
 
 
@@ -225,13 +218,11 @@ def _gen_text(gens):
 
 def _load_mesh(ref):
     from .discrete import CellComplex, surfaces
-    if ref.startswith("builtin:"):
-        try:
+    with _blame(ref):
+        if ref.startswith("builtin:"):
             return surfaces.build_mesh(ref.split(":", 1)[1])
-        except ValueError as exc:
-            raise InputError(str(exc))
-    stem = ref.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return _read_record(ref, lambda doc: CellComplex.from_json(doc, stem))
+        stem = ref.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+        return CellComplex.from_json(_read_json(ref), stem)
 
 
 # -- group subcommands -------------------------------------------------------
@@ -281,10 +272,8 @@ def cmd_group_pullback(args, ws):
         raise InputError("pullback needs two morphisms (two files or a "
                          "workspace defining two)")
     f, g = ws.morphisms[names[0]], ws.morphisms[names[1]]
-    try:
+    with _blame(", ".join(ws.files)):
         pb = fgab.pullback(f, g)
-    except fgab.TargetMismatch as exc:
-        raise InputError(f"{', '.join(ws.files)}: {exc}")
     gens = pb.incl.matrix.T.tolist()
     return ([f"P = {pb.group.describe()}, gen {_gen_text(gens)}"],
             {"group": pb.group.describe(), "generators": gens})
@@ -293,8 +282,8 @@ def cmd_group_pullback(args, ws):
 def cmd_group_solve(args, ws):
     from . import fgab
     f = ws.sole(ws.morphisms, "morphism", args.name)
-    y = _parse_element(f.target, args.rhs,
-                       f"{', '.join(ws.files)}: argument rhs")
+    with _blame(f"{', '.join(ws.files)}: argument rhs"):
+        y = _parse_element(f.target, args.rhs)
     x = fgab.solve(f, y)
     if x is None:
         return ["absent"], {"solution": None}
@@ -308,8 +297,10 @@ def cmd_cat_hom(args, ws):
     from . import moncat
     phi = ws.sole(ws.morphisms, "morphism", args.name)
     cat = moncat.MorTensorCat(phi)
-    a = _parse_element(cat.obj_group, args.a, f"{args.files[0]}: argument a")
-    b = _parse_element(cat.obj_group, args.b, f"{args.files[0]}: argument b")
+    with _blame(f"{args.files[0]}: argument a"):
+        a = _parse_element(cat.obj_group, args.a)
+    with _blame(f"{args.files[0]}: argument b"):
+        b = _parse_element(cat.obj_group, args.b)
     hs = cat.hom(a, b)
     if hs.is_empty:
         return ["empty"], {"status": "empty"}
@@ -348,11 +339,9 @@ def cmd_cat_hofiber(args, ws):
 def cmd_cat_xi(args, ws):
     from . import moncat
     square = ws.sole(ws.squares, "square", args.square)
-    where, lam = ws.sole(ws.fills, "fill", args.fill)
-    try:
+    path, rec, lam = ws.sole(ws.fills, "fill", args.fill)
+    with _blame(path, rec):
         fill = moncat.DiagonalFill(square, lam)
-    except ValueError as exc:
-        raise InputError(f"{where}: {exc}")
     xi = moncat.XiFunctor(moncat.HofibCat(square), fill)
     equiv = moncat.xi_is_equivalence(square, fill)
     gens = xi.kernel_incl.matrix.T.tolist()
@@ -377,14 +366,12 @@ def cmd_cat_xi(args, ws):
 # -- geo subcommands ---------------------------------------------------------
 
 def cmd_geo_stokes(args, ws):
-    from .discrete import Cochain, DegreeError, check_stokes
+    from .discrete import Cochain, check_stokes
     mesh = _load_mesh(args.mesh)
-    omega = _read_record(args.cochain,
-                         lambda doc: Cochain.from_json(mesh, doc))
-    try:
+    with _blame(args.cochain):
+        omega = Cochain.from_json(mesh, _read_json(args.cochain))
+    with _blame(f"{args.cochain}: degree {omega.degree}"):
         lhs, rhs = check_stokes(mesh, omega)
-    except DegreeError as exc:
-        raise InputError(f"{args.cochain}: degree {omega.degree}: {exc}")
     lines = [f"boundary integral = {fmt(lhs)}",
              f"bulk integral of d(omega) = {fmt(rhs)}",
              f"gap = {fmt(abs(lhs - rhs))}"]
@@ -392,41 +379,32 @@ def cmd_geo_stokes(args, ws):
 
 
 def _geo_connection(args):
-    from .discrete import (ComplexError, DegenerateTriangle, LatticeConnection,
-                           NotClosed, tangent_connection)
+    from .discrete import LatticeConnection, tangent_connection
     mesh = _load_mesh(args.mesh)
     if args.connection == "tangent":
-        try:
+        with _blame(args.mesh):
             bundle = tangent_connection(mesh)
-        except (NotClosed, DegenerateTriangle, ComplexError) as exc:
-            raise InputError(f"{args.mesh}: {exc}")
         return bundle.dual, bundle.connection
-    return mesh, _read_record(
-        args.connection, lambda doc: LatticeConnection.from_json(mesh, doc))
+    with _blame(args.connection):
+        return mesh, LatticeConnection.from_json(
+            mesh, _read_json(args.connection))
 
 
 def cmd_geo_holonomy(args, ws):
-    from .discrete import ComplexError, NonCycleError, holonomy
+    from .discrete import holonomy
     complex_, conn = _geo_connection(args)
-    if args.loop is not None:
-        where = f"{args.mesh}: --loop {args.loop}"
-        try:
-            chain = complex_.chain_vector(1, _parse_loop(args.loop, where))
-        except ComplexError as exc:
-            raise InputError(f"{where}: {exc}")
-        problem = "the loop is not closed"
+    if args.loop is None:
+        where = f"{args.mesh}: default loop, every edge once (pass --loop)"
     else:
-        where, chain = args.mesh, complex_.fundamental_chain(1)
-        problem = ("the default loop (every edge once) is not closed; "
-                   "pass --loop")
-    try:
+        where = f"{args.mesh}: --loop {args.loop}"
+    with _blame(where):
+        chain = (complex_.fundamental_chain(1) if args.loop is None
+                 else complex_.chain_vector(1, _parse_loop(args.loop)))
         value = holonomy(conn, chain)
-    except NonCycleError:
-        raise InputError(f"{where}: {problem}")
     return ([f"holonomy = exp(2*pi*i * {fmt(value)})"], {"turns": value})
 
 
-def _parse_loop(text, where):
+def _parse_loop(text):
     chain = []
     for token in text.split(","):
         token = token.strip()
@@ -438,18 +416,16 @@ def _parse_loop(text, where):
         try:
             chain.append((int(token), sign))
         except ValueError:
-            raise InputError(f"{where}: bad loop token {token!r}")
+            raise ValueError(f"bad loop token {token!r}")
     return chain
 
 
 def cmd_geo_chern(args, ws):
-    from .discrete import NonCycleError, chern_number
+    from .discrete import chern_number
     complex_, conn = _geo_connection(args)
     chain = [(f, 1) for f in range(complex_.n_cells[2])]
-    try:
+    with _blame(args.mesh):
         c = chern_number(conn, chain)
-    except NonCycleError as exc:
-        raise InputError(f"{args.mesh}: {exc}")
     return [str(c)], {"chern": c}
 
 
@@ -464,7 +440,9 @@ def cmd_bnr_psi(args, ws):
         builtin = {"s3-lie": BnrScene.s3_lie, "empty": BnrScene.empty}
         scene = builtin[args.builtin]()
     else:
-        scene = _parse(*ws.sole(ws.scenes, "scene"), BnrScene.from_json)
+        path, doc = ws.sole(ws.scenes, "scene")
+        with _blame(path):
+            scene = BnrScene.from_json(doc)
     result = psi(scene, certify=args.certify)
     lines = [result.render()]
     for entry in result.certificate:
@@ -479,7 +457,10 @@ def cmd_bnr_psi(args, ws):
 
 def cmd_bnr_su(args, ws):
     from .invariants import SuScene, su_psi
-    result = su_psi(_parse(*ws.sole(ws.scenes, "scene"), SuScene.from_json))
+    path, doc = ws.sole(ws.scenes, "scene")
+    with _blame(path):
+        scene = SuScene.from_json(doc)
+    result = su_psi(scene)
     lines = [result.render()]
     for entry in result.certificate:
         lines.append(

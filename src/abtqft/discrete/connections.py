@@ -83,7 +83,7 @@ def holonomy(conn, chain_vec):
     """
     chain_vec = np.asarray(chain_vec, dtype=np.int64)
     if np.any(conn.complex.boundary_of(1, chain_vec)):
-        raise NonCycleError("holonomy of a non-closed 1-chain")
+        raise NonCycleError("the loop is not closed")
     return wrap_unit(float(np.dot(chain_vec.astype(float), conn.edge_turns)))
 
 

@@ -172,20 +172,17 @@ class TangentBundle:
         corners = self.surface.corners_at[v]
         if not corners:
             raise ComplexError(f"vertex {v} has no incident triangle")
+        # each (edge, sign) has one slot, so the step is a bijection on
+        # corners and the walk first returns to its start
         start = corners[0]
         ring = []
-        seen = set()
         f, j = start
         while True:
             e, sign = cx.boundary[2][f][(j - 1) % 3]
             ring.append((e, sign))
-            f2, j2 = self._slots[e][-sign]
-            f, j = f2, j2
+            f, j = self._slots[e][-sign]
             if (f, j) == start:
                 break
-            if (f, j) in seen:
-                raise ComplexError(f"vertex {v} link is not a single cycle")
-            seen.add((f, j))
         if len(ring) != len(corners):
             raise ComplexError(
                 f"vertex {v} link splits into several cycles")

@@ -77,17 +77,15 @@ def _su2(q0, q1, q2, q3, out, i_q1, i_q3, neg):
     return out
 
 
-def _frame_density(schi, cchi, sth, cth, sph, cph, buffers=None):
+def _frame_density(schi, cchi, sth, cth, sph, cph, buffers):
     """Winding-form density against the oriented orthonormal frame.
 
     Frame: normalized chi, theta, phi coordinate vectors, given by the
     sines and cosines of the three angles (same-shaped C-contiguous
     arrays).  Returns the value of tr(theta_MC ^ 3) on that frame (a real
     scalar per point), a view into `buffers`: a `_Buffers` of at least
-    that many points, or a fresh one when None.
+    that many points.
     """
-    if buffers is None:
-        buffers = _Buffers(schi.size)
     (p0, p1, p2, p3, neg), zeros, (i_q1, i_q3), mats, trace = (
         buffers.views(schi.shape))
     q, e_chi, e_theta, e_phi, qi_t = mats

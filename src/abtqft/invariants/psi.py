@@ -22,7 +22,7 @@ PSI_TOLERANCE = 1e-6
 SU_TOLERANCE = 1e-9
 
 
-class ParityCertificateError(ValueError):
+class ParityCertificateError(ArithmeticError):
     pass
 
 

@@ -95,10 +95,14 @@ def test_geo_stokes(capsys):
 
 
 def test_geo_holonomy(capsys):
-    code, out, _ = run(capsys, "geo", "holonomy", sample("mesh_square.json"),
-                       sample("conn_square.json"), "--loop", "0,1,2,3")
-    assert code == 0
-    assert out.strip() == "holonomy = exp(2*pi*i * 0.5)"
+    # the square's boundary, and with signed tokens its diagonal crossed
+    # both ways
+    for loop in ("0,1,2,3", "+0,+1,-4,+4,2,3"):
+        code, out, _ = run(capsys, "geo", "holonomy",
+                           sample("mesh_square.json"),
+                           sample("conn_square.json"), "--loop", loop)
+        assert code == 0
+        assert out.strip() == "holonomy = exp(2*pi*i * 0.5)"
 
 
 def test_geo_holonomy_default_loop_not_closed_exit_2(capsys):
@@ -184,6 +188,14 @@ def test_cat_hom_wrong_arity_exit_2(capsys):
     assert code == 2
     assert "times2.json" in err and "argument a" in err
     assert "2 coordinates" in err
+
+
+def test_cat_hom_non_integer_coordinates_exit_2(capsys):
+    code, out, err = run(capsys, "cat", "hom", sample("times2.json"), "0",
+                         "x")
+    assert (code, out) == (2, "")
+    assert err == (f"input error: {sample('times2.json')}: argument b: "
+                   "coordinates 'x' must be comma-separated integers\n")
 
 
 def test_bnr_psi_scene(capsys):
@@ -929,3 +941,132 @@ def test_golden_stdout(command, capsys, monkeypatch):
 def test_suite_acceptance_listed():
     from abtqft.acceptance import CRITERIA
     assert len(CRITERIA) == 11
+
+
+@pytest.mark.parametrize("module, tolerance, argv", [
+    ("abtqft.discrete.connections", "CHERN_TOLERANCE",
+     ["geo", "chern", "builtin:icosahedron", "tangent"]),
+    ("abtqft.discrete.surfaces", "LIFT_TOLERANCE",
+     ["geo", "chern", "builtin:icosahedron", "tangent"]),
+    ("abtqft.discrete.surfaces", "LIFT_TOLERANCE",
+     ["bnr", "su", sample("scene_su.json")]),
+    ("abtqft.invariants.psi", "PSI_TOLERANCE",
+     ["bnr", "psi", sample("scene_s3.json")]),
+], ids=["chern-number", "tangent-lift", "scene-tangent-lift", "psi"])
+def test_non_integral_invariant_exit_1(capsys, monkeypatch, module,
+                                       tolerance, argv):
+    # a non-integral invariant is a fault of the computation, even where
+    # it is raised while a file is read
+    import importlib
+    monkeypatch.setattr(importlib.import_module(module), tolerance, -1.0)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("computation error: ")
+    assert "from the nearest integer" in err
+
+
+def _tetrahedra(glued):
+    """Equilateral tetrahedra: two glued at vertex 0, or one beside a
+    vertex of no triangle."""
+    from abtqft.discrete.complexes import build_triangle_surface
+    tet = [(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)]
+    if glued:
+        return build_triangle_surface(
+            7, tet + [tuple(v + 3 if v else 0 for v in t) for t in tet],
+            lambda a, b: 1.0)
+    return build_triangle_surface(5, tet, lambda a, b: 1.0)
+
+
+@pytest.mark.parametrize("glued, message", [
+    (True, "vertex 0 link splits into several cycles"),
+    (False, "vertex 4 has no incident triangle"),
+], ids=["glued-at-a-vertex", "isolated-vertex"])
+def test_vertex_link_not_one_cycle_exit_2(tmp_path, capsys, glued, message):
+    from abtqft.discrete import ComplexError, tangent_connection
+    mesh = _tetrahedra(glued)
+    with pytest.raises(ComplexError, match=message):
+        tangent_connection(mesh)
+    path = tmp_path / "tetrahedra.json"
+    path.write_text(json.dumps(mesh.to_json()))
+    code, out, err = run(capsys, "geo", "chern", str(path), "tangent")
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: {message}\n"
+
+
+def _mirror_files(tmp_path, relations=None):
+    """mirror24.json, with every group's relations replaced if given,
+    split into a file whose top-level record is the square and one that
+    is the fill."""
+    with open(sample("mirror24.json")) as fh:
+        rec = json.load(fh)
+    for group in rec["groups"].values() if relations is not None else ():
+        group["relations"] = relations
+    square, fill = tmp_path / "square.json", tmp_path / "fill.json"
+    square.write_text(json.dumps({"groups": rec["groups"],
+                                  "morphisms": rec["morphisms"],
+                                  **rec["squares"]["mirror"]}))
+    fill.write_text(json.dumps(rec["fills"]["idfill"]))
+    return str(square), str(fill)
+
+
+def test_single_record_files(tmp_path, capsys):
+    # a file whose top level is one matrix, square or fill names it by
+    # its stem
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"matrix": [[2, 4], [6, 8]]}))
+    code, out, _ = run(capsys, "group", "smith", str(matrix))
+    assert code == 0 and out.splitlines()[0] == "D = diag(2,4)"
+    square, fill = _mirror_files(tmp_path)
+    code, out, _ = run(capsys, "cat", "hofiber", square)
+    assert code == 0 and "object group = Z^2" in out
+    for names in ([], ["--square", "square", "--fill", "fill"]):
+        code, out, _ = run(capsys, "cat", "xi", square, fill, *names)
+        assert (code, out) == (0, "equivalence: true; target: ker = Z "
+                                  "(gen (24))\n")
+
+
+def test_cat_xi_oracle_on_finite_groups(tmp_path, capsys):
+    code, out, _ = run(capsys, "cat", "xi", *_mirror_files(tmp_path, [[2]]),
+                       "--oracle")
+    assert code == 0
+    assert out.splitlines()[1] == "oracle: agrees"
+
+
+def test_cat_hom_oracle_on_infinite_groups(capsys):
+    code, out, _ = run(capsys, "cat", "hom", sample("times2.json"), "0", "4",
+                       "--oracle")
+    assert code == 0
+    assert out.splitlines()[-1] == "oracle: skipped (infinite groups)"
+
+
+@pytest.mark.parametrize("verb, option, name, table", [
+    ("group kernel", "--name", "lam", "morphism"),
+    ("cat hofiber", "--square", "mirror", "square"),
+    ("cat xi", "--fill", "idfill", "fill"),
+])
+def test_named_object_found_or_not(capsys, verb, option, name, table):
+    code, _, _ = run(capsys, *verb.split(), sample("mirror24.json"), option,
+                     name)
+    assert code == 0
+    code, out, err = run(capsys, *verb.split(), sample("mirror24.json"),
+                         option, "nope")
+    assert (code, out) == (2, "")
+    assert err == (f"input error: no {table} named 'nope' in the loaded "
+                   f"files {[sample('mirror24.json')]}\n")
+
+
+def test_unknown_builtin_mesh_exit_2(capsys):
+    code, out, err = run(capsys, "geo", "chern", "builtin:moebius", "tangent")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: builtin:moebius: unknown mesh "
+                          "'moebius'; available: [")
+
+
+def test_cat_xi_oracle_disagreement_exit_1(tmp_path, capsys, monkeypatch):
+    from abtqft import moncat
+    monkeypatch.setattr(moncat, "xi_equivalence_by_enumeration",
+                        lambda square, fill: False)
+    code, out, err = run(capsys, "cat", "xi", *_mirror_files(tmp_path, [[2]]),
+                         "--oracle")
+    assert (code, out) == (1, "")
+    assert err == "computation error: equivalence oracle disagreement\n"

@@ -1066,7 +1066,8 @@ def trig(*angles):
 
 
 @pytest.mark.parametrize("refinement", [
-    1, 2, *(pytest.param(r, marks=pytest.mark.slow) for r in range(3, 9))])
+    1, 2, 3, 4,
+    *(pytest.param(r, marks=pytest.mark.slow) for r in range(5, 9))])
 def test_blocked_quadrature_matches_whole_slices(refinement):
     assert CS.cs_su2_quadrature(refinement) == eager_cs_quadrature(refinement)
 
@@ -1077,11 +1078,10 @@ def test_frame_density_matches_eager_pointwise(shape):
     chi, theta = rng.uniform(0.0, math.pi, (2,) + shape)
     phi = rng.uniform(0.0, 2 * math.pi, shape)
     want = eager_frame_density(chi, theta, phi)
-    assert np.array_equal(CS._frame_density(*trig(chi, theta, phi)), want)
-    # the same points through buffers sized for more of them
-    buffers = CS._Buffers(2 * chi.size)
-    got = CS._frame_density(*trig(chi, theta, phi), buffers)
-    assert np.array_equal(got, want)
+    # through buffers of exactly these points and of more of them
+    for points in (chi.size, 2 * chi.size):
+        got = CS._frame_density(*trig(chi, theta, phi), CS._Buffers(points))
+        assert np.array_equal(got, want)
 
 
 # 30 points is 7 rows of 4: 800 rows leave a last block of 2; 1 point is
@@ -1112,7 +1112,7 @@ def test_blocked_densities_equal_whole_slice(monkeypatch):
     assert all(b[0].shape == (rows, n_phi) for b in first[:-1])
     *grid, dens = (np.concatenate([b[k] for b in first]) for k in range(7))
     assert dens.shape == (n_theta, n_phi)
-    assert np.array_equal(dens, frame_density(*grid))
+    assert np.array_equal(dens, frame_density(*grid, CS._Buffers(dens.size)))
 
 
 # a child that imports the quadrature, then runs it at the refinement

@@ -293,7 +293,6 @@ def test_cs_quadrature_convergence():
     assert abs(vol - 2 * math.pi ** 2) < 1e-3
 
 
-@pytest.mark.slow
 def test_cs_quadrature_refinement_4():
     v4 = I.cs_su2_quadrature(4)
     assert abs(abs(v4) - 1.0) < 1e-3
@@ -347,13 +346,13 @@ def test_cs_certificate_catches_what_the_psi_gate_misses(monkeypatch):
 
 def test_cs_integrand_is_constant_density():
     # the pulled-back 3-form is a constant multiple of the volume form
-    from abtqft.invariants.chern_simons import _frame_density
+    from abtqft.invariants.chern_simons import _Buffers, _frame_density
     rng = np.random.default_rng(17)
     chi = rng.uniform(0.2, math.pi - 0.2, 64)
     theta = rng.uniform(0.2, math.pi - 0.2, 64)
     phi = rng.uniform(0.0, 2 * math.pi, 64)
     dens = _frame_density(*(f(a) for a in (chi, theta, phi)
-                            for f in (np.sin, np.cos)))
+                            for f in (np.sin, np.cos)), _Buffers(64))
     assert np.std(dens) < 1e-9
     assert np.mean(dens) == pytest.approx(12.0, abs=1e-9)
 

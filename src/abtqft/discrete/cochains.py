@@ -59,8 +59,9 @@ def check_stokes(W, omega):
     to float re-association."""
     k = omega.degree
     if k + 1 > W.dim:
-        raise DegreeError(
-            f"complex has no {k + 1}-cells to integrate d(omega) over")
+        # d(omega) is integrated over (k+1)-cells
+        raise DegreeError(f"degree: expected an integer in 0..{W.dim - 1}, "
+                          f"got {k}")
     chain = W.fundamental_chain(k + 1)
     boundary_chain = W.boundary_of(k + 1, chain)
     lhs = integrate(omega, boundary_chain)

@@ -3,6 +3,8 @@
 A group is Z^n modulo the sublattice spanned by the rows of its relation
 matrix.  All questions (equality, kernels, pullbacks, solvability) reduce
 to Smith normal form, so everything here is exact and decidable.
+Relation and morphism matrices are `intmat` int rows (tuples of int
+tuples), so no numpy is loaded.
 """
 
 from __future__ import annotations
@@ -11,11 +13,8 @@ import itertools
 from functools import cached_property
 from operator import mul
 
-import numpy as np
-
 from . import intmat
 from .analytic import as_int
-from .intmat import as_int_matrix, zeros
 from .reader import node
 
 
@@ -32,7 +31,8 @@ class IllDefinedMorphism(ValueError):
 
 
 class FgAbGroup:
-    """Z^n_generators / (row lattice of `relations`).
+    """Z^n_generators / (row lattice of `relations`), whose int rows are
+    each n_generators long.
 
     The normal form (invariant factors and free rank) is computed on first
     read, so a group that only holds relations is never eliminated.
@@ -42,17 +42,19 @@ class FgAbGroup:
         n = self.n_generators = as_int(n_generators, "generators")
         if n < 0:
             raise ValueError(f"generators: expected an integer >= 0, got {n}")
-        self.relations = as_int_matrix(
+        self.relations, width = intmat.int_rows(
             () if relations is None else relations, (0, n), "relations")
-        if self.relations.shape[1] != n:
+        if width != n:
             raise ValueError(f"relations: expected rows of length {n}, got "
-                             f"{self.relations.shape[1]}")
+                             f"{width}")
         self.name = name
 
     @cached_property
     def _snf(self):
         # relations^T in Smith form: membership is per-coordinate divisibility
-        return intmat.smith(self.relations.T)
+        return intmat.smith(
+            intmat.transpose(self.relations, self.n_generators),
+            len(self.relations))
 
     @cached_property
     def _mods(self):
@@ -82,8 +84,8 @@ class FgAbGroup:
 
     @cached_property
     def _key_rows(self):
-        # the rows of U as int tuples, read once per group
-        return tuple(map(tuple, self._snf.U.tolist()))
+        # the rows of U, read once per group
+        return self._snf.u_rows()
 
     def canonical_key(self, coords):
         """Tuple identifying the element class (residues in SNF basis)."""
@@ -99,9 +101,10 @@ class FgAbGroup:
         return tuple((a + b) % m if m else a + b
                      for a, b, m in zip(k1, k2, self._mods))
 
-    def first_column_outside(self, columns):
-        """Index of the first column outside the relation lattice, or None."""
-        for j, col in enumerate(columns.T.tolist()):
+    def first_column_outside(self, M, n):
+        """Index of the first of the n columns of the int rows M outside
+        the relation lattice, or None."""
+        for j, col in enumerate(intmat.transpose(M, n)):
             if any(self.canonical_key(col)):
                 return j
         return None
@@ -126,9 +129,9 @@ class FgAbGroup:
 
     @cached_property
     def _element_rows(self):
-        # the rows of U_inv as int tuples: element y in the SNF basis is
-        # U_inv y in generator coordinates
-        return tuple(map(tuple, self._snf.U_inv.tolist()))
+        # the rows of U_inv: element y in the SNF basis is U_inv y in
+        # generator coordinates
+        return self._snf.u_rows(inverse=True)
 
     def elements(self):
         """All elements of a finite group, as canonical representatives."""
@@ -194,7 +197,8 @@ def _require_same_parent(a, b):
 
 
 class GroupMorphism:
-    """Morphism given by an integer matrix on generator coordinates.
+    """Morphism given by an integer matrix on generator coordinates: int
+    rows, one per target generator, each as long as the source's.
 
     Well-definedness (relations map into relations) is checked at
     construction and can only fail for hand-built matrices.
@@ -203,20 +207,21 @@ class GroupMorphism:
     def __init__(self, source, target, matrix, name=None):
         self.source = source
         self.target = target
-        self.matrix = as_int_matrix(
-            matrix, (target.n_generators, source.n_generators), "matrix")
-        if self.matrix.shape != (target.n_generators, source.n_generators):
-            raise ValueError(
-                f"matrix: expected a {target.n_generators}x"
-                f"{source.n_generators} matrix, got {self.matrix.shape[0]}x"
-                f"{self.matrix.shape[1]}")
+        m, n = target.n_generators, source.n_generators
+        self.matrix, width = intmat.int_rows(matrix, (m, n), "matrix")
+        if (len(self.matrix), width) != (m, n):
+            raise ValueError(f"matrix: expected a {m}x{n} matrix, got "
+                             f"{len(self.matrix)}x{width}")
         self.name = name
-        images = self.matrix @ source.relations.T
-        j = target.first_column_outside(images)
+        r = len(source.relations)
+        images = intmat.matmul(self.matrix,
+                               intmat.transpose(source.relations, n), r)
+        j = target.first_column_outside(images, r)
         if j is not None:
             raise IllDefinedMorphism(
                 f"relation {list(source.relations[j])} maps to "
-                f"{list(images[:, j])} outside the target relation lattice")
+                f"{[row[j] for row in images]} outside the target relation "
+                "lattice")
 
     @classmethod
     def _derived(cls, source, target, matrix):
@@ -232,19 +237,14 @@ class GroupMorphism:
         if x.parent is not self.source:
             raise ParentMismatch("argument not in the source group")
         return GroupElement(self.target, [sum(map(mul, row, x.coords))
-                                          for row in self._rows])
-
-    @cached_property
-    def _rows(self):
-        # the rows of the matrix as int tuples, read once per morphism
-        return tuple(map(tuple, self.matrix.tolist()))
+                                          for row in self.matrix])
 
     def then(self, other):
         """Diagrammatic composition: apply self first, then `other`."""
         if other.source is not self.target:
             raise TargetMismatch("composition mismatch")
-        return GroupMorphism(self.source, other.target,
-                             other.matrix @ self.matrix)
+        return GroupMorphism(self.source, other.target, intmat.matmul(
+            other.matrix, self.matrix, self.source.n_generators))
 
     def __repr__(self):
         label = self.name or f"{self.source.describe()} -> {self.target.describe()}"
@@ -254,7 +254,11 @@ class GroupMorphism:
     def _target_solver(self):
         # Smith data of [matrix | target relation columns]: solving
         # f(x) = y means solving this system, decomposed once per morphism
-        return intmat.smith(np.hstack([self.matrix, self.target.relations.T]))
+        target = self.target
+        return intmat.smith(
+            intmat.hstack(self.matrix, intmat.transpose(
+                target.relations, target.n_generators)),
+            self.source.n_generators + len(target.relations))
 
 
 def free_group(rank, name=None):
@@ -279,37 +283,39 @@ def product_group(torsion, free_rank=0, name=None):
 def direct_sum(G, H):
     """G + H; an element is the concatenated coordinates of its two parts."""
     n, m = G.n_generators, H.n_generators
-    rel = zeros(G.relations.shape[0] + H.relations.shape[0], n + m)
-    rel[:G.relations.shape[0], :n] = G.relations
-    rel[G.relations.shape[0]:, n:] = H.relations
+    rel = (tuple(r + (0,) * m for r in G.relations)
+           + tuple((0,) * n + r for r in H.relations))
     return FgAbGroup(n + m, rel)
 
 
-def _preimage_lattice(M, target_relation_cols):
-    """Column generators of {x : M x lies in the given column lattice}."""
-    C = np.hstack([M, target_relation_cols])
-    kb = intmat.kernel_basis(C)
-    return kb[:M.shape[1], :]
+def _preimage_lattice(M, n, T):
+    """Generators of {x in Z^n : the int rows M take x into the relation
+    lattice of the group T}, as vectors."""
+    C = intmat.hstack(M, intmat.transpose(T.relations, T.n_generators))
+    s = intmat.smith(C, n + len(T.relations))
+    return tuple(v[:n] for v in intmat.kernel_vectors(s))
 
 
 def kernel(f):
     """(K, incl) with incl: K -> source injective and image = ker f."""
-    P = _preimage_lattice(f.matrix, f.target.relations.T)
-    rel_cols = _preimage_lattice(P, f.source.relations.T)
-    K = FgAbGroup(P.shape[1], rel_cols.T)
+    n = f.source.n_generators
+    gens = _preimage_lattice(f.matrix, n, f.target)
+    P = intmat.transpose(gens, n)
+    K = FgAbGroup(len(gens), _preimage_lattice(P, len(gens), f.source))
     return K, GroupMorphism._derived(K, f.source, P)
 
 
 def image(f):
     """(Img, incl) presenting the image subgroup of the target."""
-    rel_cols = _preimage_lattice(f.matrix, f.target.relations.T)
-    Img = FgAbGroup(f.source.n_generators, rel_cols.T)
+    n = f.source.n_generators
+    Img = FgAbGroup(n, _preimage_lattice(f.matrix, n, f.target))
     return Img, GroupMorphism._derived(Img, f.target, f.matrix)
 
 
 def cokernel(f):
     """Target modulo the image: stack target relations with matrix columns."""
-    rel = np.vstack([f.target.relations, f.matrix.T])
+    rel = f.target.relations + intmat.transpose(f.matrix,
+                                                f.source.n_generators)
     return FgAbGroup(f.target.n_generators, rel)
 
 
@@ -331,7 +337,7 @@ def solve(f, y):
     if y.parent is not f.target:
         raise ParentMismatch("rhs not in the target group")
     snf = f._target_solver
-    z = intmat.solve_linear(snf.M, y.coords, decomposition=snf)
+    z = intmat.solve_vector(snf, y.coords)
     if z is None:
         return None
     return GroupElement(f.source, z[:f.source.n_generators])
@@ -348,7 +354,9 @@ class PullbackResult:
         self.factors = (f.source, g.source)
         self.direct_sum = direct_sum(f.source, g.source)
         self.difference = GroupMorphism._derived(
-            self.direct_sum, f.target, np.hstack([f.matrix, -g.matrix]))
+            self.direct_sum, f.target,
+            intmat.hstack(f.matrix, tuple(tuple(-v for v in row)
+                                          for row in g.matrix)))
 
     @cached_property
     def incl(self):

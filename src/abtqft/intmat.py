@@ -1,99 +1,144 @@
 """Exact integer matrix algebra: Smith normal form, determinants, kernels.
 
-All matrices are numpy arrays with dtype=object holding Python ints, so
-arithmetic never overflows.  This module is the decidability engine for
-everything built on finitely generated abelian groups.
+A matrix is held as int rows: a tuple of tuples of Python ints, so
+arithmetic never overflows, with its column count given wherever it
+can have no rows.  `int_rows` is the gate every input passes.
+This module is the decidability engine for everything built on finitely
+generated abelian groups.  The array API (`as_int_matrix`, `identity`,
+`zeros`, the transforms of a `SmithDecomposition`, `kernel_basis` and
+`solve_linear`) wraps the int rows in numpy object arrays and imports
+numpy on its first call; the rest never loads it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-
-import numpy as np
+from operator import mul, sub
 
 from .analytic import as_int
 
 
-def as_int_matrix(rows, shape=None, name="entry"):
-    """Coerce nested lists (or an array) to an object-dtype integer matrix.
+def int_rows(M, shape=None, name="entry"):
+    """`M` (nested lists or tuples, or a 2d array) as (rows, n): a tuple
+    of int tuples and its column count.
 
     Every entry passes `as_int`; a bad one is named as name[i][j].
     `shape` is required to disambiguate empty inputs, e.g. a relation
     matrix with zero rows over n generators; an empty input for a shape
     with entries is refused rather than read as zeros.
     """
-    A = np.array(rows, dtype=object)
-    if A.size == 0:
-        if shape is None and A.ndim == 2:
-            shape = A.shape
-        if shape is None:
+    dims = getattr(M, "shape", None)     # an array keeps n with no rows
+    try:
+        rows = [tuple(r) for r in M]
+    except TypeError:
+        rows = None
+    widths = {len(r) for r in rows or ()}
+    if rows is None or len(widths) > 1 or dims and len(dims) != 2:
+        raise ValueError(f"{name}: expected a 2d matrix")
+    n = widths.pop() if rows else dims[1] if dims else None
+    if not n:
+        if shape is None and n is None:
             raise ValueError("shape required for empty matrix")
+        shape = shape or (len(rows), n)
         if 0 not in shape:
             raise ValueError(f"{name}: empty, expected a "
                              f"{shape[0]}x{shape[1]} matrix")
         # empty rows of another width keep it for the caller's check
-        return np.zeros(A.shape if A.ndim == 2 and A.shape[1] != shape[1]
-                        else shape, dtype=object)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2d matrix, got ndim={A.ndim}")
-    for k, x in enumerate(A.flat):
-        if type(x) is not int:
-            i, j = divmod(k, A.shape[1])
-            A[i, j] = as_int(x, f"{name}[{i}][{j}]")
+        if n not in (None, shape[1]):
+            return tuple(rows), n
+        return ((),) * shape[0], shape[1]
+    for i, row in enumerate(rows):
+        if not all(type(x) is int for x in row):
+            rows[i] = tuple(as_int(x, f"{name}[{i}][{j}]")
+                            for j, x in enumerate(row))
+    return tuple(rows), n
+
+
+def transpose(A, n):
+    """The n rows of the transpose of the rows A of n columns."""
+    return tuple(zip(*A)) if A else ((),) * n
+
+
+def matmul(A, B, n):
+    """A B as rows, for the rows B of n columns."""
+    cols = transpose(B, n)
+    return tuple(tuple(sum(map(mul, a, c)) for c in cols) for a in A)
+
+
+def hstack(A, B):
+    """[A | B] as rows, for A and B with the same number of rows."""
+    return tuple(a + b for a, b in zip(A, B))
+
+
+def difference(A, B):
+    """A - B as rows, for A and B of one shape."""
+    return tuple(tuple(map(sub, a, b)) for a, b in zip(A, B))
+
+
+def _array(rows, n, writeable=True):
+    """An object array of the int rows `rows` of n columns."""
+    import numpy as np
+    A = np.array(rows, dtype=object).reshape(len(rows), n)
+    A.flags.writeable = writeable
     return A
 
 
+def as_int_matrix(rows, shape=None, name="entry"):
+    """`int_rows` as an object-dtype integer array."""
+    return _array(*int_rows(rows, shape, name))
+
+
 def identity(n):
-    return np.array([[int(i == j) for j in range(n)] for i in range(n)],
-                    dtype=object).reshape(n, n)
+    return _array(tuple(tuple(int(i == j) for j in range(n))
+                        for i in range(n)), n)
 
 
 def zeros(m, n):
-    return np.zeros((m, n), dtype=object)
+    return _array(((0,) * n,) * m, n)
 
 
 def det(M):
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    A = as_int_matrix(M)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    rows, n = int_rows(M)
+    if len(rows) != n:
         raise ValueError("det of non-square matrix")
     if n == 0:
         return 1
+    A = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if A[k, k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if A[i, k] != 0), None)
+        if A[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
             if pivot_row is None:
                 return 0
-            A[[k, pivot_row]] = A[[pivot_row, k]]
+            A[k], A[pivot_row] = A[pivot_row], A[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                A[i, j] = (A[i, j] * A[k, k] - A[i, k] * A[k, j]) // prev
-        prev = A[k, k]
-    return sign * A[n - 1, n - 1]
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
 
 
 class SmithDecomposition:
     """Holds U·M·V = D together with the exact inverses of U and V.
 
     D is diagonal with nonnegative entries d1 | d2 | ... ; U and V are
-    unimodular.  `diag` is a new list of the min(m, n) diagonal entries.
-    `smith` eliminates on a copy of M alone and logs its elementary row
-    and column operations.  One log reader, `apply_log`, interprets the
-    log: solving and kernels apply U and V to single vectors with it, and
-    each transform is built on first access by applying it to the
-    columns of the identity.  Equal inputs to `smith` share one instance,
-    so M, D and the four transforms are read-only arrays.
+    unimodular.  `shape` is that of M and `rows` its int rows; `diag` is
+    a new list of the min(m, n) diagonal entries.  `smith` eliminates on
+    a copy of M alone and logs its elementary row and column operations.
+    One log reader, `apply_log`, interprets the log: solving and kernels
+    apply U and V to single vectors with it, and `u_rows` and `v_rows`
+    read a transform's rows off it.  The arrays M, D, U, U_inv, V and
+    V_inv are built on first access.  Equal inputs to `smith` share one
+    instance, so the arrays are read-only.
     """
 
-    def __init__(self, M, D, row_ops, col_ops):
-        M.flags.writeable = D.flags.writeable = False
-        self.M = M
-        self.D = D
-        self._diag = D.diagonal().tolist()
+    def __init__(self, shape, rows, diag, row_ops, col_ops):
+        self.shape = shape
+        self.rows = rows
+        self._diag = diag
         self._row_ops = row_ops
         self._col_ops = col_ops
 
@@ -101,31 +146,50 @@ class SmithDecomposition:
     def diag(self):
         return list(self._diag)
 
+    def u_rows(self, inverse=False):
+        """The rows of U, or of U^-1, as int tuples."""
+        return _transform_rows(self._row_ops, self.shape[0], False, inverse)
+
+    def v_rows(self, inverse=False):
+        """The rows of V, or of V^-1, as int tuples."""
+        return _transform_rows(self._col_ops, self.shape[1], True, inverse)
+
+    @cached_property
+    def M(self):
+        return _array(self.rows, self.shape[1], writeable=False)
+
+    @cached_property
+    def D(self):
+        m, n = self.shape
+        return _array(tuple(tuple(self._diag[i] if i == j else 0
+                                  for j in range(n)) for i in range(m)), n,
+                      writeable=False)
+
     @cached_property
     def U(self):
-        return _columns(self._row_ops, self.M.shape[0])
+        return _array(self.u_rows(), self.shape[0], writeable=False)
 
     @cached_property
     def U_inv(self):
-        return _columns(self._row_ops, self.M.shape[0], inverse=True)
+        return _array(self.u_rows(inverse=True), self.shape[0],
+                      writeable=False)
 
     @cached_property
     def V(self):
-        return _columns(self._col_ops, self.M.shape[1], transpose=True)
+        return _array(self.v_rows(), self.shape[1], writeable=False)
 
     @cached_property
     def V_inv(self):
-        return _columns(self._col_ops, self.M.shape[1], transpose=True,
-                        inverse=True)
+        return _array(self.v_rows(inverse=True), self.shape[1],
+                      writeable=False)
 
 
-def _columns(ops, n, **how):
-    """The n x n matrix whose column c is `apply_log(ops, e_c, **how)`."""
-    cols = [apply_log(ops, [0] * c + [1] + [0] * (n - 1 - c), **how)
-            for c in range(n)]
-    T = np.array(cols, dtype=object).reshape(n, n)
-    T.flags.writeable = False
-    return T.T
+def _transform_rows(ops, n, transposed, inverse):
+    """The rows of the n x n matrix T with T x = `apply_log(ops, x,
+    transposed, inverse)`: row r is T^T e_r, the log read transposed."""
+    return tuple(tuple(apply_log(ops, [0] * r + [1] + [0] * (n - 1 - r),
+                                 not transposed, inverse))
+                 for r in range(n))
 
 
 def apply_log(ops, x, transpose=False, inverse=False):
@@ -159,29 +223,34 @@ SMITH_CACHE_SIZE = 16   # repeats of a matrix come within a few calls
 _SMITH_CACHE = {}
 
 
-def smith(M):
-    """Smith decomposition of an integer matrix, shared by equal inputs:
-    equal matrices after `as_int_matrix` (same shape and entries, in any
-    container) get one read-only `SmithDecomposition`, and the memo keeps
-    the SMITH_CACHE_SIZE most recently used distinct inputs."""
-    M = as_int_matrix(M)
-    A = M.tolist()
-    key = (M.shape, tuple(map(tuple, A)))
+def smith(M, n=None):
+    """Smith decomposition of an integer matrix, shared by equal inputs.
+
+    `M` passes the gate `int_rows` once; the int rows of the group layer
+    pass it unchanged (`n` is their column count, needed when there are
+    no rows) and key the memo as they are.  Equal matrices (same shape
+    and entries, in any container) get one read-only
+    `SmithDecomposition`, and the memo keeps the SMITH_CACHE_SIZE most
+    recently used distinct inputs."""
+    M, n = int_rows(M, None if n is None else (len(M), n))
+    shape = (len(M), n)
+    key = (shape, M)
     s = _SMITH_CACHE.pop(key, None)
     if s is None:
-        s = _eliminate(M, A)
+        s = _eliminate(shape, M)
         if len(_SMITH_CACHE) >= SMITH_CACHE_SIZE:
             del _SMITH_CACHE[next(iter(_SMITH_CACHE))]
     _SMITH_CACHE[key] = s
     return s
 
 
-def _eliminate(M, A):
-    """Row/column eliminations in place on the int rows A of M, each
-    logged for the transforms.  The pivot is a minimal nonzero |entry| of
-    the trailing block, first in row-major order; the inner divisibility
-    pass guarantees the divisor chain d1 | d2 | ..."""
-    m, n = M.shape
+def _eliminate(shape, rows):
+    """Row/column eliminations in place on a list copy A of the int rows,
+    each logged for the transforms.  The pivot is a minimal nonzero
+    |entry| of the trailing block, first in row-major order; the inner
+    divisibility pass guarantees the divisor chain d1 | d2 | ..."""
+    m, n = shape
+    A = [list(r) for r in rows]
     row_ops, col_ops = [], []
 
     # the leading s x s block is diagonal and the rest of its rows and
@@ -252,50 +321,54 @@ def _eliminate(M, A):
                 break
             row_addmul(s, offender, 1, s)
 
-    D = np.array(A, dtype=object).reshape(m, n)
-    dg = [D[i, i] for i in range(min(m, n))]
-    if not (all(D[i, j] == 0 for i in range(m) for j in range(n) if i != j)
+    dg = [A[i][i] for i in range(min(m, n))]
+    if not (all(v == 0 for i, row in enumerate(A)
+                for j, v in enumerate(row) if i != j)
             and all(d >= 0 for d in dg)
             and all(dg[i + 1] % dg[i] == 0
                     for i in range(len(dg) - 1) if dg[i] != 0)):
         raise ArithmeticError(f"smith: result is not in Smith normal form "
                               f"(diagonal {dg})")
-    return SmithDecomposition(M, D, row_ops, col_ops)
+    return SmithDecomposition(shape, rows, dg, row_ops, col_ops)
 
 
-def kernel_basis(M):
-    """Columns spanning the integer kernel {x : M x = 0}.
+def kernel_vectors(s):
+    """A basis of the integer kernel {x : M x = 0} of the decomposition
+    `s` of M, as int tuples.
 
-    The columns are V e_f over the free coordinates f, each
+    The vectors are V e_f over the free coordinates f, each
     sign-normalized (first nonzero entry positive) so the basis is
     deterministic.
     """
+    n = s.shape[1]
+    basis = []
+    for f in range(n):
+        if f < len(s._diag) and s._diag[f]:
+            continue
+        v = apply_log(s._col_ops, [int(i == f) for i in range(n)],
+                      transpose=True)
+        lead = next((x for x in v if x), 0)
+        basis.append(tuple(-x for x in v) if lead < 0 else tuple(v))
+    return tuple(basis)
+
+
+def kernel_basis(M):
+    """Columns spanning the integer kernel {x : M x = 0}: the
+    `kernel_vectors` of `smith(M)` as an object array."""
     s = smith(M)
-    n = s.M.shape[1]
-    free = [i for i in range(n) if i >= len(s._diag) or s._diag[i] == 0]
-    B = zeros(n, len(free))
-    for k, f in enumerate(free):
-        col = apply_log(s._col_ops, [int(i == f) for i in range(n)],
-                        transpose=True)
-        lead = next((v for v in col if v != 0), None)
-        B[:, k] = [-v for v in col] if lead is not None and lead < 0 else col
-    return B
+    basis = kernel_vectors(s)
+    return _array(transpose(basis, s.shape[1]), len(basis))
 
 
-def solve_linear(M, b, decomposition=None):
-    """One integer solution x of M x = b, or None if unsolvable.
+def solve_vector(s, b):
+    """One integer solution x of M x = b as a list, for the
+    decomposition `s` of M and an int vector b, or None if unsolvable.
 
-    A given `decomposition` must be `smith(M)`; it is checked against the
-    shape of M only.  Free coordinates are pinned to zero, so the answer
-    is deterministic.  Solves D (V^-1 x) = U b with U b and V w taken
-    from the operation log.
+    Free coordinates are pinned to zero, so the answer is deterministic.
+    Solves D (V^-1 x) = U b with U b and V w taken from the operation
+    log.
     """
-    s = decomposition if decomposition is not None else smith(M)
-    m, n = s.M.shape
-    if np.shape(M) != (m, n):
-        raise ValueError(f"matrix of shape {np.shape(M)} for a "
-                         f"decomposition of shape {(m, n)}")
-    b = [as_int(v, "rhs") for v in b]
+    m, n = s.shape
     if len(b) != m:
         raise ValueError("rhs has wrong length")
     w = [0] * n
@@ -308,4 +381,20 @@ def solve_linear(M, b, decomposition=None):
             if ci % d != 0:
                 return None
             w[i] = ci // d
-    return np.array(apply_log(s._col_ops, w, transpose=True), dtype=object)
+    return apply_log(s._col_ops, w, transpose=True)
+
+
+def solve_linear(M, b, decomposition=None):
+    """`solve_vector` as an object array, for a matrix M and a vector b
+    whose entries pass `as_int`.
+
+    A given `decomposition` must be `smith(M)`; it is checked against the
+    shape of M only.
+    """
+    import numpy as np
+    s = decomposition if decomposition is not None else smith(M)
+    if np.shape(M) != s.shape:
+        raise ValueError(f"matrix of shape {np.shape(M)} for a "
+                         f"decomposition of shape {s.shape}")
+    x = solve_vector(s, [as_int(v, "rhs") for v in b])
+    return None if x is None else np.array(x, dtype=object)

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
-from . import fgab
+from . import fgab, intmat
 from .fgab import GroupMorphism, kernel, pullback, solve, is_isomorphism
 
 
@@ -112,8 +110,10 @@ class CommSquare:
             raise fgab.TargetMismatch("f_ob does not connect the object groups")
         if f_mor.source is not phi_H.source or f_mor.target is not phi_G.source:
             raise fgab.TargetMismatch("f_mor does not connect the morphism groups")
-        gap = f_ob.matrix @ phi_H.matrix - phi_G.matrix @ f_mor.matrix
-        if phi_G.target.first_column_outside(gap) is not None:
+        n = phi_H.source.n_generators
+        gap = intmat.difference(intmat.matmul(f_ob.matrix, phi_H.matrix, n),
+                                intmat.matmul(phi_G.matrix, f_mor.matrix, n))
+        if phi_G.target.first_column_outside(gap, n) is not None:
             raise fgab.IllDefinedMorphism("square does not commute")
         self.phi_H = phi_H
         self.phi_G = phi_G
@@ -136,7 +136,7 @@ class HofibCat:
         # G_mor + H_ob: hom-sets are those of its category on stacked pairs
         self.stacked = GroupMorphism._derived(
             square.phi_H.source, self.pullback.direct_sum,
-            np.vstack([square.f_mor.matrix, square.phi_H.matrix]))
+            square.f_mor.matrix + square.phi_H.matrix)
         self._stacked_cat = MorTensorCat(self.stacked)
 
     @property
@@ -184,11 +184,14 @@ class DiagonalFill:
             raise fgab.TargetMismatch("lambda must start at H_ob")
         if lam.target is not square.phi_G.source:
             raise fgab.TargetMismatch("lambda must end at G_mor")
-        upper = square.f_mor.matrix - lam.matrix @ square.phi_H.matrix
-        if lam.target.first_column_outside(upper) is not None:
+        n_mor, n_ob = square.phi_H.source.n_generators, lam.source.n_generators
+        upper = intmat.difference(square.f_mor.matrix, intmat.matmul(
+            lam.matrix, square.phi_H.matrix, n_mor))
+        if lam.target.first_column_outside(upper, n_mor) is not None:
             raise TriangleMismatch("f_mor != lambda . phi_H")
-        lower = square.f_ob.matrix - square.phi_G.matrix @ lam.matrix
-        if square.f_ob.target.first_column_outside(lower) is not None:
+        lower = intmat.difference(square.f_ob.matrix, intmat.matmul(
+            square.phi_G.matrix, lam.matrix, n_ob))
+        if square.f_ob.target.first_column_outside(lower, n_ob) is not None:
             raise TriangleMismatch("f_ob != phi_G . lambda")
         self.square = square
         self.lam = lam
@@ -210,6 +213,14 @@ class XiFunctor:
         self.fiber = fiber
         self.fill = fill
         self.kernel_group, self.kernel_incl = kernel(fiber.square.phi_G)
+
+    @property
+    def enumerable(self):
+        """Whether `xi_equivalence_by_enumeration` can decide it: the
+        fiber's objects, phi_H's source and the kernel are finite."""
+        return (self.fiber.object_group.is_finite
+                and self.fiber.square.phi_H.source.is_finite
+                and self.kernel_group.is_finite)
 
     def apply_object(self, p):
         g, h = p
@@ -237,8 +248,7 @@ def xi_equivalence_by_enumeration(square, fill):
     """
     fiber = HofibCat(square)
     xi = XiFunctor(fiber, fill)
-    if not (fiber.object_group.is_finite and square.phi_H.source.is_finite
-            and xi.kernel_group.is_finite):
+    if not xi.enumerable:
         raise ValueError("enumeration oracle needs finite groups")
 
     # essential surjectivity: every kernel element is an object's image

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import fgab, intmat
 from .fgab import FgAbGroup, GroupMorphism
 
@@ -39,18 +37,20 @@ def scrambled_presentation(G, rng):
     """Same group, different presentation: unimodular generator change
     plus redundant relation rows."""
     n = G.n_generators
-    V = intmat.identity(n)
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
-            V[:, i] += rng.randint(-2, 2) * V[:, j]
-    rel = G.relations @ V
-    rows = [list(r) for r in rel]
+            q = rng.randint(-2, 2)
+            for row in V:
+                row[i] += q * row[j]
+    rows = list(intmat.matmul(G.relations, V, n))
     if rows and rng.random() < 0.5:
-        extra = np.zeros(n, dtype=object)
-        for r in rel:
-            extra += rng.randint(-1, 1) * r
-        rows.append(list(extra))
+        extra = [0] * n
+        for r in rows:
+            q = rng.randint(-1, 1)
+            extra = [e + q * v for e, v in zip(extra, r)]
+        rows.append(extra)
     return FgAbGroup(n, rows)
 
 
@@ -62,7 +62,7 @@ def random_morphism(rng, G, H):
     is conjugated back to the original presentations.
     """
     n, m = G.n_generators, H.n_generators
-    C = intmat.zeros(m, n)
+    C = [[0] * n for _ in range(m)]
     for i in range(n):
         d = G._mods[i]
         for j in range(m):
@@ -71,15 +71,22 @@ def random_morphism(rng, G, H):
                 continue
             if mod == 0:
                 if d == 0:
-                    C[j, i] = rng.randint(-3, 3)
+                    C[j][i] = rng.randint(-3, 3)
                 continue
             if d == 0:
-                C[j, i] = rng.randrange(mod)
+                C[j][i] = rng.randrange(mod)
             else:
                 step = mod // math.gcd(d, mod)
-                C[j, i] = step * rng.randrange(mod // step)
-    M = H._snf.U_inv @ C @ G._snf.U
-    return GroupMorphism(G, H, M)
+                C[j][i] = step * rng.randrange(mod // step)
+    return GroupMorphism(G, H, _conjugated(H, C, G))
+
+
+def _conjugated(H, C, G):
+    """The int rows U_inv(H) C U(G): C from the Smith bases of G and H
+    back to their presentations."""
+    n = G.n_generators
+    return intmat.matmul(intmat.matmul(H._element_rows, C, n),
+                         G._key_rows, n)
 
 
 def random_automorphism(rng, G, H):
@@ -88,18 +95,15 @@ def random_automorphism(rng, G, H):
     if G._mods != H._mods:
         raise ValueError("G and H present different groups")
     n = G.n_generators
-    C = intmat.zeros(n, n)
+    C = [[0] * n for _ in range(n)]
     for i in range(n):
         d = G._mods[i]
-        if d == 1:
-            C[i, i] = 0
-        elif d == 0:
-            C[i, i] = rng.choice([1, -1])
-        else:
+        if d == 0:
+            C[i][i] = rng.choice([1, -1])
+        elif d != 1:
             units = [u for u in range(1, d) if math.gcd(u, d) == 1]
-            C[i, i] = rng.choice(units)
-    M = H._snf.U_inv @ C @ G._snf.U
-    f = GroupMorphism(G, H, M)
+            C[i][i] = rng.choice(units)
+    f = GroupMorphism(G, H, _conjugated(H, C, G))
     if not fgab.is_isomorphism(f):
         raise ArithmeticError("random automorphism is not an isomorphism")
     return f

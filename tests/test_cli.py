@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,6 +508,28 @@ def test_record_closes_its_inputs(tmp_path):
     assert proc.stdout.splitlines()[0] == "D = diag(2,4)"
 
 
+@pytest.mark.parametrize("argv, inputs", [
+    (["geo", "stokes", "samples/mesh_square.json", "samples/cochain1.json"],
+     ["samples/mesh_square.json", "samples/cochain1.json"]),
+    (["geo", "holonomy", "samples/mesh_square.json",
+      "samples/conn_square.json", "--loop", "0,1,2,3"],
+     ["samples/mesh_square.json", "samples/conn_square.json"]),
+    (["geo", "chern", "builtin:icosahedron", "tangent"], []),
+])
+def test_record_hashes_every_file_read(tmp_path, capsys, monkeypatch, argv,
+                                       inputs):
+    # the geo verbs read their mesh, cochain and connection files outside
+    # the workspace; `builtin:` meshes and `tangent` are not files
+    monkeypatch.chdir(ROOT)
+    path = tmp_path / "r.json"
+    code, _, err = run(capsys, "--record", str(path), *argv)
+    assert code == 0, err
+    record = json.loads(path.read_text())
+    assert record["inputs"] == {
+        name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+        for name in inputs}
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
 def test_record_unwritable_exit_2(tmp_path, capsys, where):
     path = tmp_path / "no-dir" / "r.json"
@@ -653,7 +677,7 @@ def _icosahedron_with_lengths(value):
     ("stokes", {**SQUARE, "coords": [[0, 0], [1, False], [1, 1], [0, 1]]},
      sample("cochain1.json"), "mesh", "coords[1][1]"),
     ("stokes", SQUARE, {"degree": 2, "values": [0.5, 1.5]}, "second",
-     "degree 2"),
+     ": degree: expected an integer in 0..1, got 2"),
     ("chern", _icosahedron_with_lengths("2.0"), "tangent", "mesh",
      "edge_lengths[0]"),
     ("stokes", SQUARE, {"degree": 1, "values": [0.5, "1.0", 2.0, 0.75, 1.5]},
@@ -1030,6 +1054,25 @@ def test_cat_xi_oracle_on_finite_groups(tmp_path, capsys):
                        "--oracle")
     assert code == 0
     assert out.splitlines()[1] == "oracle: agrees"
+
+
+def test_cat_xi_oracle_fault_exit_1(tmp_path, capsys, monkeypatch):
+    # only an infinite instance is skipped: a ValueError raised inside the
+    # enumeration of a finite one is a fault of the computation
+    from abtqft import moncat
+
+    def broken(square, fill):
+        raise ValueError("enumeration broke")
+
+    monkeypatch.setattr(moncat, "xi_equivalence_by_enumeration", broken)
+    code, out, err = run(capsys, "cat", "xi", *_mirror_files(tmp_path, [[2]]),
+                         "--oracle")
+    assert (code, out) == (1, "")
+    assert err == "computation error: enumeration broke\n"
+    code, out, _ = run(capsys, "cat", "xi", sample("mirror24.json"),
+                       "--oracle")
+    assert code == 0
+    assert out.splitlines()[-1] == "oracle: skipped (infinite groups)"
 
 
 def test_cat_hom_oracle_on_infinite_groups(capsys):

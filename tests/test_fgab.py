@@ -34,7 +34,7 @@ def test_degenerate_presentations():
     assert trivial.is_trivial
     assert list(trivial.elements()) == [trivial.zero()]
     free = fgab.free_group(2)
-    assert free.relations.shape == (0, 2)
+    assert (free.relations, free.n_generators) == ((), 2)
     assert free.free_rank == 2
 
 
@@ -77,8 +77,8 @@ def test_element_eq_brute_force_oracle():
         for a, b in random.Random(6).sample(
                 list(itertools.product(elements, elements)),
                 min(100, len(elements) ** 2)):
-            column = np.array([(a - b).coords], dtype=object).T
-            expected = G.first_column_outside(column) is None
+            column = tuple(zip((a - b).coords))
+            expected = G.first_column_outside(column, 1) is None
             assert (a == b) == expected
 
 
@@ -86,7 +86,7 @@ def test_kernel_examples(Z):
     Z24 = fgab.cyclic_group(24)
     K, incl = fgab.kernel(fgab.GroupMorphism(Z, Z24, [[1]]))
     assert K.describe() == "Z"
-    assert incl.matrix.tolist() == [[24]]
+    assert incl.matrix == ((24,),)
 
     K, _ = fgab.kernel(fgab.GroupMorphism(Z, Z, [[1]]))
     assert K.is_trivial
@@ -242,7 +242,11 @@ def test_composition_well_defined():
     f = testing.random_morphism(rng, G, H)
     g = testing.random_morphism(rng, H, K)
     composite = f.then(g)
-    assert (composite.matrix == g.matrix @ f.matrix).all()
+    def as_array(h):
+        return np.array(h.matrix, dtype=object).reshape(
+            h.target.n_generators, h.source.n_generators)
+
+    assert (as_array(composite) == as_array(g) @ as_array(f)).all()
     for x in list(G.elements())[:8]:
         assert composite(x) == g(f(x))
 
@@ -263,7 +267,7 @@ def test_group_json_roundtrip():
     rec = {"generators": 2, "relations": [[2, 0], [0, 6]], "name": "G"}
     H = fgab.group_from_json(rec)
     assert H.invariant_factors == G.invariant_factors
-    assert (H.name, H.relations.tolist()) == ("G", rec["relations"])
+    assert (H.name, H.relations) == ("G", ((2, 0), (0, 6)))
     with pytest.raises(ValueError):
         fgab.group_from_json({"generators": 1, "relations": [[1.5]]})
     with pytest.raises(ValueError):

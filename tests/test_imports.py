@@ -66,6 +66,66 @@ def test_verb_imports_only_its_layers(argv, absent):
     assert not loaded_by(*argv) & absent
 
 
+# the group and cat commands of the benchmark's CLI session: its README
+# commands on `samples/`, then its seeded kinds on files written here
+SEEDED_FILES = {
+    "kernel.json": {"matrix": [[2, -3, 1], [4, 0, -6]],
+                    "source": {"generators": 3, "relations": []},
+                    "target": {"generators": 2, "relations": []}},
+    "hom.json": {"matrix": [[2]],
+                 "source": {"generators": 1, "relations": [[4]]},
+                 "target": {"generators": 1, "relations": [[8]]}},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "smith", "samples/matrix.json"],
+    ["group", "kernel", "samples/proj24.json"],
+    ["group", "pullback", "samples/times2.json", "samples/times3.json"],
+    ["group", "iso", "samples/times2.json"],
+    ["group", "solve", "samples/proj24.json", "7"],
+    ["cat", "hom", "samples/times2.json", "0", "4"],
+    ["cat", "hofiber", "samples/mirror24.json"],
+    ["cat", "xi", "samples/mirror24.json", "--oracle"],
+    ["--record", "{tmp}/r.json", "group", "smith", "samples/matrix.json"],
+    ["group", "kernel", "{tmp}/kernel.json"],
+    ["cat", "hom", "{tmp}/hom.json", "1", "3", "--oracle"],
+    ["--format", "json", "group", "solve", "samples/proj24.json", "7"],
+], ids=lambda argv: " ".join(map(os.path.basename, argv)))
+def test_group_and_cat_verbs_load_no_numpy(tmp_path, argv):
+    for name, doc in SEEDED_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    modules = loaded_by(*(a.format(tmp=tmp_path) for a in argv))
+    assert "abtqft.intmat" in modules and "numpy" not in modules
+
+
+def _run_on_import(node):
+    """The nodes under `node` that run when its module is imported: all
+    but the bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+            yield child
+            yield from _run_on_import(child)
+
+
+@pytest.mark.parametrize("module", ["intmat", "fgab", "moncat", "testing"])
+def test_exact_layers_import_numpy_only_inside_functions(module):
+    # the array results of `intmat` import numpy when first called
+    path = os.path.join(SRC, "abtqft", f"{module}.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    for node in _run_on_import(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[0] == "numpy" for name in names), (
+            path, node.lineno)
+
+
 @pytest.mark.parametrize("layer", ["invariants", "discrete"])
 def test_numeric_layers_never_import_the_group_layer(layer):
     # at module level or inside a function: either one loads it

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abtqft import fgab, moncat, testing
+from abtqft import fgab, intmat, moncat, testing
 from abtqft.moncat import (CommSquare, DiagonalFill, MorTensorCat,
                            mirror_exp_square)
 
@@ -490,7 +490,8 @@ def test_fill_forced_when_phi_H_invertible():
         forced = inv.then(square.f_mor)
         assert forced.target is fill.lam.target
         assert fill.lam.target.first_column_outside(
-            fill.lam.matrix - forced.matrix) is None
+            intmat.difference(fill.lam.matrix, forced.matrix),
+            phi_H.target.n_generators) is None
 
 
 def test_kernel_elements_are_endomorphisms():

@@ -51,6 +51,15 @@ def nearest_integer(x, tolerance, what):
     return n
 
 
+def sum_in_order(values):
+    """`values` summed in order from 0.0: the same bits on every CPython
+    (builtin `sum` compensates float sums from 3.12 on)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def wrap_unit(t):
     """Reduce a turn count to the half-open interval [0, 1)."""
     t = float(t)

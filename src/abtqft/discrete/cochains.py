@@ -1,8 +1,7 @@
-"""Real-valued cochains with coboundary, integration and the Stokes check."""
+"""Real-valued cochains with coboundary, integration and the Stokes check;
+numpy loads only in the two reductions, `coboundary` and `integrate`."""
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..reader import node
 from .complexes import as_reals
@@ -20,7 +19,7 @@ class Cochain:
             raise DegreeError(f"degree: expected an integer in 0..3, got "
                               f"{degree!r}")
         values = as_reals(values, "values")
-        if values.shape != (complex.n_cells[degree],):
+        if len(values) != complex.n_cells[degree]:
             raise DegreeError(
                 f"values: expected {complex.n_cells[degree]} entries, one "
                 f"per {degree}-cell, got {len(values)}")
@@ -43,13 +42,14 @@ def coboundary(omega):
     if k >= 3:
         raise DegreeError("coboundary of a top-degree cochain")
     B = omega.complex.boundary_matrix(k + 1)
-    return Cochain(omega.complex, k + 1, B.T @ omega.values)
+    return Cochain(omega.complex, k + 1, (B.T @ omega.values).tolist())
 
 
 def integrate(omega, chain_vec):
     """Signed sum of a k-cochain over a dense integer k-chain vector."""
     if len(chain_vec) != omega.complex.n_cells[omega.degree]:
         raise DegreeError("chain vector length mismatch")
+    import numpy as np
     return float(np.dot(np.asarray(chain_vec, dtype=float), omega.values))
 
 

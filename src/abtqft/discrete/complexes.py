@@ -1,10 +1,12 @@
-"""Oriented cell complexes of dimension <= 3 with signed boundary data."""
+"""Oriented cell complexes of dimension <= 3 with signed boundary data;
+chains are int lists and reals are float tuples, so only `boundary_matrix`
+loads numpy."""
 
 from __future__ import annotations
 
+import math
 import sys
-
-import numpy as np
+from numbers import Integral, Real
 
 from ..reader import node
 
@@ -14,27 +16,26 @@ class ComplexError(ValueError):
 
 
 def as_reals(values, where, ndim=1, length=None):
-    """`values` as a float array once every entry (of every row, with
-    `ndim=2`) is a finite float or an int within the float range, and
-    there are `length` entries (rows) where given; a bool, string, None
-    or list there is refused as `where[i]`, shown as read.  A numeric
-    array skips the per-entry scan."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+    """`values` as a tuple of Python floats (with `ndim=2`, a tuple of such
+    rows) once every entry is a finite real: a float, an int within the
+    float range or a numpy scalar of either, and there are `length`
+    entries (rows) where given.  A bool, string, None or list there is
+    refused as `where[i]`, shown as read, and so is a non-finite value."""
+    if ndim > 1:
+        reals = tuple(as_reals(row, f"{where}[{i}]", ndim - 1)
+                      for i, row in enumerate(values))
+    else:
         for i, x in enumerate(values):
-            if ndim > 1:
-                as_reals(x, f"{where}[{i}]", ndim - 1)
-            elif type(x) is not float and (
-                    isinstance(x, bool) or not isinstance(
-                        x, (int, float, np.integer, np.floating))
+            if type(x) is not float and (
+                    isinstance(x, bool) or not isinstance(x, Real)
                     or abs(x) > sys.float_info.max):
                 raise ValueError(f"{where}[{i}]: expected a finite real, "
                                  f"got {x!r}")
-    reals = np.asarray(values, dtype=float)
-    finite = np.isfinite(reals)
-    if not finite.all():
-        at = tuple(np.argwhere(~finite)[0].tolist())
-        raise ValueError(f"{where}{''.join(f'[{i}]' for i in at)}: expected "
-                         f"a finite real, got {float(reals[at])!r}")
+        reals = tuple(map(float, values))
+        for i, x in enumerate(reals):
+            if not math.isfinite(x):
+                raise ValueError(f"{where}[{i}]: expected a finite real, "
+                                 f"got {x!r}")
     if length is not None and len(reals) != length:
         raise ValueError(f"{where}: expected {length} entries, got "
                          f"{len(reals)}")
@@ -113,6 +114,7 @@ class CellComplex:
 
     def boundary_matrix(self, k):
         """Integer matrix of the boundary operator on k-chains."""
+        import numpy as np
         M = np.zeros((self.n_cells[k - 1], self.n_cells[k]), dtype=np.int64)
         for c, faces in enumerate(self.boundary.get(k, [])):
             for idx, sign in faces:
@@ -122,8 +124,8 @@ class CellComplex:
     # -- chains -----------------------------------------------------------
 
     def chain_vector(self, k, chain):
-        """Coefficient vector of a chain given as (cell, coeff) pairs."""
-        v = np.zeros(self.n_cells[k], dtype=np.int64)
+        """Coefficient list of a chain given as (cell, coeff) pairs."""
+        v = [0] * self.n_cells[k]
         for idx, coeff in chain:
             if not (0 <= idx < self.n_cells[k]):
                 raise ComplexError(f"no {k}-cell with index {idx}")
@@ -131,26 +133,25 @@ class CellComplex:
         return v
 
     def fundamental_chain(self, k):
-        return np.ones(self.n_cells[k], dtype=np.int64)
+        return [1] * self.n_cells[k]
 
     def boundary_of(self, k, chain_vec):
         """Boundary of an integer k-chain vector, summed over the incidence
         lists; equal to `boundary_matrix(k) @ chain_vec`, exactly."""
         if k < 1:
             raise ComplexError("0-chains have no boundary")
-        chain_vec = np.asarray(chain_vec)
-        if chain_vec.shape != (self.n_cells[k],):
+        if len(chain_vec) != self.n_cells[k]:
             raise ComplexError(
-                f"chain vector of shape {chain_vec.shape} for "
+                f"chain vector of length {len(chain_vec)} for "
                 f"{self.n_cells[k]} cells of dimension {k}")
-        if chain_vec.dtype.kind not in "biu":
+        if not all(isinstance(c, Integral) for c in chain_vec):
             raise ComplexError("chain coefficients must be integers")
         out = [0] * self.n_cells[k - 1]
-        for faces, coeff in zip(self.boundary[k], chain_vec.tolist()):
+        for faces, coeff in zip(self.boundary[k], map(int, chain_vec)):
             if coeff:
                 for idx, sign in faces:
                     out[idx] += sign * coeff
-        return np.array(out, dtype=np.int64)
+        return out
 
     def edge_endpoints(self, e):
         """(tail, head) of an edge from its signed boundary."""
@@ -179,9 +180,9 @@ class CellComplex:
                          for k in range(1, self.dim + 1)},
         }
         if self.coords is not None:
-            obj["coords"] = self.coords.tolist()
+            obj["coords"] = [list(row) for row in self.coords]
         if self.edge_lengths is not None:
-            obj["edge_lengths"] = self.edge_lengths.tolist()
+            obj["edge_lengths"] = list(self.edge_lengths)
         return obj
 
     @classmethod
@@ -269,6 +270,6 @@ def triangulated_grid(nx, ny):
             v00, v10 = vid(i, j), vid(i + 1, j)
             v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
             triangles += [(v00, v10, v11), (v00, v11, v01)]
-    coords = np.array([[i, j] for j in range(ny + 1) for i in range(nx + 1)])
+    coords = [(i, j) for j in range(ny + 1) for i in range(nx + 1)]
     return build_triangle_surface((nx + 1) * (ny + 1), triangles,
                                   coords=coords, name=f"grid{nx}x{ny}")

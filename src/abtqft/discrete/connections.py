@@ -5,14 +5,14 @@ element exp(2*pi*i*t_e); traversing an edge against its orientation
 contributes -t_e.  Each 2-cell carries an explicit integer curvature lift
 n_f, so curvature(f) = n_f + principal(sum of boundary turns) and the
 integer ambiguity of the log is visible data rather than a hidden choice.
+Turns and lifts are lists of Python floats and ints; only `holonomy`
+loads numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..analytic import (as_float_exact_int, circle_distance, nearest_integer,
-                        wrap_half, wrap_unit)
+                        sum_in_order, wrap_half, wrap_unit)
 from ..reader import node
 from .complexes import as_reals
 
@@ -40,15 +40,13 @@ class LatticeConnection:
                 f"face_lifts: expected {complex.n_cells[2]} entries, got "
                 f"{len(face_lifts)}")
         self.complex = complex
-        self.edge_turns = np.array([wrap_unit(t) for t in edge_turns])
-        self.face_lifts = np.array(face_lifts, dtype=np.int64)
+        self.edge_turns = [wrap_unit(t) for t in edge_turns]
+        self.face_lifts = face_lifts
 
     def face_fraction(self, f):
         """Principal branch in (-1/2, 1/2] of the boundary edge product."""
-        total = 0.0
-        for e, sign in self.complex.boundary[2][f]:
-            total += sign * self.edge_turns[e]
-        return wrap_half(total)
+        return principal_fraction(self.edge_turns,
+                                  self.complex.boundary[2][f])
 
     def curvature(self, f):
         """Lifted curvature of face f in turns: lift + principal fraction."""
@@ -58,7 +56,7 @@ class LatticeConnection:
         """Multiply edge values by the coboundary of a circle 0-cochain."""
         vertex_turns = as_reals(vertex_turns, "vertex_turns", 1,
                                 self.complex.n_cells[0])
-        new = self.edge_turns.copy()
+        new = list(self.edge_turns)
         for e in range(self.complex.n_cells[1]):
             tail, head = self.complex.edge_endpoints(e)
             new[e] = wrap_unit(new[e] + vertex_turns[head] - vertex_turns[tail])
@@ -74,6 +72,11 @@ class LatticeConnection:
         return cls(complex, doc.field("edge_phases").reals(), lifts)
 
 
+def principal_fraction(turns, sides):
+    """Principal branch of the turns along (edge, sign) `sides`, in order."""
+    return wrap_half(sum_in_order(sign * turns[e] for e, sign in sides))
+
+
 def holonomy(conn, chain_vec):
     """Circle value (in turns) of the transport around a closed 1-chain.
 
@@ -81,6 +84,7 @@ def holonomy(conn, chain_vec):
     The value does not depend on the starting point since the turns
     simply add.
     """
+    import numpy as np
     chain_vec = np.asarray(chain_vec, dtype=np.int64)
     if np.any(conn.complex.boundary_of(1, chain_vec)):
         raise NonCycleError("the loop is not closed")
@@ -94,16 +98,12 @@ def total_curvature(conn, chain_vec):
     Satisfies exp(2 pi i total) = holonomy of the chain boundary for
     every lift choice.
     """
-    chain_vec = np.asarray(chain_vec, dtype=np.int64)
-    if chain_vec.shape != (conn.complex.n_cells[2],):
+    if len(chain_vec) != conn.complex.n_cells[2]:
         raise ConnectionDataError(
-            f"chain vector of shape {chain_vec.shape} for "
+            f"chain vector of length {len(chain_vec)} for "
             f"{conn.complex.n_cells[2]} faces")
-    total = 0.0
-    for f, coeff in enumerate(chain_vec.tolist()):
-        if coeff:
-            total += coeff * conn.curvature(f)
-    return total
+    return sum_in_order(coeff * conn.curvature(f)
+                        for f, coeff in enumerate(chain_vec) if coeff)
 
 
 def boundary_holonomy(conn, surface_chain):
@@ -121,7 +121,7 @@ def chern_number(conn, closed_surface):
     """
     cx = conn.complex
     vec = cx.chain_vector(2, closed_surface)
-    if not np.any(vec) or np.any(cx.boundary_of(2, vec)):
+    if not any(vec) or any(cx.boundary_of(2, vec)):
         raise NonCycleError("chern number needs a closed surface (a 2-cycle)")
     return nearest_integer(total_curvature(conn, vec), CHERN_TOLERANCE,
                            "total curvature of the cycle =")

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from ..analytic import nearest_integer, wrap_unit, wrap_half
+from ..analytic import nearest_integer, sum_in_order, wrap_unit, wrap_half
 from .complexes import CellComplex, ComplexError, build_triangle_surface
-from .connections import LatticeConnection
+from .connections import LatticeConnection, principal_fraction
 
 TWO_PI = 2.0 * math.pi
 LIFT_TOLERANCE = 1e-9  # angle defect / 2 pi vs ring holonomy + lift
@@ -70,7 +68,7 @@ class MetricSurface:
                     raise ComplexError(
                         f"boundary.2[{f}]: expected sides that chain head to "
                         f"tail, got sides {(j - 1) % 3} and {j} that do not")
-            L = [float(self.lengths[e]) for e, _ in sides]
+            L = [self.lengths[e] for e, _ in sides]
             for (e, _), length in zip(sides, L):
                 if length <= 0.0:
                     raise DegenerateTriangle(
@@ -83,9 +81,8 @@ class MetricSurface:
                     raise DegenerateTriangle(
                         f"face {f} violates the strict triangle inequality")
                 angles.append(math.acos(cosv))
-            dirs = [0.0, 0.0, 0.0]
-            for j in (1, 2):
-                dirs[j] = dirs[j - 1] + (math.pi - angles[j])
+            dirs = [0.0, math.pi - angles[1]]
+            dirs.append(dirs[1] + (math.pi - angles[2]))
             closure = dirs[2] + (math.pi - angles[0])
             if not abs(closure - TWO_PI) < 1e-9:
                 raise ComplexError(f"face {f}: chart failed to close")
@@ -103,10 +100,8 @@ class MetricSurface:
     def angle_defect(self, v):
         if not 0 <= v < len(self.corners_at):
             raise ComplexError(f"no vertex {v}")
-        total = 0.0
-        for f, j in self.corners_at[v]:
-            total += self.corner_angles[f][j]
-        return TWO_PI - total
+        return TWO_PI - sum_in_order(self.corner_angles[f][j]
+                                     for f, j in self.corners_at[v])
 
 
 class TangentBundle:
@@ -138,25 +133,23 @@ class TangentBundle:
                 raise NotClosed(f"edge {e} is a boundary edge")
         self._slots = slots
 
-        dual_edge_bnd = []
-        turns = np.zeros(ne)
-        for e in range(ne):
-            f_plus, j_plus = slots[e][1]
-            f_minus, j_minus = slots[e][-1]
-            a_plus = surface.edge_direction_in_chart(f_plus, j_plus)
-            a_minus = surface.edge_direction_in_chart(f_minus, j_minus)
-            turns[e] = wrap_unit((a_minus - a_plus) / TWO_PI)
-            dual_edge_bnd.append([(f_plus, -1), (f_minus, 1)])
+        # per edge, the turn from its + slot's chart to its - slot's
+        chart = surface.edge_direction_in_chart
+        turns = [wrap_unit((chart(*slots[e][-1]) - chart(*slots[e][1]))
+                           / TWO_PI) for e in range(ne)]
+        dual_edge_bnd = [[(slots[e][1][0], -1), (slots[e][-1][0], 1)]
+                         for e in range(ne)]
 
         self.rings = [self._ring(v) for v in range(nv)]
         self.dual = CellComplex._derived({0: nf, 1: ne, 2: nv},
                                          {1: dual_edge_bnd, 2: self.rings},
                                          name="dual")
-        self.defects = np.array([surface.angle_defect(v) for v in range(nv)])
+        self.defects = [surface.angle_defect(v) for v in range(nv)]
 
-        # each ring's sum is the connection's face fraction over these turns
-        lifts = [nearest_integer(self.defects[v] / TWO_PI - wrap_half(sum(
-            sign * turns[e] for e, sign in ring)), LIFT_TOLERANCE,
+        # each ring's fraction is the connection's face fraction
+        lifts = [nearest_integer(
+            self.defects[v] / TWO_PI - principal_fraction(turns, ring),
+            LIFT_TOLERANCE,
             f"vertex {v}: angle defect / 2 pi - ring holonomy =")
             for v, ring in enumerate(self.rings)]
         self.connection = LatticeConnection(self.dual, turns, lifts)
@@ -228,11 +221,9 @@ class PuncturedSurface:
 
     def boundary_holonomy(self):
         """Holonomy of the boundary circle (induced orientation), in [0, 1)."""
-        conn = self.bundle.connection
-        total = 0.0
-        for e, s in self.boundary_cycle():
-            total += wrap_half(s * conn.edge_turns[e])
-        return wrap_unit(total)
+        turns = self.bundle.connection.edge_turns
+        return wrap_unit(sum_in_order(wrap_half(s * turns[e])
+                                      for e, s in self.boundary_cycle()))
 
 
 def tangent_connection(complex):
@@ -256,22 +247,26 @@ def icosahedron():
             coords.append((0.0, a, b))
             coords.append((a, b, 0.0))
             coords.append((b, 0.0, a))
-    coords = np.array(coords)
     # faces as outward-oriented triples over the 12 vertices
     edge_len = 2.0
     n = len(coords)
     # face order, hence every edge and face index, follows the
     # lexicographic order of the vertex triples
-    dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(-1))
-    near = (np.abs(dist - edge_len) < 1e-9).tolist()
+    near = [[abs(math.dist(p, q) - edge_len) < 1e-9 for q in coords]
+            for p in coords]
     tris = [(i, j, k) for i in range(n) for j in range(i + 1, n) if near[i][j]
             for k in range(j + 1, n) if near[i][k] and near[j][k]]
     if len(tris) != 20:
         raise ComplexError(f"icosahedron has {len(tris)} faces, not 20")
-    a, b, c = (coords[list(col)] for col in zip(*tris))
-    outward = (np.cross(b - a, c - a) * (a + b + c)).sum(-1) > 0
-    tris = [(i, j, k) if out else (i, k, j)
-            for (i, j, k), out in zip(tris, outward)]
+
+    def outward(a, b, c):
+        # a . (b x c) > 0: the face turns counterclockwise seen from outside
+        return (a[0] * (b[1] * c[2] - b[2] * c[1])
+                + a[1] * (b[2] * c[0] - b[0] * c[2])
+                + a[2] * (b[0] * c[1] - b[1] * c[0])) > 0
+
+    tris = [(i, j, k) if outward(coords[i], coords[j], coords[k])
+            else (i, k, j) for i, j, k in tris]
     return build_triangle_surface(12, tris, lambda a, b: edge_len,
                                   coords=coords, name="icosahedron")
 
@@ -408,10 +403,8 @@ def jittered_lengths(surface, rng, frozen_edges=()):
     between paired surfaces stay metrically identical.
     """
     frozen = set(frozen_edges)
-    L = surface.edge_lengths.copy()
-    for e in range(len(L)):
-        if e not in frozen:
-            L[e] = L[e] * (1.0 + 0.05 * (2.0 * rng.random() - 1.0))
+    L = [x if e in frozen else x * (1.0 + 0.05 * (2.0 * rng.random() - 1.0))
+         for e, x in enumerate(surface.edge_lengths)]
     return CellComplex._derived(
         surface.n_cells, surface.boundary, coords=surface.coords,
         edge_lengths=L, name=(surface.name or "surface") + "-jittered")

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from ..analytic import as_int
+from ..analytic import as_int, sum_in_order
 from . import MAX_REFINEMENT
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
@@ -177,7 +177,8 @@ def sphere_volume_quadrature(refinement):
     d_chi = math.pi / n_chi
     d_theta = math.pi / n_theta
     d_phi = 2.0 * math.pi / n_phi
-    s_chi = sum(math.sin((i + 0.5) * d_chi) ** 2 for i in range(n_chi)) * d_chi
-    s_theta = sum(math.sin((k + 0.5) * d_theta)
-                  for k in range(n_theta)) * d_theta
+    s_chi = sum_in_order(math.sin((i + 0.5) * d_chi) ** 2
+                         for i in range(n_chi)) * d_chi
+    s_theta = sum_in_order(math.sin((k + 0.5) * d_theta)
+                           for k in range(n_theta)) * d_theta
     return s_chi * s_theta * (n_phi * d_phi)

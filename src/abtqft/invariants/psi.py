@@ -80,7 +80,7 @@ def psi(scene, certify=False):
                                 "integer": alt_int,
                                 "difference": alt_int - base_int,
                                 "in_hypothesis": True})
-    return InvariantResult(raw, sum(integers), 24, certificate)
+    return InvariantResult(raw, sum(integers), 24, certificate)  # int sum
 
 
 def su_psi(scene):

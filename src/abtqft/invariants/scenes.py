@@ -17,7 +17,7 @@ gauge invariant, the holonomy, when the scene is built.
 from __future__ import annotations
 
 from ..analytic import (as_float_exact_int, as_int, circle_distance,
-                        wrap_half, wrap_unit)
+                        sum_in_order, wrap_half, wrap_unit)
 from ..reader import node
 from . import MAX_REFINEMENT
 from . import table as _table
@@ -237,10 +237,9 @@ def disk_bounding(lifts, extra_lift=0, label="disk", where="extra_lift"):
     `where` in faults.
     """
     extra_lift = as_float_exact_int(extra_lift, where)
-    u = [wrap_unit(a) for a in lifts]
-    frac = wrap_half(sum(u))
-    return SuBounding("connection", len(lifts), wrap_unit(sum(u)),
-                      float(extra_lift) + frac, label)
+    total = sum_in_order(wrap_unit(a) for a in lifts)
+    return SuBounding("connection", len(lifts), wrap_unit(total),
+                      float(extra_lift) + wrap_half(total), label)
 
 
 def tangent_bounding(mesh, puncture, jitter_rng=None):
@@ -294,10 +293,7 @@ class SuScene:
                    [primary, *extra])
 
     def sum_lifts(self):
-        total = 0.0
-        for a in self.lifts:
-            total += a
-        return total
+        return sum_in_order(self.lifts)
 
     def shifted(self, edge, k):
         """Shift one structure lift by an integer (the torsor action)."""

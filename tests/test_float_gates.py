@@ -4,7 +4,9 @@ called once per rounded value at pinned sites, an integer is bounded to
 what a float holds exactly only by `analytic.as_float_exact_int`, reals
 are tested for finiteness only by `complexes.as_reals` (input) and
 `analytic.wrap_unit` (turns), and only the reader asks whether a JSON
-value is an object or a list."""
+value is an object or a list.  Floats are summed in order only by
+`analytic.sum_in_order`: builtin `sum` compensates float sums from
+CPython 3.12 on, so the same source would give other bits there."""
 
 import ast
 import collections
@@ -96,6 +98,22 @@ def test_isfinite_only_in_the_real_gates():
                                   ("analytic.py", "wrap_unit")}
 
 
+def _builtin_sum(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == (
+        "sum")
+
+
+def test_no_builtin_sum_in_the_float_modules_but_of_ints():
+    # an integer sum is exact on every CPython; it says so on its line
+    paths = [SRC / "analytic.py", *sorted((SRC / "discrete").glob("*.py")),
+             *sorted((SRC / "invariants").glob("*.py"))]
+    unmarked = [(path.name, line) for path in paths
+                for text in (path.read_text(),)
+                for _, line in _uses(ast.parse(text), _builtin_sum)
+                if "# int sum" not in text.splitlines()[line - 1]]
+    assert not unmarked
+
+
 def test_json_shapes_only_in_the_reader():
     # every other module reads a document through `reader.Node`'s steps
     for kind in ("dict", "list"):
@@ -129,3 +147,6 @@ def test_finder_sees_each_spelling():
               " x < 2**52, '2**53'\n")
     assert _uses(ast.parse(source), _float_exact_bound) == [
         (None, 1), ("h", 3), ("h", 3), ("h", 3)]
+    source = ("def s(x):\n"
+              "    return sum(x), np.sum(x), x.sum(), sum_in_order(x)\n")
+    assert _uses(ast.parse(source), _builtin_sum) == [("s", 2)]

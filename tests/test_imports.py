@@ -55,6 +55,8 @@ GEOMETRY_ONLY = {"abtqft.invariants"} | GROUP_LAYER
     (["geo", "stokes", "samples/mesh_square.json", "samples/cochain1.json"],
      GEOMETRY_ONLY),
     (["geo", "chern", "builtin:icosahedron", "tangent"], GEOMETRY_ONLY),
+    (["geo", "holonomy", "samples/mesh_square.json",
+      "samples/conn_square.json", "--loop", "0,1,2,3"], GEOMETRY_ONLY),
     (["bnr", "table", "validate"], {"numpy"}),
     (["bnr", "psi", "samples/scene_s3.json", "--certify"],
      GROUP_LAYER | {"numpy", "abtqft.discrete"}),
@@ -99,6 +101,26 @@ def test_group_and_cat_verbs_load_no_numpy(tmp_path, argv):
     assert "abtqft.intmat" in modules and "numpy" not in modules
 
 
+# the surface path of `bnr su` and `geo chern`: a tangent bundle from a
+# builtin mesh or a mesh file, and a connection file
+@pytest.mark.parametrize("argv", [
+    ["bnr", "su", "samples/scene_su.json"],
+    ["--format", "json", "bnr", "su", "samples/scene_su.json"],
+    ["geo", "chern", "builtin:icosahedron", "tangent"],
+    ["geo", "chern", "builtin:genus2", "tangent"],
+    ["geo", "chern", "{tmp}/mesh.json", "tangent"],
+    ["geo", "chern", "{tmp}/mesh.json", "{tmp}/conn.json"],
+], ids=lambda argv: " ".join(map(os.path.basename, argv)))
+def test_su_and_chern_verbs_load_no_numpy(tmp_path, argv):
+    from abtqft.discrete import icosahedron
+    (tmp_path / "mesh.json").write_text(json.dumps(icosahedron().to_json()))
+    (tmp_path / "conn.json").write_text(json.dumps(
+        {"edge_phases": [0.25] * 30, "face_lifts": [2] + [0] * 19}))
+    modules = loaded_by(*(a.format(tmp=tmp_path) for a in argv))
+    assert "abtqft.discrete.connections" in modules
+    assert "numpy" not in modules
+
+
 def _run_on_import(node):
     """The nodes under `node` that run when its module is imported: all
     but the bodies of functions."""
@@ -109,21 +131,46 @@ def _run_on_import(node):
             yield from _run_on_import(child)
 
 
-@pytest.mark.parametrize("module", ["intmat", "fgab", "moncat", "testing"])
-def test_exact_layers_import_numpy_only_inside_functions(module):
-    # the array results of `intmat` import numpy when first called
+def _imports_numpy(node):
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    else:
+        return False
+    return any(name.split(".")[0] == "numpy" for name in names)
+
+
+def _parse(module):
     path = os.path.join(SRC, "abtqft", f"{module}.py")
     with open(path) as fh:
-        tree = ast.parse(fh.read(), path)
-    for node in _run_on_import(tree):
-        if isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        elif isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        else:
-            continue
-        assert not any(name.split(".")[0] == "numpy" for name in names), (
-            path, node.lineno)
+        return ast.parse(fh.read(), path)
+
+
+SURFACE_MODULES = ["discrete/__init__", "discrete/complexes",
+                   "discrete/connections", "discrete/surfaces",
+                   "discrete/cochains", "invariants/scenes"]
+
+
+@pytest.mark.parametrize("module", ["intmat", "fgab", "moncat", "testing",
+                                    *SURFACE_MODULES])
+def test_exact_layers_import_numpy_only_inside_functions(module):
+    # the array results of `intmat` and the surface layer's BLAS
+    # reductions import numpy when first called
+    for node in _run_on_import(_parse(module)):
+        assert not _imports_numpy(node), (module, node.lineno)
+
+
+def test_only_the_blas_reductions_import_numpy():
+    # their bits depend on the BLAS kernel, so they stay on numpy;
+    # `coboundary` reaches it through `boundary_matrix`
+    found = {(module, fn.name) for module in SURFACE_MODULES
+             for fn in ast.walk(_parse(module))
+             if isinstance(fn, ast.FunctionDef)
+             and any(map(_imports_numpy, ast.walk(fn)))}
+    assert found == {("discrete/complexes", "boundary_matrix"),
+                     ("discrete/connections", "holonomy"),
+                     ("discrete/cochains", "integrate")}
 
 
 @pytest.mark.parametrize("layer", ["invariants", "discrete"])

@@ -4,7 +4,7 @@ numpy loads only in the two reductions, `coboundary` and `integrate`."""
 from __future__ import annotations
 
 from ..reader import node
-from .complexes import as_reals
+from .complexes import as_reals, require_integers
 
 
 class DegreeError(ValueError):
@@ -49,6 +49,7 @@ def integrate(omega, chain_vec):
     """Signed sum of a k-cochain over a dense integer k-chain vector."""
     if len(chain_vec) != omega.complex.n_cells[omega.degree]:
         raise DegreeError("chain vector length mismatch")
+    require_integers(chain_vec)
     import numpy as np
     return float(np.dot(np.asarray(chain_vec, dtype=float), omega.values))
 

@@ -42,6 +42,12 @@ def as_reals(values, where, ndim=1, length=None):
     return reals
 
 
+def require_integers(chain_vec):
+    """The gate of a chain's coefficients: each is an integer."""
+    if not all(isinstance(c, Integral) for c in chain_vec):
+        raise ComplexError("chain coefficients must be integers")
+
+
 class CellComplex:
     """Graded cells with signed boundary incidence lists.
 
@@ -144,8 +150,7 @@ class CellComplex:
             raise ComplexError(
                 f"chain vector of length {len(chain_vec)} for "
                 f"{self.n_cells[k]} cells of dimension {k}")
-        if not all(isinstance(c, Integral) for c in chain_vec):
-            raise ComplexError("chain coefficients must be integers")
+        require_integers(chain_vec)
         out = [0] * self.n_cells[k - 1]
         for faces, coeff in zip(self.boundary[k], map(int, chain_vec)):
             if coeff:
@@ -164,11 +169,6 @@ class CellComplex:
         if tail is None or head is None:
             raise ComplexError(f"edge {e} lacks a (+1, -1) endpoint pair")
         return tail, head
-
-    def __repr__(self):
-        counts = ", ".join(f"{self.n_cells[k]}x{k}d"
-                           for k in range(self.dim + 1))
-        return f"CellComplex({self.name or counts})"
 
     # -- JSON -------------------------------------------------------------
 

@@ -80,15 +80,15 @@ def principal_fraction(turns, sides):
 def holonomy(conn, chain_vec):
     """Circle value (in turns) of the transport around a closed 1-chain.
 
-    `chain_vec` is a dense integer 1-chain vector; it must be a cycle.
-    The value does not depend on the starting point since the turns
-    simply add.
+    `chain_vec` is a dense integer 1-chain vector; it must be a cycle,
+    which `boundary_of` checks on the coefficients as given.  The value
+    does not depend on the starting point since the turns simply add.
     """
-    import numpy as np
-    chain_vec = np.asarray(chain_vec, dtype=np.int64)
-    if np.any(conn.complex.boundary_of(1, chain_vec)):
+    if any(conn.complex.boundary_of(1, chain_vec)):
         raise NonCycleError("the loop is not closed")
-    return wrap_unit(float(np.dot(chain_vec.astype(float), conn.edge_turns)))
+    import numpy as np
+    return wrap_unit(float(np.dot(np.asarray(chain_vec, dtype=float),
+                                  conn.edge_turns)))
 
 
 def total_curvature(conn, chain_vec):

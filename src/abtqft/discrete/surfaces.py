@@ -256,8 +256,6 @@ def icosahedron():
             for p in coords]
     tris = [(i, j, k) for i in range(n) for j in range(i + 1, n) if near[i][j]
             for k in range(j + 1, n) if near[i][k] and near[j][k]]
-    if len(tris) != 20:
-        raise ComplexError(f"icosahedron has {len(tris)} faces, not 20")
 
     def outward(a, b, c):
         # a . (b x c) > 0: the face turns counterclockwise seen from outside

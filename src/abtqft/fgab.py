@@ -88,10 +88,8 @@ class FgAbGroup:
         return self._snf.u_rows()
 
     def canonical_key(self, coords):
-        """Tuple identifying the element class (residues in SNF basis)."""
-        if len(coords) != self.n_generators:
-            raise ValueError(f"coordinate length {len(coords)} != "
-                             f"{self.n_generators}")
+        """Tuple identifying the element class (residues in SNF basis)
+        of coordinates n_generators long."""
         return tuple(y % m if m else y
                      for row, m in zip(self._key_rows, self._mods)
                      for y in (sum(map(mul, row, coords)),))
@@ -245,10 +243,6 @@ class GroupMorphism:
             raise TargetMismatch("composition mismatch")
         return GroupMorphism(self.source, other.target, intmat.matmul(
             other.matrix, self.matrix, self.source.n_generators))
-
-    def __repr__(self):
-        label = self.name or f"{self.source.describe()} -> {self.target.describe()}"
-        return f"GroupMorphism({label})"
 
     @cached_property
     def _target_solver(self):

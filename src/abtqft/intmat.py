@@ -5,7 +5,7 @@ arithmetic never overflows, with its column count given wherever it
 can have no rows.  `int_rows` is the gate every input passes.
 This module is the decidability engine for everything built on finitely
 generated abelian groups.  The array API (`as_int_matrix`, `identity`,
-`zeros`, the transforms of a `SmithDecomposition`, `kernel_basis` and
+the transforms of a `SmithDecomposition`, `kernel_basis` and
 `solve_linear`) wraps the int rows in numpy object arrays and imports
 numpy on its first call; the rest never loads it.
 """
@@ -93,10 +93,6 @@ def identity(n):
                         for i in range(n)), n)
 
 
-def zeros(m, n):
-    return _array(((0,) * n,) * m, n)
-
-
 def det(M):
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
     rows, n = int_rows(M)
@@ -130,8 +126,8 @@ class SmithDecomposition:
     a copy of M alone and logs its elementary row and column operations.
     One log reader, `apply_log`, interprets the log: solving and kernels
     apply U and V to single vectors with it, and `u_rows` and `v_rows`
-    read a transform's rows off it.  The arrays M, D, U, U_inv, V and
-    V_inv are built on first access.  Equal inputs to `smith` share one
+    read a transform's rows off it.  The arrays D, U, U_inv, V and V_inv
+    are built on first access.  Equal inputs to `smith` share one
     instance, so the arrays are read-only.
     """
 
@@ -153,10 +149,6 @@ class SmithDecomposition:
     def v_rows(self, inverse=False):
         """The rows of V, or of V^-1, as int tuples."""
         return _transform_rows(self._col_ops, self.shape[1], True, inverse)
-
-    @cached_property
-    def M(self):
-        return _array(self.rows, self.shape[1], writeable=False)
 
     @cached_property
     def D(self):

@@ -17,8 +17,7 @@ _OWNER = {name: module for module, names in {
     "chern_simons": "cs_su2_quadrature sphere_volume_quadrature",
     "table": "Closed4Entry validate_table shipped_table spin_entries",
     "scenes": "BnrScene SuScene SuBounding eta_integral half_p1_integral "
-              "tangent_bounding random_su_scene build_mesh ProviderError "
-              "IncompatibleScene",
+              "tangent_bounding random_su_scene ProviderError IncompatibleScene",
 }.items() for name in names.split()}
 
 

@@ -50,9 +50,6 @@ class InvariantResult:
                 f"mod{self.modulus}={self.residue} "
                 f"convention={self.convention}")
 
-    def __repr__(self):
-        return f"InvariantResult({self.render()})"
-
 
 def psi(scene, certify=False):
     """The mod-24 invariant of a scene: the sum of Xi(g, h) over its

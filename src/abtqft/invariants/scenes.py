@@ -28,14 +28,6 @@ from .psi import SU_TOLERANCE
 SHIFT_ROUNDING = SU_TOLERANCE / 1000
 
 
-def __getattr__(name):
-    # the discrete layer loads only where a tangent bounding is built
-    if name == "build_mesh":
-        from ..discrete.surfaces import build_mesh
-        return build_mesh
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class ProviderError(ValueError):
     pass
 

@@ -39,10 +39,6 @@ class Closed4Entry:
                    doc.field("signature").int(), doc.field("a_hat").str(),
                    doc.field("spin", False).bool())
 
-    def __repr__(self):
-        tag = "spin" if self.spin else "oriented"
-        return f"Closed4Entry({self.name}, p1={self.integral_p1}, {tag})"
-
 
 def validate_table(entries):
     """The (entry, condition, detail) list of index-arithmetic violations."""

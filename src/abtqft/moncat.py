@@ -94,9 +94,6 @@ class MorTensorCat:
             raise fgab.ParentMismatch("morphism carrier must live in A_mor")
         return a + self.phi(x) == b
 
-    def __repr__(self):
-        return f"MorTensorCat({self.phi!r})"
-
 
 class CommSquare:
     """A morphism in the arrow category of abelian groups.

@@ -799,6 +799,11 @@ def test_geo_inexact_integer_exit_2(tmp_path, capsys, verb, mesh, second,
     (["chern", {**TRIANGLE, "cells": {"0": 3, "1": 3}, "boundary": {
         "1": TRIANGLE["boundary"]["1"]}}, "tangent"], "tmp",
      "cells: expected a 2-dimensional complex, got dimension 1"),
+    (["chern", {**TRIANGLE, "cells": {"0": 3, "1": 3, "2": 2}, "boundary": {
+        **TRIANGLE["boundary"], "2": [[[0, 1], [1, 1], [2, 1]]] * 2}},
+      "tangent"], "tmp",
+     "edge 0 traversed twice with the same sign; surface not closed and "
+     "coherently oriented"),
 ], ids=["cochain-as-mesh", "mesh-as-cochain", "cochain-without-values",
         "array-top-level", "scalar-top-level", "cochain-as-connection",
         "boundary-number", "face-list-number", "values-number",
@@ -806,7 +811,7 @@ def test_geo_inexact_integer_exit_2(tmp_path, capsys, verb, mesh, second,
         "values-count", "phases-count", "lifts-count", "lift-beyond-2**53",
         "boundary-count", "cell-out-of-range", "coords-count",
         "lengths-count", "tangent-without-lengths", "four-sided-face",
-        "unchained-sides", "one-dimensional-mesh"])
+        "unchained-sides", "one-dimensional-mesh", "face-traversed-twice"])
 def test_geo_wrong_kind_file_exit_2(tmp_path, capsys, argv, bad, detail):
     # a geo verb reads each file as the one kind its argument names, and
     # names the path of the first field of the wrong shape

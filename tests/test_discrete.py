@@ -7,7 +7,8 @@ import pytest
 
 import abtqft.discrete as D
 import abtqft.discrete.connections
-from abtqft.analytic import NonIntegralInvariant, circle_distance, wrap_half
+from abtqft.analytic import (NonIntegralInvariant, circle_distance, wrap_half,
+                              wrap_unit)
 
 
 def random_grid(rng):
@@ -116,6 +117,22 @@ def test_stokes_random_scenes():
         assert abs(lhs - rhs) <= 1e-12
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: D.circle_complex(0), D.ComplexError,
+     r"a circle needs at least one edge"),
+    (lambda: D.triangulated_grid(0, 1), D.ComplexError,
+     r"grid needs at least one cell per direction"),
+    (lambda: D.CellComplex({0: 2, 1: 1}, {1: [[(0, 1), (1, 1)]]})
+     .edge_endpoints(0), D.ComplexError,
+     r"edge 0 lacks a \(\+1, -1\) endpoint pair"),
+    (lambda: D.coboundary(D.Cochain(D.circle_complex(3), 3, [])),
+     D.DegreeError, r"coboundary of a top-degree cochain"),
+], ids=["empty-circle", "empty-grid", "edge-without-tail", "top-degree"])
+def test_impossible_cells_are_refused(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_stokes_degree_errors():
     C3 = D.circle_complex(3)
     omega = D.Cochain(C3, 1, [1.0, 2.0, 3.0])
@@ -147,6 +164,30 @@ def test_holonomy_rejects_open_chains():
     conn = D.LatticeConnection(C3, np.zeros(3))
     with pytest.raises(D.NonCycleError):
         D.holonomy(conn, C3.chain_vector(1, [(0, 1), (1, 1)]))
+
+
+@pytest.mark.parametrize("chain", [[0.5] * 4, [1.9] * 4])
+def test_float_chains_are_refused_not_truncated(chain):
+    # both were once read as integer chains: 0.5 as 0 and 1.9 as 1
+    C4 = D.circle_complex(4)
+    conn = D.LatticeConnection(C4, [0.1, 0.2, 0.3, 0.15])
+    message = "^chain coefficients must be integers$"
+    with pytest.raises(D.ComplexError, match=message):
+        D.holonomy(conn, chain)
+    with pytest.raises(D.ComplexError, match=message):
+        D.integrate(D.Cochain(C4, 1, [1.0] * 4), chain)
+
+
+def test_integer_chains_keep_their_float_bits():
+    C4 = D.circle_complex(4)
+    conn = D.LatticeConnection(C4, [0.1, 0.2, 0.3, 0.15])
+    unit = D.Cochain(C4, 1, [0.1, 0.2, 0.3, 0.15])
+    for chain in ([1, 1, 1, 1], np.array([2, 2, 2, 2]), [-3, -3, -3, -3]):
+        as_float = np.asarray(chain, dtype=np.int64).astype(float)
+        dot = float(np.dot(as_float, conn.edge_turns))
+        assert D.holonomy(conn, chain) == wrap_unit(dot)
+        assert D.integrate(unit, chain) == float(np.dot(as_float,
+                                                        unit.values))
 
 
 def test_curvature_lift_examples():

@@ -272,3 +272,44 @@ def test_group_json_roundtrip():
         fgab.group_from_json({"generators": 1, "relations": [[1.5]]})
     with pytest.raises(ValueError):
         fgab.group_from_json({"generators": True})
+
+
+def _groups():
+    Z, Z2 = fgab.free_group(1, "Z"), fgab.cyclic_group(2, "Z/2")
+    return Z, Z2, fgab.GroupMorphism(Z, Z2, [[1]])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda Z, Z2, f: Z.order(), ValueError, r"^infinite group$"),
+    (lambda Z, Z2, f: next(Z.elements()), ValueError,
+     r"^cannot enumerate an infinite group$"),
+    (lambda Z, Z2, f: fgab.GroupElement(Z, [1, 2]), ValueError,
+     r"^coordinate length 2 != 1$"),
+    (lambda Z, Z2, f: f(Z2.zero()), fgab.ParentMismatch,
+     r"^argument not in the source group$"),
+    (lambda Z, Z2, f: f.then(f), fgab.TargetMismatch,
+     r"^composition mismatch$"),
+    (lambda Z, Z2, f: fgab.solve(f, Z.zero()), fgab.ParentMismatch,
+     r"^rhs not in the target group$"),
+], ids=["order", "elements", "element-length", "apply", "then", "solve"])
+def test_misuse_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call(*_groups())
+
+
+def test_an_element_is_not_equal_to_a_non_element(Z):
+    x = Z.element([1])
+    assert x.__eq__(1) is NotImplemented
+    assert x != 1 and x != (1,)
+
+
+def test_random_automorphism_checks_its_groups_and_result(monkeypatch):
+    rng = random.Random(0)
+    Z3 = fgab.cyclic_group(3)
+    with pytest.raises(ValueError,
+                       match="^G and H present different groups$"):
+        testing.random_automorphism(rng, fgab.cyclic_group(2), Z3)
+    monkeypatch.setattr(fgab, "is_isomorphism", lambda f: False)
+    with pytest.raises(ArithmeticError,
+                       match="^random automorphism is not an isomorphism$"):
+        testing.random_automorphism(rng, Z3, fgab.cyclic_group(3))

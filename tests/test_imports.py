@@ -241,8 +241,7 @@ OLD_EXPORTS = {
               "spin_entries"],
     "scenes": ["BnrScene", "SuScene", "SuBounding", "eta_integral",
                "half_p1_integral", "tangent_bounding", "random_su_scene",
-               "build_mesh", "ProviderError", "IncompatibleScene",
-               "SIGN_CONVENTION"],
+               "ProviderError", "IncompatibleScene", "SIGN_CONVENTION"],
     "psi": ["psi", "su_psi", "InvariantResult", "NonIntegralInvariant",
             "ParityCertificateError", "PSI_TOLERANCE", "SU_TOLERANCE"],
 }

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix
 
 from abtqft import intmat
 
@@ -122,3 +123,24 @@ def test_as_int_matrix_rejects_floats_and_bools():
     # the message names the position of the bad entry
     with pytest.raises(ValueError, match=r"^relations\[1\]\[0\]: .* 2\.0$"):
         intmat.as_int_matrix([[1, 2], [2.0, 3]], name="relations")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: intmat.int_rows(7), r"^entry: expected a 2d matrix$"),
+    (lambda: intmat.int_rows([]), r"^shape required for empty matrix$"),
+    (lambda: intmat.det([[1, 2]]), r"^det of non-square matrix$"),
+    (lambda: intmat.solve_linear([[1, 2]], [1, 2]),
+     r"^rhs has wrong length$"),
+], ids=["not-iterable", "empty-no-shape", "det-non-square", "rhs-length"])
+def test_malformed_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("M", [
+    [[0, 1], [0, 2]],                   # no pivot in the first column
+    [[1, 2, 3], [2, 4, 6], [0, 0, 5]],  # a zero pivot after elimination
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+])
+def test_det_of_a_singular_matrix_is_zero(M):
+    assert intmat.det(M) == Matrix(M).det() == 0

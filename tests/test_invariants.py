@@ -1,6 +1,8 @@
+import json
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +38,24 @@ def test_table_detects_corruption():
     violations = I.validate_table([wrong_sig])
     assert any(v[1] == "p1 = 3*signature" for v in violations)
 
+    third = I.Closed4Entry("third", -8, 0, "1/3", True)
+    assert ("third", "spin a_hat integral",
+            "a_hat=1/3 not an integer") in I.validate_table([third])
+
+
+def test_a_corrupt_shipped_table_is_refused(monkeypatch, tmp_path):
+    from abtqft.invariants import table
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "spin4_table.json").write_text(json.dumps([
+        I.Closed4Entry("K3", -48, -16, "2", True).to_json(),
+        I.Closed4Entry("half-K3", -24, -8, "1", True).to_json()]))
+    monkeypatch.setattr(table, "_shipped", None)
+    monkeypatch.setattr(table, "resources",
+                        SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(ValueError, match=r"^shipped 4-manifold table "
+                       r"corrupt: \[\('half-K3', 'spin a_hat even'"):
+        table.shipped_table()
+
 
 def test_entry_json_roundtrip():
     e = I.Closed4Entry("X", 48, 16, "-2", True)
@@ -44,6 +64,11 @@ def test_entry_json_roundtrip():
     with pytest.raises(ValueError):
         I.Closed4Entry.from_json({"name": "Y", "integral_p1": 1.5,
                                   "signature": 0, "a_hat": "0"})
+    with pytest.raises(ShapeError,
+                       match="^spin: expected true or false, got 'yes'$"):
+        I.Closed4Entry.from_json({"name": "Y", "integral_p1": 0,
+                                  "signature": 0, "a_hat": "0",
+                                  "spin": "yes"})
 
 
 # -- field theory values on discrete scenes -------------------------------------
@@ -154,6 +179,12 @@ def test_scene_rejects_user_compatibility_flag():
                      "w4": {"key": "D4"},
                      "nabla": {"key": "flat-extension"},
                      "compatible": True}])
+
+
+def test_scene_needs_a_bounding():
+    with pytest.raises(I.IncompatibleScene,
+                       match="^scene needs at least one bounding$"):
+        I.SuScene([0.5], [])
 
 
 def test_scene_rejects_mismatched_bounding():

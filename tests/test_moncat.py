@@ -519,3 +519,91 @@ def test_fill_triangle_checks():
     bad = fgab.GroupMorphism(square.phi_H.target, square.phi_G.source, [[2]])
     with pytest.raises(moncat.TriangleMismatch):
         DiagonalFill(square, bad)
+
+
+def _mismatches():
+    square, fill = mirror_exp_square()
+    _, other_fill = mirror_exp_square()
+    H_mor, H_ob = square.phi_H.source, square.phi_H.target
+    G_mor, G_ob = square.phi_G.source, square.phi_G.target
+    cat, fiber = MorTensorCat(square.phi_G), moncat.HofibCat(square)
+    return {
+        "hom": lambda: cat.hom(H_ob.zero(), G_ob.zero()),
+        "hom-contains": lambda: cat.hom_contains(G_ob.zero(), G_ob.zero(),
+                                                 H_mor.zero()),
+        "square-f-ob": lambda: CommSquare(square.phi_H, square.phi_G,
+                                          square.f_mor, square.f_mor),
+        "square-f-mor": lambda: CommSquare(square.phi_H, square.phi_G,
+                                           square.f_ob, square.f_ob),
+        "is-object-g": lambda: fiber.is_object(H_ob.zero(), H_ob.zero()),
+        "is-object-h": lambda: fiber.is_object(G_mor.zero(), G_mor.zero()),
+        "fill-source": lambda: DiagonalFill(square, square.f_mor),
+        "xi-fill": lambda: moncat.XiFunctor(fiber, other_fill),
+        "criterion-fill": lambda: moncat.xi_is_equivalence(square,
+                                                           other_fill),
+        "enumerate-infinite": lambda: moncat.xi_equivalence_by_enumeration(
+            square, fill),
+    }
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("hom", fgab.ParentMismatch, "objects must live in the object group"),
+    ("hom-contains", fgab.ParentMismatch,
+     "morphism carrier must live in A_mor"),
+    ("square-f-ob", fgab.TargetMismatch,
+     "f_ob does not connect the object groups"),
+    ("square-f-mor", fgab.TargetMismatch,
+     "f_mor does not connect the morphism groups"),
+    ("is-object-g", fgab.ParentMismatch, "g must live in G_mor"),
+    ("is-object-h", fgab.ParentMismatch, "h must live in H_ob"),
+    ("fill-source", fgab.TargetMismatch, "lambda must start at H_ob"),
+    ("xi-fill", moncat.TriangleMismatch, "fill belongs to a different square"),
+    ("criterion-fill", moncat.TriangleMismatch,
+     "fill belongs to a different square"),
+    ("enumerate-infinite", ValueError,
+     "enumeration oracle needs finite groups"),
+])
+def test_mismatched_parts_are_refused(case, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        _mismatches()[case]()
+
+
+def _tiny_square():
+    """phi_H = id of the trivial group T over phi_G: Z/2 -> T: the fiber
+    and ker phi_G are Z/2 and Xi is (g, 0) -> g, an equivalence."""
+    T, Z2 = fgab.FgAbGroup(0), fgab.cyclic_group(2)
+    into_Z2 = fgab.GroupMorphism(T, Z2, [[]])
+    identity = fgab.GroupMorphism(T, T, [])
+    square = CommSquare(identity, fgab.GroupMorphism(Z2, T, []), identity,
+                        into_Z2)
+    return square, DiagonalFill(square, into_Z2)
+
+
+def _a_connection_each(square):
+    # one connecting morphism from the unit to each of the two objects
+    return {(square.phi_G.source.element([v]).key(), ()): {()}
+            for v in (0, 1)}
+
+
+@pytest.mark.parametrize("owner, name, fault", [
+    (moncat.HofibCat, "is_object", lambda self, g, h: False),
+    (moncat.XiFunctor, "apply_object",
+     lambda self, p: (p[0] + p[0].parent.generator(0), None)),
+    (testing, "brute_connecting_buckets", _a_connection_each),
+], ids=["kernel-not-objects", "xi-not-onto", "xi-not-faithful"])
+def test_enumeration_oracle_sees_a_broken_functor(monkeypatch, owner, name,
+                                                  fault):
+    square, fill = _tiny_square()
+    assert moncat.xi_equivalence_by_enumeration(square, fill) is True
+    monkeypatch.setattr(owner, name, fault)
+    assert moncat.xi_equivalence_by_enumeration(square, fill) is False
+
+
+def test_xi_refuses_a_value_outside_the_kernel(monkeypatch):
+    square, fill = _tiny_square()
+    xi = moncat.XiFunctor(moncat.HofibCat(square), fill)
+    monkeypatch.setattr(moncat, "solve", lambda f, y: None)
+    with pytest.raises(ArithmeticError,
+                       match="^Xi value escaped the kernel of phi_G$"):
+        xi.apply_object((square.phi_G.source.zero(),
+                         square.phi_H.target.zero()))

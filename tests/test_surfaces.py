@@ -2,11 +2,13 @@ import hashlib
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from abtqft.analytic import circle_distance
 from abtqft.discrete import surfaces as S
+from abtqft.discrete.complexes import ComplexError
 from abtqft.discrete import tangent_connection, chern_number
 
 
@@ -151,3 +153,27 @@ def test_torus_builders_pinned(kind, n, m):
            list(cx.edge_lengths), cx.name]
     digest = hashlib.sha256(json.dumps(rec).encode()).hexdigest()
     assert digest == TORUS_DIGESTS[(kind, n, m)]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: tangent_connection(S.icosahedron()).punctured(12),
+     "no vertex 12"),
+    (lambda: tangent_connection(S.icosahedron()).punctured(-1),
+     "no vertex -1"),
+    (lambda: S.flat_torus(2, 3),
+     "torus grid needs n, m >= 3 to stay simplicial"),
+], ids=["puncture-past-the-end", "puncture-negative", "torus-too-small"])
+def test_out_of_range_sizes_are_refused(build, message):
+    # the puncture check is the only gate for a programmatic caller;
+    # scene files meet the reader's `puncture` range check first
+    with pytest.raises(ComplexError, match=f"^{message}$"):
+        build()
+
+
+def test_a_chart_that_does_not_close_is_refused(monkeypatch):
+    # every corner read as 1 radian: the exterior turns miss 2 pi
+    surface = S.icosahedron()
+    monkeypatch.setattr(S, "math", SimpleNamespace(acos=lambda c: 1.0,
+                                                   pi=math.pi))
+    with pytest.raises(ComplexError, match="^face 0: chart failed to close$"):
+        S.MetricSurface(surface)

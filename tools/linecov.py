@@ -10,6 +10,11 @@ compiled from its file lists it in `co_lines()`.  Prints the executable
 and the never-run lines of each module under `src/`, then the numbers of
 the lines never run.  It is not part of the test suite: tracing makes a
 run several times slower.
+
+`tools/linecov_unrun.txt` lists the lines that stay unrun, each with its
+reason, one `MODULE | SOURCE | REASON` a line, SOURCE being the line's
+stripped text.  The exit status is 1 when a never-run line is not listed
+there or a listed line runs (a stale entry), else pytest's.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+UNRUN = os.path.join(ROOT, "tools", "linecov_unrun.txt")
 CHILD = """import sys
 sys.path.insert(0, {tools!r})
 import linecov
@@ -66,12 +72,11 @@ def trace_child():
     atexit.register(dump)
 
 
-def executable(path):
-    """The lines of the source file `path` that its code objects list
-    (a module's code starts at line 0; a function's own first line is its
-    `def`, which the enclosing code runs)."""
-    with open(path, encoding="utf-8") as fh:
-        stack = [compile(fh.read(), path, "exec")]
+def executable(source, path):
+    """The lines of the module `source`, read from `path`, that its code
+    objects list (a module's code starts at line 0; a function's own first
+    line is its `def`, which the enclosing code runs)."""
+    stack = [compile(source, path, "exec")]
     lines = set()
     while stack:
         code = stack.pop()
@@ -81,6 +86,25 @@ def executable(path):
         lines |= own
         stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
     return lines
+
+
+def listed(path=UNRUN):
+    """The (module, source) pairs of the list of lines that stay unrun;
+    blank lines and `#` comments are skipped, and every entry needs a
+    reason."""
+    entries = set()
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            module, _, rest = line.partition(" | ")
+            source, _, reason = rest.rpartition(" | ")
+            if not (module and source and reason.strip()):
+                raise ValueError(f"{path}:{n}: expected MODULE | SOURCE | "
+                                 f"REASON, got {line!r}")
+            entries.add((module, source))
+    return entries
 
 
 def main(pytest_args):
@@ -112,11 +136,15 @@ def main(pytest_args):
     for folder, _, files in sorted(os.walk(package)):
         for name in sorted(f for f in files if f.endswith(".py")):
             path = os.path.join(folder, name)
-            lines = executable(path)
+            with open(path, encoding="utf-8") as fh:
+                source = fh.read()
+            lines = executable(source, path)
             missed = sorted(lines - run.get(path, set()))
             total += len(lines)
             missed_total += len(missed)
-            report.append((os.path.relpath(path, SRC), len(lines), missed))
+            text = source.splitlines()
+            report.append((os.path.relpath(path, SRC), len(lines),
+                           [(line, text[line - 1].strip()) for line in missed]))
     print(f"\n{len(children)} child processes traced; pytest exit {status}")
     print(f"{'module':40} {'lines':>6} {'missed':>6}")
     for path, n, missed in report:
@@ -124,8 +152,19 @@ def main(pytest_args):
     print(f"{'total':40} {total:6} {missed_total:6}")
     for path, _, missed in report:
         if missed:
-            print(f"{path}: {', '.join(map(str, missed))}")
-    return status
+            print(f"{path}: {', '.join(str(line) for line, _ in missed)}")
+    keys = {(path, source) for path, _, missed in report
+            for _, source in missed}
+    entries = listed()
+    unlisted = sorted(keys - entries)
+    stale = sorted(entries - keys)
+    for path, source in unlisted:
+        print(f"not run and not listed: {path} | {source}")
+    for path, source in stale:
+        print(f"listed but run: {path} | {source}")
+    print(f"{len(entries)} listed lines; {len(unlisted)} unlisted, "
+          f"{len(stale)} stale")
+    return status or int(bool(unlisted or stale))
 
 
 if __name__ == "__main__":

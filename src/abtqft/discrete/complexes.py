@@ -99,7 +99,8 @@ class CellComplex:
     def _derived(cls, cell_counts, boundary, coords=None, edge_lengths=None,
                  name=None):
         """Unchecked incidence, valid by construction in each caller:
-        `jittered_lengths` shares the lists of a valid complex; the sides
+        `jittered_lengths` shares the incidence of a valid complex, for a
+        builtin mesh that of the one process-wide copy; the sides
         (a, b), (b, c), (c, a) of a `build_triangle_surface` triangle with
         distinct, range-checked vertices have boundaries summing to zero; the
         dual of a `TangentBundle` sums (next face - current face) around each

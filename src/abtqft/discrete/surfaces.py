@@ -11,7 +11,9 @@ behind the tangent-bundle Chern number.
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 
 from ..analytic import nearest_integer, sum_in_order, wrap_unit, wrap_half
 from .complexes import CellComplex, ComplexError, build_triangle_surface
@@ -27,11 +29,6 @@ class DegenerateTriangle(ValueError):
 
 class NotClosed(ValueError):
     pass
-
-
-def _side_tail_head(complex, e, sign):
-    tail, head = complex.edge_endpoints(e)
-    return (tail, head) if sign == 1 else (head, tail)
 
 
 class MetricSurface:
@@ -56,13 +53,15 @@ class MetricSurface:
         self.corner_angles = []
         self.side_dirs = []
         self.corners_at = [[] for _ in range(complex.n_cells[0])]
+        ends_of = [complex.edge_endpoints(e)    # each edge's (tail, head)
+                   for e in range(complex.n_cells[1])]
         for f in range(nf):
             sides = complex.boundary[2][f]
             if len(sides) != 3:
                 raise ComplexError(f"boundary.2[{f}]: expected the 3 sides of "
                                    f"a triangle, got {len(sides)} sides")
-            # sides must chain head-to-tail
-            ends = [_side_tail_head(complex, e, sign) for e, sign in sides]
+            # sides must chain head-to-tail; a -1 side runs head to tail
+            ends = [ends_of[e][::sign] for e, sign in sides]
             for j in range(3):
                 if ends[j - 1][1] != ends[j][0]:
                     raise ComplexError(
@@ -387,11 +386,19 @@ MESH_BUILDERS = {"icosahedron": icosahedron, "flat-torus": flat_torus,
 
 
 def build_mesh(name):
-    """The builtin surface `name`, a key of MESH_BUILDERS."""
+    """The builtin surface `name`, a key of MESH_BUILDERS, built once per
+    process and shared read-only: its incidence is held as tuples."""
     if not isinstance(name, str) or name not in MESH_BUILDERS:
         raise ValueError(f"unknown mesh {name!r}; "
                          f"available: {sorted(MESH_BUILDERS)}")
-    return MESH_BUILDERS[name]()
+    return _shared_mesh(name)
+
+
+@functools.cache
+def _shared_mesh(name):
+    cx = MESH_BUILDERS[name]()
+    cx.boundary = {k: tuple(map(tuple, b)) for k, b in cx.boundary.items()}
+    return cx
 
 
 def jittered_lengths(surface, rng, frozen_edges=()):
@@ -408,15 +415,24 @@ def jittered_lengths(surface, rng, frozen_edges=()):
         edge_lengths=L, name=(surface.name or "surface") + "-jittered")
 
 
+_STARS = weakref.WeakKeyDictionary()     # complex -> {vertex: edges}
+
+
 def ring_triangle_edges(surface, vertex):
     """Edges of all triangles having a corner at `vertex` (for freezing).
 
     The corners of a triangle are the endpoints of its sides, so this
-    needs the combinatorics of the complex `surface` only.
+    needs the combinatorics of the complex `surface` only: every vertex's
+    star is indexed in one pass over the faces, once per complex while it
+    lives, so a shared builtin derives each star once per process.
     """
-    edges = set()
-    for sides in surface.boundary[2]:
-        if any(idx == vertex for e, _ in sides
-               for idx, _ in surface.boundary[1][e]):
-            edges.update(e for e, _ in sides)
-    return edges
+    stars = _STARS.get(surface)
+    if stars is None:
+        stars = {}
+        for sides in surface.boundary[2]:
+            edges = [e for e, _ in sides]
+            for e in edges:
+                for v, _ in surface.boundary[1][e]:
+                    stars.setdefault(v, set()).update(edges)
+        stars = _STARS[surface] = {v: frozenset(s) for v, s in stars.items()}
+    return stars.get(vertex, frozenset())

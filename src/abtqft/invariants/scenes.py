@@ -237,9 +237,11 @@ def disk_bounding(lifts, extra_lift=0, label="disk", where="extra_lift"):
 def tangent_bounding(mesh, puncture, jitter_rng=None):
     """Tangent-type bounding surface: a punctured metric surface.
 
-    `mesh` is a builder name or a CellComplex with lengths.  Jitter, if
-    requested, perturbs every length except those of the triangles at the
-    puncture, so the boundary circle is untouched.
+    `mesh` is a builder name, whose complex and puncture stars are shared
+    by every call in the process, or a CellComplex with lengths.  Jitter,
+    if requested, perturbs every length except those of the triangles at
+    the puncture, so the boundary circle is untouched; the jittered copy
+    shares the incidence of `mesh`.
     """
     from ..discrete import surfaces as _surf
     surface = _surf.build_mesh(mesh) if isinstance(mesh, str) else mesh

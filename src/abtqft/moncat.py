@@ -168,6 +168,8 @@ class HofibCat:
         return self._stacked_cat.hom(d.parent.zero(), d)
 
     def hom_contains(self, p, q, x):
+        self.require_object(*p)
+        self.require_object(*q)
         d = self._difference(p, q)
         return self._stacked_cat.hom_contains(d.parent.zero(), d, x)
 

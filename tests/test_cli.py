@@ -804,6 +804,10 @@ def test_geo_inexact_integer_exit_2(tmp_path, capsys, verb, mesh, second,
       "tangent"], "tmp",
      "edge 0 traversed twice with the same sign; surface not closed and "
      "coherently oriented"),
+    (["chern", {"cells": {"0": 3, "1": 4, "2": 1}, "boundary": {
+        "1": TRIANGLE["boundary"]["1"] + [[]],
+        "2": [[[0, 1], [1, 1], [2, 1]]]}, "edge_lengths": [1.0] * 4},
+      "tangent"], "tmp", "edge 3 lacks a (+1, -1) endpoint pair"),
 ], ids=["cochain-as-mesh", "mesh-as-cochain", "cochain-without-values",
         "array-top-level", "scalar-top-level", "cochain-as-connection",
         "boundary-number", "face-list-number", "values-number",
@@ -811,7 +815,8 @@ def test_geo_inexact_integer_exit_2(tmp_path, capsys, verb, mesh, second,
         "values-count", "phases-count", "lifts-count", "lift-beyond-2**53",
         "boundary-count", "cell-out-of-range", "coords-count",
         "lengths-count", "tangent-without-lengths", "four-sided-face",
-        "unchained-sides", "one-dimensional-mesh", "face-traversed-twice"])
+        "unchained-sides", "one-dimensional-mesh", "face-traversed-twice",
+        "edge-without-ends"])
 def test_geo_wrong_kind_file_exit_2(tmp_path, capsys, argv, bad, detail):
     # a geo verb reads each file as the one kind its argument names, and
     # names the path of the first field of the wrong shape

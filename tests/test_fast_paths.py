@@ -10,7 +10,8 @@ updated all four transforms on every elementary operation, the solve and
 kernel read off those transforms, group elements as U_inv products,
 squares and fills compared as two checked composite morphisms, the fiber
 product taken whenever a fiber is built, isomorphisms decided by a
-trivial kernel and cokernel, and the winding quadrature evaluated one
+trivial kernel and cokernel, the edges at a puncture found by a scan
+over all faces, and the winding quadrature evaluated one
 whole chi slice at a time by the old allocating density, and the tangent
 bundle over a checked dual whose lifts read a bare connection, and the
 surface layer's float bits as its numpy-array code wrote them to
@@ -271,6 +272,27 @@ def _bundle_bits(bundle):
             bundle.dual.boundary)
 
 
+def slow_ring_triangle_edges(surface, vertex):
+    """Edges of the faces with a side ending at `vertex`, by a full scan."""
+    edges = set()
+    for sides in surface.boundary[2]:
+        if any(idx == vertex for e, _ in sides
+               for idx, _ in surface.boundary[1][e]):
+            edges.update(e for e, _ in sides)
+    return edges
+
+
+def test_star_index_matches_the_face_scan():
+    with open(os.path.join(os.path.dirname(__file__), "..", "samples",
+                           "mesh_square.json")) as fh:
+        from_file = CellComplex.from_json(json.load(fh), "mesh_square")
+    meshes = [S.build_mesh(name) for name in S.MESH_BUILDERS]
+    for cx in meshes + [from_file] + BUILTINS:
+        for v in range(-1, cx.n_cells[0] + 1):
+            assert S.ring_triangle_edges(cx, v) == slow_ring_triangle_edges(
+                cx, v), (cx.name, v)
+
+
 WORKLOAD_TORI = [kind(n, n)
                  for kind in (S.flat_torus, S.equilateral_torus,
                               S.flipped_torus)
@@ -331,8 +353,10 @@ def test_derived_complexes_pass_the_public_check(monkeypatch):
     for cx in derived:
         again = CellComplex(cx.n_cells, cx.boundary, coords=cx.coords,
                             edge_lengths=cx.edge_lengths, name=cx.name)
-        assert (again.dim, again.n_cells, again.boundary) == (
-            cx.dim, cx.n_cells, cx.boundary)
+        # a builtin's copies share its incidence as tuples, which the
+        # public constructor reads back as lists
+        assert (again.dim, again.n_cells, again.to_json()["boundary"]) == (
+            cx.dim, cx.n_cells, cx.to_json()["boundary"])
         for reals in ("coords", "edge_lengths"):
             a, b = getattr(again, reals), getattr(cx, reals)
             assert a is b is None or repr(a) == repr(b)

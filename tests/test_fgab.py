@@ -291,7 +291,10 @@ def _groups():
      r"^composition mismatch$"),
     (lambda Z, Z2, f: fgab.solve(f, Z.zero()), fgab.ParentMismatch,
      r"^rhs not in the target group$"),
-], ids=["order", "elements", "element-length", "apply", "then", "solve"])
+    (lambda Z, Z2, f: fgab.pullback(f, f).stack(Z2.zero(), Z.zero()),
+     fgab.ParentMismatch, r"^pair not in the factors of the pullback$"),
+], ids=["order", "elements", "element-length", "apply", "then", "solve",
+        "stack"])
 def test_misuse_is_refused(call, error, message):
     with pytest.raises(error, match=message):
         call(*_groups())

@@ -378,6 +378,11 @@ def test_hofiber_rejects_non_objects():
     with pytest.raises(ValueError):
         fiber.hom((Gm.element([1]), Ho.element([0])),
                   (Gm.element([0]), Ho.element([0])))
+    # membership answers for objects only, at either end
+    unit, stray = fiber.unit(), (Gm.element([1]), Ho.element([0]))
+    for p, q in ((unit, stray), (stray, unit)):
+        with pytest.raises(ValueError, match="is not an object"):
+            fiber.hom_contains(p, q, square.phi_H.source.zero())
     # a pair from the wrong groups is refused, not read as coordinates
     with pytest.raises(fgab.ParentMismatch):
         fiber.hom_contains((Ho.zero(), Gm.zero()),

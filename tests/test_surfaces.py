@@ -118,6 +118,28 @@ def test_dual_complex_closed():
         assert not any(bundle.dual.boundary_of(2, chain))
 
 
+def test_builtin_meshes_are_shared_and_left_unchanged():
+    from abtqft.cli import main
+    from abtqft.invariants import random_su_scene, tangent_bounding
+    from abtqft.invariants.scenes import SU_POOLS
+    rng = random.Random("shared builtin meshes")
+    for pool in SU_POOLS:
+        for mesh, v in pool:
+            tangent_bounding(mesh, v, jitter_rng=rng)
+    for name in S.MESH_BUILDERS:
+        assert main(["geo", "chern", f"builtin:{name}", "tangent"]) == 0
+    for seed in range(20):
+        random_su_scene(random.Random(seed))
+    for name, build in S.MESH_BUILDERS.items():
+        shared, fresh = S.build_mesh(name), build()
+        assert shared is S.build_mesh(name)
+        assert (shared.name, shared.to_json()) == (fresh.name, fresh.to_json())
+        # no caller can write to the incidence every caller shares
+        assert all(type(cells) is tuple and all(type(c) is tuple for c in cells)
+                   for cells in shared.boundary.values())
+        assert type(shared.edge_lengths) is tuple
+
+
 def test_ring_triangle_edges_cover_incident_faces():
     surface = S.icosahedron()
     edges = S.ring_triangle_edges(surface, 0)

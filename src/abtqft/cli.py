@@ -316,10 +316,8 @@ def cmd_cat_hom(args, ws):
             "kernel_generators": gens}
     if args.oracle:
         if cat.mor_group.is_finite and cat.obj_group.is_finite:
-            from .testing import brute_hom_table
-            table, _ = brute_hom_table(phi)
-            brute = table.get((a.key(), b.key()), set())
-            agrees = hs.element_keys() == brute
+            from .testing import brute_hom_set
+            agrees = hs.element_keys() == brute_hom_set(phi, a, b)
             lines.append(f"oracle: {'agrees' if agrees else 'DISAGREES'}")
             data["oracle"] = agrees
             if not agrees:
@@ -619,7 +617,9 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
+        # a fault with no message (MemoryError()) is named by its class
+        print(f"computation error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 1
 
     if args.format == "json":

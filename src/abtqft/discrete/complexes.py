@@ -103,8 +103,8 @@ class CellComplex:
         builtin mesh that of the one process-wide copy; the sides
         (a, b), (b, c), (c, a) of a `build_triangle_surface` triangle with
         distinct, range-checked vertices have boundaries summing to zero; the
-        dual of a `TangentBundle` sums (next face - current face) around each
-        vertex ring, which `_ring` proves closed.  Reals pass `as_reals`."""
+        dual of `SurfaceTopology.dual_side` sums (next - current face) over
+        each vertex ring, which its walk proves closed.  Reals: `as_reals`."""
         cx = cls.__new__(cls)
         cx._set(cell_counts, boundary, coords, edge_lengths, name)
         return cx

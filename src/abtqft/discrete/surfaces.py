@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 
 from ..analytic import nearest_integer, sum_in_order, wrap_unit, wrap_half
 from .complexes import CellComplex, ComplexError, build_triangle_surface
@@ -103,47 +102,90 @@ class MetricSurface:
                                      for f, j in self.corners_at[v])
 
 
-class TangentBundle:
-    """Levi-Civita transport of a closed metric surface on its dual.
+class SurfaceTopology:
+    """What a closed surface's incidence alone determines, derived on first
+    use and read-only after: its vertex stars and tangent dual side.
+    `_shared_mesh` gives each builtin one, which `jittered_lengths` hands
+    to its copies; any other complex gets a fresh one per call."""
 
-    dual vertices = faces, dual edges = primal edges (oriented from the
-    face traversing the edge positively to the other one), dual faces =
-    primal vertices with their counterclockwise corner rings.  The lift
-    of each dual face is chosen so its curvature equals defect / 2 pi.
+    def __init__(self, complex):
+        self.complex, self._dual_side = complex, None
+
+    @functools.cached_property
+    def stars(self):
+        """vertex -> edges of the triangles with a side ending there."""
+        stars = {}
+        for sides in self.complex.boundary[2]:
+            edges = [e for e, _ in sides]
+            for e in edges:
+                for v, _ in self.complex.boundary[1][e]:
+                    stars.setdefault(v, set()).update(edges)
+        return {v: frozenset(s) for v, s in stars.items()}
+
+    def dual_side(self, corners_at):
+        """(slots, rings, dual) from each vertex's ascending corners:
+        slots[e] holds the (face, slot) of edge e's +1 side, then its -1
+        side's; the dual has the faces as vertices, an edge from the + face
+        to the - face per edge and each vertex's ccw ring as a face."""
+        if self._dual_side is None:
+            cx = self.complex
+            ne, faces = cx.n_cells[1], cx.boundary[2]
+            # closed and coherently oriented: side (e, s) has one slot
+            by_sign = {1: [None] * ne, -1: [None] * ne}
+            for f, sides in enumerate(faces):
+                for j, (e, sign) in enumerate(sides):
+                    if by_sign[sign][e] is not None:
+                        raise NotClosed(
+                            f"edge {e} traversed twice with the same sign; "
+                            "surface not closed and coherently oriented")
+                    by_sign[sign][e] = (f, j)
+            slots = tuple(zip(by_sign[1], by_sign[-1]))
+            for e, ends in enumerate(slots):
+                if None in ends:
+                    raise NotClosed(f"edge {e} is a boundary edge")
+            rings = []
+            for v, corners in enumerate(corners_at):
+                # v is at the tail of each corner's side, so glued vertices
+                # work; each side has one slot, so the walk comes back
+                if not corners:
+                    raise ComplexError(f"vertex {v} has no incident triangle")
+                ring, (f, j) = [], corners[0]
+                while not ring or (f, j) != corners[0]:
+                    e, sign = side = faces[f][(j - 1) % 3]
+                    ring.append(side)
+                    f, j = by_sign[-sign][e]
+                if len(ring) != len(corners):
+                    raise ComplexError(
+                        f"vertex {v} link splits into several cycles")
+                rings.append(tuple(ring))
+            rings = tuple(rings)
+            self._dual_side = slots, rings, CellComplex._derived(
+                {0: len(faces), 1: ne, 2: len(rings)},
+                {1: tuple(((plus[0], -1), (minus[0], 1))
+                          for plus, minus in slots), 2: rings}, name="dual")
+        return self._dual_side
+
+
+def _topology(complex):
+    """The topology `complex` shares, or a fresh one for this call."""
+    return getattr(complex, "topology", None) or SurfaceTopology(complex)
+
+
+class TangentBundle:
+    """Levi-Civita transport of a closed metric surface on the dual side of
+    its topology (`SurfaceTopology.dual_side`); each call computes the turns,
+    defects and lifts, a lift making its dual face's curvature defect / 2 pi.
     """
 
     def __init__(self, surface):
         self.surface = surface
-        cx = surface.complex
-        ne, nf, nv = cx.n_cells[1], cx.n_cells[2], cx.n_cells[0]
-
-        # side slots per edge; a closed coherently oriented surface has
-        # exactly one +1 slot and one -1 slot per edge
-        slots = {e: {} for e in range(ne)}
-        for f in range(nf):
-            for j, (e, sign) in enumerate(cx.boundary[2][f]):
-                if sign in slots[e]:
-                    raise NotClosed(
-                        f"edge {e} traversed twice with the same sign; "
-                        "surface not closed and coherently oriented")
-                slots[e][sign] = (f, j)
-        for e in range(ne):
-            if set(slots[e]) != {1, -1}:
-                raise NotClosed(f"edge {e} is a boundary edge")
-        self._slots = slots
-
+        slots, self.rings, self.dual = _topology(
+            surface.complex).dual_side(surface.corners_at)
         # per edge, the turn from its + slot's chart to its - slot's
         chart = surface.edge_direction_in_chart
-        turns = [wrap_unit((chart(*slots[e][-1]) - chart(*slots[e][1]))
-                           / TWO_PI) for e in range(ne)]
-        dual_edge_bnd = [[(slots[e][1][0], -1), (slots[e][-1][0], 1)]
-                         for e in range(ne)]
-
-        self.rings = [self._ring(v) for v in range(nv)]
-        self.dual = CellComplex._derived({0: nf, 1: ne, 2: nv},
-                                         {1: dual_edge_bnd, 2: self.rings},
-                                         name="dual")
-        self.defects = [surface.angle_defect(v) for v in range(nv)]
+        turns = [wrap_unit((chart(*minus) - chart(*plus)) / TWO_PI)
+                 for plus, minus in slots]
+        self.defects = list(map(surface.angle_defect, range(len(self.rings))))
 
         # each ring's fraction is the connection's face fraction
         lifts = [nearest_integer(
@@ -152,33 +194,6 @@ class TangentBundle:
             f"vertex {v}: angle defect / 2 pi - ring holonomy =")
             for v, ring in enumerate(self.rings)]
         self.connection = LatticeConnection(self.dual, turns, lifts)
-
-    def _ring(self, v):
-        """Counterclockwise crossings around v as (edge, sign) pairs.
-
-        Corners are tracked as (face, slot) with the junction vertex at
-        the tail of the slot's side, so surfaces with glued or repeated
-        vertices (one-vertex tori, identified polygons) work unchanged.
-        """
-        cx = self.surface.complex
-        corners = self.surface.corners_at[v]
-        if not corners:
-            raise ComplexError(f"vertex {v} has no incident triangle")
-        # each (edge, sign) has one slot, so the step is a bijection on
-        # corners and the walk first returns to its start
-        start = corners[0]
-        ring = []
-        f, j = start
-        while True:
-            e, sign = cx.boundary[2][f][(j - 1) % 3]
-            ring.append((e, sign))
-            f, j = self._slots[e][-sign]
-            if (f, j) == start:
-                break
-        if len(ring) != len(corners):
-            raise ComplexError(
-                f"vertex {v} link splits into several cycles")
-        return ring
 
     def chern_number(self):
         from .connections import chern_number
@@ -387,7 +402,7 @@ MESH_BUILDERS = {"icosahedron": icosahedron, "flat-torus": flat_torus,
 
 def build_mesh(name):
     """The builtin surface `name`, a key of MESH_BUILDERS, built once per
-    process and shared read-only: its incidence is held as tuples."""
+    process with its topology and shared read-only: incidence as tuples."""
     if not isinstance(name, str) or name not in MESH_BUILDERS:
         raise ValueError(f"unknown mesh {name!r}; "
                          f"available: {sorted(MESH_BUILDERS)}")
@@ -398,41 +413,26 @@ def build_mesh(name):
 def _shared_mesh(name):
     cx = MESH_BUILDERS[name]()
     cx.boundary = {k: tuple(map(tuple, b)) for k, b in cx.boundary.items()}
+    cx.topology = SurfaceTopology(cx)
     return cx
 
 
 def jittered_lengths(surface, rng, frozen_edges=()):
-    """Copy of a surface with lengths multiplied by 1 +- 0.05.
-
-    Edges in `frozen_edges` keep their length, so boundary rings shared
-    between paired surfaces stay metrically identical.
+    """Copy of `surface`, sharing its incidence and topology, with lengths
+    multiplied by 1 +- 0.05.  Edges in `frozen_edges` keep their length, so
+    boundary rings shared between paired surfaces stay metrically identical.
     """
     frozen = set(frozen_edges)
     L = [x if e in frozen else x * (1.0 + 0.05 * (2.0 * rng.random() - 1.0))
          for e, x in enumerate(surface.edge_lengths)]
-    return CellComplex._derived(
+    copy = CellComplex._derived(
         surface.n_cells, surface.boundary, coords=surface.coords,
         edge_lengths=L, name=(surface.name or "surface") + "-jittered")
-
-
-_STARS = weakref.WeakKeyDictionary()     # complex -> {vertex: edges}
+    copy.topology = _topology(surface)
+    return copy
 
 
 def ring_triangle_edges(surface, vertex):
-    """Edges of all triangles having a corner at `vertex` (for freezing).
-
-    The corners of a triangle are the endpoints of its sides, so this
-    needs the combinatorics of the complex `surface` only: every vertex's
-    star is indexed in one pass over the faces, once per complex while it
-    lives, so a shared builtin derives each star once per process.
-    """
-    stars = _STARS.get(surface)
-    if stars is None:
-        stars = {}
-        for sides in surface.boundary[2]:
-            edges = [e for e, _ in sides]
-            for e in edges:
-                for v, _ in surface.boundary[1][e]:
-                    stars.setdefault(v, set()).update(edges)
-        stars = _STARS[surface] = {v: frozenset(s) for v, s in stars.items()}
-    return stars.get(vertex, frozenset())
+    """Edges of all triangles having a corner at `vertex` (for freezing),
+    from the stars of the topology of the complex `surface`."""
+    return _topology(surface).stars.get(vertex, frozenset())

@@ -140,6 +140,14 @@ def random_square(rng, max_order=60, force_iso=None):
 
 # -- brute-force oracles ----------------------------------------------------
 
+def brute_hom_set(phi, a, b):
+    """The keys of the x with a + phi(x) = b, by one pass over phi's
+    source: time in its order, memory in the answer's size."""
+    ka, kb = a.key(), b.key()
+    return {x.key() for x in phi.source.elements()
+            if phi.target.key_add(ka, phi(x).key()) == kb}
+
+
 def brute_hom_table(phi):
     """For each object key pair, the set of solution keys, by exhaustion."""
     A_ob, A_mor = phi.target, phi.source

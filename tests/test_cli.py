@@ -486,11 +486,47 @@ def test_cat_hom_oracle_on_finite_groups(tmp_path, capsys):
 
 def test_cat_hom_oracle_disagreement_exit_1(tmp_path, capsys, monkeypatch):
     from abtqft import testing
-    monkeypatch.setattr(testing, "brute_hom_table", lambda phi: ({}, None))
+    monkeypatch.setattr(testing, "brute_hom_set", lambda phi, a, b: set())
     code, out, err = run(capsys, "cat", "hom", _times2_z4_to_z8(tmp_path),
                          "1", "3", "--oracle")
     assert (code, out) == (1, "")
     assert err == "computation error: hom-set oracle disagreement\n"
+
+
+def test_cat_hom_oracle_memory_bounded_by_the_question(tmp_path):
+    # Z/3000 -> Z/3000: the whole hom table has 9e6 pairs and outgrows the
+    # cap, while one pass over the 3000 carriers keeps the 2 solutions
+    path = tmp_path / "times2_z3000.json"
+    group = {"generators": 1, "relations": [[3000]]}
+    path.write_text(json.dumps({"matrix": [[2]], "source": group,
+                                "target": group}))
+    child = ("import resource, sys\n"
+             "cap = 1 << 30\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+             "from abtqft.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "cat", "hom", str(path), "0", "4",
+         "--oracle"], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["particular = (2)",
+                                        "kernel generators = [[1500]]",
+                                        "oracle: agrees"]
+
+
+def test_fault_without_message_is_named_by_its_class(capsys, monkeypatch):
+    import abtqft.cli as cli
+
+    def exhausted(args, ws):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_group_smith", exhausted)
+    code, out, err = run(capsys, "group", "smith", sample("matrix.json"))
+    assert (code, out) == (1, "")
+    assert err == "computation error: MemoryError\n"
 
 
 def test_record_closes_its_inputs(tmp_path):

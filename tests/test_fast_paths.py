@@ -22,6 +22,7 @@ without the index, sign and boundary-of-boundary checks, are rebuilt
 with them.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -183,17 +184,27 @@ def slow_angle_defect(ms, v):
     return 2.0 * math.pi - total
 
 
-def slow_ring(bundle, v):
-    boundary = bundle.surface.complex.boundary[2]
-    start = slow_corners(bundle.surface, v)[0]
+def slot_index(boundary):
+    """{(edge, sign): (face, slot)} by one scan over the faces."""
+    return {side: (f, j) for f, sides in enumerate(boundary)
+            for j, side in enumerate(sides)}
+
+
+def walk_ring(boundary, slot_of, start):
+    """From corner `start`, cross the side before each corner into the
+    face on its other side, until back at `start`."""
     ring = []
     f, j = start
     while True:
         e, sign = boundary[f][(j - 1) % 3]
         ring.append((e, sign))
-        f, j = bundle._slots[e][-sign]
+        f, j = slot_of[e, -sign]
         if (f, j) == start:
             return ring
+
+
+def slow_ring(ms, v, slot_of):
+    return walk_ring(ms.complex.boundary[2], slot_of, slow_corners(ms, v)[0])
 
 
 @pytest.mark.parametrize(
@@ -202,12 +213,13 @@ def slow_ring(bundle, v):
 def test_corner_index_matches_face_scan(mesh):
     bundle = S.tangent_connection(mesh)
     ms = bundle.surface
+    slot_of = slot_index(mesh.boundary[2])
     for v in range(mesh.n_cells[0]):
         assert ms.corners_at[v] == slow_corners(ms, v)
         # bit-identical: the summation order is unchanged
         assert ms.angle_defect(v) == slow_angle_defect(ms, v)
         assert bundle.defects[v] == slow_angle_defect(ms, v)
-        assert bundle.rings[v] == slow_ring(bundle, v)
+        assert list(bundle.rings[v]) == slow_ring(ms, v, slot_of)
 
 
 def test_angle_defect_rejects_missing_vertex():
@@ -233,21 +245,18 @@ class EagerTangentBundle(S.TangentBundle):
         self.surface = surface
         cx = surface.complex
         ne, nf, nv = cx.n_cells[1], cx.n_cells[2], cx.n_cells[0]
-        slots = {e: {} for e in range(ne)}
-        for f in range(nf):
-            for j, (e, sign) in enumerate(cx.boundary[2][f]):
-                slots[e][sign] = (f, j)
-        self._slots = slots
+        slot_of = slot_index(cx.boundary[2])
         dual_edge_bnd = []
         turns = np.zeros(ne)
         for e in range(ne):
-            f_plus, j_plus = slots[e][1]
-            f_minus, j_minus = slots[e][-1]
+            f_plus, j_plus = slot_of[e, 1]
+            f_minus, j_minus = slot_of[e, -1]
             a_plus = surface.edge_direction_in_chart(f_plus, j_plus)
             a_minus = surface.edge_direction_in_chart(f_minus, j_minus)
             turns[e] = wrap_unit((a_minus - a_plus) / S.TWO_PI)
             dual_edge_bnd.append([(f_plus, -1), (f_minus, 1)])
-        self.rings = [self._ring(v) for v in range(nv)]
+        self.rings = [walk_ring(cx.boundary[2], slot_of,
+                                surface.corners_at[v][0]) for v in range(nv)]
         dual_face_bnd = [[(e, sign) for e, sign in ring] for ring in self.rings]
         self.dual = CellComplex({0: nf, 1: ne, 2: nv},
                                 {1: dual_edge_bnd, 2: dual_face_bnd},
@@ -268,8 +277,7 @@ def _bundle_bits(bundle):
     conn = bundle.connection
     return ([float(t).hex() for t in conn.edge_turns],
             [float(d).hex() for d in bundle.defects],
-            [int(n) for n in conn.face_lifts], bundle.dual.n_cells,
-            bundle.dual.boundary)
+            [int(n) for n in conn.face_lifts], bundle.dual.to_json())
 
 
 def slow_ring_triangle_edges(surface, vertex):
@@ -321,8 +329,13 @@ def test_tangent_bundle_matches_the_eager_construction(monkeypatch):
             S.build_mesh(mesh), random.Random(seed),
             S.ring_triangle_edges(S.build_mesh(mesh), v))
         surface = S.MetricSurface(surface)
-        assert _bundle_bits(S.TangentBundle(surface)) == _bundle_bits(
-            eager_tangent_bundle(surface)), (mesh, v)
+        want = _bundle_bits(eager_tangent_bundle(surface))
+        # the second build of a jittered builtin reads the dual side the
+        # first one derived or found; a bare torus derives its own again
+        first, second = S.TangentBundle(surface), S.TangentBundle(surface)
+        assert (first.dual is second.dual) == (seed is not None), (mesh, v)
+        for bundle in (first, second):
+            assert _bundle_bits(bundle) == want, (mesh, v)
 
 
 def test_derived_complexes_pass_the_public_check(monkeypatch):
@@ -336,6 +349,9 @@ def test_derived_complexes_pass_the_public_check(monkeypatch):
         return derived[-1]
 
     monkeypatch.setattr(CellComplex, "_derived", classmethod(recording))
+    # builtins built afresh for this test, each deriving its one dual here
+    monkeypatch.setattr(S, "_shared_mesh",
+                        functools.cache(S._shared_mesh.__wrapped__))
     for mesh in S.MESH_BUILDERS.values():
         S.tangent_connection(mesh())
     for kind in (S.flat_torus, S.equilateral_torus, S.flipped_torus):
@@ -347,7 +363,9 @@ def test_derived_complexes_pass_the_public_check(monkeypatch):
     for _ in range(50):
         random_su_scene(rng)
     names = [cx.name for cx in derived]
-    assert names.count("dual") == 8 + 27 + 100
+    touched = S._shared_mesh.cache_info().currsize
+    assert touched == 8
+    assert names.count("dual") == 8 + 27 + touched
     assert sum(name.endswith("-jittered") for name in names) == 100
     assert sum(name.startswith("grid") for name in names) == 16
     for cx in derived:

@@ -20,8 +20,8 @@ EXPECTED = {
      "build_triangle_surface"),
     ("CellComplex", "discrete/surfaces.py", "jittered_lengths",
      "jittered_lengths"),
-    ("CellComplex", "discrete/surfaces.py", "TangentBundle.__init__",
-     "dual"),
+    ("CellComplex", "discrete/surfaces.py", "SurfaceTopology.dual_side",
+     "dual_side"),
     ("GroupMorphism", "fgab.py", "kernel", "kernel"),
     ("GroupMorphism", "fgab.py", "image", "image"),
     ("GroupMorphism", "fgab.py", "PullbackResult.__init__", "difference"),

@@ -140,6 +140,22 @@ def test_builtin_meshes_are_shared_and_left_unchanged():
         assert type(shared.edge_lengths) is tuple
 
 
+def test_jittered_copies_share_their_builtin_dual():
+    from abtqft.discrete import CellComplex
+    rng = random.Random("shared duals")
+    for name, build in S.MESH_BUILDERS.items():
+        shared = S.build_mesh(name)
+        dual = tangent_connection(shared).dual
+        copies = [S.jittered_lengths(shared, rng) for _ in range(2)]
+        assert all(tangent_connection(cx).dual is dual for cx in copies)
+        # a fresh build of the mesh derives a dual of its own
+        assert tangent_connection(build()).dual is not dual
+        assert all(type(cells) is tuple and all(type(c) is tuple for c in cells)
+                   for cells in (dual.boundary[1], dual.boundary[2]))
+        again = CellComplex(dual.n_cells, dual.boundary, name="dual")
+        assert again.to_json() == dual.to_json()
+
+
 def test_ring_triangle_edges_cover_incident_faces():
     surface = S.icosahedron()
     edges = S.ring_triangle_edges(surface, 0)

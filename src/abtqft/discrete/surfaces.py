@@ -16,7 +16,8 @@ import math
 
 from ..analytic import nearest_integer, sum_in_order, wrap_unit, wrap_half
 from .complexes import CellComplex, ComplexError, build_triangle_surface
-from .connections import LatticeConnection, principal_fraction
+from .connections import (LatticeConnection, chern_number, principal_fraction,
+                          total_curvature)
 
 TWO_PI = 2.0 * math.pi
 LIFT_TOLERANCE = 1e-9  # angle defect / 2 pi vs ring holonomy + lift
@@ -31,13 +32,11 @@ class NotClosed(ValueError):
 
 
 class MetricSurface:
-    """A 2-complex whose faces are triangles with valid edge lengths.
-
-    Precomputes, per face, the corner angles and the direction angle of
+    """A 2-complex whose faces are triangles with valid edge lengths: its
+    `topology` checks the faces' chaining, and it computes only what the
+    lengths decide, per face the corner angles and the direction angle of
     each directed side in the face's intrinsic chart (side 0 at angle 0,
-    turning left by the exterior angle at each junction), and per vertex
-    its corners `corners_at[v]` as (face, slot) pairs in ascending order.
-    """
+    turning left by the exterior angle at each junction)."""
 
     def __init__(self, complex):
         if complex.dim != 2:
@@ -46,26 +45,11 @@ class MetricSurface:
         if complex.edge_lengths is None:
             raise ComplexError("edge_lengths: expected a length per edge, "
                                "got no 'edge_lengths' field")
-        self.complex = complex
-        self.lengths = complex.edge_lengths
-        nf = complex.n_cells[2]
-        self.corner_angles = []
-        self.side_dirs = []
-        self.corners_at = [[] for _ in range(complex.n_cells[0])]
-        ends_of = [complex.edge_endpoints(e)    # each edge's (tail, head)
-                   for e in range(complex.n_cells[1])]
-        for f in range(nf):
-            sides = complex.boundary[2][f]
-            if len(sides) != 3:
-                raise ComplexError(f"boundary.2[{f}]: expected the 3 sides of "
-                                   f"a triangle, got {len(sides)} sides")
-            # sides must chain head-to-tail; a -1 side runs head to tail
-            ends = [ends_of[e][::sign] for e, sign in sides]
-            for j in range(3):
-                if ends[j - 1][1] != ends[j][0]:
-                    raise ComplexError(
-                        f"boundary.2[{f}]: expected sides that chain head to "
-                        f"tail, got sides {(j - 1) % 3} and {j} that do not")
+        self.complex, self.lengths = complex, complex.edge_lengths
+        self.topology = _topology(complex)
+        self.corners_at = self.topology.corners_at    # checks the chaining
+        self.corner_angles, self.side_dirs = [], []
+        for f, sides in enumerate(complex.boundary[2]):
             L = [self.lengths[e] for e, _ in sides]
             for (e, _), length in zip(sides, L):
                 if length <= 0.0:
@@ -86,8 +70,6 @@ class MetricSurface:
                 raise ComplexError(f"face {f}: chart failed to close")
             self.corner_angles.append(angles)
             self.side_dirs.append(dirs)
-            for j, (tail, _) in enumerate(ends):
-                self.corners_at[tail].append((f, j))
 
     def edge_direction_in_chart(self, f, slot):
         """Chart angle of the global orientation of the edge at `slot`."""
@@ -104,12 +86,11 @@ class MetricSurface:
 
 class SurfaceTopology:
     """What a closed surface's incidence alone determines, derived on first
-    use and read-only after: its vertex stars and tangent dual side.
-    `_shared_mesh` gives each builtin one, which `jittered_lengths` hands
-    to its copies; any other complex gets a fresh one per call."""
+    use and read-only after: its vertex stars, corners and tangent dual
+    side.  A builtin has one, which `jittered_lengths` hands to its copies."""
 
     def __init__(self, complex):
-        self.complex, self._dual_side = complex, None
+        self.complex = complex
 
     @functools.cached_property
     def stars(self):
@@ -122,52 +103,72 @@ class SurfaceTopology:
                     stars.setdefault(v, set()).update(edges)
         return {v: frozenset(s) for v, s in stars.items()}
 
-    def dual_side(self, corners_at):
+    @functools.cached_property
+    def corners_at(self):
+        """vertex -> its corners, (face, slot) pairs in ascending order,
+        once every face is checked to be a triangle whose sides chain."""
+        cx = self.complex
+        ends_of = list(map(cx.edge_endpoints, range(cx.n_cells[1])))
+        corners_at = [[] for _ in range(cx.n_cells[0])]
+        for f, sides in enumerate(cx.boundary[2]):
+            if len(sides) != 3:
+                raise ComplexError(f"boundary.2[{f}]: expected the 3 sides of "
+                                   f"a triangle, got {len(sides)} sides")
+            # sides must chain head-to-tail; a -1 side runs head to tail
+            ends = [ends_of[e][::sign] for e, sign in sides]
+            for j in range(3):
+                if ends[j - 1][1] != ends[j][0]:
+                    raise ComplexError(
+                        f"boundary.2[{f}]: expected sides that chain head to "
+                        f"tail, got sides {(j - 1) % 3} and {j} that do not")
+                corners_at[ends[j][0]].append((f, j))    # at the side's tail
+        return tuple(map(tuple, corners_at))
+
+    @functools.cached_property
+    def dual_side(self):
         """(slots, rings, dual) from each vertex's ascending corners:
         slots[e] holds the (face, slot) of edge e's +1 side, then its -1
         side's; the dual has the faces as vertices, an edge from the + face
         to the - face per edge and each vertex's ccw ring as a face."""
-        if self._dual_side is None:
-            cx = self.complex
-            ne, faces = cx.n_cells[1], cx.boundary[2]
-            # closed and coherently oriented: side (e, s) has one slot
-            by_sign = {1: [None] * ne, -1: [None] * ne}
-            for f, sides in enumerate(faces):
-                for j, (e, sign) in enumerate(sides):
-                    if by_sign[sign][e] is not None:
-                        raise NotClosed(
-                            f"edge {e} traversed twice with the same sign; "
-                            "surface not closed and coherently oriented")
-                    by_sign[sign][e] = (f, j)
-            slots = tuple(zip(by_sign[1], by_sign[-1]))
-            for e, ends in enumerate(slots):
-                if None in ends:
-                    raise NotClosed(f"edge {e} is a boundary edge")
-            rings = []
-            for v, corners in enumerate(corners_at):
-                # v is at the tail of each corner's side, so glued vertices
-                # work; each side has one slot, so the walk comes back
-                if not corners:
-                    raise ComplexError(f"vertex {v} has no incident triangle")
-                ring, (f, j) = [], corners[0]
-                while not ring or (f, j) != corners[0]:
-                    e, sign = side = faces[f][(j - 1) % 3]
-                    ring.append(side)
-                    f, j = by_sign[-sign][e]
-                if len(ring) != len(corners):
-                    raise ComplexError(
-                        f"vertex {v} link splits into several cycles")
-                rings.append(tuple(ring))
-            rings = tuple(rings)
-            self._dual_side = slots, rings, CellComplex._derived(
-                {0: len(faces), 1: ne, 2: len(rings)},
-                {1: tuple(((plus[0], -1), (minus[0], 1))
-                          for plus, minus in slots), 2: rings}, name="dual")
-        return self._dual_side
+        cx = self.complex
+        ne, faces = cx.n_cells[1], cx.boundary[2]
+        # closed and coherently oriented: side (e, s) has one slot
+        by_sign = {1: [None] * ne, -1: [None] * ne}
+        for f, sides in enumerate(faces):
+            for j, (e, sign) in enumerate(sides):
+                if by_sign[sign][e] is not None:
+                    raise NotClosed(
+                        f"edge {e} traversed twice with the same sign; "
+                        "surface not closed and coherently oriented")
+                by_sign[sign][e] = (f, j)
+        slots = tuple(zip(by_sign[1], by_sign[-1]))
+        for e, ends in enumerate(slots):
+            if None in ends:
+                raise NotClosed(f"edge {e} is a boundary edge")
+        rings = []
+        for v, corners in enumerate(self.corners_at):
+            # v is at the tail of each corner's side, so glued vertices
+            # work; each side has one slot, so the walk comes back
+            if not corners:
+                raise ComplexError(f"vertex {v} has no incident triangle")
+            ring, (f, j) = [], corners[0]
+            while not ring or (f, j) != corners[0]:
+                e, sign = side = faces[f][(j - 1) % 3]
+                ring.append(side)
+                f, j = by_sign[-sign][e]
+            if len(ring) != len(corners):
+                raise ComplexError(
+                    f"vertex {v} link splits into several cycles")
+            rings.append(tuple(ring))
+        rings = tuple(rings)
+        return slots, rings, CellComplex._derived(
+            {0: len(faces), 1: ne, 2: len(rings)},
+            {1: tuple(((plus[0], -1), (minus[0], 1))
+                      for plus, minus in slots), 2: rings}, name="dual")
 
 
 def _topology(complex):
-    """The topology `complex` shares, or a fresh one for this call."""
+    """The topology `complex` shares, or else a fresh one for its surface."""
     return getattr(complex, "topology", None) or SurfaceTopology(complex)
 
 
@@ -179,8 +180,7 @@ class TangentBundle:
 
     def __init__(self, surface):
         self.surface = surface
-        slots, self.rings, self.dual = _topology(
-            surface.complex).dual_side(surface.corners_at)
+        slots, self.rings, self.dual = surface.topology.dual_side
         # per edge, the turn from its + slot's chart to its - slot's
         chart = surface.edge_direction_in_chart
         turns = [wrap_unit((chart(*minus) - chart(*plus)) / TWO_PI)
@@ -196,7 +196,6 @@ class TangentBundle:
         self.connection = LatticeConnection(self.dual, turns, lifts)
 
     def chern_number(self):
-        from .connections import chern_number
         return chern_number(self.connection,
                             [(v, 1) for v in range(self.dual.n_cells[2])])
 
@@ -213,15 +212,13 @@ class PuncturedSurface:
     """
 
     def __init__(self, bundle, vertex):
-        self.bundle = bundle
-        self.vertex = vertex
+        self.bundle, self.vertex = bundle, vertex
         nv = bundle.dual.n_cells[2]
         if not (0 <= vertex < nv):
             raise ComplexError(f"no vertex {vertex}")
         self.chain = [(f, 1) for f in range(nv) if f != vertex]
 
     def total_curvature(self):
-        from .connections import total_curvature
         return total_curvature(self.bundle.connection,
                                self.bundle.dual.chain_vector(2, self.chain))
 
@@ -241,12 +238,9 @@ class PuncturedSurface:
 
 
 def tangent_connection(complex):
-    """Discrete Levi-Civita transport of a closed triangulated surface.
-
-    Takes a CellComplex with edge lengths and returns the TangentBundle;
-    `.connection` is the induced lattice connection on the dual complex
-    and `.chern_number()` recovers the Euler characteristic.
-    """
+    """Discrete Levi-Civita transport of a closed triangulated surface with
+    edge lengths: its TangentBundle, whose `.connection` lives on the dual
+    complex and whose `.chern_number()` is the Euler characteristic."""
     return TangentBundle(MetricSurface(complex))
 
 

@@ -10,6 +10,7 @@ tuples), so no numpy is loaded.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 from operator import mul
 
@@ -120,10 +121,7 @@ class FgAbGroup:
     def order(self):
         if not self.is_finite:
             raise ValueError("infinite group")
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return math.prod(self.invariant_factors)
 
     @cached_property
     def _element_rows(self):

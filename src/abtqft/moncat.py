@@ -214,12 +214,11 @@ class XiFunctor:
         self.kernel_group, self.kernel_incl = kernel(fiber.square.phi_G)
 
     @property
-    def enumerable(self):
-        """Whether `xi_equivalence_by_enumeration` can decide it: the
-        fiber's objects, phi_H's source and the kernel are finite."""
-        return (self.fiber.object_group.is_finite
-                and self.fiber.square.phi_H.source.is_finite
-                and self.kernel_group.is_finite)
+    def enumerated(self):
+        """The groups `xi_equivalence_by_enumeration` enumerates, by name."""
+        return {"fiber objects": self.fiber.object_group,
+                "H_mor": self.fiber.square.phi_H.source,
+                "ker phi_G": self.kernel_group}
 
     def apply_object(self, p):
         g, h = p
@@ -247,7 +246,7 @@ def xi_equivalence_by_enumeration(square, fill):
     """
     fiber = HofibCat(square)
     xi = XiFunctor(fiber, fill)
-    if not xi.enumerable:
+    if not all(G.is_finite for G in xi.enumerated.values()):
         raise ValueError("enumeration oracle needs finite groups")
 
     # essential surjectivity: every kernel element is an object's image

@@ -20,12 +20,8 @@ def random_finite_group(rng, max_order=100, obfuscate=True):
     """Random finite abelian group of one or two cyclic factors, sometimes
     in a scrambled presentation."""
     while True:
-        k = rng.randint(1, 2)
-        factors = [rng.choice(_FACTORS) for _ in range(k)]
-        order = 1
-        for d in factors:
-            order *= d
-        if order <= max_order:
+        factors = [rng.choice(_FACTORS) for _ in range(rng.randint(1, 2))]
+        if math.prod(factors) <= max_order:
             break
     G = fgab.product_group(factors)
     if obfuscate and rng.random() < 0.5:
@@ -139,6 +135,18 @@ def random_square(rng, max_order=60, force_iso=None):
 
 
 # -- brute-force oracles ----------------------------------------------------
+
+ORACLE_MAX_ORDER = 10 ** 6  # the most elements an --oracle enumerates
+
+
+def oracle_skip(enumerated, *finite):
+    """Why an `--oracle` is skipped, or None: a group of `enumerated` (by
+    name) or `finite` is infinite, or one it enumerates passes the bound."""
+    if not all(G.is_finite for G in (*enumerated.values(), *finite)):
+        return "skipped (infinite groups)"
+    big = [n for n, G in enumerated.items() if G.order() > ORACLE_MAX_ORDER]
+    return f"skipped (|{big[0]}| > {ORACLE_MAX_ORDER})" if big else None
+
 
 def brute_hom_set(phi, a, b):
     """The keys of the x with a + phi(x) = b, by one pass over phi's

@@ -517,6 +517,41 @@ def test_cat_hom_oracle_memory_bounded_by_the_question(tmp_path):
                                         "oracle: agrees"]
 
 
+def test_cat_hom_oracle_skips_past_the_order_bound(tmp_path):
+    # Z/10**12 -> Z/10**12: enumerating A_mor would pass any memory cap, so
+    # the oracle is skipped, naming the bound, before anything is built
+    path = tmp_path / "times2_z1e12.json"
+    group = {"generators": 1, "relations": [[10 ** 12]]}
+    path.write_text(json.dumps({"matrix": [[2]], "source": group,
+                                "target": group}))
+    child = ("import resource, sys\n"
+             "cap = 1 << 30\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+             "from abtqft.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "cat", "hom", str(path), "0", "4",
+         "--oracle"], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "particular = (2)", "kernel generators = [[500000000000]]",
+        "oracle: skipped (|A_mor| > 1000000)"]
+
+
+@pytest.mark.parametrize("bound, last", [
+    (4, "oracle: agrees"), (3, "oracle: skipped (|A_mor| > 3)")])
+def test_cat_hom_oracle_bound_is_inclusive(tmp_path, capsys, monkeypatch,
+                                           bound, last):
+    from abtqft import testing
+    monkeypatch.setattr(testing, "ORACLE_MAX_ORDER", bound)
+    code, out, _ = run(capsys, "cat", "hom", _times2_z4_to_z8(tmp_path),
+                       "1", "3", "--oracle")
+    assert (code, out.splitlines()[-1]) == (0, last)
+
+
 def test_fault_without_message_is_named_by_its_class(capsys, monkeypatch):
     import abtqft.cli as cli
 
@@ -869,6 +904,23 @@ def test_geo_wrong_kind_file_exit_2(tmp_path, capsys, argv, bad, detail):
     assert err == f"input error: {named[bad]}: {detail}\n"
 
 
+def test_topology_faults_precede_metric_faults(tmp_path, capsys):
+    # a surface checks every face's chaining before any face's lengths:
+    # with both faults, face 1's chaining is named before face 0's length
+    mesh = tmp_path / "square.json"
+    faces = [SQUARE["boundary"]["2"][0], [[4, 1], [3, 1], [2, 1]]]
+    zero = {**SQUARE, "edge_lengths": [0.0, 1.0, 1.0, 1.0, 1.5]}
+    for rec, detail in [
+            (zero, "face 0: edge 0 has non-positive length 0.0"),
+            ({**zero, "boundary": {**SQUARE["boundary"], "2": faces}},
+             "boundary.2[1]: expected sides that chain head to tail, got "
+             "sides 2 and 0 that do not")]:
+        mesh.write_text(json.dumps(rec))
+        code, out, err = run(capsys, "geo", "chern", str(mesh), "tangent")
+        assert (code, out) == (2, "")
+        assert err == f"input error: {mesh}: {detail}\n"
+
+
 def test_nan_edge_turn_exit_2(tmp_path, capsys):
     with open(sample("conn_square.json")) as fh:
         rec = json.load(fh)
@@ -1119,6 +1171,15 @@ def test_cat_xi_oracle_fault_exit_1(tmp_path, capsys, monkeypatch):
                        "--oracle")
     assert code == 0
     assert out.splitlines()[-1] == "oracle: skipped (infinite groups)"
+
+
+def test_cat_xi_oracle_skips_past_the_order_bound(tmp_path, capsys):
+    # every group Z/10**12: the fiber's objects are the first group the
+    # enumeration would pass the bound on
+    code, out, err = run(capsys, "cat", "xi",
+                         *_mirror_files(tmp_path, [[10 ** 12]]), "--oracle")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "oracle: skipped (|fiber objects| > 1000000)"
 
 
 def test_cat_hom_oracle_on_infinite_groups(capsys):

@@ -215,7 +215,8 @@ def test_corner_index_matches_face_scan(mesh):
     ms = bundle.surface
     slot_of = slot_index(mesh.boundary[2])
     for v in range(mesh.n_cells[0]):
-        assert ms.corners_at[v] == slow_corners(ms, v)
+        # the topology holds each vertex's corners as a tuple
+        assert list(ms.corners_at[v]) == slow_corners(ms, v)
         # bit-identical: the summation order is unchanged
         assert ms.angle_defect(v) == slow_angle_defect(ms, v)
         assert bundle.defects[v] == slow_angle_defect(ms, v)
@@ -330,12 +331,88 @@ def test_tangent_bundle_matches_the_eager_construction(monkeypatch):
             S.ring_triangle_edges(S.build_mesh(mesh), v))
         surface = S.MetricSurface(surface)
         want = _bundle_bits(eager_tangent_bundle(surface))
-        # the second build of a jittered builtin reads the dual side the
-        # first one derived or found; a bare torus derives its own again
+        # two bundles of one surface read the dual side of its topology; a
+        # jittered builtin's surfaces share their builtin's, while another
+        # surface of a bare torus derives its own
         first, second = S.TangentBundle(surface), S.TangentBundle(surface)
-        assert (first.dual is second.dual) == (seed is not None), (mesh, v)
-        for bundle in (first, second):
+        other = S.TangentBundle(S.MetricSurface(surface.complex))
+        assert first.dual is second.dual, (mesh, v)
+        assert (other.dual is first.dual) == (seed is not None), (mesh, v)
+        for bundle in (first, second, other):
             assert _bundle_bits(bundle) == want, (mesh, v)
+
+
+class EagerMetricSurface(S.MetricSurface):
+    """The old construction: each surface derives its edge ends, checks
+    its faces' chaining and collects `corners_at` face by face, between
+    the metric checks and the angles."""
+
+    def __init__(self, complex):
+        self.complex = complex
+        self.lengths = complex.edge_lengths
+        self.corner_angles, self.side_dirs = [], []
+        self.corners_at = [[] for _ in range(complex.n_cells[0])]
+        ends_of = [complex.edge_endpoints(e)
+                   for e in range(complex.n_cells[1])]
+        for f in range(complex.n_cells[2]):
+            sides = complex.boundary[2][f]
+            if len(sides) != 3:
+                raise ComplexError(f"boundary.2[{f}]: expected the 3 sides of "
+                                   f"a triangle, got {len(sides)} sides")
+            ends = [ends_of[e][::sign] for e, sign in sides]
+            for j in range(3):
+                if ends[j - 1][1] != ends[j][0]:
+                    raise ComplexError(
+                        f"boundary.2[{f}]: expected sides that chain head to "
+                        f"tail, got sides {(j - 1) % 3} and {j} that do not")
+            L = [self.lengths[e] for e, _ in sides]
+            for (e, _), length in zip(sides, L):
+                if length <= 0.0:
+                    raise S.DegenerateTriangle(
+                        f"face {f}: edge {e} has non-positive length {length}")
+            angles = []
+            for j in range(3):
+                a, b, c = L[j - 1], L[j], L[(j + 1) % 3]
+                cosv = (a * a + b * b - c * c) / (2.0 * a * b)
+                if not -1.0 < cosv < 1.0:
+                    raise S.DegenerateTriangle(
+                        f"face {f} violates the strict triangle inequality")
+                angles.append(math.acos(cosv))
+            dirs = [0.0, math.pi - angles[1]]
+            dirs.append(dirs[1] + (math.pi - angles[2]))
+            closure = dirs[2] + (math.pi - angles[0])
+            if not abs(closure - S.TWO_PI) < 1e-9:
+                raise ComplexError(f"face {f}: chart failed to close")
+            self.corner_angles.append(angles)
+            self.side_dirs.append(dirs)
+            for j, (tail, _) in enumerate(ends):
+                self.corners_at[tail].append((f, j))
+
+
+def _square_mesh(**changes):
+    with open(os.path.join(os.path.dirname(__file__), "..", "samples",
+                           "mesh_square.json")) as fh:
+        rec = json.load(fh)
+    return CellComplex.from_json({**rec, **changes}, "mesh_square")
+
+
+def test_metric_surface_matches_the_eager_construction():
+    # each builtin, each su pool entry under 20 seeded jitters as the
+    # geometry workload draws them, its tori and a mesh read from JSON
+    meshes = [S.build_mesh(name) for name in S.MESH_BUILDERS]
+    for pool_mesh, v in sorted({entry for pool in SU_POOLS for entry in pool}):
+        shared = S.build_mesh(pool_mesh)
+        meshes += [S.jittered_lengths(shared, random.Random(seed),
+                                      S.ring_triangle_edges(shared, v))
+                   for seed in range(20)]
+    meshes += WORKLOAD_TORI
+    meshes.append(_square_mesh(edge_lengths=[1.0, 1.0, 1.0, 1.0, 1.5]))
+    for cx in meshes:
+        got, want = S.MetricSurface(cx), EagerMetricSurface(cx)
+        for values in ("corner_angles", "side_dirs"):
+            assert [[x.hex() for x in face] for face in getattr(got, values)] \
+                == [[x.hex() for x in face] for face in getattr(want, values)]
+        assert list(map(list, got.corners_at)) == want.corners_at, cx.name
 
 
 def test_derived_complexes_pass_the_public_check(monkeypatch):

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import math
+import pathlib
 import random
 from types import SimpleNamespace
 
@@ -154,6 +156,58 @@ def test_jittered_copies_share_their_builtin_dual():
                    for cells in (dual.boundary[1], dual.boundary[2]))
         again = CellComplex(dual.n_cells, dual.boundary, name="dual")
         assert again.to_json() == dual.to_json()
+
+
+def test_corners_are_derived_once_per_topology(monkeypatch):
+    from abtqft.discrete import CellComplex
+    from abtqft.invariants import random_su_scene
+    derived = []
+    corners_at = S.SurfaceTopology.corners_at
+
+    def counting(topology):
+        derived.append(topology.complex.name)
+        return corners_at.func(topology)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(S.SurfaceTopology, "corners_at")
+    monkeypatch.setattr(S.SurfaceTopology, "corners_at", counted)
+    monkeypatch.setattr(S, "_shared_mesh",
+                        functools.cache(S._shared_mesh.__wrapped__))
+    for seed in range(20):
+        random_su_scene(random.Random(seed))
+    # every builtin touched derives its corners at most once
+    assert derived and sorted(derived) == sorted(set(derived))
+    assert set(derived) <= {S.build_mesh(n).name for n in S.MESH_BUILDERS}
+    shared = S.build_mesh("icosahedron")
+    rng = random.Random("shared corners")
+    first, second = (S.MetricSurface(S.jittered_lengths(shared, rng))
+                     for _ in range(2))
+    assert first.corners_at is second.corners_at
+    assert first.topology is second.topology is shared.topology
+    # a complex of no builtin derives its own, once per metric surface
+    with open(pathlib.Path(__file__).parent.parent / "samples"
+              / "mesh_square.json") as fh:
+        rec = json.load(fh)
+    square = CellComplex.from_json({**rec, "edge_lengths": [1.0] * 4 + [1.5]},
+                                   "square")
+    for cx in (S.flat_torus(5, 5), square):
+        del derived[:]
+        a, b = S.MetricSurface(cx), S.MetricSurface(cx)
+        assert derived == [cx.name] * 2 and a.corners_at is not b.corners_at
+        assert a.corners_at == b.corners_at
+    # a malformed builtin raises on every build and caches nothing
+    bad = {**rec, "edge_lengths": [1.0] * 5, "boundary": {
+        **rec["boundary"], "2": [rec["boundary"]["2"][0],
+                                 [[4, 1], [3, 1], [2, 1]]]}}
+    monkeypatch.setitem(S.MESH_BUILDERS, "unchained",
+                        lambda: CellComplex.from_json(bad, "unchained"))
+    del derived[:]
+    for _ in range(2):
+        with pytest.raises(ComplexError, match=r"boundary\.2\[1\]: expected "
+                           "sides that chain head to tail"):
+            S.MetricSurface(S.build_mesh("unchained"))
+    assert derived == ["unchained"] * 2
+    assert "corners_at" not in vars(S.build_mesh("unchained").topology)
 
 
 def test_ring_triangle_edges_cover_incident_faces():

@@ -43,8 +43,9 @@ def as_reals(values, where, ndim=1, length=None):
 
 
 def require_integers(chain_vec):
-    """The gate of a chain's coefficients: each is an integer."""
-    if not all(isinstance(c, Integral) for c in chain_vec):
+    """The gate of a chain's coefficients: each is an integer, not a bool."""
+    if not all(type(c) is int or isinstance(c, Integral)
+               and not isinstance(c, bool) for c in chain_vec):
         raise ComplexError("chain coefficients must be integers")
 
 

@@ -16,8 +16,7 @@ import math
 
 from ..analytic import nearest_integer, sum_in_order, wrap_unit, wrap_half
 from .complexes import CellComplex, ComplexError, build_triangle_surface
-from .connections import (LatticeConnection, chern_number, principal_fraction,
-                          total_curvature)
+from .connections import LatticeConnection, chern_number, principal_fraction
 
 TWO_PI = 2.0 * math.pi
 LIFT_TOLERANCE = 1e-9  # angle defect / 2 pi vs ring holonomy + lift
@@ -175,7 +174,7 @@ def _topology(complex):
 class TangentBundle:
     """Levi-Civita transport of a closed metric surface on the dual side of
     its topology (`SurfaceTopology.dual_side`); each call computes the turns,
-    defects and lifts, a lift making its dual face's curvature defect / 2 pi.
+    defects, ring fractions and lifts, lift + fraction = defect / 2 pi.
     """
 
     def __init__(self, surface):
@@ -186,13 +185,13 @@ class TangentBundle:
         turns = [wrap_unit((chart(*minus) - chart(*plus)) / TWO_PI)
                  for plus, minus in slots]
         self.defects = list(map(surface.angle_defect, range(len(self.rings))))
-
         # each ring's fraction is the connection's face fraction
+        self.fractions = [principal_fraction(turns, ring)
+                          for ring in self.rings]
         lifts = [nearest_integer(
-            self.defects[v] / TWO_PI - principal_fraction(turns, ring),
-            LIFT_TOLERANCE,
+            self.defects[v] / TWO_PI - fraction, LIFT_TOLERANCE,
             f"vertex {v}: angle defect / 2 pi - ring holonomy =")
-            for v, ring in enumerate(self.rings)]
+            for v, fraction in enumerate(self.fractions)]
         self.connection = LatticeConnection(self.dual, turns, lifts)
 
     def chern_number(self):
@@ -206,21 +205,23 @@ class TangentBundle:
 class PuncturedSurface:
     """A tangent bundle with one dual face removed.
 
-    The remaining 2-chain has the reversed vertex ring as boundary; its
-    induced traversal carries the canonical transport lifts used by the
-    1-dimensional structure-lift pipeline.
+    The remaining 2-chain, every other dual face once, has the reversed
+    vertex ring as boundary; its induced traversal carries the canonical
+    transport lifts used by the 1-dimensional structure-lift pipeline.
     """
 
     def __init__(self, bundle, vertex):
         self.bundle, self.vertex = bundle, vertex
-        nv = bundle.dual.n_cells[2]
-        if not (0 <= vertex < nv):
+        if not (0 <= vertex < bundle.dual.n_cells[2]):
             raise ComplexError(f"no vertex {vertex}")
-        self.chain = [(f, 1) for f in range(nv) if f != vertex]
 
     def total_curvature(self):
-        return total_curvature(self.bundle.connection,
-                               self.bundle.dual.chain_vector(2, self.chain))
+        """`connections.total_curvature` of the remaining 2-chain, bit for
+        bit: the connection keeps the bundle's turns (`wrap_unit` of a turn
+        in [0, 1) is that turn) and lifts, and the rings are its faces."""
+        lifts, v = self.bundle.connection.face_lifts, self.vertex
+        return sum_in_order(float(lifts[f]) + x for f, x in
+                            enumerate(self.bundle.fractions) if f != v)
 
     def boundary_cycle(self):
         """(edge, sign) pairs of the boundary circle, induced orientation."""
@@ -420,9 +421,10 @@ def jittered_lengths(surface, rng, frozen_edges=()):
     L = [x if e in frozen else x * (1.0 + 0.05 * (2.0 * rng.random() - 1.0))
          for e, x in enumerate(surface.edge_lengths)]
     copy = CellComplex._derived(
-        surface.n_cells, surface.boundary, coords=surface.coords,
-        edge_lengths=L, name=(surface.name or "surface") + "-jittered")
-    copy.topology = _topology(surface)
+        surface.n_cells, surface.boundary, edge_lengths=L,
+        name=(surface.name or "surface") + "-jittered")
+    # gate the new lengths, which can overflow; the coords are gated already
+    copy.coords, copy.topology = surface.coords, _topology(surface)
     return copy
 
 

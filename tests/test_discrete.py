@@ -1,12 +1,14 @@
 import json
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import abtqft.discrete as D
 import abtqft.discrete.connections
+from abtqft.discrete.complexes import require_integers
 from abtqft.analytic import (NonIntegralInvariant, circle_distance, wrap_half,
                               wrap_unit)
 
@@ -176,6 +178,37 @@ def test_float_chains_are_refused_not_truncated(chain):
         D.holonomy(conn, chain)
     with pytest.raises(D.ComplexError, match=message):
         D.integrate(D.Cochain(C4, 1, [1.0] * 4), chain)
+
+
+def test_bool_chains_are_refused():
+    # each once read True as 1 and answered: 0.7500000000000001, 4.0 and
+    # a boundary; `analytic.as_int` refuses a bool as well
+    C4 = D.circle_complex(4)
+    conn = D.LatticeConnection(C4, [0.1, 0.2, 0.3, 0.15])
+    omega = D.Cochain(C4, 1, [1.0, 2, 3, 4])
+    for call in (lambda: D.holonomy(conn, [True] * 4),
+                 lambda: D.integrate(omega, [True, False, True, False]),
+                 lambda: C4.boundary_of(1, [True] * 4)):
+        with pytest.raises(D.ComplexError,
+                           match="^chain coefficients must be integers$"):
+            call()
+
+
+@pytest.mark.parametrize("c, accepted", [
+    (0, True), (-3, True), (2**70, True), (np.int64(2), True),
+    (np.uint8(3), True),
+    (1.0, False), (Fraction(1), False), ("1", False), (None, False),
+    # a bool passed as 0 or 1 until the gate refused it; numpy.True_ is
+    # no `Integral`, so it was refused before as well
+    (True, False), (np.True_, False)], ids=repr)
+def test_chain_gate_table(c, accepted):
+    chain = [1, c, -1]
+    if accepted:
+        require_integers(chain)
+    else:
+        with pytest.raises(D.ComplexError,
+                           match="^chain coefficients must be integers$"):
+            require_integers(chain)
 
 
 def test_integer_chains_keep_their_float_bits():

@@ -13,8 +13,9 @@ product taken whenever a fiber is built, isomorphisms decided by a
 trivial kernel and cokernel, the edges at a puncture found by a scan
 over all faces, and the winding quadrature evaluated one
 whole chi slice at a time by the old allocating density, and the tangent
-bundle over a checked dual whose lifts read a bare connection, and the
-surface layer's float bits as its numpy-array code wrote them to
+bundle over a checked dual whose lifts read a bare connection, a punctured
+surface's curvature totalled by its connection over the complement chain,
+and the surface layer's float bits as its numpy-array code wrote them to
 `surface_bits.json` (regenerate with `surface_bits.py` only on purpose).
 Morphisms
 built without the well-definedness check, and cell complexes built
@@ -41,7 +42,7 @@ from abtqft import fgab, intmat, moncat, testing
 from abtqft.analytic import circle_distance, nearest_integer, wrap_unit
 from abtqft.discrete import (CellComplex, ComplexError, LatticeConnection,
                              triangulated_grid)
-from abtqft.discrete import surfaces as S
+from abtqft.discrete import connections, surfaces as S
 from abtqft.discrete.complexes import build_triangle_surface
 from abtqft.invariants import chern_simons as CS
 from abtqft.invariants import (BnrScene, IncompatibleScene, InvariantResult,
@@ -240,7 +241,8 @@ def test_large_flat_torus_chern_number():
 
 class EagerTangentBundle(S.TangentBundle):
     """The old construction: the dual through the checked constructor, and
-    a bare connection built only to read the ring fractions for the lifts."""
+    a bare connection built only to read the ring fractions, which the
+    lifts and the punctured surfaces take."""
 
     def __init__(self, surface):
         self.surface = surface
@@ -264,8 +266,9 @@ class EagerTangentBundle(S.TangentBundle):
                                 name="dual")
         self.defects = np.array([surface.angle_defect(v) for v in range(nv)])
         bare = LatticeConnection(self.dual, turns)
+        self.fractions = [bare.face_fraction(v) for v in range(nv)]
         lifts = [nearest_integer(
-            self.defects[v] / S.TWO_PI - bare.face_fraction(v),
+            self.defects[v] / S.TWO_PI - self.fractions[v],
             S.LIFT_TOLERANCE, f"vertex {v}") for v in range(nv)]
         self.connection = LatticeConnection(self.dual, turns, lifts)
 
@@ -340,6 +343,38 @@ def test_tangent_bundle_matches_the_eager_construction(monkeypatch):
         assert (other.dual is first.dual) == (seed is not None), (mesh, v)
         for bundle in (first, second, other):
             assert _bundle_bits(bundle) == want, (mesh, v)
+
+
+def test_punctured_curvature_matches_the_connection():
+    # the ring fractions the lifts took, summed with the lifts, against the
+    # connection's own total over the complement chain: every builtin at
+    # every puncture, each su pool entry under 20 seeded jitters as the
+    # geometry workload draws them, and its tori at seeded punctures.  The
+    # builtins' only nonzero lift (genus2's, -2) has a fraction of 1e-16,
+    # so needle bipyramids, whose poles lift to 1 with fractions of
+    # -0.14 to -0.32, tell apart the orders of summation
+    rng = random.Random("punctured curvature")
+    needles = [S._bipyramid_sphere(k, f"needle{k}", rim_length=rim)
+               for k in (3, 4) for rim in (0.3, 0.5)]
+    cases = [(mesh, range(mesh.n_cells[0]))
+             for mesh in [S.build_mesh(name) for name in S.MESH_BUILDERS]
+             + needles]
+    for pool_mesh, v in sorted({entry for pool in SU_POOLS for entry in pool}):
+        shared = S.build_mesh(pool_mesh)
+        cases += [(S.jittered_lengths(shared, random.Random(seed),
+                                      S.ring_triangle_edges(shared, v)), [v])
+                  for seed in range(20)]
+    cases += [(torus, rng.sample(range(torus.n_cells[0]), 3))
+              for torus in WORKLOAD_TORI]
+    for mesh, punctures in cases:
+        bundle = S.tangent_connection(mesh)
+        nv = bundle.dual.n_cells[2]
+        for v in punctures:
+            complement = [(f, 1) for f in range(nv) if f != v]
+            want = connections.total_curvature(
+                bundle.connection, bundle.dual.chain_vector(2, complement))
+            got = bundle.punctured(v).total_curvature()
+            assert got.hex() == want.hex(), (mesh.name, v)
 
 
 class EagerMetricSurface(S.MetricSurface):

@@ -53,7 +53,7 @@ class FgAbGroup:
     @cached_property
     def _snf(self):
         # relations^T in Smith form: membership is per-coordinate divisibility
-        return intmat.smith(
+        return intmat._smith(
             intmat.transpose(self.relations, self.n_generators),
             len(self.relations))
 
@@ -91,21 +91,23 @@ class FgAbGroup:
     def canonical_key(self, coords):
         """Tuple identifying the element class (residues in SNF basis)
         of coordinates n_generators long."""
-        return tuple(y % m if m else y
-                     for row, m in zip(self._key_rows, self._mods)
-                     for y in (sum(map(mul, row, coords)),))
+        ys = [sum(map(mul, row, coords)) for row in self._key_rows]
+        return tuple([y % m if m else y for y, m in zip(ys, self._mods)])
 
     def key_add(self, k1, k2):
         """Add two canonical keys (classes add coordinatewise mod factors)."""
         return tuple((a + b) % m if m else a + b
                      for a, b, m in zip(k1, k2, self._mods))
 
-    def first_column_outside(self, M, n):
-        """Index of the first of the n columns of the int rows M outside
-        the relation lattice, or None."""
-        for j, col in enumerate(intmat.transpose(M, n)):
-            if any(self.canonical_key(col)):
-                return j
+    def first_column_outside(self, columns):
+        """Index of the first of the int `columns`, each n_generators long,
+        outside the relation lattice, or None: a column is inside iff each
+        of its SNF-basis residues is zero."""
+        for j, col in enumerate(columns):
+            for row, m in zip(self._key_rows, self._mods):
+                y = sum(map(mul, row, col))
+                if y % m if m else y:
+                    return j
         return None
 
     # -- structure --------------------------------------------------------
@@ -209,15 +211,13 @@ class GroupMorphism:
             raise ValueError(f"matrix: expected a {m}x{n} matrix, got "
                              f"{len(self.matrix)}x{width}")
         self.name = name
-        r = len(source.relations)
-        images = intmat.matmul(self.matrix,
-                               intmat.transpose(source.relations, n), r)
-        j = target.first_column_outside(images, r)
+        images = [[sum(map(mul, row, r)) for row in self.matrix]
+                  for r in source.relations]
+        j = target.first_column_outside(images)
         if j is not None:
             raise IllDefinedMorphism(
                 f"relation {list(source.relations[j])} maps to "
-                f"{[row[j] for row in images]} outside the target relation "
-                "lattice")
+                f"{images[j]} outside the target relation lattice")
 
     @classmethod
     def _derived(cls, source, target, matrix):
@@ -247,7 +247,7 @@ class GroupMorphism:
         # Smith data of [matrix | target relation columns]: solving
         # f(x) = y means solving this system, decomposed once per morphism
         target = self.target
-        return intmat.smith(
+        return intmat._smith(
             intmat.hstack(self.matrix, intmat.transpose(
                 target.relations, target.n_generators)),
             self.source.n_generators + len(target.relations))
@@ -284,7 +284,7 @@ def _preimage_lattice(M, n, T):
     """Generators of {x in Z^n : the int rows M take x into the relation
     lattice of the group T}, as vectors."""
     C = intmat.hstack(M, intmat.transpose(T.relations, T.n_generators))
-    s = intmat.smith(C, n + len(T.relations))
+    s = intmat._smith(C, n + len(T.relations))
     return tuple(v[:n] for v in intmat.kernel_vectors(s))
 
 

@@ -218,13 +218,16 @@ _SMITH_CACHE = {}
 def smith(M, n=None):
     """Smith decomposition of an integer matrix, shared by equal inputs.
 
-    `M` passes the gate `int_rows` once; the int rows of the group layer
-    pass it unchanged (`n` is their column count, needed when there are
-    no rows) and key the memo as they are.  Equal matrices (same shape
-    and entries, in any container) get one read-only
-    `SmithDecomposition`, and the memo keeps the SMITH_CACHE_SIZE most
-    recently used distinct inputs."""
-    M, n = int_rows(M, None if n is None else (len(M), n))
+    `M` passes the gate `int_rows` once (`n` is its column count, needed
+    when there are no rows).  Equal matrices (same shape and entries, in
+    any container) get one read-only `SmithDecomposition`, and the memo
+    keeps the SMITH_CACHE_SIZE most recently used distinct inputs."""
+    return _smith(*int_rows(M, None if n is None else (len(M), n)))
+
+
+def _smith(M, n):
+    """`smith` for int rows M of n columns that passed the gate, or that
+    the group layer built from gated rows; they key the memo as they are."""
     shape = (len(M), n)
     key = (shape, M)
     s = _SMITH_CACHE.pop(key, None)
@@ -244,28 +247,14 @@ def _eliminate(shape, rows):
     m, n = shape
     A = [list(r) for r in rows]
     row_ops, col_ops = [], []
+    log_row, log_col = row_ops.append, col_ops.append
 
     # the leading s x s block is diagonal and the rest of its rows and
     # columns zero, so every operation at step s reads columns/rows >= s
-    def row_addmul(i, j, q, s):
-        # row_i += q * row_j
-        ri, rj = A[i], A[j]
-        for c in range(s, n):
-            ri[c] += q * rj[c]
-        row_ops.append(("add", i, j, q))
-
-    def col_addmul(i, j, q, s):
-        # col_i += q * col_j
-        for r in range(s, m):
-            row = A[r]
-            row[i] += q * row[j]
-        col_ops.append(("add", i, j, q))
-
     for s in range(min(m, n)):
         while True:
             # locate a minimal nonzero entry in the trailing block
-            pivot = None
-            best = None
+            pivot = best = None
             for i in range(s, m):
                 row = A[i]
                 for j in range(s, n):
@@ -280,45 +269,63 @@ def _eliminate(shape, rows):
             i, j = pivot
             if i != s:
                 A[s], A[i] = A[i], A[s]
-                row_ops.append(("swap", s, i))
+                log_row(("swap", s, i))
             if j != s:
                 for r in range(s, m):
                     row = A[r]
                     row[s], row[j] = row[j], row[s]
-                col_ops.append(("swap", s, j))
-            if A[s][s] < 0:
-                A[s] = [-a for a in A[s]]
-                row_ops.append(("neg", s))
+                log_col(("swap", s, j))
+            top = A[s]
+            if top[s] < 0:
+                top = A[s] = [-a for a in top]
+                log_row(("neg", s))
 
-            p = A[s][s]
+            p = top[s]
             dirty = False
             for i in range(s + 1, m):
-                if A[i][s] != 0:
-                    row_addmul(i, s, -(A[i][s] // p), s)
-                    if A[i][s] != 0:
+                row = A[i]
+                if row[s]:
+                    q = -(row[s] // p)          # row_i += q * row_s
+                    for c in range(s, n):
+                        row[c] += q * top[c]
+                    log_row(("add", i, s, q))
+                    if row[s]:
                         dirty = True
-            top = A[s]
             for j in range(s + 1, n):
-                if top[j] != 0:
-                    col_addmul(j, s, -(top[j] // p), s)
-                    if top[j] != 0:
+                if top[j]:
+                    q = -(top[j] // p)          # col_j += q * col_s
+                    for r in range(s, m):
+                        row = A[r]
+                        row[j] += q * row[s]
+                    log_col(("add", j, s, q))
+                    if top[j]:
                         dirty = True
             if dirty:
                 continue
 
-            # pivot clears its row and column; force it to divide the rest
-            offender = next((i for i in range(s + 1, m)
-                             if any(a % p for a in A[i][s + 1:])), None)
-            if offender is None:
+            # pivot clears its row and column; force it to divide the rest:
+            # row_s += the first row holding an entry p does not divide
+            for i in range(s + 1, m):
+                row = A[i]
+                for c in range(s + 1, n):
+                    if row[c] % p:
+                        break
+                else:
+                    continue
+                for c in range(s, n):
+                    top[c] += row[c]
+                log_row(("add", s, i, 1))
                 break
-            row_addmul(s, offender, 1, s)
+            else:
+                break
 
     dg = [A[i][i] for i in range(min(m, n))]
-    if not (all(v == 0 for i, row in enumerate(A)
-                for j, v in enumerate(row) if i != j)
-            and all(d >= 0 for d in dg)
-            and all(dg[i + 1] % dg[i] == 0
-                    for i in range(len(dg) - 1) if dg[i] != 0)):
+    normal = True
+    for i, row in enumerate(A):         # diagonal,
+        normal = normal and not any(row[:i]) and not any(row[i + 1:])
+    for i, d in enumerate(dg):          # nonnegative and a divisor chain
+        normal = normal and d >= 0 and not (i and dg[i - 1] and d % dg[i - 1])
+    if not normal:
         raise ArithmeticError(f"smith: result is not in Smith normal form "
                               f"(diagonal {dg})")
     return SmithDecomposition(shape, rows, dg, row_ops, col_ops)

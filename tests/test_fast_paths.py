@@ -40,6 +40,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from abtqft import fgab, intmat, moncat, testing
 from abtqft.analytic import circle_distance, nearest_integer, wrap_unit
+from abtqft.cli import main
 from abtqft.discrete import (CellComplex, ComplexError, LatticeConnection,
                              triangulated_grid)
 from abtqft.discrete import connections, surfaces as S
@@ -50,6 +51,8 @@ from abtqft.invariants import (BnrScene, IncompatibleScene, InvariantResult,
                                tangent_bounding)
 from abtqft.invariants.psi import PSI_TOLERANCE, SU_TOLERANCE
 from abtqft.invariants.scenes import SU_POOLS, disk_bounding, random_su_scene
+
+from hom_membership import fiber_hom_contains
 
 TORI = [(kind, n, m)
         for kind in (S.flat_torus, S.equilateral_torus, S.flipped_torus)
@@ -828,6 +831,163 @@ def test_solve_and_kernel_build_no_transform(monkeypatch, empty_memo):
     assert "U" not in s.__dict__ and "V" not in s.__dict__
 
 
+# -- Smith elimination: inlined updates against the closure-based loop ------
+
+def slow_eliminate(shape, rows):
+    """Row/column eliminations in place on a list copy A of the int rows,
+    each logged for the transforms.  The pivot is a minimal nonzero
+    |entry| of the trailing block, first in row-major order; the inner
+    divisibility pass guarantees the divisor chain d1 | d2 | ..."""
+    m, n = shape
+    A = [list(r) for r in rows]
+    row_ops, col_ops = [], []
+
+    # the leading s x s block is diagonal and the rest of its rows and
+    # columns zero, so every operation at step s reads columns/rows >= s
+    def row_addmul(i, j, q, s):
+        # row_i += q * row_j
+        ri, rj = A[i], A[j]
+        for c in range(s, n):
+            ri[c] += q * rj[c]
+        row_ops.append(("add", i, j, q))
+
+    def col_addmul(i, j, q, s):
+        # col_i += q * col_j
+        for r in range(s, m):
+            row = A[r]
+            row[i] += q * row[j]
+        col_ops.append(("add", i, j, q))
+
+    for s in range(min(m, n)):
+        while True:
+            # locate a minimal nonzero entry in the trailing block
+            pivot = None
+            best = None
+            for i in range(s, m):
+                row = A[i]
+                for j in range(s, n):
+                    a = row[j]
+                    if a and (best is None or abs(a) < best):
+                        best = abs(a)
+                        pivot = (i, j)
+                if best == 1:
+                    break
+            if pivot is None:
+                break
+            i, j = pivot
+            if i != s:
+                A[s], A[i] = A[i], A[s]
+                row_ops.append(("swap", s, i))
+            if j != s:
+                for r in range(s, m):
+                    row = A[r]
+                    row[s], row[j] = row[j], row[s]
+                col_ops.append(("swap", s, j))
+            if A[s][s] < 0:
+                A[s] = [-a for a in A[s]]
+                row_ops.append(("neg", s))
+
+            p = A[s][s]
+            dirty = False
+            for i in range(s + 1, m):
+                if A[i][s] != 0:
+                    row_addmul(i, s, -(A[i][s] // p), s)
+                    if A[i][s] != 0:
+                        dirty = True
+            top = A[s]
+            for j in range(s + 1, n):
+                if top[j] != 0:
+                    col_addmul(j, s, -(top[j] // p), s)
+                    if top[j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+
+            # pivot clears its row and column; force it to divide the rest
+            offender = next((i for i in range(s + 1, m)
+                             if any(a % p for a in A[i][s + 1:])), None)
+            if offender is None:
+                break
+            row_addmul(s, offender, 1, s)
+
+    dg = [A[i][i] for i in range(min(m, n))]
+    if not (all(v == 0 for i, row in enumerate(A)
+                for j, v in enumerate(row) if i != j)
+            and all(d >= 0 for d in dg)
+            and all(dg[i + 1] % dg[i] == 0
+                    for i in range(len(dg) - 1) if dg[i] != 0)):
+        raise ArithmeticError(f"smith: result is not in Smith normal form "
+                              f"(diagonal {dg})")
+    return intmat.SmithDecomposition(shape, rows, dg, row_ops, col_ops)
+
+
+def _tiny_cases(seed):
+    """Matrices of 1..4 rows and 1..7 columns with entries drawn like the
+    benchmark's groups: multiples of its cyclic factors, half of them
+    scrambled by unimodular row and column operations."""
+    rng = random.Random(f"smith/tiny/{seed}")
+    cases = []
+    for m, n in itertools.product(range(1, 5), range(1, 8)):
+        for _ in range(8):
+            M = [[rng.choice(testing._FACTORS) * rng.randint(-2, 2)
+                  for _ in range(n)] for _ in range(m)]
+            if rng.random() < 0.5:
+                for _ in range(2 * (m + n)):
+                    q = rng.randint(-2, 2)
+                    if m > 1 and rng.random() < 0.5:    # row_i += q row_j
+                        i, j = rng.sample(range(m), 2)
+                        M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+                    elif n > 1:                         # col_i += q col_j
+                        i, j = rng.sample(range(n), 2)
+                        for r in M:
+                            r[i] += q * r[j]
+            cases.append(M)
+    return cases
+
+
+def _perfbench(name):
+    """The benchmark module perfbench/`name`.py, loaded by its path."""
+    import importlib.util
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                        f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _same_elimination(rows, n):
+    shape = (len(rows), n)
+    fast, slow = intmat._eliminate(shape, rows), slow_eliminate(shape, rows)
+    assert (fast.diag, fast._row_ops, fast._col_ops) == (
+        slow.diag, slow._row_ops, slow._col_ops), rows
+
+
+@pytest.mark.parametrize("family", SMITH_FAMILIES)
+def test_elimination_log_matches_closure_loop(family):
+    for seed in (0, 1):
+        for M in _smith_cases(family, SMITH_FAMILIES[family], seed):
+            _same_elimination(*intmat.int_rows(M, M.shape))
+
+
+def test_elimination_log_matches_closure_loop_on_tiny_shapes():
+    for M in _tiny_cases(0):
+        _same_elimination(*intmat.int_rows(M))
+
+
+def test_elimination_log_matches_closure_loop_on_benchmark_ops(empty_memo,
+                                                               eliminations):
+    gen, algebra = _perfbench("gen"), _perfbench("algebra")
+    for op in gen.algebra(1):
+        if op["kind"] != "large":
+            algebra.EXECUTE[op["kind"]](op)
+    seen = list(eliminations)       # the checks below eliminate too
+    assert len(seen) > 1000
+    for M in seen:
+        # a matrix without rows eliminates to nothing, whatever its width
+        _same_elimination(tuple(map(tuple, M)), len(M[0]) if M else 0)
+
+
 # -- the Smith memo: one shared, read-only decomposition per input -------------
 
 def test_large_op_eliminates_once(empty_memo, eliminations):
@@ -895,6 +1055,61 @@ def test_smith_memo_never_keeps_bad_input(bad, message, empty_memo):
     with pytest.raises(ValueError, match=message):
         intmat.smith(bad)
     assert intmat._SMITH_CACHE == {}
+
+
+def _refused(call):
+    """The message of the ValueError `call()` raises."""
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def _group_smith(tmp_path, capsys, text):
+    """`abtqft group smith` on a file holding `text`: exit code, stderr."""
+    path = tmp_path / "matrix.json"
+    path.write_text(text)
+    code = main(["group", "smith", str(path)])
+    return f"exit {code}: {capsys.readouterr().err}".replace(str(path), "FILE")
+
+
+def _endomorphism_of_z(matrix):
+    Z = fgab.free_group(1)
+    return fgab.GroupMorphism(Z, Z, matrix)
+
+
+# the group layer reaches the private `intmat._smith` from gated rows only:
+# each public entry gates its input as before, and numpy ints still pass
+GATE_ROWS = {
+    "smith, bool": (
+        lambda *_: _refused(lambda: intmat.smith(((True, 2),), 2)),
+        "entry[0][0]: expected exact integer, got True"),
+    "smith, float": (
+        lambda *_: _refused(lambda: intmat.smith(((1.0,),), 1)),
+        "entry[0][0]: expected exact integer, got 1.0"),
+    "group, bool relation": (
+        lambda *_: _refused(lambda: fgab.FgAbGroup(1, [[True]])),
+        "relations[0][0]: expected exact integer, got True"),
+    "morphism, float": (
+        lambda *_: _refused(lambda: _endomorphism_of_z([[2.0]])),
+        "matrix[0][0]: expected exact integer, got 2.0"),
+    "cli group smith, JSON true": (
+        lambda tmp_path, capsys: _group_smith(tmp_path, capsys,
+                                              "[[true, 2], [3, 4]]"),
+        "exit 2: input error: FILE: $[0][0]: expected an integer, "
+        "got True\n"),
+    "kernel and solve, numpy ints": (
+        lambda *_: repr((
+            intmat.kernel_basis(np.array([[2, 4]], dtype=np.int64)).tolist(),
+            intmat.solve_linear(np.array([[2, 4]], dtype=np.int64),
+                                [np.int64(6)]).tolist())),
+        "([[2], [-1]], [3, 0])"),
+}
+
+
+@pytest.mark.parametrize("row", GATE_ROWS)
+def test_public_entries_keep_their_gate(row, tmp_path, capsys):
+    run, outcome = GATE_ROWS[row]
+    assert run(tmp_path, capsys) == outcome
 
 
 def test_lazy_smith_builds_each_transform_once():
@@ -1053,7 +1268,7 @@ def test_fiber_queries_take_no_fiber_product(monkeypatch):
         xi = moncat.XiFunctor(fiber, fill)
         for p, q in itertools.product(objects, repeat=2):
             fiber.hom(p, q)
-            fiber.hom_contains(p, q, H_mor.generator(0))
+            fiber_hom_contains(fiber, p, q, H_mor.generator(0))
             xi.apply_object(q)
         assert fiber.stacked.target is pb.direct_sum
         assert not any(f is pb.difference for f in taken)

@@ -77,8 +77,7 @@ def test_element_eq_brute_force_oracle():
         for a, b in random.Random(6).sample(
                 list(itertools.product(elements, elements)),
                 min(100, len(elements) ** 2)):
-            column = tuple(zip((a - b).coords))
-            expected = G.first_column_outside(column, 1) is None
+            expected = G.first_column_outside([(a - b).coords]) is None
             assert (a == b) == expected
 
 
@@ -187,6 +186,12 @@ def test_ill_defined_morphism_rejected():
     Z2Z3 = fgab.direct_sum(fgab.cyclic_group(2), fgab.cyclic_group(3))
     with pytest.raises(fgab.IllDefinedMorphism):
         fgab.GroupMorphism(Z2Z3, fgab.cyclic_group(6), [[1, 1]])
+    # the message names the first relation outside and its image
+    T = fgab.FgAbGroup(2, [[4, 0]])
+    with pytest.raises(fgab.IllDefinedMorphism,
+                       match=r"^relation \[0, 3\] maps to \[3, 3\] outside "
+                             r"the target relation lattice$"):
+        fgab.GroupMorphism(Z2Z3, T, [[2, 1], [0, 1]])
 
 
 def test_is_isomorphism_vs_enumeration():

@@ -8,6 +8,8 @@ from abtqft import fgab, intmat, moncat, testing
 from abtqft.moncat import (CommSquare, DiagonalFill, MorTensorCat,
                            mirror_exp_square)
 
+from hom_membership import fiber_hom_contains, hom_contains
+
 
 @pytest.fixture
 def Z():
@@ -43,9 +45,9 @@ def test_hom_projection_coset(Z):
     assert [g.coords for g in hs.kernel_generators] == [(2,)]
     # the coset is 1 + 2Z
     for x in (-3, 1, 5):
-        assert cat.hom_contains(a, b, Z.element([x]))
+        assert hom_contains(cat, a, b, Z.element([x]))
     for x in (-2, 0, 4):
-        assert not cat.hom_contains(a, b, Z.element([x]))
+        assert not hom_contains(cat, a, b, Z.element([x]))
 
 
 def test_hom_identity_always_present():
@@ -56,7 +58,7 @@ def test_hom_identity_always_present():
         cat = MorTensorCat(testing.random_morphism(rng, A_mor, A_ob))
         for a in list(A_ob.elements())[:5]:
             assert not cat.hom(a, a).is_empty
-            assert cat.hom_contains(a, a, A_mor.zero())
+            assert hom_contains(cat, a, a, A_mor.zero())
 
 
 def test_hom_oracle_small():
@@ -79,20 +81,20 @@ def test_hom_oracle_small():
 
 # -- composition, tensor, dual -----------------------------------------------
 
-# A morphism a -> b is its carrier x, and `hom_contains` is the membership
-# test; composition and tensor add carriers, so the category laws are
-# closure of that test under sums.
+# A morphism a -> b is its carrier x, and `hom_contains` (in
+# `hom_membership.py`) is the membership test; composition and tensor add
+# carriers, so the category laws are closure of that test under sums.
 
 def test_compose_examples(Z):
     cat = MorTensorCat(fgab.GroupMorphism(Z, Z, [[2]]))
     a, b, c = Z.element([0]), Z.element([4]), Z.element([10])
     x1, x2 = Z.element([2]), Z.element([3])
-    assert cat.hom_contains(a, b, x1) and cat.hom_contains(b, c, x2)
+    assert hom_contains(cat, a, b, x1) and hom_contains(cat, b, c, x2)
     assert (x1 + x2).coords == (5,)
-    assert cat.hom_contains(a, c, x1 + x2)
+    assert hom_contains(cat, a, c, x1 + x2)
     # identity laws
-    assert cat.hom_contains(a, a, Z.zero())
-    assert cat.hom_contains(b, b, Z.zero())
+    assert hom_contains(cat, a, a, Z.zero())
+    assert hom_contains(cat, b, b, Z.zero())
     assert Z.zero() + x1 == x1 == x1 + Z.zero()
 
 
@@ -101,9 +103,9 @@ def test_compose_residues(Z):
     cat = MorTensorCat(fgab.GroupMorphism(Z, Z24, [[1]]))
     a, b, c = Z24.element([0]), Z24.element([7]), Z24.element([3])
     x1, x2 = Z.element([7]), Z.element([20])
-    assert cat.hom_contains(a, b, x1) and cat.hom_contains(b, c, x2)
+    assert hom_contains(cat, a, b, x1) and hom_contains(cat, b, c, x2)
     assert (x1 + x2).coords == (27,)
-    assert cat.hom_contains(a, c, x1 + x2)
+    assert hom_contains(cat, a, c, x1 + x2)
 
 
 def test_compose_associativity(Z):
@@ -111,11 +113,11 @@ def test_compose_associativity(Z):
     objs = [Z.element([i]) for i in range(4)]
     xs = [Z.element([1])] * 3
     for i in range(3):
-        assert cat.hom_contains(objs[i], objs[i + 1], xs[i])
+        assert hom_contains(cat, objs[i], objs[i + 1], xs[i])
     left = (xs[0] + xs[1]) + xs[2]
     right = xs[0] + (xs[1] + xs[2])
     assert left == right
-    assert cat.hom_contains(objs[0], objs[3], left)
+    assert hom_contains(cat, objs[0], objs[3], left)
 
 
 def test_non_composable(Z):
@@ -123,11 +125,11 @@ def test_non_composable(Z):
     # 0 -> 4 carried by 2 and 5 -> 7 carried by 1 do not meet, and the sum
     # of their carriers does not join the outer ends 0 -> 7
     x1, x2 = Z.element([2]), Z.element([1])
-    assert cat.hom_contains(Z.element([0]), Z.element([4]), x1)
-    assert cat.hom_contains(Z.element([5]), Z.element([7]), x2)
-    assert not cat.hom_contains(Z.element([0]), Z.element([7]), x1 + x2)
+    assert hom_contains(cat, Z.element([0]), Z.element([4]), x1)
+    assert hom_contains(cat, Z.element([5]), Z.element([7]), x2)
+    assert not hom_contains(cat, Z.element([0]), Z.element([7]), x1 + x2)
     # 2 is not a morphism 0 -> 5
-    assert not cat.hom_contains(Z.element([0]), Z.element([5]), x1)
+    assert not hom_contains(cat, Z.element([0]), Z.element([5]), x1)
 
 
 def test_tensor_and_dual(Z):
@@ -140,17 +142,17 @@ def test_tensor_and_dual(Z):
     # dual is an inverse for the tensor product: the identity joins
     # a tensor a* to the unit
     a = Z.element([5])
-    assert cat.hom_contains(a + -a, Z.zero(), Z.zero())
+    assert hom_contains(cat, a + -a, Z.zero(), Z.zero())
 
 
 def test_tensor_morphisms(Z):
     cat = MorTensorCat(fgab.GroupMorphism(Z, Z, [[2]]))
     a1, b1, x1 = Z.element([0]), Z.element([2]), Z.element([1])
     a2, b2, x2 = Z.element([1]), Z.element([5]), Z.element([2])
-    assert cat.hom_contains(a1, b1, x1) and cat.hom_contains(a2, b2, x2)
+    assert hom_contains(cat, a1, b1, x1) and hom_contains(cat, a2, b2, x2)
     assert ((a1 + a2).coords, (b1 + b2).coords, (x1 + x2).coords) \
         == ((1,), (7,), (3,))
-    assert cat.hom_contains(a1 + a2, b1 + b2, x1 + x2)
+    assert hom_contains(cat, a1 + a2, b1 + b2, x1 + x2)
 
 
 # -- functors from squares -----------------------------------------------------
@@ -163,8 +165,8 @@ def test_tensor_morphisms(Z):
 
 def _maps_to_morphism(target, square, m):
     a, b, x = m
-    return target.hom_contains(square.f_ob(a), square.f_ob(b),
-                               square.f_mor(x))
+    return hom_contains(target, square.f_ob(a), square.f_ob(b),
+                        square.f_mor(x))
 
 
 def _preserves_unit(square):
@@ -196,7 +198,7 @@ def test_identity_square_functor(Z):
     a = Z.element([3])
     assert square.f_ob(a) == a
     m = (Z.element([0]), Z.element([2]), Z.element([1]))
-    assert source.hom_contains(*m)
+    assert hom_contains(source, *m)
     assert _maps_to_morphism(target, square, m)
     assert square.f_mor(m[2]) == m[2]
 
@@ -219,7 +221,7 @@ def test_mirror_square_functor():
         m3 = (H_ob.element([a + x]), H_ob.element([a + x + y]),
               src.mor_group.element([y]))
         for m in (m1, m2, m3):
-            assert src.hom_contains(*m)
+            assert hom_contains(src, *m)
             assert _maps_to_morphism(target, square, m)
         assert _preserves_tensor_on(square, m1, m2)
         assert _preserves_composition_on(target, square, m1, m3)
@@ -241,7 +243,7 @@ def test_functor_laws_exhaustive_on_finite_square():
             assert _preserves_tensor_on(square, m1, m2)
             x2 = m2[2]
             m3 = (m1[1], m1[1] + square.phi_H(x2), x2)
-            assert src.hom_contains(*m3)
+            assert hom_contains(src, *m3)
             assert _preserves_composition_on(target, square, m1, m3)
 
 
@@ -254,7 +256,7 @@ def test_zero_square_constant_functor(Z):
                         fgab.GroupMorphism(Z, zero_grp, []))
     assert square.f_ob(Z.element([5])).key() == zero_grp.zero().key()
     m = (Z.element([5]), Z.element([7]), Z.element([2]))
-    assert MorTensorCat(square.phi_H).hom_contains(*m)
+    assert hom_contains(MorTensorCat(square.phi_H), *m)
     assert _maps_to_morphism(MorTensorCat(square.phi_G), square, m)
     assert square.f_mor(m[2]).key() == zero_grp.zero().key()
 
@@ -320,7 +322,7 @@ def test_mirror_hofiber_hom_examples():
     # identities
     p = (Gm.element([24]), Ho.element([0]))
     assert not fiber.hom(p, p).is_empty
-    assert fiber.hom_contains(p, p, Hm.zero())
+    assert fiber_hom_contains(fiber, p, p, Hm.zero())
     # a unique solution
     hs = fiber.hom((Gm.element([0]), Ho.element([0])),
                    (Gm.element([5]), Ho.element([5])))
@@ -346,7 +348,7 @@ def test_hofiber_hom_composition_property():
         if h1.is_empty or h2.is_empty:
             continue
         x = h1.particular + h2.particular
-        assert fiber.hom_contains(p, r, x)
+        assert fiber_hom_contains(fiber, p, r, x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,7 +370,7 @@ def test_hofiber_hom_from_nonunit_objects_matches_enumeration(seed):
         assert hs.element_keys() == buckets.get(
             ((g2 - g).key(), (h2 - h).key()), set())
         if not hs.is_empty:
-            assert fiber.hom_contains((g, h), (g2, h2), hs.particular)
+            assert fiber_hom_contains(fiber, (g, h), (g2, h2), hs.particular)
 
 
 def test_hofiber_rejects_non_objects():
@@ -382,10 +384,10 @@ def test_hofiber_rejects_non_objects():
     unit, stray = fiber.unit(), (Gm.element([1]), Ho.element([0]))
     for p, q in ((unit, stray), (stray, unit)):
         with pytest.raises(ValueError, match="is not an object"):
-            fiber.hom_contains(p, q, square.phi_H.source.zero())
+            fiber_hom_contains(fiber, p, q, square.phi_H.source.zero())
     # a pair from the wrong groups is refused, not read as coordinates
     with pytest.raises(fgab.ParentMismatch):
-        fiber.hom_contains((Ho.zero(), Gm.zero()),
+        fiber_hom_contains(fiber, (Ho.zero(), Gm.zero()),
                            (Ho.element([1]), Gm.element([1])),
                            square.phi_H.source.zero())
 
@@ -406,7 +408,7 @@ def test_xi_mirror_examples():
     # morphisms map to identities: connected objects have equal images
     p = (Gm.element([0]), Ho.element([0]))
     q = (Gm.element([5]), Ho.element([5]))
-    assert fiber.hom_contains(p, q, square.phi_H.source.element([5]))
+    assert fiber_hom_contains(fiber, p, q, square.phi_H.source.element([5]))
     assert xi.apply_object(p)[0] == xi.apply_object(q)[0]
 
 
@@ -423,7 +425,7 @@ def test_xi_constancy_on_random_squares():
             hs = fiber.hom(unit, pair)
             if hs.is_empty:
                 continue
-            assert fiber.hom_contains(unit, pair, hs.particular)
+            assert fiber_hom_contains(fiber, unit, pair, hs.particular)
             v0, _ = xi.apply_object(unit)
             v1, _ = xi.apply_object(pair)
             # the identity g' - g = lambda(h') - lambda(h) made exact
@@ -494,9 +496,9 @@ def test_fill_forced_when_phi_H_invertible():
                                  np.array(cols, dtype=object).T)
         forced = inv.then(square.f_mor)
         assert forced.target is fill.lam.target
-        assert fill.lam.target.first_column_outside(
+        assert fill.lam.target.first_column_outside(intmat.transpose(
             intmat.difference(fill.lam.matrix, forced.matrix),
-            phi_H.target.n_generators) is None
+            phi_H.target.n_generators)) is None
 
 
 def test_kernel_elements_are_endomorphisms():
@@ -516,7 +518,7 @@ def test_kernel_elements_are_endomorphisms():
             x = incl(k)
             assert square.f_mor(x) == square.f_mor.target.zero()
             for pair in pairs:
-                assert fiber.hom_contains(pair, pair, x)
+                assert fiber_hom_contains(fiber, pair, pair, x)
 
 
 def test_fill_triangle_checks():
@@ -534,8 +536,8 @@ def _mismatches():
     cat, fiber = MorTensorCat(square.phi_G), moncat.HofibCat(square)
     return {
         "hom": lambda: cat.hom(H_ob.zero(), G_ob.zero()),
-        "hom-contains": lambda: cat.hom_contains(G_ob.zero(), G_ob.zero(),
-                                                 H_mor.zero()),
+        "hom-contains": lambda: hom_contains(cat, G_ob.zero(), G_ob.zero(),
+                                             H_mor.zero()),
         "square-f-ob": lambda: CommSquare(square.phi_H, square.phi_G,
                                           square.f_mor, square.f_mor),
         "square-f-mor": lambda: CommSquare(square.phi_H, square.phi_G,

@@ -25,13 +25,13 @@ def criterion_1_smith_oracle():
     """500 random 3x3 matrices: U M V = D, divisor chain, unimodularity."""
     rng = random.Random(101)
     for trial in range(500):
-        M = intmat.as_int_matrix(
-            [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
+        M = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
         s = intmat.smith(M)
-        U, D, V = s.U, s.D, s.V
-        if not (U @ M @ V == D).all():
+        U, V, dg = s.u_rows(), s.v_rows(), s.diag
+        D = tuple(tuple(dg[i] if i == j else 0 for j in range(3))
+                  for i in range(3))
+        if intmat.matmul(intmat.matmul(U, M, 3), V, 3) != D:
             return False, f"trial {trial}: U M V != D"
-        dg = [D[i, i] for i in range(3)]
         for i in range(2):
             if dg[i] != 0 and dg[i + 1] % dg[i] != 0:
                 return False, f"trial {trial}: chain broken {dg}"

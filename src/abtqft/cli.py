@@ -542,7 +542,8 @@ def build_parser():
         sp.add_argument("files", nargs="+")
         for name in extra:
             sp.add_argument(name)
-        sp.add_argument("--name", help="object name inside the files")
+        if op != "pullback":    # pullback takes the first two morphisms
+            sp.add_argument("--name", help="object name inside the files")
         sp.set_defaults(handler=handler)
 
     c = sub.add_parser("cat", help="monoidal categories and fibers")
@@ -584,8 +585,11 @@ def build_parser():
     b = sub.add_parser("bnr", help="bordism invariants")
     bsub = b.add_subparsers(dest="op", required=True)
     sp = bsub.add_parser("psi", parents=[common])
-    sp.add_argument("files", nargs="*")
-    sp.add_argument("--builtin", choices=BUILTIN_SCENES)
+    # a scene file or a builtin scene, not both; the `default` object is
+    # what argparse sees as "no files given"
+    scene = sp.add_mutually_exclusive_group()
+    scene.add_argument("files", nargs="*", default=[])
+    scene.add_argument("--builtin", choices=BUILTIN_SCENES)
     sp.add_argument("--certify", action="store_true")
     sp.set_defaults(handler=cmd_bnr_psi)
     sp = bsub.add_parser("su", parents=[common])

@@ -172,21 +172,6 @@ class CellComplex:
             raise ComplexError(f"edge {e} lacks a (+1, -1) endpoint pair")
         return tail, head
 
-    # -- JSON -------------------------------------------------------------
-
-    def to_json(self):
-        obj = {
-            "cells": {str(k): self.n_cells[k] for k in range(self.dim + 1)},
-            "boundary": {str(k): [[[i, s] for i, s in b]
-                                  for b in self.boundary[k]]
-                         for k in range(1, self.dim + 1)},
-        }
-        if self.coords is not None:
-            obj["coords"] = [list(row) for row in self.coords]
-        if self.edge_lengths is not None:
-            obj["edge_lengths"] = list(self.edge_lengths)
-        return obj
-
     @classmethod
     def from_json(cls, obj, name=None):
         """The complex of a mesh record; the reader checks its JSON shape,
@@ -206,29 +191,6 @@ class CellComplex:
 
 
 _DIMENSIONS = ("0", "1", "2", "3")
-
-
-def circle_complex(n, name=None):
-    """Cycle with n vertices and n edges, edge i from vertex i to i+1."""
-    if n < 1:
-        raise ComplexError("a circle needs at least one edge")
-    boundary = {1: [[(i, -1), ((i + 1) % n, 1)] for i in range(n)]}
-    return CellComplex({0: n, 1: n}, boundary, name=name or f"circle{n}")
-
-
-def path_complex(n_edges):
-    """Path with n_edges edges on n_edges + 1 vertices."""
-    boundary = {1: [[(i, -1), (i + 1, 1)] for i in range(n_edges)]}
-    return CellComplex({0: n_edges + 1, 1: n_edges}, boundary)
-
-
-def polygon_disk(n, name=None):
-    """A single n-gon face glued onto the n-edge circle."""
-    boundary = {
-        1: [[(i, -1), ((i + 1) % n, 1)] for i in range(n)],
-        2: [[(i, 1) for i in range(n)]],
-    }
-    return CellComplex({0: n, 1: n, 2: 1}, boundary, name=name or f"disk{n}")
 
 
 def build_triangle_surface(n_vertices, triangles, lengths=None, coords=None,

@@ -52,16 +52,6 @@ class LatticeConnection:
         """Lifted curvature of face f in turns: lift + principal fraction."""
         return float(self.face_lifts[f]) + self.face_fraction(f)
 
-    def gauge_transformed(self, vertex_turns):
-        """Multiply edge values by the coboundary of a circle 0-cochain."""
-        vertex_turns = as_reals(vertex_turns, "vertex_turns", 1,
-                                self.complex.n_cells[0])
-        new = list(self.edge_turns)
-        for e in range(self.complex.n_cells[1]):
-            tail, head = self.complex.edge_endpoints(e)
-            new[e] = wrap_unit(new[e] + vertex_turns[head] - vertex_turns[tail])
-        return LatticeConnection(self.complex, new, self.face_lifts)
-
     @classmethod
     def from_json(cls, complex, obj):
         """The connection of a record: a phase per edge and, optionally,
@@ -104,12 +94,6 @@ def total_curvature(conn, chain_vec):
             f"{conn.complex.n_cells[2]} faces")
     return sum_in_order(coeff * conn.curvature(f)
                         for f, coeff in enumerate(chain_vec) if coeff)
-
-
-def boundary_holonomy(conn, surface_chain):
-    """Holonomy around the boundary of a 2-chain of (face, coeff) pairs."""
-    vec = conn.complex.chain_vector(2, surface_chain)
-    return holonomy(conn, conn.complex.boundary_of(2, vec))
 
 
 def chern_number(conn, closed_surface):

@@ -261,15 +261,11 @@ def cyclic_group(d, name=None):
     return FgAbGroup(1, [[d]], name=name)
 
 
-def product_group(torsion, free_rank=0, name=None):
-    """Z/d1 + Z/d2 + ... + Z^free_rank in the obvious presentation."""
-    n = len(torsion) + free_rank
-    rows = []
-    for i, d in enumerate(torsion):
-        row = [0] * n
-        row[i] = d
-        rows.append(row)
-    return FgAbGroup(n, rows, name=name)
+def product_group(torsion):
+    """Z/d1 + Z/d2 + ... in the obvious presentation."""
+    n = len(torsion)
+    return FgAbGroup(n, [[d if i == j else 0 for j in range(n)]
+                         for i, d in enumerate(torsion)])
 
 
 def direct_sum(G, H):

@@ -7,7 +7,9 @@ This module is the decidability engine for everything built on finitely
 generated abelian groups.  The array API (`as_int_matrix`, `identity`,
 the transforms of a `SmithDecomposition`, `kernel_basis` and
 `solve_linear`) wraps the int rows in numpy object arrays and imports
-numpy on its first call; the rest never loads it.
+numpy on its first call; the rest never loads it.  No code path of the
+package calls the array API: its callers are the benchmark in
+`perfbench/` and the tests.
 """
 
 from __future__ import annotations

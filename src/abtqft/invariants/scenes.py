@@ -168,24 +168,15 @@ class BnrScene:
                      "w4": {"key": "empty"}, "nabla": {"key": "empty"}}])
 
     @classmethod
-    def s3_lie(cls, eta_provider="table", refinement=2, glue=()):
-        return cls([{
-            "m3": {"key": "S3"},
-            "eta": {"provider": eta_provider, "key": "Lie-framing",
-                    "params": {"refinement": refinement}},
-            "w4": {"key": "D4"},
-            "nabla": {"provider": "table", "key": "flat-extension",
-                      "params": {"glue": list(glue)}},
-        }])
+    def s3_lie(cls, glue=()):
+        return cls([{"m3": {"key": "S3"}, "eta": {"key": "Lie-framing"},
+                     "w4": {"key": "D4"},
+                     "nabla": {"key": "flat-extension",
+                               "params": {"glue": list(glue)}}}])
 
     @classmethod
     def from_json(cls, obj):
         return cls(_union_members(node(obj)))
-
-    def union(self, other):
-        scene = BnrScene([])
-        scene.components = self.components + other.components
-        return scene
 
     def resolve(self):
         """(component, structure-form integral, half-p1 integral) per
@@ -221,7 +212,7 @@ class SuBounding:
         self.label = label
 
 
-def disk_bounding(lifts, extra_lift=0, label="disk", where="extra_lift"):
+def disk_bounding(lifts, extra_lift=0, where="extra_lift"):
     """Single-face disk carrying the given boundary values.
 
     A raw-connection bounding (not tangent-type): its curvature is the
@@ -231,7 +222,7 @@ def disk_bounding(lifts, extra_lift=0, label="disk", where="extra_lift"):
     extra_lift = as_float_exact_int(extra_lift, where)
     total = sum_in_order(wrap_unit(a) for a in lifts)
     return SuBounding("connection", len(lifts), wrap_unit(total),
-                      float(extra_lift) + wrap_half(total), label)
+                      float(extra_lift) + wrap_half(total), "disk")
 
 
 def tangent_bounding(mesh, puncture, jitter_rng=None):

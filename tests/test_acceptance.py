@@ -131,11 +131,12 @@ def _row(number, patches, detail, label):
 
 FAULTS = [
     _row(1, {"intmat.smith": lambda M: intmat.smith(
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]])}, "trial 0: U M V != D", "umv"),
-    _row(1, {"intmat.as_int_matrix": lambda rows: intmat.as_int_matrix(
-        [[2, 0, 0], [0, 3, 0], [0, 0, 0]]),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)))}, "trial 0: U M V != D", "umv"),
+    # U M V reads back D, whose diagonal 2, 3 breaks the divisor chain
+    _row(1, {"intmat.matmul": lambda A, B, n: (
+        (2, 0, 0), (0, 3, 0), (0, 0, 0)),
         "intmat.smith": lambda M: SimpleNamespace(
-            U=intmat.identity(3), D=M, V=intmat.identity(3))},
+            u_rows=lambda: (), v_rows=lambda: (), diag=[2, 3, 0])},
         "trial 0: chain broken [2, 3, 0]", "chain"),
     _row(1, {"intmat.det": lambda M: 2},
          "trial 0: transform not unimodular", "unimodular"),

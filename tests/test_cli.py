@@ -10,12 +10,18 @@ import numpy as np
 import pytest
 
 from abtqft.cli import main
+from discrete_helpers import mesh_record
 
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SAMPLES = os.path.join(ROOT, "samples")
 with open(os.path.join(ROOT, "perfbench", "golden.json")) as _fh:
     GOLDEN = json.load(_fh)
+
+
+# a 3-edge circle, edge i from vertex i to i+1
+CIRCLE3 = {"cells": {"0": 3, "1": 3},
+           "boundary": {"1": [[[i, -1], [(i + 1) % 3, 1]] for i in range(3)]}}
 
 
 def sample(name):
@@ -39,6 +45,17 @@ def test_group_pullback(capsys):
                        sample("times2.json"), sample("times3.json"))
     assert code == 0
     assert out.splitlines()[0] == "P = Z, gen (3,2)"
+
+
+def test_group_pullback_offers_no_name(capsys):
+    # pullback takes the first two morphisms in load order; a --name was
+    # once accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["group", "pullback", sample("times2.json"),
+              sample("times3.json"), "--name", "times3"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.endswith("error: unrecognized arguments: --name times3\n")
 
 
 def test_group_kernel_and_iso(capsys):
@@ -84,7 +101,7 @@ def test_geo_chern_tangent(capsys):
 def test_geo_chern_from_mesh_file(tmp_path, capsys):
     from abtqft.discrete import icosahedron
     path = tmp_path / "icosa.json"
-    path.write_text(json.dumps(icosahedron().to_json()))
+    path.write_text(json.dumps(mesh_record(icosahedron())))
     code, out, _ = run(capsys, "geo", "chern", str(path), "tangent")
     assert code == 0 and out.strip() == "2"
 
@@ -117,9 +134,8 @@ def test_geo_holonomy_default_loop_not_closed_exit_2(capsys):
 
 
 def test_geo_holonomy_default_loop_on_circle(tmp_path, capsys):
-    from abtqft.discrete import circle_complex
     mesh, conn = tmp_path / "circle.json", tmp_path / "conn.json"
-    mesh.write_text(json.dumps(circle_complex(3).to_json()))
+    mesh.write_text(json.dumps(CIRCLE3))
     conn.write_text(json.dumps({"edge_phases": [0.125, 0.25, 0.5]}))
     code, out, _ = run(capsys, "geo", "holonomy", str(mesh), str(conn))
     assert code == 0
@@ -139,9 +155,8 @@ def test_geo_holonomy_empty_loop_exit_2(tmp_path, capsys, circle):
     # an empty --loop is a loop with one empty token, not the default loop
     mesh, conn = sample("mesh_square.json"), sample("conn_square.json")
     if circle:
-        from abtqft.discrete import circle_complex
         mesh, conn = tmp_path / "circle.json", tmp_path / "conn.json"
-        mesh.write_text(json.dumps(circle_complex(3).to_json()))
+        mesh.write_text(json.dumps(CIRCLE3))
         conn.write_text(json.dumps({"edge_phases": [0.125, 0.25, 0.5]}))
     code, out, err = run(capsys, "geo", "holonomy", str(mesh), str(conn),
                          "--loop", "")
@@ -217,6 +232,21 @@ def test_bnr_psi_certify(capsys):
 def test_bnr_psi_builtin(capsys):
     code, out, _ = run(capsys, "bnr", "psi", "--builtin", "s3-lie")
     assert code == 0 and "int=1" in out
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([sample("scene_s3.json"), "--builtin", "empty"],
+     "argument --builtin: not allowed with argument files"),
+    (["--builtin", "empty", sample("scene_s3.json")],
+     "argument files: not allowed with argument --builtin"),
+], ids=["file-first", "builtin-first"])
+def test_bnr_psi_refuses_files_with_builtin(capsys, argv, named):
+    # the file was once loaded, dropped, and the builtin's int=0 printed
+    with pytest.raises(SystemExit) as exc:
+        main(["bnr", "psi", *argv])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.endswith(f"abtqft bnr psi: error: {named}\n")
 
 
 def test_bnr_su_scene(capsys):
@@ -632,7 +662,7 @@ def test_open_mesh_exit_2(tmp_path, capsys):
     mesh = tmp_path / "open.json"
     from abtqft.discrete import triangulated_grid
     grid = triangulated_grid(2, 2)
-    rec = grid.to_json()
+    rec = mesh_record(grid)
     rec["edge_lengths"] = [1.0] * grid.n_cells[1]
     mesh.write_text(json.dumps(rec))
     for verb in ("chern", "holonomy"):
@@ -647,9 +677,8 @@ def test_open_mesh_exit_2(tmp_path, capsys):
     assert err == (f"input error: {sample('mesh_square.json')}: chern "
                    "number needs a closed surface (a 2-cycle)\n")
     # a mesh without faces is no closed surface, not the empty cycle
-    from abtqft.discrete import circle_complex
     circle, conn = tmp_path / "circle.json", tmp_path / "conn.json"
-    circle.write_text(json.dumps(circle_complex(3).to_json()))
+    circle.write_text(json.dumps(CIRCLE3))
     conn.write_text(json.dumps({"edge_phases": [0.1, 0.2, 0.3]}))
     code, out, err = run(capsys, "geo", "chern", str(circle), str(conn))
     assert code == 2 and out == ""
@@ -659,7 +688,7 @@ def test_open_mesh_exit_2(tmp_path, capsys):
 
 def test_degenerate_mesh_exit_2(tmp_path, capsys):
     from abtqft.discrete import icosahedron
-    rec = icosahedron().to_json()
+    rec = mesh_record(icosahedron())
     rec["edge_lengths"][0] = 10.0
     mesh = tmp_path / "flat.json"
     mesh.write_text(json.dumps(rec))
@@ -670,7 +699,7 @@ def test_degenerate_mesh_exit_2(tmp_path, capsys):
 
 def test_negative_edge_length_exit_2(tmp_path, capsys):
     from abtqft.discrete import icosahedron
-    rec = icosahedron().to_json()
+    rec = mesh_record(icosahedron())
     rec["edge_lengths"][0] = -1.0
     mesh = tmp_path / "negative.json"
     mesh.write_text(json.dumps(rec))
@@ -683,7 +712,7 @@ def test_negative_edge_length_exit_2(tmp_path, capsys):
 
 def test_nan_edge_length_exit_2(tmp_path, capsys):
     from abtqft.discrete import icosahedron
-    rec = icosahedron().to_json()
+    rec = mesh_record(icosahedron())
     rec["edge_lengths"][3] = float("nan")
     mesh = tmp_path / "nan.json"
     mesh.write_text(json.dumps(rec))
@@ -712,14 +741,14 @@ TRIANGLE = {**SQUARE_DISK, "cells": {"0": 3, "1": 3, "2": 1},
 
 def _icosahedron_with_float_index():
     from abtqft.discrete import icosahedron
-    rec = icosahedron().to_json()
+    rec = mesh_record(icosahedron())
     rec["boundary"]["1"][0][0][0] = float(rec["boundary"]["1"][0][0][0])
     return rec
 
 
 def _icosahedron_with_lengths(value):
     from abtqft.discrete import icosahedron
-    rec = icosahedron().to_json()
+    rec = mesh_record(icosahedron())
     rec["edge_lengths"] = [value] * len(rec["edge_lengths"])
     return rec
 
@@ -1109,7 +1138,7 @@ def test_vertex_link_not_one_cycle_exit_2(tmp_path, capsys, glued, message):
     with pytest.raises(ComplexError, match=message):
         tangent_connection(mesh)
     path = tmp_path / "tetrahedra.json"
-    path.write_text(json.dumps(mesh.to_json()))
+    path.write_text(json.dumps(mesh_record(mesh)))
     code, out, err = run(capsys, "geo", "chern", str(path), "tangent")
     assert (code, out) == (2, "")
     assert err == f"input error: {path}: {message}\n"

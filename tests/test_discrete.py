@@ -11,10 +11,25 @@ import abtqft.discrete.connections
 from abtqft.discrete.complexes import require_integers
 from abtqft.analytic import (NonIntegralInvariant, circle_distance, wrap_half,
                               wrap_unit)
+from discrete_helpers import gauge_transformed, mesh_record
 
 
 def random_grid(rng):
     return D.triangulated_grid(rng.randint(1, 4), rng.randint(1, 4))
+
+
+def _circle(n):
+    """Cycle with n vertices and n edges, edge i from vertex i to i+1."""
+    return D.CellComplex(
+        {0: n, 1: n}, {1: [[(i, -1), ((i + 1) % n, 1)] for i in range(n)]})
+
+
+def _disk(n):
+    """A single n-gon face glued onto the n-edge circle."""
+    return D.CellComplex(
+        {0: n, 1: n, 2: 1},
+        {1: [[(i, -1), ((i + 1) % n, 1)] for i in range(n)],
+         2: [[(i, 1) for i in range(n)]]})
 
 
 # -- complexes ---------------------------------------------------------------
@@ -53,16 +68,18 @@ def test_non_finite_edge_length_rejected():
 
 def test_mesh_json_roundtrip():
     W = D.triangulated_grid(2, 3)
-    rec = W.to_json()
+    rec = mesh_record(W)
     W2 = D.CellComplex.from_json(json.loads(json.dumps(rec)))
     assert W2.n_cells == W.n_cells
     assert W2.boundary == W.boundary
+    assert W2.coords == W.coords
 
 
 # -- cochains ------------------------------------------------------------------
 
 def test_coboundary_on_path():
-    P = D.path_complex(2)
+    P = D.CellComplex({0: 3, 1: 2},
+                      {1: [[(0, -1), (1, 1)], [(1, -1), (2, 1)]]})
     f = D.Cochain(P, 0, [1.0, 4.0, 9.0])
     df = D.coboundary(f)
     assert df.values == (3.0, 5.0)
@@ -88,7 +105,7 @@ def test_dd_zero_random():
 
 
 def test_integrate_examples():
-    C3 = D.circle_complex(3)
+    C3 = _circle(3)
     unit = D.Cochain(C3, 1, [1.0, 1.0, 1.0])
     chain = C3.chain_vector(1, [(i, 1) for i in range(3)])
     assert D.integrate(unit, chain) == 3.0
@@ -120,23 +137,23 @@ def test_stokes_random_scenes():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: D.circle_complex(0), D.ComplexError,
-     r"a circle needs at least one edge"),
+    (lambda: D.CellComplex({0: 1, 1: -1}, {}), D.ComplexError,
+     r"cells\.1: expected an integer >= 0, got -1"),
     (lambda: D.triangulated_grid(0, 1), D.ComplexError,
      r"grid needs at least one cell per direction"),
     (lambda: D.CellComplex({0: 2, 1: 1}, {1: [[(0, 1), (1, 1)]]})
      .edge_endpoints(0), D.ComplexError,
      r"edge 0 lacks a \(\+1, -1\) endpoint pair"),
-    (lambda: D.coboundary(D.Cochain(D.circle_complex(3), 3, [])),
+    (lambda: D.coboundary(D.Cochain(_circle(3), 3, [])),
      D.DegreeError, r"coboundary of a top-degree cochain"),
-], ids=["empty-circle", "empty-grid", "edge-without-tail", "top-degree"])
+], ids=["negative-count", "empty-grid", "edge-without-tail", "top-degree"])
 def test_impossible_cells_are_refused(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
 
 
 def test_stokes_degree_errors():
-    C3 = D.circle_complex(3)
+    C3 = _circle(3)
     omega = D.Cochain(C3, 1, [1.0, 2.0, 3.0])
     with pytest.raises(D.DegreeError):
         D.check_stokes(C3, omega)   # no 2-cells
@@ -147,7 +164,7 @@ def test_stokes_degree_errors():
 # -- connections -----------------------------------------------------------------
 
 def test_holonomy_examples():
-    C3 = D.circle_complex(3)
+    C3 = _circle(3)
     trivial = D.LatticeConnection(C3, np.zeros(3))
     loop = C3.chain_vector(1, [(i, 1) for i in range(3)])
     assert D.holonomy(trivial, loop) == 0.0
@@ -162,7 +179,7 @@ def test_holonomy_examples():
 
 
 def test_holonomy_rejects_open_chains():
-    C3 = D.circle_complex(3)
+    C3 = _circle(3)
     conn = D.LatticeConnection(C3, np.zeros(3))
     with pytest.raises(D.NonCycleError):
         D.holonomy(conn, C3.chain_vector(1, [(0, 1), (1, 1)]))
@@ -171,7 +188,7 @@ def test_holonomy_rejects_open_chains():
 @pytest.mark.parametrize("chain", [[0.5] * 4, [1.9] * 4])
 def test_float_chains_are_refused_not_truncated(chain):
     # both were once read as integer chains: 0.5 as 0 and 1.9 as 1
-    C4 = D.circle_complex(4)
+    C4 = _circle(4)
     conn = D.LatticeConnection(C4, [0.1, 0.2, 0.3, 0.15])
     message = "^chain coefficients must be integers$"
     with pytest.raises(D.ComplexError, match=message):
@@ -183,7 +200,7 @@ def test_float_chains_are_refused_not_truncated(chain):
 def test_bool_chains_are_refused():
     # each once read True as 1 and answered: 0.7500000000000001, 4.0 and
     # a boundary; `analytic.as_int` refuses a bool as well
-    C4 = D.circle_complex(4)
+    C4 = _circle(4)
     conn = D.LatticeConnection(C4, [0.1, 0.2, 0.3, 0.15])
     omega = D.Cochain(C4, 1, [1.0, 2, 3, 4])
     for call in (lambda: D.holonomy(conn, [True] * 4),
@@ -212,7 +229,7 @@ def test_chain_gate_table(c, accepted):
 
 
 def test_integer_chains_keep_their_float_bits():
-    C4 = D.circle_complex(4)
+    C4 = _circle(4)
     conn = D.LatticeConnection(C4, [0.1, 0.2, 0.3, 0.15])
     unit = D.Cochain(C4, 1, [0.1, 0.2, 0.3, 0.15])
     for chain in ([1, 1, 1, 1], np.array([2, 2, 2, 2]), [-3, -3, -3, -3]):
@@ -224,7 +241,7 @@ def test_integer_chains_keep_their_float_bits():
 
 
 def test_curvature_lift_examples():
-    disk = D.polygon_disk(4)
+    disk = _disk(4)
     conn = D.LatticeConnection(disk, [0.05, 0.1, 0.03, 0.07])
     assert D.total_curvature(conn, [1]) == pytest.approx(0.25, abs=1e-12)
     lifted = D.LatticeConnection(disk, conn.edge_turns, [1])
@@ -232,11 +249,14 @@ def test_curvature_lift_examples():
     with pytest.raises(D.connections.ConnectionDataError):
         D.total_curvature(conn, [1, 0])
     # boundary holonomy does not see the lift
-    assert circle_distance(D.boundary_holonomy(conn, [(0, 1)]),
-                           D.boundary_holonomy(lifted, [(0, 1)])) == 0.0
-    trivial = D.LatticeConnection(D.polygon_disk(5), np.zeros(5))
+    rim = disk.boundary_of(2, disk.chain_vector(2, [(0, 1)]))
+    assert circle_distance(D.holonomy(conn, rim),
+                           D.holonomy(lifted, rim)) == 0.0
+    pentagon = _disk(5)
+    trivial = D.LatticeConnection(pentagon, np.zeros(5))
     assert D.total_curvature(trivial, [1]) == 0.0
-    assert D.boundary_holonomy(trivial, [(0, 1)]) == 0.0
+    assert D.holonomy(trivial, pentagon.boundary_of(
+        2, pentagon.chain_vector(2, [(0, 1)]))) == 0.0
 
 
 def test_holonomy_curvature_identity_all_lifts():
@@ -258,8 +278,8 @@ def test_gauge_invariance():
     conn = D.LatticeConnection(
         W, [rng.uniform(0, 1) for _ in range(W.n_cells[1])],
         [rng.randint(-2, 2) for _ in range(W.n_cells[2])])
-    gauged = conn.gauge_transformed(
-        [rng.uniform(0, 1) for _ in range(W.n_cells[0])])
+    gauged = gauge_transformed(
+        conn, [rng.uniform(0, 1) for _ in range(W.n_cells[0])])
     # loop holonomies unchanged
     B2 = W.boundary_matrix(2)
     for f in range(W.n_cells[2]):
@@ -285,7 +305,7 @@ def test_non_finite_edge_turn_rejected():
 def test_face_lifts_checked_by_the_constructor():
     # a lift beyond 2**53 is refused, never wrapped into int64 (2**63 read
     # as -2**63) nor stored where a float curvature loses its fraction
-    disk = D.polygon_disk(3)
+    disk = _disk(3)
     assert D.LatticeConnection(disk, [0.1, 0.2, 0.3], [2**53]).face_lifts[
         0] == 2**53
     for lifts, fault in (

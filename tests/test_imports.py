@@ -113,7 +113,8 @@ def test_group_and_cat_verbs_load_no_numpy(tmp_path, argv):
 ], ids=lambda argv: " ".join(map(os.path.basename, argv)))
 def test_su_and_chern_verbs_load_no_numpy(tmp_path, argv):
     from abtqft.discrete import icosahedron
-    (tmp_path / "mesh.json").write_text(json.dumps(icosahedron().to_json()))
+    from discrete_helpers import mesh_record
+    (tmp_path / "mesh.json").write_text(json.dumps(mesh_record(icosahedron())))
     (tmp_path / "conn.json").write_text(json.dumps(
         {"edge_phases": [0.25] * 30, "face_lifts": [2] + [0] * 19}))
     modules = loaded_by(*(a.format(tmp=tmp_path) for a in argv))

@@ -73,6 +73,12 @@ def test_entry_json_roundtrip():
 
 # -- field theory values on discrete scenes -------------------------------------
 
+def _circle3():
+    """One 3-edge circle, edge i from vertex i to i+1."""
+    return D.CellComplex(
+        {0: 3, 1: 3}, {1: [[(i, -1), ((i + 1) % 3, 1)] for i in range(3)]})
+
+
 def _two_circles():
     """Two disjoint 3-edge circles in one complex."""
     return D.CellComplex(
@@ -82,7 +88,7 @@ def _two_circles():
 
 
 def test_z_stokes_closed_examples():
-    C3 = D.circle_complex(3)
+    C3 = _circle3()
     unit = D.Cochain(C3, 1, [1.0, 1.0, 1.0])
     assert D.integrate(unit, C3.fundamental_chain(1)) == 3.0
 
@@ -103,7 +109,7 @@ def test_z_stokes_closed_examples():
 
 
 def test_z_hol_examples():
-    C3 = D.circle_complex(3)
+    C3 = _circle3()
     trivial = D.LatticeConnection(C3, np.zeros(3))
     assert D.holonomy(trivial, C3.fundamental_chain(1)) == 0.0
 
@@ -115,10 +121,14 @@ def test_z_hol_examples():
 
     # functoriality: the lifted curvature of a disk exponentiates to the
     # holonomy of the circle it bounds
-    disk = D.polygon_disk(4)
+    disk = D.CellComplex(
+        {0: 4, 1: 4, 2: 1},
+        {1: [[(i, -1), ((i + 1) % 4, 1)] for i in range(4)],
+         2: [[(i, 1) for i in range(4)]]})
     conn2 = D.LatticeConnection(disk, [0.3, 0.2, 0.4, 0.35], [2])
     rel = D.total_curvature(conn2, disk.fundamental_chain(2))
-    hol = D.boundary_holonomy(conn2, [(0, 1)])
+    hol = D.holonomy(conn2, disk.boundary_of(2, disk.chain_vector(
+        2, [(0, 1)])))
     assert circle_distance(rel, hol) <= 1e-12
 
 
@@ -197,6 +207,15 @@ def test_scene_rejects_mismatched_bounding():
 
 # -- psi -------------------------------------------------------------------------
 
+# the generator scene as a scene file gives it, with its structure-form
+# integral from the table or from the refinement-1 quadrature
+S3_LIE = {"m3": {"key": "S3"}, "eta": {"key": "Lie-framing"},
+          "w4": {"key": "D4"}, "nabla": {"key": "flat-extension"}}
+S3_LIE_R1 = {**S3_LIE, "eta": {"provider": "quadrature", "key": "Lie-framing",
+                               "params": {"refinement": 1}}}
+EMPTY = {"m3": {"key": "empty"}, "eta": {"key": "empty"},
+         "w4": {"key": "empty"}, "nabla": {"key": "empty"}}
+
 def test_psi_generator_and_gluing():
     base = I.psi(I.BnrScene.s3_lie(), certify=True)
     assert base.integer_value == 1 and base.residue == 1
@@ -214,7 +233,9 @@ def test_psi_generator_and_gluing():
 
 def test_psi_empty_and_union():
     assert I.psi(I.BnrScene.empty()).integer_value == 0
-    u = I.BnrScene.s3_lie().union(I.BnrScene.s3_lie(glue=["K3-rev"]))
+    u = I.BnrScene.from_json({"union": [S3_LIE, {
+        **S3_LIE, "nabla": {"key": "flat-extension",
+                            "params": {"glue": ["K3-rev"]}}}]})
     assert I.psi(u).integer_value == 1 + 25
 
 
@@ -260,8 +281,7 @@ def test_psi_certificate_rejects_corrupt_table(monkeypatch):
 
 
 def test_psi_quadrature_provider():
-    result = I.psi(I.BnrScene.s3_lie(eta_provider="quadrature",
-                                     refinement=1))
+    result = I.psi(I.BnrScene.from_json(S3_LIE_R1))
     assert result.integer_value == 1
     assert abs(result.raw - 1.0) < 1e-3
 
@@ -281,11 +301,11 @@ def test_hofiber_semantics_matches_psi():
     # value is the integral formula, bit for bit.  Each refine-1
     # quadrature component is 6.4e-7 from 1, so the union of two is
     # 1.3e-6 from 2: inside the bound the per-component gates imply
-    q1 = I.BnrScene.s3_lie(eta_provider="quadrature", refinement=1)
     for scene in (I.BnrScene.s3_lie(), I.BnrScene.empty(),
                   I.BnrScene.s3_lie(glue=["K3"]),
-                  I.BnrScene.s3_lie().union(I.BnrScene.empty()),
-                  q1, q1.union(q1)):
+                  I.BnrScene.from_json({"union": [S3_LIE, EMPTY]}),
+                  I.BnrScene.from_json(S3_LIE_R1),
+                  I.BnrScene.from_json({"union": [S3_LIE_R1, S3_LIE_R1]})):
         direct = _integral_formula(scene)
         assert I.psi(scene).raw == direct
         assert I.psi(scene).integer_value == round(direct)
@@ -303,7 +323,7 @@ def test_psi_union_gates_each_component(monkeypatch):
     # an object of the fiber; the error names the first offender
     monkeypatch.setitem(scn._ETA_TABLE, ("S3", "Lie-framing"), -1.4)
     monkeypatch.setitem(scn._ETA_TABLE, ("empty", "empty"), -0.6)
-    scene = I.BnrScene.s3_lie().union(I.BnrScene.empty())
+    scene = I.BnrScene.from_json({"union": [S3_LIE, EMPTY]})
     label = "component S3/Lie-framing|D4/flat-extension"
     with pytest.raises(I.NonIntegralInvariant, match=re.escape(label)):
         I.psi(scene)
@@ -454,12 +474,11 @@ def test_su_integers_name_their_field(build, fault):
 def test_su_odd_difference_reported_not_fatal():
     icosa = I.tangent_bounding("icosahedron", 0)
     scene = I.SuScene.from_primary(icosa)
-    odd_disk = scn.disk_bounding(scene.lifts, extra_lift=1,
-                                 label="odd-disk")
+    odd_disk = scn.disk_bounding(scene.lifts, extra_lift=1)
     scene2 = I.SuScene(scene.lifts, [icosa, odd_disk])
     result = I.su_psi(scene2)
     flagged = [c for c in result.certificate if not c["in_hypothesis"]]
-    assert any(c["bounding"] == "odd-disk" and c["difference"] % 2 == 1
+    assert any(c["bounding"] == "disk" and c["difference"] % 2 == 1
                for c in flagged)
 
 
